@@ -1,0 +1,161 @@
+"""Golden outputs: every file each ``irsnoma`` command writes, pinned by hash.
+
+Each case runs one command through ``cli.main`` on a tiny fixed config and
+compares the SHA-256 of every CSV and JSON written against the stored table.
+A refactor of the harness or CLI must leave every byte unchanged; a change
+that moves an output on purpose regenerates the table and says so.
+
+``oracle.json`` records the search's wall time, which no run repeats, so
+that key is dropped before hashing.
+"""
+
+import hashlib
+import json
+import os
+
+import pytest
+
+from irsnoma_lab.cli import main
+
+CONFIG = dict(
+    seeds=[3, 4],
+    n_users=4,
+    m_clusters=2,
+    k_elements=4,
+    resolution_bits=2,
+    power_dbm=50.0,
+    alpha_step=0.5,
+    powers_dbm=[20.0, 60.0],
+    element_counts=[2, 4],
+    slots=2,
+    n0=12,
+    n_max=24,
+    window_len=8,
+    predictor_train_steps=25,
+    episodes=12,
+    steps_per_episode=20,
+    random_samples=10,
+)
+
+NONDETERMINISTIC_KEYS = {"oracle.json": ("wall_time_s",)}
+
+# "<command> <algorithm>" -> {output path relative to out_dir: sha256}
+GOLDEN = {
+    "generate dqn": {
+        "scenario.json":
+            "eec68ce3bf314956f9e6c6a54b6e0de062a26b19f7854a580bb50c3e1a758dcf",
+        "trajectories.csv":
+            "8c7035c03202068fd49212d9ae6f2fa19583355e049445aa975fa6f9bcb0420d",
+    },
+    "pipeline dqn": {
+        "curves/curve_seed3_slot0.csv":
+            "95addc2679c03a1434bea962f33382704d0f22cb0e375ec2843667e219711d47",
+        "curves/curve_seed3_slot1.csv":
+            "490344c794924b37182c63c45c9538d5a4168a18c2ca357939bedc85945e0eca",
+        "curves/curve_seed4_slot0.csv":
+            "54272297027f681f8f7db7696028f05d444a3a79b26f4eea413114b0da2da920",
+        "curves/curve_seed4_slot1.csv":
+            "8c675de609be47fa1c4f7c26399135985cf40b37f611c8b1a17874c4a110a3ac",
+        "pipeline.csv":
+            "8fbc69cedbf2a848239862a05769e48668688dfe178c5ad14ff0ad6a35648282",
+    },
+    "pipeline tabular": {
+        "curves/curve_seed3_slot0.csv":
+            "983d99a2d50630002adddabe8159fd93388f9a6c4b18e77e369be2115f4e2049",
+        "curves/curve_seed3_slot1.csv":
+            "0d64f89b49cf4037fd848389a3ddab9b6498290fea7b97d9daa80481d11efb6b",
+        "curves/curve_seed4_slot0.csv":
+            "9c735fd7d29c85ebb718ce6ac530bcc271ee3c5084ead4d12fa58272b898aaf0",
+        "curves/curve_seed4_slot1.csv":
+            "89f06621aea65b999046d840cf64df7836d7bbea2e1c1ef30128fdd063ef5c4b",
+        "pipeline.csv":
+            "3669c1f27bd89270f21e8f014b4e9a7895511dba3fe495f277618a5239e05fb5",
+    },
+    "pipeline random-phase": {
+        "pipeline.csv":
+            "e067ccb8dad52bbc7c2239b297bb3a0c7bbf9ab6ad56acf1a230ffa65fb2b3de",
+    },
+    "pipeline oracle": {
+        "pipeline.csv":
+            "cee9ae3373517f29ef1d7a53278b4a34dc80f4aa7f069b2ac32ffce75b32a6db",
+    },
+    "sweep-power dqn": {
+        "sweep_power.csv":
+            "98441a3b28f2c233eff4d96e7fb02cb89aaabcd5d96e5294042cf553ae49516d",
+        "sweep_power_mean.csv":
+            "f7f57f75be5bfa5358957175ddeab5d20141604d8c896e81058bc51d54567719",
+    },
+    "sweep-power tabular": {
+        "sweep_power.csv":
+            "32c81c91315cc46fdafe1184ab288daffc6e5b4d5136bb01eee347739fe91274",
+        "sweep_power_mean.csv":
+            "74fe8562c8b9cc54a6e6ec46ba5eeed4862e629105ba482071f89a30a98105c5",
+    },
+    "sweep-power random-phase": {
+        "sweep_power.csv":
+            "7996a73df10eaabd596ed86323096af586d85a8cb86d100c20c7c6d961a68bc2",
+        "sweep_power_mean.csv":
+            "b2ce93b387a6b01553420a3860c6caba810308259a5b18b850eb242e4b0a8014",
+    },
+    "sweep-power oracle": {
+        "sweep_power.csv":
+            "2cedca144ead47ee24e1088816c102289839f8944449d315750508e274aa7844",
+        "sweep_power_mean.csv":
+            "55433963693b7b000d0dfda071c74d26a1e614bd78023926af2b738d840009f2",
+    },
+    "sweep-elements random-phase": {
+        "sweep_elements.csv":
+            "d91076543a7bcecf71355387c5c2a77cb1ac1c9e987d20e7ab3ba646a6267a6c",
+        "sweep_elements_mean.csv":
+            "35c587e43a5cadcb8aabb06d95a9fe2c9b57506880a1391eb0f0588514b46501",
+    },
+    "compare-oma oracle": {
+        "compare_oma.csv":
+            "8d5b79b568bc5c192795b180e3fa3914ccb6fae8ffce1c84cbbe68652afebb99",
+    },
+    "oracle oracle": {
+        "oracle.json":
+            "7be66430f2171a116bd9f4647365397305bfb44ed76bdcf736b6c9f00947f9e6",
+    },
+    "cluster dqn": {
+        "assignment.csv":
+            "3ab62f0b7fa03e6a1de0e0af8b8cfb1963a93322b188f4370b233a99f9d0b63e",
+        "gmm_params.json":
+            "a4ab54f000eca6129d043e9ec912a7bc1dc82b0742b98f4915062a2c3bf9e64d",
+    },
+    "predict dqn": {
+        "predictions.csv":
+            "83a5e82d4490d29e2db9f6041662bf7ad62184e71524152b8b611a488a8ff65e",
+    },
+}
+
+
+def _digest(path, name):
+    data = open(path, "rb").read()
+    drop = NONDETERMINISTIC_KEYS.get(name)
+    if drop:
+        doc = json.loads(data)
+        for key in drop:
+            del doc[key]
+        data = json.dumps(doc, indent=2, sort_keys=True).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_case(tmp_path, case):
+    """Run one golden case and return {relative path: sha256} of its outputs."""
+    command, algorithm = case.split()
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({**CONFIG, "out_dir": str(out)}))
+    assert main([command, "--config", str(cfg_path), "--algorithm", algorithm]) == 0
+    digests = {}
+    for root, _, files in os.walk(out):
+        for name in files:
+            path = os.path.join(root, name)
+            digests[os.path.relpath(path, out).replace(os.sep, "/")] = _digest(path, name)
+    return digests
+
+
+@pytest.mark.parametrize("case", list(GOLDEN))
+def test_outputs_match_stored_hashes(tmp_path, case):
+    assert run_case(tmp_path, case) == GOLDEN[case]
