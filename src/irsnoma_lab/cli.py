@@ -2,10 +2,19 @@
 
 Subcommands: generate, pipeline, sweep-power, sweep-elements, compare-oma,
 oracle, cluster, predict.  Every subcommand accepts --config <path> (a JSON
-document of :class:`~irsnoma_lab.harness.ExperimentConfig` fields), --seed,
---out, and --algorithm; flags override the config file.  Exit codes: 0 on
-success, 1 on validation errors, 2 when a run ends infeasible or without a
-result.
+object of :class:`~irsnoma_lab.harness.ExperimentConfig` fields), --seed,
+--out, and --algorithm; flags override the config file.
+
+The config is validated before any command starts work or writes output: a
+top level that is not a JSON object, an unknown field, ``resolution_bits``
+or ``m_clusters`` below 1, ``m_clusters > n_users`` without a
+``scenario_path``, an ``alpha_step`` that does not divide 1, an empty seed
+list, an unknown algorithm, and powers, element counts or slot counts out
+of range are all rejected.
+
+Exit codes: 0 on success; 1 on a validation error, reported on stderr as
+``error: <message>``; 2 when a run ends infeasible or without a result (no
+feasible pipeline slot, or no feasible oracle configuration).
 """
 
 from __future__ import annotations
@@ -13,7 +22,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import (
+# ``main`` dispatches through these module bindings at call time.
+from .harness import (  # noqa: F401
     ALGORITHMS,
     ExperimentConfig,
     cmd_cluster,
@@ -31,11 +41,54 @@ EXIT_VALIDATION = 1
 EXIT_NO_RESULT = 2
 
 
-def _common_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", help="JSON experiment config file")
-    parser.add_argument("--seed", type=int, help="master seed (replaces the seed list)")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--algorithm", choices=ALGORITHMS, help="optimizer to run")
+def _say(text: str, code: int = EXIT_OK, file=None) -> int:
+    print(text, file=file)
+    return code
+
+
+def _rows(label: str):
+    return lambda rows: _say(f"{label}: {len(rows)} rows")
+
+
+def _pipeline_summary(rows) -> int:
+    feasible = sum(int(r[3]) for r in rows)
+    text = f"pipeline: {len(rows)} slot rows, {feasible} feasible"
+    return _say(text, EXIT_OK if feasible else EXIT_NO_RESULT)
+
+
+def _oracle_summary(result) -> int:
+    if result.feasible_count == 0:
+        return _say("oracle: no feasible configuration", EXIT_NO_RESULT, sys.stderr)
+    return _say(
+        f"oracle: best rate {result.best_rate} over "
+        f"{result.evaluated_count} evaluations"
+    )
+
+
+# name -> (help, summary): ``main`` runs ``cmd_<name>``, then the summary
+# prints its result and returns the exit code.
+COMMANDS = {
+    "generate": (
+        "write a scenario JSON and ground-truth trajectories",
+        lambda paths: _say(f"wrote {paths['scenario']} and {paths['trajectories']}"),
+    ),
+    "pipeline": (
+        "run the per-slot predict/cluster/optimize pipeline",
+        _pipeline_summary,
+    ),
+    "sweep-power": ("sum rate over the transmit-power grid", _rows("sweep-power")),
+    "sweep-elements": ("sum rate over surface element counts", _rows("sweep-elements")),
+    "compare-oma": ("paired NOMA vs TDMA comparison", _rows("compare-oma")),
+    "oracle": ("exhaustive optimum on a small instance", _oracle_summary),
+    "cluster": (
+        "cluster one channel draw",
+        lambda fit: _say(f"cluster: occupancy {list(fit.occupancy())}"),
+    ),
+    "predict": (
+        "train the mobility predictor and emit forecasts",
+        lambda rows: _say(f"predict: {len(rows)} forecast rows"),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,17 +97,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="IRS-aided MISO-NOMA experiment harness",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("generate", "write a scenario JSON and ground-truth trajectories"),
-        ("pipeline", "run the per-slot predict/cluster/optimize pipeline"),
-        ("sweep-power", "sum rate over the transmit-power grid"),
-        ("sweep-elements", "sum rate over surface element counts"),
-        ("compare-oma", "paired NOMA vs TDMA comparison"),
-        ("oracle", "exhaustive optimum on a small instance"),
-        ("cluster", "cluster one channel draw"),
-        ("predict", "train the mobility predictor and emit forecasts"),
-    ]:
-        _common_flags(sub.add_parser(name, help=help_text))
+    for name, (help_text, _) in COMMANDS.items():
+        cmd = sub.add_parser(name, help=help_text)
+        cmd.add_argument("--config", help="JSON experiment config file")
+        cmd.add_argument(
+            "--seed", type=int, help="master seed (replaces the seed list)"
+        )
+        cmd.add_argument("--out", help="output directory")
+        cmd.add_argument("--algorithm", choices=ALGORITHMS, help="optimizer to run")
     return parser
 
 
@@ -65,53 +115,20 @@ def load_config(args) -> ExperimentConfig:
         "algorithm": args.algorithm,
     }
     if args.config:
-        return ExperimentConfig.from_json(
-            args.config, **{k: v for k, v in overrides.items() if v is not None}
-        )
+        return ExperimentConfig.from_json(args.config, **overrides)
     return ExperimentConfig().with_overrides(**overrides)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _, summarize = COMMANDS[args.command]
     try:
         config = load_config(args)
-        if args.command == "generate":
-            paths = cmd_generate(config)
-            print(f"wrote {paths['scenario']} and {paths['trajectories']}")
-        elif args.command == "pipeline":
-            rows = cmd_pipeline(config)
-            feasible = sum(int(r[3]) for r in rows)
-            print(f"pipeline: {len(rows)} slot rows, {feasible} feasible")
-            if feasible == 0:
-                return EXIT_NO_RESULT
-        elif args.command == "sweep-power":
-            rows = cmd_sweep_power(config)
-            print(f"sweep-power: {len(rows)} rows")
-        elif args.command == "sweep-elements":
-            rows = cmd_sweep_elements(config)
-            print(f"sweep-elements: {len(rows)} rows")
-        elif args.command == "compare-oma":
-            rows = cmd_compare_oma(config)
-            print(f"compare-oma: {len(rows)} rows")
-        elif args.command == "oracle":
-            result = cmd_oracle(config)
-            if result.feasible_count == 0:
-                print("oracle: no feasible configuration", file=sys.stderr)
-                return EXIT_NO_RESULT
-            print(
-                f"oracle: best rate {result.best_rate} over "
-                f"{result.evaluated_count} evaluations"
-            )
-        elif args.command == "cluster":
-            fit = cmd_cluster(config)
-            print(f"cluster: occupancy {list(fit.occupancy())}")
-        elif args.command == "predict":
-            rows = cmd_predict(config)
-            print(f"predict: {len(rows)} forecast rows")
+        result = globals()["cmd_" + args.command.replace("-", "_")](config)
     except (ValueError, OSError, KeyError, TypeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
-    return EXIT_OK
+    return summarize(result)
 
 
 if __name__ == "__main__":

@@ -5,6 +5,8 @@ sub-stream (scenario, per-slot channels, clustering, agent) is independently
 replayable and every CSV is bit-identical given (config, seed).  Output
 files start with the schema header comment ``# irsnoma-lab v<version>``.
 
+Every command sets up each seed through one path, :func:`prepare`.
+
 Column conventions: the per-slot pipeline emits
 (seed, slot, sum_rate, feasible, occupancy, decoding_orders) where
 ``occupancy`` joins cluster sizes with '-' and ``decoding_orders`` joins
@@ -17,6 +19,7 @@ import csv
 import io
 import json
 import os
+import tempfile
 import zlib
 from dataclasses import dataclass, replace
 
@@ -24,7 +27,6 @@ import numpy as np
 
 from . import __version__
 from .channel import (
-    PhaseConfig,
     RicianConfig,
     ScenarioGeometry,
     dbm_to_watts,
@@ -41,8 +43,19 @@ from .mobility import (
     run_algorithm1,
 )
 from .noma import NetworkScenario, evaluate_configuration, oma_tdma_sum_rate
-from .oracle import SearchSpace, brute_force_optimum, enumerate_phase_configs
-from .rl import NomaPhaseEnv, QApproximator, train_agent, train_tabular_agent
+from .oracle import (
+    SearchSpace,
+    _units_from_step,
+    brute_force_optimum,
+    enumerate_phase_configs,
+)
+from .rl import (
+    NomaPhaseEnv,
+    QApproximator,
+    _BestTracker,
+    train_agent,
+    train_tabular_agent,
+)
 
 SCHEMA_HEADER = f"# irsnoma-lab v{__version__}"
 ALGORITHMS = ("dqn", "tabular", "random-phase", "oracle")
@@ -66,7 +79,7 @@ class SeedRegistry:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative description of one experiment family."""
+    """Declarative description of one experiment family, validated on creation."""
 
     scenario_path: str | None = None
     out_dir: str = "results"
@@ -122,11 +135,22 @@ class ExperimentConfig:
             raise ValueError("element counts must be >= 1")
         if self.slots < 1:
             raise ValueError("slot count must be >= 1")
+        for name in ("resolution_bits", "m_clusters"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} {getattr(self, name)} must be >= 1")
+        # A scenario file brings its own user count.
+        if not self.scenario_path and self.m_clusters > self.n_users:
+            raise ValueError(
+                f"m_clusters {self.m_clusters} exceeds n_users {self.n_users}"
+            )
+        _units_from_step(self.alpha_step)
 
     @classmethod
     def from_json(cls, path, **overrides) -> "ExperimentConfig":
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"config {path} must hold a JSON object")
         doc.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**doc)
 
@@ -156,12 +180,24 @@ def write_csv(path, header: list[str], rows) -> None:
 
 
 def _atomic_write(path, text: str) -> None:
+    """Write via a temp file unique to this call in the target directory."""
     path = os.fspath(path)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(
+        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
+    )
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            # mkstemp creates the file owner-only; give it the mode open() would.
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
@@ -173,12 +209,25 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
     return header, [row for row in reader]
 
 
-def save_learning_curve(path, curve) -> None:
-    write_csv(
-        path,
-        ["episode", "best_reward", "epsilon", "loss"],
-        [(p.episode, p.best_reward, p.epsilon, p.loss) for p in curve],
-    )
+def _out(config: ExperimentConfig, name: str) -> str:
+    return os.path.join(config.out_dir, name)
+
+
+def _emit(config: ExperimentConfig, name: str, header: list[str], rows):
+    """Write a command's rows to ``<out_dir>/<name>`` and return them."""
+    write_csv(_out(config, name), header, rows)
+    return rows
+
+
+def _emit_sweep(config: ExperimentConfig, name: str, header: list[str], rows):
+    """Emit (x, series, seed, sum_rate) rows and their mean per (x, series)."""
+    _emit(config, f"{name}.csv", header, rows)
+    groups: dict = {}
+    for row in rows:
+        groups.setdefault(row[:2], []).append(row[3])
+    means = [(*key, float(np.mean(vals))) for key, vals in groups.items()]
+    _emit(config, f"{name}_mean.csv", [*header[:2], "mean_sum_rate"], means)
+    return rows
 
 
 def _occupancy_string(sizes) -> str:
@@ -197,40 +246,6 @@ def _orders_string(plan) -> str:
 # Scenario plumbing
 # ---------------------------------------------------------------------------
 
-def resolve_scenario(
-    config: ExperimentConfig, registry: SeedRegistry
-) -> tuple[ScenarioGeometry, RicianConfig]:
-    """Load the configured scenario file or synthesize one from the registry."""
-    if config.scenario_path:
-        geometry, rician, _ = load_scenario(config.scenario_path)
-        return geometry, rician
-    region = default_region()
-    positions = rejection_sample_positions(
-        region, config.n_users, registry.rng("scenario")
-    )
-    geometry = ScenarioGeometry(
-        bs_position=[0.0, -60.0, 10.0],
-        user_positions=positions,
-        region=region,
-    )
-    return geometry, RicianConfig()
-
-
-def _network_scenario(
-    config: ExperimentConfig, channels, assignment, power_dbm=None
-) -> NetworkScenario:
-    return NetworkScenario(
-        channels=channels,
-        assignment=tuple(int(c) for c in assignment),
-        total_power=dbm_to_watts(
-            config.power_dbm if power_dbm is None else power_dbm
-        ),
-        qos_floors=config.qos_floor,
-        interference_model=config.interference_model,
-        alpha_domain=config.alpha_domain,
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class SlotOutcome:
     sum_rate: float
@@ -241,77 +256,164 @@ class SlotOutcome:
     curve: list | None
 
 
+@dataclass(frozen=True)
+class Setup:
+    """One seed's stream registry and scenario; each stage reads its own stream."""
+
+    config: ExperimentConfig
+    registry: SeedRegistry
+    geometry: ScenarioGeometry
+    rician: RicianConfig
+
+    def channels(self, k_elements: int, suffix: str = "", geometry=None):
+        return sample_channels(
+            self.geometry if geometry is None else geometry,
+            self.rician,
+            self.registry.rng("channel" + suffix),
+            k_elements=k_elements,
+            n_antennas=self.config.m_clusters,
+        )
+
+    def cluster(self, channels, suffix: str = ""):
+        return cluster_users(
+            channels.user_channels,
+            self.config.m_clusters,
+            epsilon=self.config.clustering_epsilon,
+            seed=self.registry.rng("cluster" + suffix),
+        )
+
+    def draw(self, k_elements: int, suffix: str = "", geometry=None):
+        """One channel realization and its cluster fit: (channels, fit)."""
+        channels = self.channels(k_elements, suffix, geometry)
+        return channels, self.cluster(channels, suffix)
+
+    def scenario(self, channels, assignment, power_dbm=None) -> NetworkScenario:
+        config = self.config
+        return NetworkScenario(
+            channels=channels,
+            assignment=tuple(int(c) for c in assignment),
+            total_power=dbm_to_watts(
+                config.power_dbm if power_dbm is None else power_dbm
+            ),
+            qos_floors=config.qos_floor,
+            interference_model=config.interference_model,
+            alpha_domain=config.alpha_domain,
+        )
+
+    def optimize(self, channels, assignment, stream: str, power_dbm=None):
+        """Run the configured optimizer with the ``agent/{stream}`` stream."""
+        return optimize_scenario(
+            self.scenario(channels, assignment, power_dbm),
+            self.config,
+            self.registry.rng(f"agent/{stream}"),
+        )
+
+    def truths(self, horizon: int) -> list[np.ndarray]:
+        """Ground-truth trajectories of ``horizon`` positions per user."""
+        motion = ConstantVelocityModel(self.config.speed, self.config.heading_noise_std)
+        return [
+            motion.simulate(
+                self.geometry.region,
+                self.geometry.user_positions[u][:2],
+                horizon - 1,
+                self.registry.rng(f"truth/user{u}"),
+            )
+            for u in range(self.geometry.n_users)
+        ]
+
+    def forecasts(self) -> list[np.ndarray]:
+        """Per-slot one-step position forecasts after ``n_max``, kept in the region."""
+        config, region = self.config, self.geometry.region
+        truths = self.truths(config.n_max + config.slots)
+        algo1 = run_algorithm1(
+            region,
+            self.geometry.n_users,
+            config.n0,
+            config.n_max,
+            seed=self.registry.rng("mobility"),
+            window_len=config.window_len,
+            train_steps_per_round=config.predictor_train_steps,
+            trajectories=truths,
+        )
+        w, base = config.window_len + 1, config.n_max
+        forecasts = []
+        for slot in range(config.slots):
+            predicted = []
+            for u, predictor in enumerate(algo1.predictors):
+                window = truths[u][base - w + slot : base + slot]
+                pos = predict_next(predictor, algo1.scaler, window)
+                predicted.append(pos if region.contains(pos) else window[-1])
+            forecasts.append(np.asarray(predicted))
+        return forecasts
+
+
+def prepare(config: ExperimentConfig, seed: int) -> Setup:
+    """Load the configured scenario file or synthesize one from the registry."""
+    registry = SeedRegistry(seed)
+    if config.scenario_path:
+        geometry, rician, _ = load_scenario(config.scenario_path)
+        return Setup(config, registry, geometry, rician)
+    region = default_region()
+    positions = rejection_sample_positions(
+        region, config.n_users, registry.rng("scenario")
+    )
+    geometry = ScenarioGeometry(
+        bs_position=[0.0, -60.0, 10.0],
+        user_positions=positions,
+        region=region,
+    )
+    return Setup(config, registry, geometry, RicianConfig())
+
+
+def _search_space(scenario: NetworkScenario, config: ExperimentConfig) -> SearchSpace:
+    return SearchSpace(
+        k_elements=scenario.channels.k_elements,
+        resolution_bits=config.resolution_bits,
+        cluster_sizes=scenario.cluster_sizes(),
+        alpha_step=config.alpha_step,
+    )
+
+
 def optimize_scenario(
     scenario: NetworkScenario, config: ExperimentConfig, rng
 ) -> SlotOutcome:
     """Run the configured optimizer on one slot's network scenario."""
     algorithm = config.algorithm
+    curve = None
     if algorithm == "oracle":
-        space = SearchSpace(
-            k_elements=scenario.channels.k_elements,
+        result = brute_force_optimum(scenario, _search_space(scenario, config))
+        rate, phase, splits = result.best_rate, result.best_phase, result.best_splits
+    else:
+        env = NomaPhaseEnv(
+            scenario,
             resolution_bits=config.resolution_bits,
-            cluster_sizes=scenario.cluster_sizes(),
             alpha_step=config.alpha_step,
         )
-        result = brute_force_optimum(scenario, space)
-        if result.feasible_count == 0:
-            return SlotOutcome(0.0, False, None, None, None, None)
-        plan = evaluate_configuration(
-            scenario, result.best_phase, result.best_splits
-        ).plan
-        return SlotOutcome(
-            result.best_rate, True, result.best_phase, result.best_splits, plan, None
-        )
+        if algorithm == "random-phase":
+            tracker = _BestTracker(env)
+            for _ in range(config.random_samples):
+                tracker.consider(*env.random_state(rng))
+            rate, phase, splits = tracker.rate, tracker.phase, tracker.splits
+        else:
+            budget = dict(
+                episodes=config.episodes,
+                steps_per_episode=config.steps_per_episode,
+                seed=rng,
+            )
+            if algorithm == "dqn":
+                approx = QApproximator(env.feature_dim, env.n_actions, seed=rng)
+                outcome = train_agent(env, approx, **budget)
+            else:
+                outcome = train_tabular_agent(env, **budget)
+            rate, phase, splits = (
+                outcome.best_rate, outcome.best_phase, outcome.best_splits
+            )
+            curve = outcome.curve
 
-    env = NomaPhaseEnv(
-        scenario,
-        resolution_bits=config.resolution_bits,
-        alpha_step=config.alpha_step,
-    )
-    if algorithm == "dqn":
-        approx = QApproximator(env.feature_dim, env.n_actions, seed=rng)
-        outcome = train_agent(
-            env,
-            approx,
-            episodes=config.episodes,
-            steps_per_episode=config.steps_per_episode,
-            seed=rng,
-        )
-    elif algorithm == "tabular":
-        outcome = train_tabular_agent(
-            env,
-            episodes=config.episodes,
-            steps_per_episode=config.steps_per_episode,
-            seed=rng,
-        )
-    elif algorithm == "random-phase":
-        best_rate, best_phase, best_splits = -np.inf, None, None
-        for _ in range(config.random_samples):
-            state, result = env.random_state(rng)
-            if result.feasible and result.sum_rate > best_rate:
-                best_rate = result.sum_rate
-                best_phase = PhaseConfig(state.phase_indices, config.resolution_bits)
-                best_splits = state.power_splits
-        if best_phase is None:
-            return SlotOutcome(0.0, False, None, None, None, None)
-        plan = evaluate_configuration(scenario, best_phase, best_splits).plan
-        return SlotOutcome(best_rate, True, best_phase, best_splits, plan, None)
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-
-    if not outcome.found_feasible:
-        return SlotOutcome(0.0, False, None, None, None, outcome.curve)
-    plan = evaluate_configuration(
-        scenario, outcome.best_phase, outcome.best_splits
-    ).plan
-    return SlotOutcome(
-        outcome.best_rate,
-        True,
-        outcome.best_phase,
-        outcome.best_splits,
-        plan,
-        outcome.curve,
-    )
+    if phase is None:
+        return SlotOutcome(0.0, False, None, None, None, curve)
+    plan = evaluate_configuration(scenario, phase, splits).plan
+    return SlotOutcome(rate, True, phase, splits, plan, curve)
 
 
 # ---------------------------------------------------------------------------
@@ -320,52 +422,18 @@ def optimize_scenario(
 
 def cmd_generate(config: ExperimentConfig) -> dict:
     """Write the scenario JSON and a ground-truth trajectory CSV."""
-    seed = config.seeds[0]
-    registry = SeedRegistry(seed)
-    geometry, rician = resolve_scenario(config, registry)
-    motion = ConstantVelocityModel(config.speed, config.heading_noise_std)
-    rows = []
-    for u in range(geometry.n_users):
-        path = motion.simulate(
-            geometry.region,
-            geometry.user_positions[u][:2],
-            config.slots - 1,
-            registry.rng(f"truth/user{u}"),
-        )
-        for t, (x, y) in enumerate(path):
-            rows.append((u, t, x, y))
-    scenario_file = os.path.join(config.out_dir, "scenario.json")
-    _atomic_write(scenario_file, scenario_to_json(geometry, rician, seed))
-    traj_file = os.path.join(config.out_dir, "trajectories.csv")
+    setup = prepare(config, config.seeds[0])
+    rows = [
+        (u, t, x, y)
+        for u, path in enumerate(setup.truths(config.slots))
+        for t, (x, y) in enumerate(path)
+    ]
+    scenario_file = _out(config, "scenario.json")
+    scenario = scenario_to_json(setup.geometry, setup.rician, setup.registry.master)
+    _atomic_write(scenario_file, scenario)
+    traj_file = _out(config, "trajectories.csv")
     write_csv(traj_file, ["user", "t", "x", "y"], rows)
     return {"scenario": scenario_file, "trajectories": traj_file}
-
-
-def _simulate_horizon(config, geometry, registry, horizon):
-    motion = ConstantVelocityModel(config.speed, config.heading_noise_std)
-    return [
-        motion.simulate(
-            geometry.region,
-            geometry.user_positions[u][:2],
-            horizon - 1,
-            registry.rng(f"truth/user{u}"),
-        )
-        for u in range(geometry.n_users)
-    ]
-
-
-def _predicted_positions(config, result, truths, slot, region):
-    """One-step position forecasts for a slot, clamped to the region."""
-    w = config.window_len + 1
-    base = config.n_max
-    predicted = []
-    for u, predictor in enumerate(result.predictors):
-        window = truths[u][base - w + slot : base + slot]
-        pos = predict_next(predictor, result.scaler, window)
-        if not region.contains(pos):
-            pos = window[-1]
-        predicted.append(pos)
-    return np.asarray(predicted)
 
 
 def cmd_pipeline(config: ExperimentConfig) -> list[tuple]:
@@ -373,42 +441,14 @@ def cmd_pipeline(config: ExperimentConfig) -> list[tuple]:
     rows = []
     curves = {}
     for seed in config.seeds:
-        registry = SeedRegistry(seed)
-        geometry, rician = resolve_scenario(config, registry)
-        horizon = config.n_max + config.slots
-        truths = _simulate_horizon(config, geometry, registry, horizon)
-        algo1 = run_algorithm1(
-            geometry.region,
-            geometry.n_users,
-            config.n0,
-            config.n_max,
-            seed=registry.rng("mobility"),
-            window_len=config.window_len,
-            train_steps_per_round=config.predictor_train_steps,
-            trajectories=truths,
-        )
-        for slot in range(config.slots):
-            predicted = _predicted_positions(
-                config, algo1, truths, slot, geometry.region
+        setup = prepare(config, seed)
+        for slot, predicted in enumerate(setup.forecasts()):
+            channels, fit = setup.draw(
+                config.k_elements,
+                f"/slot{slot}",
+                setup.geometry.with_user_positions(predicted),
             )
-            slot_geometry = geometry.with_user_positions(predicted)
-            channels = sample_channels(
-                slot_geometry,
-                rician,
-                registry.rng(f"channel/slot{slot}"),
-                k_elements=config.k_elements,
-                n_antennas=config.m_clusters,
-            )
-            fit = cluster_users(
-                channels.user_channels,
-                config.m_clusters,
-                epsilon=config.clustering_epsilon,
-                seed=registry.rng(f"cluster/slot{slot}"),
-            )
-            scenario = _network_scenario(config, channels, fit.assignment)
-            outcome = optimize_scenario(
-                scenario, config, registry.rng(f"agent/slot{slot}")
-            )
+            outcome = setup.optimize(channels, fit.assignment, f"slot{slot}")
             rows.append(
                 (
                     seed,
@@ -421,106 +461,45 @@ def cmd_pipeline(config: ExperimentConfig) -> list[tuple]:
             )
             if outcome.curve is not None:
                 curves[(seed, slot)] = outcome.curve
-    write_csv(
-        os.path.join(config.out_dir, "pipeline.csv"),
-        ["seed", "slot", "sum_rate", "feasible", "occupancy", "decoding_orders"],
-        rows,
-    )
+    header = ["seed", "slot", "sum_rate", "feasible", "occupancy", "decoding_orders"]
+    _emit(config, "pipeline.csv", header, rows)
     if config.save_curves:
         for (seed, slot), curve in curves.items():
-            save_learning_curve(
-                os.path.join(
-                    config.out_dir, "curves", f"curve_seed{seed}_slot{slot}.csv"
-                ),
-                curve,
+            _emit(
+                config,
+                f"curves/curve_seed{seed}_slot{slot}.csv",
+                ["episode", "best_reward", "epsilon", "loss"],
+                [(p.episode, p.best_reward, p.epsilon, p.loss) for p in curve],
             )
     return rows
-
-
-def _sweep_channels(config, registry, geometry, rician, k_elements):
-    return sample_channels(
-        geometry,
-        rician,
-        registry.rng("channel"),
-        k_elements=k_elements,
-        n_antennas=config.m_clusters,
-    )
-
-
-def _sweep_assignment(config, registry, channels):
-    fit = cluster_users(
-        channels.user_channels,
-        config.m_clusters,
-        epsilon=config.clustering_epsilon,
-        seed=registry.rng("cluster"),
-    )
-    return fit.assignment
 
 
 def cmd_sweep_power(config: ExperimentConfig) -> list[tuple]:
     """Sum rate over the transmit-power grid; channels shared across powers."""
     rows = []
     for seed in config.seeds:
-        registry = SeedRegistry(seed)
-        geometry, rician = resolve_scenario(config, registry)
-        channels = _sweep_channels(config, registry, geometry, rician, config.k_elements)
-        assignment = _sweep_assignment(config, registry, channels)
+        setup = prepare(config, seed)
+        channels, fit = setup.draw(config.k_elements)
         for power in config.powers_dbm:
-            scenario = _network_scenario(config, channels, assignment, power_dbm=power)
-            outcome = optimize_scenario(
-                scenario, config, registry.rng(f"agent/power{power}")
-            )
+            outcome = setup.optimize(channels, fit.assignment, f"power{power}", power)
             rows.append((power, config.algorithm, seed, outcome.sum_rate))
-    write_csv(
-        os.path.join(config.out_dir, "sweep_power.csv"),
-        ["power_dbm", "algorithm", "seed", "sum_rate"],
-        rows,
-    )
-    means = _mean_rows(rows, key_cols=(0, 1), value_col=3)
-    write_csv(
-        os.path.join(config.out_dir, "sweep_power_mean.csv"),
-        ["power_dbm", "algorithm", "mean_sum_rate"],
-        means,
-    )
-    return rows
+    header = ["power_dbm", "algorithm", "seed", "sum_rate"]
+    return _emit_sweep(config, "sweep_power", header, rows)
 
 
 def cmd_sweep_elements(config: ExperimentConfig) -> list[tuple]:
     """Sum rate over element counts; smaller surfaces are prefixes of larger."""
     rows = []
-    k_max = max(config.element_counts)
     for seed in config.seeds:
-        registry = SeedRegistry(seed)
-        geometry, rician = resolve_scenario(config, registry)
-        full = _sweep_channels(config, registry, geometry, rician, k_max)
+        setup = prepare(config, seed)
+        full = setup.channels(max(config.element_counts))
         for k in config.element_counts:
             channels = full.slice_elements(k)
-            assignment = _sweep_assignment(config, registry, channels)
-            scenario = _network_scenario(config, channels, assignment)
-            outcome = optimize_scenario(
-                scenario, config, registry.rng(f"agent/k{k}")
-            )
+            fit = setup.cluster(channels)
+            outcome = setup.optimize(channels, fit.assignment, f"k{k}")
             rows.append((k, config.power_dbm, seed, outcome.sum_rate))
-    write_csv(
-        os.path.join(config.out_dir, "sweep_elements.csv"),
-        ["k_elements", "power_dbm", "seed", "sum_rate"],
-        rows,
-    )
-    means = _mean_rows(rows, key_cols=(0, 1), value_col=3)
-    write_csv(
-        os.path.join(config.out_dir, "sweep_elements_mean.csv"),
-        ["k_elements", "power_dbm", "mean_sum_rate"],
-        means,
-    )
-    return rows
-
-
-def _mean_rows(rows, key_cols, value_col):
-    groups: dict = {}
-    for row in rows:
-        key = tuple(row[c] for c in key_cols)
-        groups.setdefault(key, []).append(row[value_col])
-    return [(*key, float(np.mean(vals))) for key, vals in groups.items()]
+    header = ["k_elements", "power_dbm", "seed", "sum_rate"]
+    return _emit_sweep(config, "sweep_elements", header, rows)
 
 
 def best_single_user_gain(channels, user: int, resolution_bits: int) -> float:
@@ -553,85 +532,60 @@ def aligned_single_user_gain(channels, user: int, resolution_bits: int) -> float
 
 
 def cmd_compare_oma(config: ExperimentConfig) -> list[tuple]:
-    """Paired NOMA-vs-TDMA comparison on identical channels per seed."""
-    exhaustive_ok = (
-        (1 << config.resolution_bits) ** config.k_elements <= 10**6
-    )
+    """Paired NOMA-vs-TDMA comparison on identical channels per seed.
+
+    Each seed's channels, assignment and TDMA gains are drawn once; rows
+    run power-major, then seed.
+    """
+    exhaustive_ok = (1 << config.resolution_bits) ** config.k_elements <= 10**6
+    gain_fn = best_single_user_gain if exhaustive_ok else aligned_single_user_gain
+    prepared = []
+    for seed in config.seeds:
+        setup = prepare(config, seed)
+        channels, fit = setup.draw(config.k_elements)
+        gains = [
+            gain_fn(channels, u, config.resolution_bits)
+            for u in range(channels.n_users)
+        ]
+        prepared.append((setup, channels, fit.assignment, gains))
     rows = []
     for power in config.powers_dbm:
-        for seed in config.seeds:
-            registry = SeedRegistry(seed)
-            geometry, rician = resolve_scenario(config, registry)
-            channels = _sweep_channels(
-                config, registry, geometry, rician, config.k_elements
-            )
-            assignment = _sweep_assignment(config, registry, channels)
-            scenario = _network_scenario(config, channels, assignment, power_dbm=power)
-            noma = optimize_scenario(
-                scenario, config, registry.rng(f"agent/power{power}")
-            )
-            gain_fn = (
-                best_single_user_gain if exhaustive_ok else aligned_single_user_gain
-            )
-            gains = [
-                gain_fn(channels, u, config.resolution_bits)
-                for u in range(channels.n_users)
-            ]
+        for setup, channels, assignment, gains in prepared:
+            noma_rate = setup.optimize(
+                channels, assignment, f"power{power}", power
+            ).sum_rate
             oma_rate = oma_tdma_sum_rate(
                 gains, dbm_to_watts(power), channels.noise_variance
             )
             gain_percent = (
-                100.0 * (noma.sum_rate - oma_rate) / oma_rate if oma_rate > 0 else 0.0
+                100.0 * (noma_rate - oma_rate) / oma_rate if oma_rate > 0 else 0.0
             )
-            rows.append((power, noma.sum_rate, oma_rate, gain_percent))
-    write_csv(
-        os.path.join(config.out_dir, "compare_oma.csv"),
-        ["power_dbm", "noma_rate", "oma_rate", "gain_percent"],
-        rows,
-    )
-    return rows
+            rows.append((power, noma_rate, oma_rate, gain_percent))
+    header = ["power_dbm", "noma_rate", "oma_rate", "gain_percent"]
+    return _emit(config, "compare_oma.csv", header, rows)
 
 
 def cmd_oracle(config: ExperimentConfig):
     """Exhaustive optimum for the configured (small) instance."""
-    registry = SeedRegistry(config.seeds[0])
-    geometry, rician = resolve_scenario(config, registry)
-    channels = _sweep_channels(config, registry, geometry, rician, config.k_elements)
-    assignment = _sweep_assignment(config, registry, channels)
-    scenario = _network_scenario(config, channels, assignment)
-    space = SearchSpace(
-        k_elements=config.k_elements,
-        resolution_bits=config.resolution_bits,
-        cluster_sizes=scenario.cluster_sizes(),
-        alpha_step=config.alpha_step,
-    )
-    result = brute_force_optimum(scenario, space)
-    _atomic_write(os.path.join(config.out_dir, "oracle.json"), result.to_json())
+    setup = prepare(config, config.seeds[0])
+    channels, fit = setup.draw(config.k_elements)
+    scenario = setup.scenario(channels, fit.assignment)
+    result = brute_force_optimum(scenario, _search_space(scenario, config))
+    _atomic_write(_out(config, "oracle.json"), result.to_json())
     return result
 
 
 def cmd_cluster(config: ExperimentConfig):
     """Cluster one channel draw; writes the assignment CSV and mixture JSON."""
-    registry = SeedRegistry(config.seeds[0])
-    geometry, rician = resolve_scenario(config, registry)
-    channels = _sweep_channels(config, registry, geometry, rician, config.k_elements)
-    fit = cluster_users(
-        channels.user_channels,
-        config.m_clusters,
-        epsilon=config.clustering_epsilon,
-        seed=registry.rng("cluster"),
-    )
-    write_csv(
-        os.path.join(config.out_dir, "assignment.csv"),
-        ["user", "cluster"],
-        [(u, int(c)) for u, c in enumerate(fit.assignment)],
-    )
+    _, fit = prepare(config, config.seeds[0]).draw(config.k_elements)
+    rows = [(u, int(c)) for u, c in enumerate(fit.assignment)]
+    _emit(config, "assignment.csv", ["user", "cluster"], rows)
     params_doc = fit.params.to_json_dict()
     params_doc["converged"] = fit.converged
     params_doc["n_iter"] = fit.n_iter
     params_doc["log_likelihood"] = fit.log_likelihood
     _atomic_write(
-        os.path.join(config.out_dir, "gmm_params.json"),
+        _out(config, "gmm_params.json"),
         json.dumps(params_doc, indent=2, sort_keys=True),
     )
     return fit
@@ -639,29 +593,11 @@ def cmd_cluster(config: ExperimentConfig):
 
 def cmd_predict(config: ExperimentConfig):
     """Train the mobility predictor and emit one-step forecasts per slot."""
-    registry = SeedRegistry(config.seeds[0])
-    geometry, rician = resolve_scenario(config, registry)
-    horizon = config.n_max + config.slots
-    truths = _simulate_horizon(config, geometry, registry, horizon)
-    algo1 = run_algorithm1(
-        geometry.region,
-        geometry.n_users,
-        config.n0,
-        config.n_max,
-        seed=registry.rng("mobility"),
-        window_len=config.window_len,
-        train_steps_per_round=config.predictor_train_steps,
-        trajectories=truths,
-    )
-    rows = []
-    for slot in range(config.slots):
-        predicted = _predicted_positions(config, algo1, truths, slot, geometry.region)
-        for u, (x, y) in enumerate(predicted):
-            rows.append((u, slot, x, y))
+    forecasts = prepare(config, config.seeds[0]).forecasts()
+    rows = [
+        (u, slot, x, y)
+        for slot, predicted in enumerate(forecasts)
+        for u, (x, y) in enumerate(predicted)
+    ]
     rows.sort(key=lambda r: (r[0], r[1]))
-    write_csv(
-        os.path.join(config.out_dir, "predictions.csv"),
-        ["user", "t", "x", "y"],
-        rows,
-    )
-    return rows
+    return _emit(config, "predictions.csv", ["user", "t", "x", "y"], rows)

@@ -15,7 +15,6 @@ through time on mean-squared error with plain gradient descent.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,6 +278,8 @@ class RecurrentPredictor:
 
     def train_step(self, windows, targets) -> tuple[float, bool]:
         """One gradient-descent update; returns (pre-update loss, clipped?)."""
+        if len(windows) == 0:
+            raise ValueError("batch must be non-empty")
         loss, grads = self.loss_and_gradients(windows, targets)
         norm = np.sqrt(sum(float(np.sum(g**2)) for g in grads.values()))
         clipped = norm > self.clip_norm
@@ -299,24 +300,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def lstm_forward(predictor: RecurrentPredictor, window) -> np.ndarray:
-    """Next-position prediction for one window."""
-    return predictor.forward(window)
-
-
-def lstm_train_step(predictor: RecurrentPredictor, batch):
-    """One update on a batch of (window, next-position) pairs.
-
-    Returns (predictor, loss-before-update, clipped flag).
-    """
-    if not batch:
-        raise ValueError("batch must be non-empty")
-    windows = np.stack([np.asarray(w, dtype=float) for w, _ in batch])
-    targets = np.stack([np.asarray(t, dtype=float) for _, t in batch])
-    loss, clipped = predictor.train_step(windows, targets)
-    return predictor, loss, clipped
 
 
 def sliding_windows(positions: np.ndarray, window_len: int):
@@ -504,34 +487,3 @@ def run_algorithm1(
         scaler=scaler,
         rounds=rounds,
     )
-
-
-# ---------------------------------------------------------------------------
-# CSV interface
-# ---------------------------------------------------------------------------
-
-def save_trajectories_csv(path, trajectories):
-    """Write trajectories as rows of (user, t, x, y)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["user", "t", "x", "y"])
-        for u, traj in enumerate(trajectories):
-            for t, (x, y) in enumerate(traj.positions):
-                writer.writerow([u, t, repr(float(x)), repr(float(y))])
-
-
-def load_trajectories_csv(path) -> list:
-    """Read (user, t, x, y) trajectory CSVs; comment lines are skipped."""
-    per_user: dict[int, list] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(ln for ln in fh if not ln.startswith("#"))
-        header = next(reader)
-        if header[:4] != ["user", "t", "x", "y"]:
-            raise ValueError(f"unexpected trajectory header {header!r}")
-        for user, t, x, y in reader:
-            per_user.setdefault(int(user), []).append((int(t), float(x), float(y)))
-    out = []
-    for user in sorted(per_user):
-        rows = sorted(per_user[user])
-        out.append(Trajectory(np.array([[x, y] for _, x, y in rows])))
-    return out

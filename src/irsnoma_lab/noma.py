@@ -197,21 +197,6 @@ def sinr_cross(
     return num / (intra + inter + noise_variance)
 
 
-def sinr_own(
-    m: int,
-    p: int,
-    effective_channels: np.ndarray,
-    precoder: Precoder,
-    plan: ClusterPlan,
-    noise_variance: float,
-    **kwargs,
-) -> float:
-    """SINR of user p decoding its own signal (the q = p cross case)."""
-    return sinr_cross(
-        m, p, p, effective_channels, precoder, plan, noise_variance, **kwargs
-    )
-
-
 def sum_rate(sinrs) -> float:
     """Total Shannon rate sum_u log2(1 + sinr_u) in bits/s/Hz."""
     tau = np.asarray(sinrs, dtype=float)

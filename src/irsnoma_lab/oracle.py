@@ -40,9 +40,10 @@ def composition_count(units: int, parts: int) -> int:
 
 
 def _units_from_step(step: float) -> int:
-    units = round(1.0 / step)
+    """Grid units in a unit power budget; rejects a step that does not divide 1."""
+    units = round(1.0 / step) if step > 0 else 0
     if units < 1 or abs(units * step - 1.0) > 1e-9:
-        raise ValueError(f"alpha step {step!r} does not divide 1")
+        raise ValueError(f"alpha_step {step!r} does not divide 1")
     return units
 
 

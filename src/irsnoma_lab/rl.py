@@ -33,6 +33,7 @@ from .noma import (
     alpha_from_units,
     evaluate_configuration,
 )
+from .oracle import _units_from_step
 
 WEIGHTS_FORMAT = "irsnoma-qnet-v1"
 
@@ -290,24 +291,6 @@ class QApproximator:
         return approx
 
 
-def q_forward(approx: QApproximator, state_features) -> np.ndarray:
-    """Action-value vector for one state under the online network."""
-    return approx.forward(state_features)
-
-
-def td_target(
-    reward: float, next_features, approx: QApproximator, terminal: bool = False
-) -> float:
-    """Bootstrapped regression target from the target network."""
-    return approx.td_target(reward, next_features, terminal)
-
-
-def dqn_train_step(approx: QApproximator, minibatch) -> tuple[QApproximator, float]:
-    """One optimization step on a minibatch of transitions."""
-    loss, _ = approx.train_step(list(minibatch))
-    return approx, loss
-
-
 # ---------------------------------------------------------------------------
 # Environment
 # ---------------------------------------------------------------------------
@@ -361,11 +344,8 @@ class NomaPhaseEnv:
         self.scenario = scenario
         self.resolution_bits = int(resolution_bits)
         self.levels = 1 << self.resolution_bits
-        units_total = round(1.0 / alpha_step)
-        if units_total < 1 or abs(units_total * alpha_step - 1.0) > 1e-9:
-            raise ValueError(f"alpha step {alpha_step!r} does not divide 1")
+        self.units_total = _units_from_step(alpha_step)
         self.alpha_step = float(alpha_step)
-        self.units_total = units_total
         self.infeasible_penalty = float(infeasible_penalty)
         self.cluster_sizes = scenario.cluster_sizes()
         self.k_elements = scenario.channels.k_elements

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from irsnoma_lab.harness import (
     read_csv,
     write_csv,
 )
-from irsnoma_lab.mobility import load_trajectories_csv
 
 SMALL = dict(
     algorithm="random-phase",
@@ -56,6 +56,17 @@ ORACLE_1U = dict(
 def oracle_1u_config(tmp_path, **overrides):
     params = {**ORACLE_1U, "out_dir": str(tmp_path / "out"), **overrides}
     return ExperimentConfig(**params)
+
+
+def read_trajectories(path):
+    """Per-user (t, 2) position arrays from a ``generate`` trajectory CSV."""
+    header, rows = read_csv(path)
+    assert header == ["user", "t", "x", "y"]
+    users = sorted({int(r[0]) for r in rows})
+    return [
+        np.array([[float(x), float(y)] for u, _, x, y in rows if int(u) == user])
+        for user in users
+    ]
 
 
 def small_config(tmp_path, **overrides):
@@ -105,6 +116,10 @@ class TestConfig:
     def test_clustering_epsilon_default(self):
         assert ExperimentConfig().clustering_epsilon == 1e-15
 
+    def test_scenario_file_lifts_the_user_count_check(self):
+        cfg = ExperimentConfig(n_users=2, m_clusters=5, scenario_path="s.json")
+        assert cfg.m_clusters == 5
+
 
 class TestCsvHelpers:
     def test_roundtrip_with_schema_header(self, tmp_path):
@@ -115,6 +130,21 @@ class TestCsvHelpers:
         header, rows = read_csv(path)
         assert header == ["a", "b"]
         assert rows == [["1", "0.5"], ["2", "0.25"]]
+
+    def test_write_ignores_a_squatted_temp_name(self, tmp_path):
+        # A fixed "<path>.tmp" name would collide with this directory.
+        os.makedirs(tmp_path / "pipeline.csv.tmp")
+        write_csv(tmp_path / "pipeline.csv", ["a"], [(1,)])
+        assert read_csv(tmp_path / "pipeline.csv") == (["a"], [["1"]])
+        assert sorted(os.listdir(tmp_path)) == ["pipeline.csv", "pipeline.csv.tmp"]
+
+    def test_written_file_gets_the_umask_mode(self, tmp_path):
+        umask = os.umask(0o022)
+        try:
+            write_csv(tmp_path / "table.csv", ["a"], [(1,)])
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(os.stat(tmp_path / "table.csv").st_mode) == 0o644
 
 
 class TestGenerate:
@@ -129,19 +159,19 @@ class TestGenerate:
     def test_single_slot_trajectory_is_initial_positions(self, tmp_path):
         cfg = small_config(tmp_path, slots=1)
         paths = cmd_generate(cfg)
-        trajs = load_trajectories_csv(paths["trajectories"])
+        trajs = read_trajectories(paths["trajectories"])
         assert len(trajs) == cfg.n_users
         assert all(len(t) == 1 for t in trajs)
         geometry, _, _ = load_scenario(paths["scenario"])
         for traj, start in zip(trajs, geometry.user_positions):
-            assert np.allclose(traj.positions[0], start[:2])
+            assert np.allclose(traj[0], start[:2])
 
     def test_positions_pass_region_check(self, tmp_path):
         cfg = small_config(tmp_path, slots=6)
         paths = cmd_generate(cfg)
         geometry, _, _ = load_scenario(paths["scenario"])
-        for traj in load_trajectories_csv(paths["trajectories"]):
-            assert geometry.region.contains_many(traj.positions).all()
+        for traj in read_trajectories(paths["trajectories"]):
+            assert geometry.region.contains_many(traj).all()
 
 
 class TestPipeline:
@@ -322,6 +352,36 @@ class TestCli:
     def test_validation_error_exit_code(self, tmp_path):
         assert main(["pipeline", "--config", str(tmp_path / "missing.json")]) == 1
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ([SMALL], "JSON object"),
+            ({**SMALL, "alpha_step": 0.3}, "alpha_step"),
+            ({**SMALL, "resolution_bits": 0}, "resolution_bits"),
+            ({**SMALL, "m_clusters": 0}, "m_clusters"),
+            ({**SMALL, "m_clusters": 5}, "m_clusters"),
+        ],
+        ids=[
+            "top-level-array",
+            "alpha-step",
+            "resolution-bits",
+            "no-clusters",
+            "more-clusters-than-users",
+        ],
+    )
+    def test_invalid_config_exits_before_any_output(
+        self, tmp_path, capsys, doc, field
+    ):
+        out = tmp_path / "out"
+        if isinstance(doc, dict):
+            doc = {**doc, "out_dir": str(out)}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not out.exists()
+
     def test_infeasible_oracle_exit_code(self, tmp_path):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(
@@ -335,6 +395,16 @@ class TestCli:
             )
         )
         assert main(["oracle", "--config", str(cfg_path)]) == 2
+
+    def test_infeasible_pipeline_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        out = tmp_path / "pipe"
+        cfg_path.write_text(
+            json.dumps({**SMALL, "out_dir": str(out), "qos_floor": 1e18})
+        )
+        assert main(["pipeline", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().out == "pipeline: 2 slot rows, 0 feasible\n"
+        assert os.path.exists(out / "pipeline.csv")
 
     def test_seed_and_algorithm_flags_override(self, tmp_path):
         cfg_path = tmp_path / "config.json"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from irsnoma_lab.channel import ServiceRegion, default_region
+from irsnoma_lab.harness import read_csv, write_csv
 from irsnoma_lab.mobility import (
     ConstantVelocityModel,
     EnvelopeTooLooseError,
@@ -9,14 +10,10 @@ from irsnoma_lab.mobility import (
     RecurrentPredictor,
     Trajectory,
     displacement_pairs,
-    load_trajectories_csv,
-    lstm_forward,
-    lstm_train_step,
     one_step_mse,
     persistence_mse,
     rejection_sample_positions,
     run_algorithm1,
-    save_trajectories_csv,
     sliding_windows,
 )
 
@@ -85,7 +82,7 @@ class TestLstmForward:
         pred.b_gates[...] = 0.0
         pred.w_out[...] = 0.0
         pred.b_out[...] = [0.25, -0.5]
-        out = lstm_forward(pred, np.ones((3, 2)))
+        out = pred.forward(np.ones((3, 2)))
         assert np.allclose(out, [0.25, -0.5])
 
     def test_deterministic(self):
@@ -131,9 +128,7 @@ class TestLstmTraining:
     def test_zero_learning_rate_keeps_parameters(self):
         pred = RecurrentPredictor(hidden_dim=4, window_len=3, learning_rate=0.0, seed=5)
         before = {k: v.copy() for k, v in pred.parameters().items()}
-        _, loss, _ = lstm_train_step(
-            pred, [(np.ones((3, 2)), np.array([1.0, -1.0]))]
-        )
+        loss, _ = pred.train_step(np.ones((1, 3, 2)), np.array([[1.0, -1.0]]))
         assert loss > 0
         for k, v in pred.parameters().items():
             assert np.array_equal(v, before[k])
@@ -146,7 +141,7 @@ class TestLstmTraining:
         target = np.array([0.3, -0.2])
         losses = []
         for _ in range(50):
-            _, loss, _ = lstm_train_step(pred, [(window, target)])
+            loss, _ = pred.train_step(window[None], target[None])
             losses.append(loss)
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
@@ -180,14 +175,14 @@ class TestLstmTraining:
         pred = RecurrentPredictor(
             hidden_dim=4, window_len=2, learning_rate=0.01, clip_norm=1e-9, seed=9
         )
-        _, _, clipped = lstm_train_step(
-            pred, [(np.ones((2, 2)), np.array([5.0, 5.0]))]
-        )
+        _, clipped = pred.train_step(np.ones((1, 2, 2)), np.array([[5.0, 5.0]]))
         assert clipped
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            lstm_train_step(RecurrentPredictor(seed=0), [])
+            RecurrentPredictor(seed=0).train_step(
+                np.empty((0, 8, 2)), np.empty((0, 2))
+            )
 
 
 class TestAlgorithm1:
@@ -274,11 +269,20 @@ class TestTrajectoryCsv:
             Trajectory(np.array([[4.5, -1.25], [6.0, 7.0], [8.0, 9.0]])),
         ]
         path = tmp_path / "trajectories.csv"
-        save_trajectories_csv(path, trajs)
-        loaded = load_trajectories_csv(path)
+        rows = [
+            (u, t, x, y)
+            for u, traj in enumerate(trajs)
+            for t, (x, y) in enumerate(traj.positions)
+        ]
+        write_csv(path, ["user", "t", "x", "y"], rows)
+        _, read = read_csv(path)
+        loaded = [
+            np.array([[float(x), float(y)] for u, _, x, y in read if int(u) == user])
+            for user in sorted({int(r[0]) for r in read})
+        ]
         assert len(loaded) == 2
         for a, b in zip(trajs, loaded):
-            assert np.array_equal(a.positions, b.positions)
+            assert np.array_equal(a.positions, b)
 
     def test_empty_positions_rejected(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,6 @@ from irsnoma_lab.noma import (
     oma_tdma_sum_rate,
     qos_check,
     sinr_cross,
-    sinr_own,
     sum_rate,
 )
 from irsnoma_lab.precoding import Precoder
@@ -70,7 +69,7 @@ class TestSinr:
     def test_single_user_no_interference(self):
         plan = ClusterPlan((0,), ((0,),), ((1.0,),))
         h = np.array([[1.0 + 0j]])
-        tau = sinr_own(0, 0, h, unit_precoder(), plan, noise_variance=1.0)
+        tau = sinr_cross(0, 0, 0, h, unit_precoder(), plan, noise_variance=1.0)
         assert tau == pytest.approx(1.0)
 
     def test_hand_evaluated_two_user_sinr(self):
@@ -78,28 +77,32 @@ class TestSinr:
         # noise 0.2: tau_strong-signal = 0.64 / (0.04 + 0.2) = 2.666...
         plan = two_user_plan((0.8, 0.2))
         h = np.array([[1.0 + 0j], [1.0 + 0j]])
-        tau = sinr_own(0, 0, h, unit_precoder(), plan, noise_variance=0.2)
+        tau = sinr_cross(0, 0, 0, h, unit_precoder(), plan, noise_variance=0.2)
         assert tau == pytest.approx(0.64 / 0.24)
 
     def test_zero_alpha_zero_sinr(self):
         plan = two_user_plan((1.0, 0.0))
         h = np.array([[1.0 + 0j], [1.0 + 0j]])
-        assert sinr_own(0, 1, h, unit_precoder(), plan, 0.5) == pytest.approx(0.0)
+        assert sinr_cross(0, 1, 1, h, unit_precoder(), plan, 0.5) == pytest.approx(0.0)
 
     def test_cross_equals_own_when_q_is_p(self):
         rng = np.random.default_rng(2)
         h = rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))
         plan = two_user_plan((0.6, 0.4))
+        gain = abs(h[:, 0]) ** 2  # unit precoder, one cluster, no other beams
         for p in (0, 1):
-            own = sinr_own(0, p, h, unit_precoder(), plan, 0.3)
+            q_other = 1 - p
+            own = plan.alpha_of(p) ** 2 * gain[p] / (
+                plan.alpha_of(q_other) ** 2 * gain[p] + 0.3
+            )
             cross = sinr_cross(0, p, p, h, unit_precoder(), plan, 0.3)
-            assert cross == own
+            assert cross == pytest.approx(own, rel=1e-12)
 
     def test_cross_symmetric_for_identical_channels(self):
         h = np.array([[0.5 + 0.5j], [0.5 + 0.5j]])
         plan = two_user_plan((0.7, 0.3))
         tau_qp = sinr_cross(0, 1, 0, h, unit_precoder(), plan, 0.2)
-        tau_pp = sinr_own(0, 0, h, unit_precoder(), plan, 0.2)
+        tau_pp = sinr_cross(0, 0, 0, h, unit_precoder(), plan, 0.2)
         assert tau_qp == pytest.approx(tau_pp)
 
     def test_cross_matches_duplicate_formula(self):
@@ -141,8 +144,8 @@ class TestSinr:
         precoder = Precoder(columns=w, total_power=1.0)
         plan = ClusterPlan((0, 1), ((0,), (1,)), ((1.0,), (1.0,)))
         noise = 0.1
-        tau = sinr_own(
-            0, 0, h, precoder, plan, noise, interference_model="coherent"
+        tau = sinr_cross(
+            0, 0, 0, h, precoder, plan, noise, interference_model="coherent"
         )
         own = abs(np.dot(h[0], w[:, 0])) ** 2
         inter = abs(np.dot(h[0], w[:, 1])) ** 2  # single other beam: same as sum
@@ -151,8 +154,8 @@ class TestSinr:
     def test_power_alpha_domain(self):
         plan = two_user_plan((0.8, 0.2))
         h = np.array([[1.0 + 0j], [1.0 + 0j]])
-        tau = sinr_own(
-            0, 0, h, unit_precoder(), plan, 0.2, alpha_domain="power"
+        tau = sinr_cross(
+            0, 0, 0, h, unit_precoder(), plan, 0.2, alpha_domain="power"
         )
         assert tau == pytest.approx(0.8 / (0.2 + 0.2))
 
@@ -162,7 +165,7 @@ class TestSinr:
         last = -1.0
         for a in np.linspace(0.05, 0.95, 10):
             plan = two_user_plan((a, 1.0 - a))
-            tau = sinr_own(0, 0, h, unit_precoder(), plan, noise)
+            tau = sinr_cross(0, 0, 0, h, unit_precoder(), plan, noise)
             assert tau > last
             last = tau
 

@@ -12,10 +12,7 @@ from irsnoma_lab.rl import (
     QTable,
     ReplayMemory,
     Transition,
-    dqn_train_step,
-    q_forward,
     tabular_q_update,
-    td_target,
     train_agent,
     train_tabular_agent,
 )
@@ -105,7 +102,7 @@ class TestQApproximator:
         for w in approx.weights:
             w[...] = 0.0
         approx.biases[-1][...] = [1.0, -2.0, 0.5, 0.0]
-        out = q_forward(approx, np.ones(3))
+        out = approx.forward(np.ones(3))
         assert np.allclose(out, [1.0, -2.0, 0.5, 0.0])
 
     def test_deterministic_forward(self):
@@ -141,22 +138,22 @@ class TestQApproximator:
 class TestTdTarget:
     def test_zero_discount(self):
         approx = QApproximator(2, 2, discount=0.0, seed=0)
-        assert td_target(2.5, np.zeros(2), approx) == pytest.approx(2.5)
+        assert approx.td_target(2.5, np.zeros(2)) == pytest.approx(2.5)
 
     def test_terminal_rule(self):
         approx = QApproximator(2, 2, discount=0.9, seed=0)
-        assert td_target(1.5, np.ones(2), approx, terminal=True) == pytest.approx(1.5)
+        assert approx.td_target(1.5, np.ones(2), terminal=True) == pytest.approx(1.5)
 
     def test_compositional(self):
         approx = QApproximator(3, 4, discount=0.7, seed=5)
         x = np.random.default_rng(6).standard_normal(3)
         expected = 0.3 + 0.7 * float(np.max(approx.target_values(x)))
-        assert td_target(0.3, x, approx) == pytest.approx(expected)
+        assert approx.td_target(0.3, x) == pytest.approx(expected)
 
     def test_target_stale_between_syncs(self):
         approx = QApproximator(3, 3, sync_period=10**9, seed=9)
         x = np.random.default_rng(10).standard_normal(3)
-        before = td_target(1.0, x, approx)
+        before = approx.td_target(1.0, x)
         batch = [
             Transition(np.random.default_rng(i).standard_normal(3), i % 3, 1.0,
                        np.random.default_rng(i + 50).standard_normal(3))
@@ -164,7 +161,7 @@ class TestTdTarget:
         ]
         for _ in range(5):
             approx.train_step(batch)
-        assert td_target(1.0, x, approx) == before
+        assert approx.td_target(1.0, x) == before
 
 
 class TestDqnTraining:
@@ -218,7 +215,7 @@ class TestDqnTraining:
         ]
         first_loss, _ = approx.train_step(batch)
         for _ in range(199):
-            _, last = dqn_train_step(approx, batch)
+            last, _ = approx.train_step(batch)
         assert last <= first_loss / 10.0
 
     def test_gradient_clipping_flagged(self):
