@@ -330,6 +330,33 @@ def effective_channels_all(
     return (np.conj(channels.user_channels) * coeffs[None, :]) @ channels.g_matrix
 
 
+def effective_channels_batch(
+    channels: ChannelRealization, phase_idx, resolution_bits: int, users=None
+) -> np.ndarray:
+    """Effective channels under a stack of phase index rows; shape (P, n, M).
+
+    ``phase_idx`` is a (P, K) integer array; ``users`` selects the channel
+    rows (all users by default).  Slice p is bit for bit what
+    :func:`effective_channels_all` gives for ``PhaseConfig(phase_idx[p],
+    resolution_bits)`` on a realization holding just those rows: the
+    coefficients use the same expression and the product makes the same
+    BLAS call, once per phase.
+    """
+    idx = np.asarray(phase_idx)
+    levels = 1 << resolution_bits
+    if idx.ndim != 2 or idx.shape[1] != channels.k_elements:
+        raise ValueError(
+            f"phase indices must be (P, {channels.k_elements}), got {idx.shape}"
+        )
+    if idx.size and (idx.min() < 0 or idx.max() >= levels):
+        raise ValueError(f"phase index out of range [0, {levels - 1}]")
+    coeffs = np.exp(1j * (TWO_PI * idx.astype(float) / levels))
+    h = channels.user_channels
+    if users is not None:
+        h = h[np.asarray(users, dtype=int)]
+    return (np.conj(h)[None] * coeffs[:, None, :]) @ channels.g_matrix
+
+
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 

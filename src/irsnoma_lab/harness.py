@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import tempfile
 import zlib
@@ -31,6 +32,7 @@ from .channel import (
     ScenarioGeometry,
     dbm_to_watts,
     default_region,
+    effective_channels_batch,
     load_scenario,
     sample_channels,
     scenario_to_json,
@@ -42,12 +44,21 @@ from .mobility import (
     rejection_sample_positions,
     run_algorithm1,
 )
-from .noma import NetworkScenario, evaluate_configuration, oma_tdma_sum_rate
+from .noma import (
+    ALPHA_DOMAINS,
+    INTERFERENCE_MODELS,
+    NetworkScenario,
+    evaluate_configuration,
+    oma_tdma_sum_rate,
+)
 from .oracle import (
+    CHUNK_POINTS,
+    EVALUATION_GUARD,
     SearchSpace,
+    SearchSpaceTooLargeError,
     _units_from_step,
     brute_force_optimum,
-    enumerate_phase_configs,
+    phase_index_block,
 )
 from .rl import (
     NomaPhaseEnv,
@@ -144,6 +155,33 @@ class ExperimentConfig:
                 f"m_clusters {self.m_clusters} exceeds n_users {self.n_users}"
             )
         _units_from_step(self.alpha_step)
+        if self.interference_model not in INTERFERENCE_MODELS:
+            raise ValueError(
+                f"unknown interference_model {self.interference_model!r}; "
+                f"pick one of {INTERFERENCE_MODELS}"
+            )
+        if self.alpha_domain not in ALPHA_DOMAINS:
+            raise ValueError(
+                f"unknown alpha_domain {self.alpha_domain!r}; "
+                f"pick one of {ALPHA_DOMAINS}"
+            )
+        if not (math.isfinite(self.qos_floor) and self.qos_floor >= 0):
+            raise ValueError(f"qos_floor {self.qos_floor!r} must be finite and >= 0")
+        if self.algorithm == "oracle":
+            self.check_oracle_phases(self.k_elements, "k_elements")
+
+    def check_oracle_phases(self, k_elements: int, field: str) -> None:
+        """Reject an oracle search whose phase configs alone exceed the guard.
+
+        There are (2**B)**K = 2**(B*K) phase configs and at least one split.
+        """
+        exponent = self.resolution_bits * k_elements
+        if exponent >= EVALUATION_GUARD.bit_length():
+            raise ValueError(
+                f"{field} {k_elements} at resolution_bits {self.resolution_bits} "
+                f"gives 2**{exponent} oracle phase configs, above the guard "
+                f"{EVALUATION_GUARD}"
+            )
 
     @classmethod
     def from_json(cls, path, **overrides) -> "ExperimentConfig":
@@ -489,6 +527,8 @@ def cmd_sweep_power(config: ExperimentConfig) -> list[tuple]:
 
 def cmd_sweep_elements(config: ExperimentConfig) -> list[tuple]:
     """Sum rate over element counts; smaller surfaces are prefixes of larger."""
+    if config.algorithm == "oracle":
+        config.check_oracle_phases(max(config.element_counts), "element_counts")
     rows = []
     for seed in config.seeds:
         setup = prepare(config, seed)
@@ -504,13 +544,20 @@ def cmd_sweep_elements(config: ExperimentConfig) -> list[tuple]:
 
 def best_single_user_gain(channels, user: int, resolution_bits: int) -> float:
     """Exact best effective-channel norm for one user over all phase configs."""
+    k = channels.k_elements
+    count = (1 << resolution_bits) ** k
+    if count > EVALUATION_GUARD:
+        raise SearchSpaceTooLargeError(count)
     best = 0.0
-    for phase in enumerate_phase_configs(channels.k_elements, resolution_bits):
-        coeffs = np.exp(
-            2j * np.pi * np.asarray(phase.indices) / (1 << resolution_bits)
+    for start in range(0, count, CHUNK_POINTS):
+        phase_idx = phase_index_block(
+            k, resolution_bits, start, min(start + CHUNK_POINTS, count)
         )
-        h_eff = (np.conj(channels.user_channels[user]) * coeffs) @ channels.g_matrix
-        best = max(best, float(np.linalg.norm(h_eff)))
+        h = effective_channels_batch(channels, phase_idx, resolution_bits, [user])
+        # np.linalg.norm of a complex row: one BLAS dot per real/imaginary part.
+        re, im = h.real, h.imag
+        norms = np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))
+        best = float(np.fmax.reduce(norms.ravel(), initial=best))
     return best
 
 

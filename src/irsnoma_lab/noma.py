@@ -25,8 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, PhaseConfig, effective_channels_all
+from .channel import (
+    ChannelRealization,
+    PhaseConfig,
+    effective_channels_all,
+    effective_channels_batch,
+)
 from .precoding import (
+    CONDITION_LIMIT,
     IllConditionedChannelError,
     Precoder,
     cluster_channel_matrix,
@@ -394,7 +400,7 @@ def evaluate_configuration(
     scenario: NetworkScenario,
     phase: PhaseConfig,
     splits: tuple[tuple[float, ...], ...],
-    condition_limit: float = 1e8,
+    condition_limit: float = CONDITION_LIMIT,
 ) -> ConfigurationResult:
     """Evaluate one point of the discrete search space.
 
@@ -440,3 +446,144 @@ def evaluate_configuration(
         precoder=precoder,
         own_gains=gains,
     )
+
+
+# ---------------------------------------------------------------------------
+# Grid evaluation: many phases and splits at once, equal to the path above
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class GridScores:
+    """Scores of every (phase, split) point of a grid.
+
+    ``sum_rate`` and ``feasible`` are (P, S) and ``own_gains`` is (P, N).  A
+    phase whose combined channel is ill-conditioned scores rate 0 and is
+    infeasible at every split, and its own gains are NaN.
+    """
+
+    sum_rate: np.ndarray
+    feasible: np.ndarray
+    own_gains: np.ndarray
+
+
+def _split_weights(splits, sizes, domain: str) -> list[np.ndarray]:
+    """Per-cluster (S, n_m) SINR weights of the splits, checked like a plan."""
+    if any(len(split) != len(sizes) for split in splits):
+        raise ValueError("power_split and decoding_order cluster counts differ")
+    weights = []
+    for m, size in enumerate(sizes):
+        rows = [split[m] for split in splits]
+        if any(len(row) != size for row in rows):
+            raise ValueError(f"cluster {m}: split size != member count")
+        alphas = np.array(rows, dtype=float).reshape(len(rows), size)
+        if np.any(alphas < 0):
+            raise ValueError(f"cluster {m}: negative power coefficient")
+        if np.any(np.abs(alphas.sum(axis=1) - 1.0) > ALPHA_SUM_TOL):
+            raise ValueError(f"cluster {m}: power coefficients do not sum to 1")
+        weights.append(alphas * alphas if domain == "amplitude" else alphas)
+    return weights
+
+
+def _scalar_abs2(z: np.ndarray) -> np.ndarray:
+    """``float(np.abs(z_i) ** 2)`` per entry, rounded as on a numpy scalar.
+
+    A numpy scalar's ``** 2`` calls libm ``pow``, which differs from the
+    array square (``x * x``) in rare last bits; Python floats call ``pow``
+    too.
+    """
+    return np.power(np.abs(z).astype(object), 2).astype(float)
+
+
+def evaluate_batch(
+    scenario: NetworkScenario,
+    phase_idx,
+    splits,
+    resolution_bits: int,
+) -> GridScores:
+    """Score the grid ``phase_idx`` (P, K) x ``splits`` (S split tuples).
+
+    Effective channels, cluster heads, the condition check and the ZF solve
+    run once per phase, batched over the P phases; SIC and QoS then run for
+    all S splits of each phase at once.  Every point equals
+    :func:`evaluate_configuration` on it bit for bit: each float step
+    repeats that path's expression and summation order (``h_row @ W`` as a
+    stacked row product, intra-cluster weights added in decoding order,
+    inter-cluster power summed over the other beams only, own power
+    squared as a numpy scalar).
+    """
+    channels = scenario.channels
+    h_eff = effective_channels_batch(channels, phase_idx, resolution_bits)
+    n_phases, n_users, n_clusters = h_eff.shape
+    assign = np.asarray(scenario.assignment)
+    members = [np.flatnonzero(assign == m) for m in range(n_clusters)]
+    sizes = [len(mem) for mem in members]
+    weights = _split_weights(splits, sizes, scenario.alpha_domain)
+    floors = np.broadcast_to(
+        np.asarray(scenario.qos_floors, dtype=float), (n_users,)
+    )
+    if np.any(floors < 0):
+        raise ValueError("SINR floors must be non-negative")
+    n_splits = len(splits)
+    sum_rate = np.zeros((n_phases, n_splits))
+    feasible = np.zeros((n_phases, n_splits), dtype=bool)
+    own_gains = np.full((n_phases, n_users), np.nan)
+
+    # Cluster heads: largest norm, lowest index on ties.
+    norms = np.linalg.norm(h_eff, axis=-1)
+    heads = np.stack(
+        [mem[np.argmax(norms[:, mem], axis=1)] for mem in members], axis=1
+    )
+    hmat = np.take_along_axis(h_eff, heads[:, :, None], axis=1)
+    cond = np.linalg.cond(hmat)
+    ok = np.flatnonzero(np.isfinite(cond) & (cond <= CONDITION_LIMIT))
+    if ok.size == 0:
+        return GridScores(sum_rate, feasible, own_gains)
+    h_eff, hmat = h_eff[ok], hmat[ok]
+    w = np.linalg.solve(
+        hmat, np.broadcast_to(np.eye(n_clusters, dtype=complex), hmat.shape)
+    )
+    used = (np.abs(w) ** 2).reshape(ok.size, -1).sum(axis=1)
+    w *= np.sqrt(scenario.total_power / used)[:, None, None]
+    if not np.all(np.isfinite(w.view(float))):
+        raise ValueError("precoder contains non-finite entries")
+
+    own_beams = w[:, :, assign].transpose(0, 2, 1)
+    gains = np.abs(np.einsum("pum,pum->pu", h_eff, own_beams))
+    if not np.all(np.isfinite(gains)):
+        raise ValueError("gains must be finite")
+    own_gains[ok] = gains
+
+    beams = (h_eff[..., None, :] @ w[:, None])[..., 0, :]  # (P', N, M): h_u . w_g
+    noise = channels.noise_variance
+    sinr = np.empty((ok.size, n_splits, n_users))
+    sic = np.ones((ok.size, n_splits), dtype=bool)
+    for m, (mem, size, wts) in enumerate(zip(members, sizes, weights)):
+        # Position i of the decoding order (own gain ascending) holds order[:, i].
+        order = mem[np.argsort(gains[:, mem], axis=1, kind="stable")]
+        rows = np.take_along_axis(beams, order[:, :, None], axis=1)
+        own = _scalar_abs2(rows[:, :, m])
+        others = np.delete(rows, m, axis=-1)
+        if scenario.interference_model == "incoherent":
+            inter = np.sum(np.abs(others) ** 2, axis=-1)
+        else:
+            inter = _scalar_abs2(np.sum(others, axis=-1))
+        intra = np.zeros_like(wts)
+        for b in range(size):
+            for j in range(size):
+                if j != b:
+                    intra[:, b] += wts[:, j]
+        # tau[p, s, a, b]: SINR at position a decoding position b's signal.
+        own4 = own[:, None, :, None]
+        tau = (wts[None, :, None, :] * own4) / (
+            own4 * intra[None, :, None, :] + inter[:, None, :, None] + noise
+        )
+        diag = np.arange(size)
+        np.put_along_axis(sinr, order[:, None, :], tau[:, :, diag, diag], axis=2)
+        rates = np.log2(1.0 + tau)
+        need = rates[:, :, diag, diag]
+        floor = need - SIC_RATE_TOL * np.maximum(1.0, np.abs(need))
+        later = np.tril(np.ones((size, size), dtype=bool), -1)
+        sic &= ~np.any((rates < floor[:, :, None, :]) & later, axis=(2, 3))
+    sum_rate[ok] = np.sum(np.log2(1.0 + sinr), axis=-1)
+    feasible[ok] = sic & np.all(sinr >= floors, axis=-1)
+    return GridScores(sum_rate, feasible, own_gains)

@@ -1,10 +1,11 @@
 """Exhaustive ground-truth search over phase configurations and power grids.
 
 Enumerates every discrete reflection state (2**B choices per element) and
-every per-cluster power split on a fixed step grid, scores each point
-through the same evaluation path the learners use, and returns the feasible
-maximizer.  Intended for small instances; a hard evaluation-count guard
-keeps runs desk-scale.
+every per-cluster power split on a fixed step grid, scores the points in
+bounded chunks with the grid evaluator (equal, point for point, to the
+single-point path the learners use), and returns the feasible maximizer.
+Intended for small instances; a hard evaluation-count guard keeps runs
+desk-scale.
 """
 
 from __future__ import annotations
@@ -19,9 +20,14 @@ from typing import Iterator
 import numpy as np
 
 from .channel import PhaseConfig
-from .noma import NetworkScenario, alpha_from_units, evaluate_configuration
+from .noma import NetworkScenario, alpha_from_units, evaluate_batch
 
 EVALUATION_GUARD = 10**8
+# Grid points (or phases, for one user's gain) scored per chunk.  Working
+# arrays hold one SINR per (point, decoder, target) of a cluster and one
+# effective-channel entry per (phase, user, element), so they stay a few MiB
+# on oracle-sized instances.
+CHUNK_POINTS = 1 << 12
 
 
 class SearchSpaceTooLargeError(ValueError):
@@ -98,6 +104,15 @@ def enumerate_phase_configs(
         yield PhaseConfig(indices, resolution_bits)
 
 
+def phase_index_block(
+    k_elements: int, resolution_bits: int, start: int, stop: int
+) -> np.ndarray:
+    """Rows ``start:stop`` of the lexicographic phase enumeration as a (P, K) array."""
+    levels = 1 << resolution_bits
+    place = levels ** np.arange(k_elements - 1, -1, -1, dtype=np.int64)
+    return np.arange(start, stop, dtype=np.int64)[:, None] // place % levels
+
+
 def _compositions(units: int, parts: int) -> Iterator[tuple[int, ...]]:
     # Lexicographic in the first coordinate, then recursively.
     if parts == 1:
@@ -163,6 +178,22 @@ class OracleResult:
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _grid_chunks(n_phases: int, n_splits: int, size: int):
+    """(phase_start, phase_stop, split_start, split_stop) blocks, phase-major.
+
+    Each block holds at most ``size`` points: whole phases when a phase's
+    splits fit, else one phase and a run of its splits.
+    """
+    if n_splits <= size:
+        step = size // n_splits
+        for p in range(0, n_phases, step):
+            yield p, min(p + step, n_phases), 0, n_splits
+    else:
+        for p in range(n_phases):
+            for s in range(0, n_splits, size):
+                yield p, p + 1, s, min(s + size, n_splits)
+
+
 def brute_force_optimum(
     scenario: NetworkScenario,
     space: SearchSpace,
@@ -170,9 +201,10 @@ def brute_force_optimum(
 ) -> OracleResult:
     """Evaluate every (phase, split) pair and keep the feasible maximizer.
 
-    Enumeration order is lexicographic and the running maximum only replaces
-    on a strict improvement, so ties resolve to the lexicographically first
-    point and reruns are bit-identical.
+    Chunks of at most ``CHUNK_POINTS`` points run phase-major, split-minor;
+    a chunk's first maximum replaces the running one only on a strict
+    improvement, so ties resolve to the lexicographically first point and
+    reruns are bit-identical.
     """
     if space.cluster_sizes != scenario.cluster_sizes():
         raise ValueError(
@@ -184,28 +216,28 @@ def brute_force_optimum(
     space.check_guard(guard)
 
     start = time.perf_counter()
+    bits = space.resolution_bits
+    all_splits = list(enumerate_alpha_grids(space.cluster_sizes, space.alpha_step))
     best_rate = -np.inf
     best_phase = None
     best_splits = None
     feasible = 0
-    evaluated = 0
-    all_splits = list(enumerate_alpha_grids(space.cluster_sizes, space.alpha_step))
-    for phase in enumerate_phase_configs(space.k_elements, space.resolution_bits):
-        for splits in all_splits:
-            evaluated += 1
-            result = evaluate_configuration(scenario, phase, splits)
-            if not result.feasible:
-                continue
-            feasible += 1
-            if result.sum_rate > best_rate:
-                best_rate = result.sum_rate
-                best_phase = phase
-                best_splits = splits
+    chunks = _grid_chunks(space.phase_count, len(all_splits), CHUNK_POINTS)
+    for p0, p1, s0, s1 in chunks:
+        phase_idx = phase_index_block(space.k_elements, bits, p0, p1)
+        scores = evaluate_batch(scenario, phase_idx, all_splits[s0:s1], bits)
+        feasible += int(np.count_nonzero(scores.feasible))
+        rates = np.where(scores.feasible, scores.sum_rate, -np.inf)
+        p, s = np.unravel_index(np.argmax(rates), rates.shape)
+        if rates[p, s] > best_rate:
+            best_rate = float(rates[p, s])
+            best_phase = PhaseConfig(tuple(phase_idx[p]), bits)
+            best_splits = all_splits[s0 + s]
     return OracleResult(
         best_phase=best_phase,
         best_splits=best_splits,
         best_rate=float(best_rate) if feasible else 0.0,
         feasible_count=feasible,
-        evaluated_count=evaluated,
+        evaluated_count=space.phase_count * len(all_splits),
         wall_time_s=time.perf_counter() - start,
     )

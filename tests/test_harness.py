@@ -5,11 +5,12 @@ import stat
 import numpy as np
 import pytest
 
-from irsnoma_lab.channel import load_scenario
+from irsnoma_lab.channel import ChannelRealization, load_scenario
 from irsnoma_lab.cli import main
 from irsnoma_lab.harness import (
     ExperimentConfig,
     SeedRegistry,
+    best_single_user_gain,
     cmd_cluster,
     cmd_compare_oma,
     cmd_generate,
@@ -20,6 +21,7 @@ from irsnoma_lab.harness import (
     read_csv,
     write_csv,
 )
+from irsnoma_lab.oracle import enumerate_phase_configs
 
 SMALL = dict(
     algorithm="random-phase",
@@ -284,7 +286,34 @@ class TestSweeps:
         assert len(rows) == 2
 
 
+def per_phase_single_user_gain(channels, user, resolution_bits):
+    """Best single-user gain as one effective channel and norm per phase."""
+    best = 0.0
+    for phase in enumerate_phase_configs(channels.k_elements, resolution_bits):
+        coeffs = np.exp(
+            2j * np.pi * np.asarray(phase.indices) / (1 << resolution_bits)
+        )
+        h_eff = (np.conj(channels.user_channels[user]) * coeffs) @ channels.g_matrix
+        best = max(best, float(np.linalg.norm(h_eff)))
+    return best
+
+
 class TestCompareOma:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("bits", [1, 2, 3])
+    def test_single_user_gain_equals_per_phase_loop(self, k, bits):
+        rng = np.random.default_rng(100 * k + bits)
+        channels = ChannelRealization(
+            g_matrix=rng.standard_normal((k, 3)) + 1j * rng.standard_normal((k, 3)),
+            user_channels=rng.standard_normal((2, k))
+            + 1j * rng.standard_normal((2, k)),
+            noise_variance=1.0,
+        )
+        for user in range(2):
+            assert best_single_user_gain(
+                channels, user, bits
+            ) == per_phase_single_user_gain(channels, user, bits)
+
     def test_single_user_schemes_coincide(self, tmp_path):
         cfg = oracle_1u_config(
             tmp_path,
@@ -353,13 +382,31 @@ class TestCli:
         assert main(["pipeline", "--config", str(tmp_path / "missing.json")]) == 1
 
     @pytest.mark.parametrize(
-        "doc, field",
+        "doc, field, command",
         [
-            ([SMALL], "JSON object"),
-            ({**SMALL, "alpha_step": 0.3}, "alpha_step"),
-            ({**SMALL, "resolution_bits": 0}, "resolution_bits"),
-            ({**SMALL, "m_clusters": 0}, "m_clusters"),
-            ({**SMALL, "m_clusters": 5}, "m_clusters"),
+            ([SMALL], "JSON object", "pipeline"),
+            ({**SMALL, "alpha_step": 0.3}, "alpha_step", "pipeline"),
+            ({**SMALL, "resolution_bits": 0}, "resolution_bits", "pipeline"),
+            ({**SMALL, "m_clusters": 0}, "m_clusters", "pipeline"),
+            ({**SMALL, "m_clusters": 5}, "m_clusters", "pipeline"),
+            (
+                {**SMALL, "interference_model": "bogus"},
+                "interference_model",
+                "pipeline",
+            ),
+            ({**SMALL, "alpha_domain": "decibel"}, "alpha_domain", "pipeline"),
+            ({**SMALL, "qos_floor": -0.5}, "qos_floor", "pipeline"),
+            ({**SMALL, "qos_floor": float("inf")}, "qos_floor", "pipeline"),
+            (
+                {**SMALL, "algorithm": "oracle", "k_elements": 14},
+                "k_elements",
+                "pipeline",
+            ),
+            (
+                {**SMALL, "algorithm": "oracle", "element_counts": [2, 14]},
+                "element_counts",
+                "sweep-elements",
+            ),
         ],
         ids=[
             "top-level-array",
@@ -367,17 +414,23 @@ class TestCli:
             "resolution-bits",
             "no-clusters",
             "more-clusters-than-users",
+            "interference-model",
+            "alpha-domain",
+            "negative-qos-floor",
+            "infinite-qos-floor",
+            "oracle-phases-k-elements",
+            "oracle-phases-element-counts",
         ],
     )
     def test_invalid_config_exits_before_any_output(
-        self, tmp_path, capsys, doc, field
+        self, tmp_path, capsys, doc, field, command
     ):
         out = tmp_path / "out"
         if isinstance(doc, dict):
             doc = {**doc, "out_dir": str(out)}
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(doc))
-        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
         assert not out.exists()

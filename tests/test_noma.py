@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from irsnoma_lab.channel import ChannelRealization, PhaseConfig
+from irsnoma_lab.channel import ChannelRealization, PhaseConfig, dbm_to_watts
 from irsnoma_lab.noma import (
     ClusterPlan,
+    _scalar_abs2,
     NetworkScenario,
     alpha_from_units,
     balanced_split,
     check_sic,
     decoding_order_by_gain,
     evaluate,
+    evaluate_batch,
     evaluate_configuration,
     oma_tdma_sum_rate,
     qos_check,
@@ -364,3 +368,73 @@ class TestEvaluateConfiguration:
 
     def test_balanced_split_helper(self):
         assert balanced_split(4) == pytest.approx((0.25,) * 4)
+
+
+@st.composite
+def grid_instances(draw):
+    """A small scenario, a stack of phase rows and a list of splits."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    n_clusters, n_users = len(sizes), sum(sizes)
+    k = draw(st.integers(1, 3))
+    bits = draw(st.integers(1, 2))
+    assignment = [m for m, size in enumerate(sizes) for _ in range(size)]
+    rng.shuffle(assignment)
+    g = rng.standard_normal((k, n_clusters)) + 1j * rng.standard_normal(
+        (k, n_clusters)
+    )
+    h = rng.standard_normal((n_users, k)) + 1j * rng.standard_normal((n_users, k))
+    if draw(st.booleans()) and n_clusters > 1:
+        h[:] = h[0]  # every cluster head sees the same channel: singular ZF
+    scenario = NetworkScenario(
+        channels=ChannelRealization(
+            g_matrix=g * 10 ** rng.uniform(-3, 0),
+            user_channels=h * 10 ** rng.uniform(-3, 0),
+            noise_variance=10 ** rng.uniform(-10, -1),
+        ),
+        assignment=tuple(int(c) for c in assignment),
+        total_power=dbm_to_watts(draw(st.floats(0.0, 120.0))),
+        qos_floors=draw(st.sampled_from([0.0, 0.01, 1.0])),
+        interference_model=draw(st.sampled_from(["incoherent", "coherent"])),
+        alpha_domain=draw(st.sampled_from(["amplitude", "power"])),
+    )
+    phase_idx = rng.integers(0, 1 << bits, (draw(st.integers(1, 8)), k))
+    splits = [
+        tuple(alpha_from_units(rng.multinomial(10, np.ones(n) / n)) for n in sizes)
+        for _ in range(draw(st.integers(1, 8)))
+    ]
+    return scenario, phase_idx, bits, splits
+
+
+class TestEvaluateBatch:
+    @settings(max_examples=200, deadline=None)
+    @given(grid_instances())
+    def test_equals_single_point_path(self, instance):
+        scenario, phase_idx, bits, splits = instance
+        grid = evaluate_batch(scenario, phase_idx, splits, bits)
+        shape = (len(phase_idx), len(splits))
+        assert grid.sum_rate.shape == grid.feasible.shape == shape
+        for p, row in enumerate(phase_idx):
+            for s, split in enumerate(splits):
+                ref = evaluate_configuration(scenario, PhaseConfig(row, bits), split)
+                assert grid.feasible[p, s] == ref.feasible
+                if ref.report is None:
+                    assert grid.sum_rate[p, s] == 0.0
+                    assert np.isnan(grid.own_gains[p]).all()
+                else:
+                    assert grid.sum_rate[p, s] == ref.sum_rate
+                    assert np.array_equal(grid.own_gains[p], ref.own_gains)
+
+    def test_own_power_rounds_like_a_numpy_scalar(self):
+        # libm pow(x, 2) and the array square x * x differ in rare last bits.
+        rng = np.random.default_rng(17)
+        z = rng.standard_normal(50_000) + 1j * rng.standard_normal(50_000)
+        expected = [float(np.abs(v) ** 2) for v in z]
+        assert np.array_equal(_scalar_abs2(z), expected)
+
+    def test_rejects_a_split_off_the_simplex(self):
+        scenario = random_scenario(np.random.default_rng(3))
+        with pytest.raises(ValueError, match="sum to 1"):
+            evaluate_batch(
+                scenario, np.zeros((1, 4), dtype=int), [((0.5, 0.6), (0.5, 0.5))], 2
+            )

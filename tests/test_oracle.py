@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from irsnoma_lab.channel import ChannelRealization, PhaseConfig
+from irsnoma_lab import oracle
+from irsnoma_lab.channel import ChannelRealization, PhaseConfig, dbm_to_watts
 from irsnoma_lab.noma import NetworkScenario, evaluate_configuration
 from irsnoma_lab.oracle import (
     SearchSpace,
@@ -10,7 +13,40 @@ from irsnoma_lab.oracle import (
     composition_count,
     enumerate_alpha_grids,
     enumerate_phase_configs,
+    phase_index_block,
 )
+
+# Chunk sizes that put chunk boundaries inside phases, between phases, and
+# (at the default) nowhere on small grids.
+CHUNKS = pytest.mark.parametrize(
+    "chunk", [1, 3, oracle.CHUNK_POINTS], ids=["1", "3", "default"]
+)
+
+
+def result_fields(result):
+    """Every OracleResult field except the wall time."""
+    return (
+        result.best_phase,
+        result.best_splits,
+        result.best_rate,
+        result.feasible_count,
+        result.evaluated_count,
+    )
+
+
+def literal_optimum(scenario, space):
+    """The exhaustive search as a plain loop over single points."""
+    best_rate, best_phase, best_splits = -np.inf, None, None
+    feasible = evaluated = 0
+    for phase in enumerate_phase_configs(space.k_elements, space.resolution_bits):
+        for splits in enumerate_alpha_grids(space.cluster_sizes, space.alpha_step):
+            evaluated += 1
+            point = evaluate_configuration(scenario, phase, splits)
+            if point.feasible:
+                feasible += 1
+                if point.sum_rate > best_rate:
+                    best_rate, best_phase, best_splits = point.sum_rate, phase, splits
+    return best_phase, best_splits, best_rate if feasible else 0.0, feasible, evaluated
 
 
 def make_scenario(rng, n_clusters=1, users_per_cluster=1, k_elements=1, power=1.0):
@@ -39,6 +75,11 @@ class TestPhaseEnumeration:
     def test_lexicographic_order(self):
         configs = [p.indices for p in enumerate_phase_configs(2, 1)]
         assert configs == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+    def test_index_block_matches_enumeration(self):
+        rows = [p.indices for p in enumerate_phase_configs(3, 2)]
+        assert phase_index_block(3, 2, 0, 64).tolist() == [list(r) for r in rows]
+        assert phase_index_block(3, 2, 5, 9).tolist() == [list(r) for r in rows[5:9]]
 
     def test_guard(self):
         with pytest.raises(SearchSpaceTooLargeError) as err:
@@ -101,7 +142,9 @@ class TestBruteForce:
         assert result.best_phase.indices == (int(np.argmax(rates)),)
         assert result.evaluated_count == 2
 
-    def test_all_zero_channels_tie_lexicographically_first(self):
+    @CHUNKS
+    def test_all_zero_channels_tie_lexicographically_first(self, chunk, monkeypatch):
+        monkeypatch.setattr(oracle, "CHUNK_POINTS", chunk)
         channels = ChannelRealization(
             g_matrix=np.zeros((2, 1), dtype=complex),
             user_channels=np.ones((1, 2), dtype=complex),
@@ -115,6 +158,25 @@ class TestBruteForce:
         # point is feasible and that is reported explicitly.
         assert result.feasible_count == 0
         assert result.best_phase is None
+        assert result_fields(result) == (None, None, 0.0, 0, 4)
+
+    @CHUNKS
+    def test_exact_tie_across_chunk_boundary(self, chunk, monkeypatch):
+        # Element 1 reflects nothing (zero user channel entry), so phases
+        # (n, 0) and (n, 1) score bit-identically; the first must win.
+        channels = ChannelRealization(
+            g_matrix=np.array([[1.0 + 0.5j], [2.0 - 1.0j]]),
+            user_channels=np.array([[1.0 - 2.0j, 0.0]]),
+            noise_variance=1.0,
+        )
+        scenario = NetworkScenario(channels=channels, assignment=(0,), total_power=1.0)
+        monkeypatch.setattr(oracle, "CHUNK_POINTS", chunk)
+        result = brute_force_optimum(scenario, SearchSpace(2, 1, (1,), 0.5))
+        assert result.feasible_count == 4
+        assert result.best_phase.indices[1] == 0
+        assert result_fields(result) == literal_optimum(
+            scenario, SearchSpace(2, 1, (1,), 0.5)
+        )
 
     def test_zero_user_channel_ties_at_zero_rate(self):
         channels = ChannelRealization(
@@ -133,15 +195,19 @@ class TestBruteForce:
         assert result.feasible_count > 0
         assert result.best_phase is not None
 
-    def test_deterministic_reruns(self):
+    @CHUNKS
+    def test_deterministic_reruns(self, chunk, monkeypatch):
         rng = np.random.default_rng(10)
         scenario = make_scenario(rng, n_clusters=2, users_per_cluster=1, k_elements=2)
         space = SearchSpace(2, 2, (1, 1), alpha_step=0.5)
+        default = brute_force_optimum(scenario, space)
+        monkeypatch.setattr(oracle, "CHUNK_POINTS", chunk)
         a = brute_force_optimum(scenario, space)
         b = brute_force_optimum(scenario, space)
         assert a.best_phase == b.best_phase
         assert a.best_rate == b.best_rate
         assert a.best_splits == b.best_splits
+        assert result_fields(a) == result_fields(b) == result_fields(default)
 
     def test_dominates_every_enumerated_point(self):
         rng = np.random.default_rng(21)
@@ -168,3 +234,40 @@ class TestBruteForce:
             brute_force_optimum(scenario, SearchSpace(2, 1, (2,), 0.5))
         with pytest.raises(ValueError):
             brute_force_optimum(scenario, SearchSpace(3, 1, (1,), 0.5))
+
+
+class TestBatchedSearchEqualsLiteralLoop:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_clusters=st.integers(1, 2),
+        users_per_cluster=st.integers(1, 3),
+        k_elements=st.integers(1, 3),
+        power_dbm=st.floats(0.0, 120.0),
+        qos_floor=st.sampled_from([0.0, 0.01]),
+        model=st.sampled_from(["incoherent", "coherent"]),
+        domain=st.sampled_from(["amplitude", "power"]),
+        chunk=st.sampled_from([1, 3, 7, oracle.CHUNK_POINTS]),
+    )
+    def test_matches_per_point_loop(
+        self, seed, n_clusters, users_per_cluster, k_elements, power_dbm,
+        qos_floor, model, domain, chunk,
+    ):
+        base = make_scenario(
+            np.random.default_rng(seed), n_clusters, users_per_cluster, k_elements
+        )
+        scenario = NetworkScenario(
+            channels=base.channels,
+            assignment=base.assignment,
+            total_power=dbm_to_watts(power_dbm),
+            qos_floors=qos_floor,
+            interference_model=model,
+            alpha_domain=domain,
+        )
+        space = SearchSpace(
+            k_elements, 1, scenario.cluster_sizes(), alpha_step=0.25
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "CHUNK_POINTS", chunk)
+            result = brute_force_optimum(scenario, space)
+        assert result_fields(result) == literal_optimum(scenario, space)
