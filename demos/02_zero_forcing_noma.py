@@ -1,14 +1,27 @@
-"""Zero-forcing plus NOMA: from channels to per-user rates and feasibility.
+"""Zero-forcing plus NOMA: from channels to sum rate and feasibility.
 
-Builds a two-cluster downlink, inverts the representatives' combined
-channel, splits power inside each cluster, and inspects SINRs, the SIC
-decodability check, and the TDMA baseline.
+Builds a two-cluster downlink, inverts the cluster heads' combined
+channel, splits power inside each cluster, and inspects the gain-sorted
+decoding order, the sum rate, the SIC/QoS feasibility verdict, and the
+TDMA baseline.
 """
 
 import numpy as np
 
-from irsnoma_lab.channel import PhaseConfig, RicianConfig, ScenarioGeometry, dbm_to_watts, sample_channels
-from irsnoma_lab.noma import NetworkScenario, evaluate_configuration, oma_tdma_sum_rate
+from irsnoma_lab.channel import (
+    PhaseConfig,
+    RicianConfig,
+    ScenarioGeometry,
+    dbm_to_watts,
+    effective_channels_batch,
+    sample_channels,
+)
+from irsnoma_lab.noma import (
+    NetworkScenario,
+    evaluate_configuration,
+    gain_ordered_plan,
+    oma_tdma_sum_rate,
+)
 
 geometry = ScenarioGeometry(
     bs_position=[0.0, -60.0, 10.0],
@@ -26,17 +39,19 @@ scenario = NetworkScenario(
 phase = PhaseConfig((0,) * 8, resolution_bits=3)
 
 print("=== balanced power split ===")
-result = evaluate_configuration(scenario, phase, ((0.5, 0.5), (0.5, 0.5)))
-for row in result.report.csv_rows():
-    user, cluster, order, alpha, sinr, rate = row
-    print(f"user {user}: cluster {cluster}, decode slot {order}, "
-          f"alpha {alpha:.2f}, sinr {sinr:9.3f}, rate {rate:.3f}")
-print("sum rate: %.3f bits/s/Hz | SIC ok: %s | QoS ok: %s"
-      % (result.sum_rate, result.report.sic_feasible, result.report.qos_feasible))
+splits = ((0.5, 0.5), (0.5, 0.5))
+result = evaluate_configuration(scenario, phase, splits)
+print("own-beam gains |h_u . w_m|:", np.array2string(result.own_gains, precision=3))
+# Each cluster decodes its weakest own-beam gain first.
+plan = gain_ordered_plan(scenario, result.own_gains, splits)
+for m, order in enumerate(plan.decoding_order):
+    print(f"cluster {m}: decode order {' > '.join(map(str, order))}, "
+          f"alphas {plan.power_split[m]}")
+print("sum rate: %.3f bits/s/Hz | SIC and QoS ok: %s"
+      % (result.sum_rate, result.feasible))
 
 print("\n=== favoring the weak user (classic NOMA split) ===")
 result = evaluate_configuration(scenario, phase, ((0.8, 0.2), (0.8, 0.2)))
-print("per-user rates:", np.round(result.report.rates, 3))
 print("sum rate: %.3f | feasible: %s" % (result.sum_rate, result.feasible))
 
 print("\n=== power sweep at this configuration ===")
@@ -48,9 +63,8 @@ for dbm in (30.0, 45.0, 60.0, 75.0):
     print(f"P = {dbm:4.0f} dBm -> sum rate {r.sum_rate:.3f}")
 
 # TDMA baseline with the same per-user effective gains at this phase state.
-from irsnoma_lab.channel import effective_channels_all
-
-gains = np.linalg.norm(effective_channels_all(channels, phase), axis=1)
+h_eff = effective_channels_batch(channels, [phase.indices], phase.resolution_bits)[0]
+gains = np.linalg.norm(h_eff, axis=1)
 oma = oma_tdma_sum_rate(gains, dbm_to_watts(60.0), channels.noise_variance)
 print("\nTDMA baseline at 60 dBm (same phase state): %.3f bits/s/Hz" % oma)
 print("(phases are unoptimized here; demos 05/06 compare optimized schemes,")

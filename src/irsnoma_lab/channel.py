@@ -84,10 +84,7 @@ class ServiceRegion:
             & (pts[:, 1] <= ymax)
         )
         if self.obstacle is not None:
-            inside = np.array(
-                [_point_in_polygon(p[0], p[1], self.obstacle) for p in pts]
-            )
-            ok &= ~inside
+            ok &= ~_points_in_polygon(pts[:, 0], pts[:, 1], self.obstacle)
         return ok
 
 
@@ -104,6 +101,20 @@ def _point_in_polygon(x: float, y: float, poly: np.ndarray) -> bool:
                 x_cross = (y - y0) * (x1 - x0) / (y1 - y0) + x0
                 if x0 == x1 or x <= x_cross:
                     inside = not inside
+        x0, y0 = x1, y1
+    return inside
+
+
+def _points_in_polygon(x: np.ndarray, y: np.ndarray, poly: np.ndarray) -> np.ndarray:
+    # _point_in_polygon over arrays of points: the same tests and crossing
+    # expression, edge by edge, so both agree on every point.
+    inside = np.zeros(x.shape, dtype=bool)
+    x0, y0 = poly[-1]
+    for x1, y1 in poly:
+        hit = (min(y0, y1) < y) & (y <= max(y0, y1)) & (x <= max(x0, x1))
+        if y0 != y1:
+            x_cross = (y - y0) * (x1 - x0) / (y1 - y0) + x0
+            inside ^= hit & ((x0 == x1) | (x <= x_cross))
         x0, y0 = x1, y1
     return inside
 
@@ -298,49 +309,16 @@ def reflection_coefficients(phase: PhaseConfig) -> np.ndarray:
     return np.exp(1j * theta)
 
 
-def effective_channel(
-    user_channel: np.ndarray, phase: PhaseConfig, g: np.ndarray
-) -> np.ndarray:
-    """Post-surface channel row h^H diag(coeffs) G seen by one user.
-
-    Returns an M-vector; with coeffs the reflection coefficients this equals
-    sum_k conj(h_k) * coeffs_k * G[k, :].
-    """
-    h = np.asarray(user_channel, dtype=complex).ravel()
-    g = np.asarray(g, dtype=complex)
-    if g.ndim != 2 or h.size != g.shape[0] or h.size != phase.k_elements:
-        raise ValueError(
-            f"dimension mismatch: h has {h.size} elements, g is {g.shape}, "
-            f"phase has {phase.k_elements} indices"
-        )
-    coeffs = reflection_coefficients(phase)
-    return (np.conj(h) * coeffs) @ g
-
-
-def effective_channels_all(
-    channels: ChannelRealization, phase: PhaseConfig
-) -> np.ndarray:
-    """Stack of every user's effective channel row; shape (n_users, M)."""
-    if phase.k_elements != channels.k_elements:
-        raise ValueError(
-            f"phase has {phase.k_elements} indices but realization has "
-            f"{channels.k_elements} elements"
-        )
-    coeffs = reflection_coefficients(phase)
-    return (np.conj(channels.user_channels) * coeffs[None, :]) @ channels.g_matrix
-
-
 def effective_channels_batch(
     channels: ChannelRealization, phase_idx, resolution_bits: int, users=None
 ) -> np.ndarray:
     """Effective channels under a stack of phase index rows; shape (P, n, M).
 
-    ``phase_idx`` is a (P, K) integer array; ``users`` selects the channel
-    rows (all users by default).  Slice p is bit for bit what
-    :func:`effective_channels_all` gives for ``PhaseConfig(phase_idx[p],
-    resolution_bits)`` on a realization holding just those rows: the
-    coefficients use the same expression and the product makes the same
-    BLAS call, once per phase.
+    Row u of slice p is the post-surface channel h_u^H diag(coeffs) G seen
+    by user u under ``PhaseConfig(phase_idx[p], resolution_bits)``, that is
+    sum_k conj(h_uk) * coeffs_k * G[k, :].  ``phase_idx`` is a (P, K)
+    integer array; ``users`` selects the channel rows (all users by
+    default).
     """
     idx = np.asarray(phase_idx)
     levels = 1 << resolution_bits

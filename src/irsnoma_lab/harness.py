@@ -49,6 +49,7 @@ from .noma import (
     INTERFERENCE_MODELS,
     NetworkScenario,
     evaluate_configuration,
+    gain_ordered_plan,
     oma_tdma_sum_rate,
 )
 from .oracle import (
@@ -146,7 +147,13 @@ class ExperimentConfig:
             raise ValueError("element counts must be >= 1")
         if self.slots < 1:
             raise ValueError("slot count must be >= 1")
-        for name in ("resolution_bits", "m_clusters"):
+        for name in (
+            "resolution_bits",
+            "m_clusters",
+            "episodes",
+            "steps_per_episode",
+            "random_samples",
+        ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} {getattr(self, name)} must be >= 1")
         # A scenario file brings its own user count.
@@ -450,7 +457,8 @@ def optimize_scenario(
 
     if phase is None:
         return SlotOutcome(0.0, False, None, None, None, curve)
-    plan = evaluate_configuration(scenario, phase, splits).plan
+    gains = evaluate_configuration(scenario, phase, splits).own_gains
+    plan = gain_ordered_plan(scenario, gains, splits)
     return SlotOutcome(rate, True, phase, splits, plan, curve)
 
 

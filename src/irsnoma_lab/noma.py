@@ -17,6 +17,10 @@ Power coefficients live on the unit simplex per cluster.  By default they
 enter inside the squared magnitude as written above ("amplitude" domain);
 the "power" domain (num proportional to a_p, not a_p^2) is available as a
 flag.
+
+:func:`evaluate_batch` is the one evaluator: it scores a grid of phase
+configs and power splits, and :func:`evaluate_configuration` is its 1 x 1
+case.
 """
 
 from __future__ import annotations
@@ -25,25 +29,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    ChannelRealization,
-    PhaseConfig,
-    effective_channels_all,
-    effective_channels_batch,
-)
-from .precoding import (
-    CONDITION_LIMIT,
-    IllConditionedChannelError,
-    Precoder,
-    cluster_channel_matrix,
-    zf_precoder,
-)
+from .channel import ChannelRealization, PhaseConfig, effective_channels_batch
+from .precoding import zero_forcing
 
 ALPHA_SUM_TOL = 1e-12
 SIC_RATE_TOL = 1e-12
 
 INTERFERENCE_MODELS = ("incoherent", "coherent")
 ALPHA_DOMAINS = ("amplitude", "power")
+
+
+def _check_simplex(m: int, alphas: np.ndarray):
+    """Raise unless every row of cluster m's coefficients lies on the unit simplex."""
+    if (alphas < 0).any():
+        raise ValueError(f"cluster {m}: negative power coefficient")
+    if (np.abs(alphas.sum(axis=-1) - 1.0) > ALPHA_SUM_TOL).any():
+        raise ValueError(f"cluster {m}: power coefficients do not sum to 1")
 
 
 @dataclass(frozen=True)
@@ -80,13 +81,7 @@ class ClusterPlan:
                 if u in seen:
                     raise ValueError(f"user {u} appears in clusters {seen[u]} and {m}")
                 seen[u] = m
-            alphas = np.asarray(split[m], dtype=float)
-            if np.any(alphas < 0):
-                raise ValueError(f"cluster {m}: negative power coefficient")
-            if abs(alphas.sum() - 1.0) > ALPHA_SUM_TOL:
-                raise ValueError(
-                    f"cluster {m}: power coefficients sum to {alphas.sum()!r}, not 1"
-                )
+            _check_simplex(m, np.asarray(split[m], dtype=float))
         if len(assignment) != len(seen):
             raise ValueError(
                 f"assignment covers {len(assignment)} users but decoding orders "
@@ -154,175 +149,6 @@ def alpha_from_units(units) -> tuple[float, ...]:
     return tuple(float(v) for v in arr / total)
 
 
-def _alpha_weight(alpha: float, domain: str) -> float:
-    if domain == "amplitude":
-        return alpha * alpha
-    if domain == "power":
-        return alpha
-    raise ValueError(f"unknown alpha domain {domain!r}")
-
-
-def _beam_products(h_row: np.ndarray, precoder: Precoder) -> np.ndarray:
-    """Complex products h . w_g for every cluster beam g."""
-    return np.asarray(h_row, dtype=complex) @ precoder.columns
-
-
-def _inter_cluster_power(beams: np.ndarray, m: int, model: str) -> float:
-    others = np.delete(beams, m)
-    if model == "incoherent":
-        return float(np.sum(np.abs(others) ** 2))
-    if model == "coherent":
-        return float(np.abs(np.sum(others)) ** 2)
-    raise ValueError(f"unknown interference model {model!r}")
-
-
-def sinr_cross(
-    m: int,
-    q: int,
-    p: int,
-    effective_channels: np.ndarray,
-    precoder: Precoder,
-    plan: ClusterPlan,
-    noise_variance: float,
-    *,
-    interference_model: str = "incoherent",
-    alpha_domain: str = "amplitude",
-) -> float:
-    """SINR at user q when decoding the signal intended for user p (same cluster)."""
-    if plan.cluster_of(p) != m or plan.cluster_of(q) != m:
-        raise ValueError(f"users {q} and {p} must both belong to cluster {m}")
-    beams = _beam_products(np.asarray(effective_channels)[q], precoder)
-    own_power = float(np.abs(beams[m]) ** 2)
-    num = _alpha_weight(plan.alpha_of(p), alpha_domain) * own_power
-    intra = own_power * sum(
-        _alpha_weight(plan.alpha_of(lam), alpha_domain)
-        for lam in plan.members(m)
-        if lam != p
-    )
-    inter = _inter_cluster_power(beams, m, interference_model)
-    return num / (intra + inter + noise_variance)
-
-
-def sum_rate(sinrs) -> float:
-    """Total Shannon rate sum_u log2(1 + sinr_u) in bits/s/Hz."""
-    tau = np.asarray(sinrs, dtype=float)
-    if np.any(tau < 0):
-        raise ValueError("SINRs must be non-negative")
-    return float(np.sum(np.log2(1.0 + tau)))
-
-
-def qos_check(sinrs, tau_min) -> bool:
-    """True when every user meets its SINR floor (non-strict)."""
-    tau = np.asarray(sinrs, dtype=float)
-    floors = np.broadcast_to(np.asarray(tau_min, dtype=float), tau.shape)
-    if np.any(floors < 0):
-        raise ValueError("SINR floors must be non-negative")
-    return bool(np.all(tau >= floors))
-
-
-def check_sic(plan: ClusterPlan, cross_rates: dict) -> bool:
-    """True when every later-decoded user can decode every earlier one.
-
-    ``cross_rates`` maps (decoder q, target p) to R_{q->p} for same-cluster
-    pairs (q = p gives the own rate).  For each cluster and each ordered
-    pair with a decoded after b, requires R_{a->b} >= R_{b->b} up to a small
-    float tolerance.
-    """
-    for m in range(plan.n_clusters):
-        order = plan.decoding_order[m]
-        for i, b in enumerate(order):
-            need = cross_rates[(b, b)]
-            for a in order[i + 1 :]:
-                if cross_rates[(a, b)] < need - SIC_RATE_TOL * max(1.0, abs(need)):
-                    return False
-    return True
-
-
-@dataclass(frozen=True, eq=False)
-class RateReport:
-    """Everything the objective needs for one configuration.
-
-    ``cross_sinr`` covers same-cluster (decoder, target) pairs including the
-    diagonal; ``order_position`` is each user's slot in its cluster's decode
-    sequence.
-    """
-
-    sinr: np.ndarray
-    rates: np.ndarray
-    cross_sinr: dict
-    sum_rate: float
-    sic_feasible: bool
-    qos_feasible: bool
-    cluster: np.ndarray
-    order_position: np.ndarray
-    alpha: np.ndarray
-
-    def csv_rows(self) -> list[tuple]:
-        """One row per user: (user, cluster, order, alpha, sinr, rate)."""
-        return [
-            (
-                u,
-                int(self.cluster[u]),
-                int(self.order_position[u]),
-                float(self.alpha[u]),
-                float(self.sinr[u]),
-                float(self.rates[u]),
-            )
-            for u in range(self.sinr.size)
-        ]
-
-
-def evaluate(
-    effective_channels: np.ndarray,
-    precoder: Precoder,
-    plan: ClusterPlan,
-    noise_variance: float,
-    *,
-    qos_floors=0.0,
-    interference_model: str = "incoherent",
-    alpha_domain: str = "amplitude",
-) -> RateReport:
-    """Compute all SINRs, rates, and feasibility flags for one configuration."""
-    n = plan.n_users
-    h_eff = np.asarray(effective_channels, dtype=complex)
-    sinrs = np.empty(n)
-    cross: dict = {}
-    for m in range(plan.n_clusters):
-        members = plan.members(m)
-        for q in members:
-            for p in members:
-                tau = sinr_cross(
-                    m,
-                    q,
-                    p,
-                    h_eff,
-                    precoder,
-                    plan,
-                    noise_variance,
-                    interference_model=interference_model,
-                    alpha_domain=alpha_domain,
-                )
-                cross[(q, p)] = tau
-                if q == p:
-                    sinrs[q] = tau
-    rates = np.log2(1.0 + sinrs)
-    cross_rates = {key: float(np.log2(1.0 + tau)) for key, tau in cross.items()}
-    cluster = np.array([plan.cluster_of(u) for u in range(n)])
-    position = np.array([plan.position_of(u) for u in range(n)])
-    alpha = np.array([plan.alpha_of(u) for u in range(n)])
-    return RateReport(
-        sinr=sinrs,
-        rates=rates,
-        cross_sinr=cross,
-        sum_rate=float(np.sum(rates)),
-        sic_feasible=check_sic(plan, cross_rates),
-        qos_feasible=qos_check(sinrs, qos_floors),
-        cluster=cluster,
-        order_position=position,
-        alpha=alpha,
-    )
-
-
 def oma_tdma_sum_rate(gains, total_power: float, noise_variance: float) -> float:
     """TDMA baseline: each user gets a 1/n time share at full power.
 
@@ -338,7 +164,7 @@ def oma_tdma_sum_rate(gains, total_power: float, noise_variance: float) -> float
 
 
 # ---------------------------------------------------------------------------
-# Whole-configuration evaluation shared by the RL environment and the oracle
+# Evaluation of the discrete search space
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
@@ -385,74 +211,6 @@ class NetworkScenario:
 
 
 @dataclass(frozen=True, eq=False)
-class ConfigurationResult:
-    """Outcome of evaluating one (phase config, power split) point."""
-
-    sum_rate: float
-    feasible: bool
-    report: RateReport | None
-    plan: ClusterPlan | None
-    precoder: Precoder | None
-    own_gains: np.ndarray | None
-
-
-def evaluate_configuration(
-    scenario: NetworkScenario,
-    phase: PhaseConfig,
-    splits: tuple[tuple[float, ...], ...],
-    condition_limit: float = CONDITION_LIMIT,
-) -> ConfigurationResult:
-    """Evaluate one point of the discrete search space.
-
-    Builds effective channels for the phase config, picks cluster heads,
-    zero-forces, orders each cluster's users by their own-beam gain (weakest
-    decoded first, so position i of ``splits[m]`` funds the i-th decoded
-    user), and scores the resulting plan.  An unworkably conditioned
-    combined channel makes the point infeasible rather than an error.
-    """
-    h_eff = effective_channels_all(scenario.channels, phase)
-    try:
-        hmat, _ = cluster_channel_matrix(scenario.assignment, h_eff)
-        precoder = zf_precoder(hmat, scenario.total_power, condition_limit)
-    except IllConditionedChannelError:
-        return ConfigurationResult(0.0, False, None, None, None, None)
-
-    gains = np.abs(
-        np.einsum("um,um->u", h_eff, precoder.columns[:, list(scenario.assignment)].T)
-    )
-    assign = np.asarray(scenario.assignment)
-    order = tuple(
-        decoding_order_by_gain(np.flatnonzero(assign == m), gains)
-        for m in range(scenario.n_clusters)
-    )
-    plan = ClusterPlan(
-        assignment=scenario.assignment, decoding_order=order, power_split=splits
-    )
-    report = evaluate(
-        h_eff,
-        precoder,
-        plan,
-        scenario.channels.noise_variance,
-        qos_floors=scenario.qos_floors,
-        interference_model=scenario.interference_model,
-        alpha_domain=scenario.alpha_domain,
-    )
-    feasible = report.sic_feasible and report.qos_feasible
-    return ConfigurationResult(
-        sum_rate=report.sum_rate,
-        feasible=feasible,
-        report=report,
-        plan=plan,
-        precoder=precoder,
-        own_gains=gains,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Grid evaluation: many phases and splits at once, equal to the path above
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
 class GridScores:
     """Scores of every (phase, split) point of a grid.
 
@@ -466,22 +224,22 @@ class GridScores:
     own_gains: np.ndarray
 
 
-def _split_weights(splits, sizes, domain: str) -> list[np.ndarray]:
-    """Per-cluster (S, n_m) SINR weights of the splits, checked like a plan."""
-    if any(len(split) != len(sizes) for split in splits):
-        raise ValueError("power_split and decoding_order cluster counts differ")
-    weights = []
+def _split_weights(splits, sizes, domain: str) -> np.ndarray:
+    """(S, N) SINR weights of the splits, cluster after cluster, checked like a plan."""
+    for split in splits:
+        if len(split) != len(sizes):
+            raise ValueError("power_split and decoding_order cluster counts differ")
+        for m, (part, size) in enumerate(zip(split, sizes)):
+            if len(part) != size:
+                raise ValueError(f"cluster {m}: split size != member count")
+    alphas = np.array(
+        [[a for part in split for a in part] for split in splits], dtype=float
+    ).reshape(len(splits), sum(sizes))
+    start = 0
     for m, size in enumerate(sizes):
-        rows = [split[m] for split in splits]
-        if any(len(row) != size for row in rows):
-            raise ValueError(f"cluster {m}: split size != member count")
-        alphas = np.array(rows, dtype=float).reshape(len(rows), size)
-        if np.any(alphas < 0):
-            raise ValueError(f"cluster {m}: negative power coefficient")
-        if np.any(np.abs(alphas.sum(axis=1) - 1.0) > ALPHA_SUM_TOL):
-            raise ValueError(f"cluster {m}: power coefficients do not sum to 1")
-        weights.append(alphas * alphas if domain == "amplitude" else alphas)
-    return weights
+        _check_simplex(m, alphas[:, start : start + size])
+        start += size
+    return alphas * alphas if domain == "amplitude" else alphas
 
 
 def _scalar_abs2(z: np.ndarray) -> np.ndarray:
@@ -503,87 +261,130 @@ def evaluate_batch(
     """Score the grid ``phase_idx`` (P, K) x ``splits`` (S split tuples).
 
     Effective channels, cluster heads, the condition check and the ZF solve
-    run once per phase, batched over the P phases; SIC and QoS then run for
-    all S splits of each phase at once.  Every point equals
-    :func:`evaluate_configuration` on it bit for bit: each float step
-    repeats that path's expression and summation order (``h_row @ W`` as a
-    stacked row product, intra-cluster weights added in decoding order,
-    inter-cluster power summed over the other beams only, own power
-    squared as a numpy scalar).
+    run once per phase, batched over the P phases.  Each cluster's users
+    are decoded in ascending order of their own-beam gain (weakest first,
+    lower index on ties), so position i of ``splits[s][m]`` funds the i-th
+    decoded user; SINRs, SIC and QoS then run for all S splits and all
+    clusters at once.  Every point equals the per-pair scalar evaluation
+    bit for bit: each float step repeats its expression and summation order
+    (``h_row @ W`` as a stacked row product, intra-cluster weights added in
+    decoding order, inter-cluster power summed over the other beams only,
+    own power squared as a numpy scalar).
     """
     channels = scenario.channels
     h_eff = effective_channels_batch(channels, phase_idx, resolution_bits)
     n_phases, n_users, n_clusters = h_eff.shape
     assign = np.asarray(scenario.assignment)
     members = [np.flatnonzero(assign == m) for m in range(n_clusters)]
-    sizes = [len(mem) for mem in members]
-    weights = _split_weights(splits, sizes, scenario.alpha_domain)
+    wts = _split_weights(splits, [len(mem) for mem in members], scenario.alpha_domain)
     floors = np.broadcast_to(
         np.asarray(scenario.qos_floors, dtype=float), (n_users,)
     )
-    if np.any(floors < 0):
+    if (floors < 0).any():
         raise ValueError("SINR floors must be non-negative")
     n_splits = len(splits)
     sum_rate = np.zeros((n_phases, n_splits))
     feasible = np.zeros((n_phases, n_splits), dtype=bool)
     own_gains = np.full((n_phases, n_users), np.nan)
 
-    # Cluster heads: largest norm, lowest index on ties.
-    norms = np.linalg.norm(h_eff, axis=-1)
-    heads = np.stack(
-        [mem[np.argmax(norms[:, mem], axis=1)] for mem in members], axis=1
-    )
-    hmat = np.take_along_axis(h_eff, heads[:, :, None], axis=1)
-    cond = np.linalg.cond(hmat)
-    ok = np.flatnonzero(np.isfinite(cond) & (cond <= CONDITION_LIMIT))
-    if ok.size == 0:
+    ok, w = zero_forcing(h_eff, members, scenario.total_power)
+    if not ok.any():
         return GridScores(sum_rate, feasible, own_gains)
-    h_eff, hmat = h_eff[ok], hmat[ok]
-    w = np.linalg.solve(
-        hmat, np.broadcast_to(np.eye(n_clusters, dtype=complex), hmat.shape)
-    )
-    used = (np.abs(w) ** 2).reshape(ok.size, -1).sum(axis=1)
-    w *= np.sqrt(scenario.total_power / used)[:, None, None]
-    if not np.all(np.isfinite(w.view(float))):
-        raise ValueError("precoder contains non-finite entries")
-
+    h_eff = h_eff[ok]
     own_beams = w[:, :, assign].transpose(0, 2, 1)
     gains = np.abs(np.einsum("pum,pum->pu", h_eff, own_beams))
-    if not np.all(np.isfinite(gains)):
+    if not np.isfinite(gains).all():
         raise ValueError("gains must be finite")
     own_gains[ok] = gains
 
+    # Decoding slots: the clusters one after another, each in decoding
+    # order.  Slot k serves cluster slot_cluster[k]; at phase p its user is
+    # order[p, k].  ``same[j, k]``: slots j != k share a cluster.
+    slot_cluster = np.sort(assign)
+    order = np.lexsort((gains, np.broadcast_to(assign, gains.shape)))
+    slot = np.arange(n_users)
+    same = (slot_cluster[:, None] == slot_cluster) & (slot[:, None] != slot)
+    other_beams = np.nonzero(slot_cluster[:, None] != np.arange(n_clusters))[1]
+
     beams = (h_eff[..., None, :] @ w[:, None])[..., 0, :]  # (P', N, M): h_u . w_g
+    rows = np.arange(len(w))[:, None]
+    own = _scalar_abs2(beams[rows, order, slot_cluster])
+    others = beams[
+        rows[:, :, None], order[:, :, None], other_beams.reshape(n_users, -1)
+    ]
+    if scenario.interference_model == "incoherent":
+        inter = np.sum(np.abs(others) ** 2, axis=-1)
+    else:
+        inter = _scalar_abs2(np.sum(others, axis=-1))
+    # The other members' weights, added one by one in decoding order.
+    intra = np.cumsum(wts[:, :, None] * same, axis=1)[:, -1]
+
+    # sinr[p, s, k]: the user in slot k decoding its own signal.
     noise = channels.noise_variance
-    sinr = np.empty((ok.size, n_splits, n_users))
-    sic = np.ones((ok.size, n_splits), dtype=bool)
-    for m, (mem, size, wts) in enumerate(zip(members, sizes, weights)):
-        # Position i of the decoding order (own gain ascending) holds order[:, i].
-        order = mem[np.argsort(gains[:, mem], axis=1, kind="stable")]
-        rows = np.take_along_axis(beams, order[:, :, None], axis=1)
-        own = _scalar_abs2(rows[:, :, m])
-        others = np.delete(rows, m, axis=-1)
-        if scenario.interference_model == "incoherent":
-            inter = np.sum(np.abs(others) ** 2, axis=-1)
-        else:
-            inter = _scalar_abs2(np.sum(others, axis=-1))
-        intra = np.zeros_like(wts)
-        for b in range(size):
-            for j in range(size):
-                if j != b:
-                    intra[:, b] += wts[:, j]
-        # tau[p, s, a, b]: SINR at position a decoding position b's signal.
-        own4 = own[:, None, :, None]
-        tau = (wts[None, :, None, :] * own4) / (
-            own4 * intra[None, :, None, :] + inter[:, None, :, None] + noise
+    own3 = own[:, None, :]
+    sinr = (wts * own3) / (own3 * intra + inter[:, None, :] + noise)
+    rates = np.log2(1.0 + sinr)
+    sic = True
+    later, earlier = np.nonzero(same & (slot[:, None] > slot))
+    if later.size:
+        # Slot later[i] decoding the signal of slot earlier[i], same cluster.
+        own_l = own[:, None, later]
+        tau = (wts[:, earlier] * own_l) / (
+            own_l * intra[:, earlier] + inter[:, None, later] + noise
         )
-        diag = np.arange(size)
-        np.put_along_axis(sinr, order[:, None, :], tau[:, :, diag, diag], axis=2)
-        rates = np.log2(1.0 + tau)
-        need = rates[:, :, diag, diag]
+        need = rates[:, :, earlier]
         floor = need - SIC_RATE_TOL * np.maximum(1.0, np.abs(need))
-        later = np.tril(np.ones((size, size), dtype=bool), -1)
-        sic &= ~np.any((rates < floor[:, :, None, :]) & later, axis=(2, 3))
-    sum_rate[ok] = np.sum(np.log2(1.0 + sinr), axis=-1)
-    feasible[ok] = sic & np.all(sinr >= floors, axis=-1)
+        sic = ~(np.log2(1.0 + tau) < floor).any(axis=-1)
+    feasible[ok] = sic & (sinr >= floors[order][:, None, :]).all(axis=-1)
+    user_rates = np.empty_like(rates)
+    user_rates[rows, :, order] = rates.transpose(0, 2, 1)
+    sum_rate[ok] = np.sum(user_rates, axis=-1)
     return GridScores(sum_rate, feasible, own_gains)
+
+
+@dataclass(frozen=True, eq=False)
+class ConfigurationResult:
+    """Outcome of evaluating one (phase config, power split) point.
+
+    ``own_gains`` is None when the phase's combined channel is
+    ill-conditioned.
+    """
+
+    sum_rate: float
+    feasible: bool
+    own_gains: np.ndarray | None
+
+
+def evaluate_configuration(
+    scenario: NetworkScenario,
+    phase: PhaseConfig,
+    splits: tuple[tuple[float, ...], ...],
+) -> ConfigurationResult:
+    """Score one point of the discrete search space: a 1 x 1 :func:`evaluate_batch`.
+
+    An unworkably conditioned combined channel makes the point infeasible
+    rather than an error.
+    """
+    grid = evaluate_batch(
+        scenario, np.array([phase.indices]), [splits], phase.resolution_bits
+    )
+    gains = grid.own_gains[0]
+    return ConfigurationResult(
+        sum_rate=float(grid.sum_rate[0, 0]),
+        feasible=bool(grid.feasible[0, 0]),
+        own_gains=None if np.isnan(gains[0]) else gains,
+    )
+
+
+def gain_ordered_plan(
+    scenario: NetworkScenario, own_gains, splits
+) -> ClusterPlan:
+    """The plan :func:`evaluate_batch` scores at a point with these own gains."""
+    assign = np.asarray(scenario.assignment)
+    order = tuple(
+        decoding_order_by_gain(np.flatnonzero(assign == m), own_gains)
+        for m in range(scenario.n_clusters)
+    )
+    return ClusterPlan(
+        assignment=scenario.assignment, decoding_order=order, power_split=splits
+    )

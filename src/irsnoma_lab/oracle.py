@@ -2,8 +2,8 @@
 
 Enumerates every discrete reflection state (2**B choices per element) and
 every per-cluster power split on a fixed step grid, scores the points in
-bounded chunks with the grid evaluator (equal, point for point, to the
-single-point path the learners use), and returns the feasible maximizer.
+bounded chunks with the grid evaluator the learners also score through,
+and returns the feasible maximizer.
 Intended for small instances; a hard evaluation-count guard keeps runs
 desk-scale.
 """

@@ -1,112 +1,66 @@
-"""Per-cluster combined channels and zero-forcing transmit precoding.
+"""Zero-forcing transmit precoding over a stack of effective channels.
 
-The precoder inverts the M x M matrix whose row m is the effective channel
-of cluster m's representative user, so each cluster's beam has unit gain on
-its own representative and zero gain on every other cluster's, then scales
-all beams uniformly to spend the total power budget exactly.
+Each cluster is served through its head user, the member with the largest
+effective-channel norm.  The precoder inverts the M x M matrix whose row m
+is the effective channel of cluster m's head, so each cluster's beam has
+unit gain on its own head and zero gain on every other cluster's, then
+scales all beams uniformly to spend the total power budget exactly.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 CONDITION_LIMIT = 1e8
 
 
-class IllConditionedChannelError(ValueError):
-    """Combined channel too close to singular for a trustworthy inversion."""
+def cluster_heads(h_eff: np.ndarray, members) -> np.ndarray:
+    """(P, M) user index of each cluster's head under each of P phases.
 
-    def __init__(self, condition_number: float):
-        self.condition_number = float(condition_number)
-        super().__init__(
-            f"combined cluster channel is ill-conditioned "
-            f"(condition number {condition_number:.3e})"
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class ClusterChannelMatrix:
-    """Square matrix of representative effective channels, one row per cluster."""
-
-    matrix: np.ndarray
-    condition_number: float = 0.0
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"cluster channel matrix must be square, got {m.shape}")
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "condition_number", float(np.linalg.cond(m)))
-
-    @property
-    def n_clusters(self) -> int:
-        return int(self.matrix.shape[0])
-
-
-@dataclass(frozen=True, eq=False)
-class Precoder:
-    """Beamforming vectors, column m serving cluster m."""
-
-    columns: np.ndarray
-    total_power: float
-
-    def __post_init__(self):
-        w = np.asarray(self.columns, dtype=complex)
-        if not np.all(np.isfinite(w.view(float))):
-            raise ValueError("precoder contains non-finite entries")
-        object.__setattr__(self, "columns", w)
-
-    def beam(self, m: int) -> np.ndarray:
-        return self.columns[:, m]
-
-
-def select_cluster_representatives(assignment, effective_channels) -> list[int]:
-    """Index of each cluster's head user: largest effective-channel norm.
-
-    ``assignment`` maps user -> cluster (a sequence or anything exposing an
-    ``assignment`` attribute).  Ties go to the lowest user index.
+    ``h_eff`` is (P, N, M); ``members[m]`` holds cluster m's user indices.
+    The head has the largest effective-channel norm; ties go to the lowest
+    user index.
     """
-    assign = np.asarray(getattr(assignment, "assignment", assignment), dtype=int)
-    h_eff = np.asarray(effective_channels, dtype=complex)
-    norms = np.linalg.norm(h_eff, axis=1)
-    n_clusters = int(assign.max()) + 1
-    reps = []
-    for m in range(n_clusters):
-        members = np.flatnonzero(assign == m)
-        if members.size == 0:
+    for m, mem in enumerate(members):
+        if len(mem) == 0:
             raise ValueError(f"cluster {m} is empty")
-        reps.append(int(members[np.argmax(norms[members])]))
-    return reps
+    norms = np.linalg.norm(h_eff, axis=-1)
+    return np.stack([mem[np.argmax(norms[:, mem], axis=1)] for mem in members], axis=1)
 
 
-def cluster_channel_matrix(
-    assignment, effective_channels
-) -> tuple[ClusterChannelMatrix, list[int]]:
-    """Stack the representatives' effective channels into the combined matrix."""
-    reps = select_cluster_representatives(assignment, effective_channels)
-    h_eff = np.asarray(effective_channels, dtype=complex)
-    return ClusterChannelMatrix(matrix=h_eff[reps, :]), reps
-
-
-def zf_precoder(
-    hmat: ClusterChannelMatrix,
+def zero_forcing(
+    h_eff: np.ndarray,
+    members,
     total_power: float,
     condition_limit: float = CONDITION_LIMIT,
-) -> Precoder:
-    """Zero-forcing precoder scaled to consume ``total_power`` exactly.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-forcing precoders for a stack of P effective-channel matrices.
 
-    The unscaled solution W satisfies H W = I (unit gain on the own cluster,
-    zero on the others); every column is then multiplied by
-    sqrt(P / sum_m ||w_m||^2) so the power constraint holds with equality.
+    Returns ``(ok, w)``: ``ok`` (P,) marks the phases whose head matrix has
+    a finite 2-norm condition number no larger than ``condition_limit``,
+    and ``w`` (ok.sum(), M, M) holds their precoders, column m serving
+    cluster m.  The unscaled solution W satisfies H W = I; every column is
+    then multiplied by sqrt(P / sum_m ||w_m||^2) so the power constraint
+    holds with equality.
     """
     if total_power <= 0:
         raise ValueError("total_power must be positive")
-    if not np.isfinite(hmat.condition_number) or hmat.condition_number > condition_limit:
-        raise IllConditionedChannelError(hmat.condition_number)
-    m = hmat.n_clusters
-    w = np.linalg.solve(hmat.matrix, np.eye(m, dtype=complex))
-    used = float(np.sum(np.abs(w) ** 2))
-    w *= np.sqrt(total_power / used)
-    return Precoder(columns=w, total_power=float(np.sum(np.abs(w) ** 2)))
+    n_clusters = h_eff.shape[-1]
+    if len(members) != n_clusters:
+        raise ValueError(
+            f"ZF needs one antenna per cluster: {n_clusters} antennas vs "
+            f"{len(members)} clusters"
+        )
+    heads = cluster_heads(h_eff, members)
+    hmat = h_eff[np.arange(len(h_eff))[:, None], heads]
+    cond = np.linalg.cond(hmat)
+    ok = np.isfinite(cond) & (cond <= condition_limit)
+    hmat = hmat[ok]
+    w = np.linalg.solve(
+        hmat, np.broadcast_to(np.eye(n_clusters, dtype=complex), hmat.shape)
+    )
+    used = (np.abs(w) ** 2).reshape(len(w), n_clusters * n_clusters).sum(axis=1)
+    w *= np.sqrt(total_power / used)[:, None, None]
+    if not np.isfinite(w.view(float)).all():
+        raise ValueError("precoder contains non-finite entries")
+    return ok, w

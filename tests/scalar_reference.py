@@ -1,0 +1,220 @@
+"""Scalar reference for the grid evaluator: one SINR per (decoder, target) pair.
+
+``noma.evaluate_batch`` scores whole grids of phase configs and power
+splits with array operations.  This module re-derives a single point the
+literal way: own-beam gains, the gain-sorted decoding order, every
+same-cluster cross SINR through :func:`sinr_cross`, then the SIC and QoS
+checks, one pair at a time.  It takes the effective channels and the ZF
+precoder from the package (both have their own tests against independent
+formulas) and repeats every later float step in the order the grid
+evaluator must match bit for bit.
+
+The file has no ``test_`` prefix, so pytest imports it only from tests.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from irsnoma_lab.channel import effective_channels_batch
+from irsnoma_lab.noma import SIC_RATE_TOL, ClusterPlan, decoding_order_by_gain
+from irsnoma_lab.precoding import zero_forcing
+
+
+def _alpha_weight(alpha: float, domain: str) -> float:
+    if domain == "amplitude":
+        return alpha * alpha
+    if domain == "power":
+        return alpha
+    raise ValueError(f"unknown alpha domain {domain!r}")
+
+
+def _beam_products(h_row: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Complex products h . w_g for every cluster beam g (columns of ``w``)."""
+    return np.asarray(h_row, dtype=complex) @ w
+
+
+def _inter_cluster_power(beams: np.ndarray, m: int, model: str) -> float:
+    others = np.delete(beams, m)
+    if model == "incoherent":
+        return float(np.sum(np.abs(others) ** 2))
+    if model == "coherent":
+        return float(np.abs(np.sum(others)) ** 2)
+    raise ValueError(f"unknown interference model {model!r}")
+
+
+def sinr_cross(
+    m: int,
+    q: int,
+    p: int,
+    effective_channels: np.ndarray,
+    w: np.ndarray,
+    plan: ClusterPlan,
+    noise_variance: float,
+    *,
+    interference_model: str = "incoherent",
+    alpha_domain: str = "amplitude",
+) -> float:
+    """SINR at user q when decoding the signal intended for user p (same cluster)."""
+    if plan.cluster_of(p) != m or plan.cluster_of(q) != m:
+        raise ValueError(f"users {q} and {p} must both belong to cluster {m}")
+    beams = _beam_products(np.asarray(effective_channels)[q], w)
+    own_power = float(np.abs(beams[m]) ** 2)
+    num = _alpha_weight(plan.alpha_of(p), alpha_domain) * own_power
+    intra = own_power * sum(
+        _alpha_weight(plan.alpha_of(lam), alpha_domain)
+        for lam in plan.members(m)
+        if lam != p
+    )
+    inter = _inter_cluster_power(beams, m, interference_model)
+    return num / (intra + inter + noise_variance)
+
+
+def sum_rate(sinrs) -> float:
+    """Total Shannon rate sum_u log2(1 + sinr_u) in bits/s/Hz."""
+    tau = np.asarray(sinrs, dtype=float)
+    if np.any(tau < 0):
+        raise ValueError("SINRs must be non-negative")
+    return float(np.sum(np.log2(1.0 + tau)))
+
+
+def qos_check(sinrs, tau_min) -> bool:
+    """True when every user meets its SINR floor (non-strict)."""
+    tau = np.asarray(sinrs, dtype=float)
+    floors = np.broadcast_to(np.asarray(tau_min, dtype=float), tau.shape)
+    if np.any(floors < 0):
+        raise ValueError("SINR floors must be non-negative")
+    return bool(np.all(tau >= floors))
+
+
+def check_sic(plan: ClusterPlan, cross_rates: dict) -> bool:
+    """True when every later-decoded user can decode every earlier one.
+
+    ``cross_rates`` maps (decoder q, target p) to R_{q->p} for same-cluster
+    pairs (q = p gives the own rate).  For each cluster and each ordered
+    pair with a decoded after b, requires R_{a->b} >= R_{b->b} up to a small
+    float tolerance.
+    """
+    for m in range(plan.n_clusters):
+        order = plan.decoding_order[m]
+        for i, b in enumerate(order):
+            need = cross_rates[(b, b)]
+            for a in order[i + 1 :]:
+                if cross_rates[(a, b)] < need - SIC_RATE_TOL * max(1.0, abs(need)):
+                    return False
+    return True
+
+
+@dataclass(frozen=True, eq=False)
+class RateReport:
+    """Every per-user and per-pair quantity of one configuration.
+
+    ``cross_sinr`` covers same-cluster (decoder, target) pairs including the
+    diagonal.
+    """
+
+    sinr: np.ndarray
+    rates: np.ndarray
+    cross_sinr: dict
+    sum_rate: float
+    sic_feasible: bool
+    qos_feasible: bool
+
+
+def evaluate(
+    effective_channels: np.ndarray,
+    w: np.ndarray,
+    plan: ClusterPlan,
+    noise_variance: float,
+    *,
+    qos_floors=0.0,
+    interference_model: str = "incoherent",
+    alpha_domain: str = "amplitude",
+) -> RateReport:
+    """Compute all SINRs, rates, and feasibility flags for one configuration."""
+    n = plan.n_users
+    h_eff = np.asarray(effective_channels, dtype=complex)
+    sinrs = np.empty(n)
+    cross: dict = {}
+    for m in range(plan.n_clusters):
+        members = plan.members(m)
+        for q in members:
+            for p in members:
+                tau = sinr_cross(
+                    m,
+                    q,
+                    p,
+                    h_eff,
+                    w,
+                    plan,
+                    noise_variance,
+                    interference_model=interference_model,
+                    alpha_domain=alpha_domain,
+                )
+                cross[(q, p)] = tau
+                if q == p:
+                    sinrs[q] = tau
+    rates = np.log2(1.0 + sinrs)
+    cross_rates = {key: float(np.log2(1.0 + tau)) for key, tau in cross.items()}
+    return RateReport(
+        sinr=sinrs,
+        rates=rates,
+        cross_sinr=cross,
+        sum_rate=float(np.sum(rates)),
+        sic_feasible=check_sic(plan, cross_rates),
+        qos_feasible=qos_check(sinrs, qos_floors),
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class ReferencePoint:
+    """One scored point; every field but the rate is None when ZF is ill-conditioned."""
+
+    sum_rate: float
+    feasible: bool
+    h_eff: np.ndarray | None
+    w: np.ndarray | None
+    own_gains: np.ndarray | None
+    plan: ClusterPlan | None
+    report: RateReport | None
+
+
+def reference_point(scenario, phase_indices, resolution_bits: int, splits) -> ReferencePoint:
+    """Score the point (``phase_indices``, ``splits``) pair by pair."""
+    h_eff = effective_channels_batch(
+        scenario.channels, np.asarray([phase_indices]), resolution_bits
+    )
+    assign = np.asarray(scenario.assignment)
+    members = [np.flatnonzero(assign == m) for m in range(scenario.n_clusters)]
+    ok, w = zero_forcing(h_eff, members, scenario.total_power)
+    if not ok[0]:
+        return ReferencePoint(0.0, False, None, None, None, None, None)
+    h_eff, w = h_eff[0], w[0]
+    gains = np.abs(np.einsum("um,um->u", h_eff, w[:, list(scenario.assignment)].T))
+    order = tuple(
+        decoding_order_by_gain(np.flatnonzero(assign == m), gains)
+        for m in range(scenario.n_clusters)
+    )
+    plan = ClusterPlan(
+        assignment=scenario.assignment, decoding_order=order, power_split=splits
+    )
+    report = evaluate(
+        h_eff,
+        w,
+        plan,
+        scenario.channels.noise_variance,
+        qos_floors=scenario.qos_floors,
+        interference_model=scenario.interference_model,
+        alpha_domain=scenario.alpha_domain,
+    )
+    return ReferencePoint(
+        sum_rate=report.sum_rate,
+        feasible=report.sic_feasible and report.qos_feasible,
+        h_eff=h_eff,
+        w=w,
+        own_gains=gains,
+        plan=plan,
+        report=report,
+    )

@@ -32,9 +32,9 @@ from irsnoma_lab.mobility import (
     persistence_mse,
     run_algorithm1,
 )
-from irsnoma_lab.noma import NetworkScenario, evaluate_configuration
+from irsnoma_lab.noma import NetworkScenario, evaluate_configuration, gain_ordered_plan
 from irsnoma_lab.oracle import SearchSpace, brute_force_optimum
-from irsnoma_lab.precoding import ClusterChannelMatrix, zf_precoder
+from irsnoma_lab.precoding import zero_forcing
 from irsnoma_lab.rl import (
     NomaPhaseEnv,
     QApproximator,
@@ -42,6 +42,7 @@ from irsnoma_lab.rl import (
     tabular_q_update,
     train_agent,
 )
+from scalar_reference import reference_point, sinr_cross
 
 # Pinned regression scenario for the RL-vs-oracle criterion: 4 elements at
 # 2 resolution bits, two 2-user clusters, alpha grid 0.1, 60 dBm budget.
@@ -84,14 +85,15 @@ def test_criterion_1_zero_forcing_correctness():
             h = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
             if np.linalg.cond(h) < 1e6:
                 break
-        precoder = zf_precoder(ClusterChannelMatrix(h), power)
-        prod = h @ precoder.columns
+        ok, w = zero_forcing(h[None], [np.array([u]) for u in range(m)], power)
+        assert ok[0]
+        prod = h @ w[0]
         scale = np.mean(np.real(np.diag(prod)))
         worst_residual = max(
             worst_residual, float(np.max(np.abs(prod / scale - np.eye(m))))
         )
         worst_power_gap = max(
-            worst_power_gap, abs(float(np.sum(np.abs(precoder.columns) ** 2)) - power)
+            worst_power_gap, abs(float(np.sum(np.abs(w[0]) ** 2)) - power)
         )
     elapsed = time.perf_counter() - started
     ok = worst_residual < 1e-8 and worst_power_gap < 1e-9
@@ -123,20 +125,28 @@ def test_criterion_2_sic_decoding_chain():
         )
         phase = PhaseConfig(tuple(rng.integers(0, 4, size=3)), 2)
         split = float(rng.uniform(0.05, 0.95))
-        result = evaluate_configuration(
-            scenario, phase, ((split, 1.0 - split), (1.0,))
-        )
-        if result.plan is None:
+        splits = ((split, 1.0 - split), (1.0,))
+        result = evaluate_configuration(scenario, phase, splits)
+        if result.own_gains is None:
             continue
-        b, a = result.plan.decoding_order[0]  # weakest decoded first
-        r_ab = np.log2(1.0 + result.report.cross_sinr[(a, b)])
-        r_bb = np.log2(1.0 + result.report.cross_sinr[(b, b)])
+        plan = gain_ordered_plan(scenario, result.own_gains, splits)
+        b, a = plan.decoding_order[0]  # weakest decoded first
+        # Cross SINRs from the scalar reference on the production channels,
+        # precoder and plan.
+        ref = reference_point(scenario, phase.indices, phase.resolution_bits, splits)
+        assert ref.plan == plan
+        cross = {
+            (q, p): sinr_cross(0, q, p, ref.h_eff, ref.w, plan, channels.noise_variance)
+            for q, p in ((a, b), (b, b))
+        }
+        r_ab = np.log2(1.0 + cross[(a, b)])
+        r_bb = np.log2(1.0 + cross[(b, b)])
         if r_ab >= r_bb:
             checked += 1
             # Any admissible QoS floor for user b (Eq. style: met by the
             # instance itself) must close the chain.
             floor_rate = np.log2(
-                1.0 + rng.uniform(0.0, 1.0) * result.report.cross_sinr[(b, b)]
+                1.0 + rng.uniform(0.0, 1.0) * cross[(b, b)]
             )
             if not (r_ab >= r_bb - 1e-12 and r_bb >= floor_rate - 1e-12):
                 violations += 1

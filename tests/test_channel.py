@@ -13,8 +13,7 @@ from irsnoma_lab.channel import (
     ScenarioGeometry,
     dbm_to_watts,
     default_region,
-    effective_channel,
-    effective_channels_all,
+    effective_channels_batch,
     load_scenario,
     reflection_coefficients,
     sample_channels,
@@ -29,6 +28,14 @@ def small_geometry(n_users=2):
         user_positions=users,
         irs_position=[0.0, 0.0, 0.0],
     )
+
+
+def effective_channel(h, phase, g):
+    """One user's effective channel row, through the batched function."""
+    real = ChannelRealization(
+        g_matrix=g, user_channels=np.asarray(h)[None], noise_variance=1.0
+    )
+    return effective_channels_batch(real, [phase.indices], phase.resolution_bits)[0, 0]
 
 
 class TestDbmToWatts:
@@ -130,6 +137,10 @@ class TestEffectiveChannel:
             effective_channel(
                 np.ones(3, dtype=complex), PhaseConfig((0, 0), 1), np.ones((2, 2))
             )
+        with pytest.raises(ValueError):
+            effective_channel(
+                np.ones(2, dtype=complex), PhaseConfig((0, 0, 0), 1), np.ones((2, 2))
+            )
 
 
 class TestSampleChannels:
@@ -226,6 +237,13 @@ class TestGeometryAndRegion:
         region = default_region()
         rng = np.random.default_rng(5)
         pts = rng.uniform(-60, 60, size=(200, 2))
+        # Every obstacle vertex, and points on every edge (the horizontal
+        # edges too), where the ray test's boundary rules decide.
+        poly = region.obstacle
+        ends = np.roll(poly, -1, axis=0)
+        t = np.linspace(0.0, 1.0, 11)[:, None, None]
+        edge_pts = (poly + t * (ends - poly)).reshape(-1, 2)
+        pts = np.concatenate([pts, poly, edge_pts])
         many = region.contains_many(pts)
         scalar = np.array([region.contains(p) for p in pts])
         assert np.array_equal(many, scalar)
@@ -264,9 +282,10 @@ class TestRealization:
             small_geometry(3), RicianConfig(), 9, k_elements=5, n_antennas=3
         )
         phase = PhaseConfig((0, 1, 2, 3, 0), 2)
-        stacked = effective_channels_all(real, phase)
+        stacked = effective_channels_batch(real, [phase.indices], 2)[0]
+        coeffs = reflection_coefficients(phase)
         for u in range(real.n_users):
-            single = effective_channel(real.user_channels[u], phase, real.g_matrix)
+            single = (np.conj(real.user_channels[u]) * coeffs) @ real.g_matrix
             assert np.max(np.abs(stacked[u] - single)) < 1e-12
 
 

@@ -18,10 +18,13 @@ from irsnoma_lab.harness import (
     cmd_predict,
     cmd_sweep_elements,
     cmd_sweep_power,
+    optimize_scenario,
+    prepare,
     read_csv,
     write_csv,
 )
 from irsnoma_lab.oracle import enumerate_phase_configs
+from scalar_reference import reference_point
 
 SMALL = dict(
     algorithm="random-phase",
@@ -213,6 +216,22 @@ class TestPipeline:
         header, rows = read_csv(curve)
         assert header == ["episode", "best_reward", "epsilon", "loss"]
         assert len(rows) == 4
+
+
+class TestWinnerPlan:
+    @pytest.mark.parametrize("algorithm", ["oracle", "random-phase", "dqn", "tabular"])
+    def test_decoding_order_matches_reference(self, tmp_path, algorithm):
+        cfg = small_config(tmp_path, algorithm=algorithm, n_users=6)
+        setup = prepare(cfg, 1)
+        channels, fit = setup.draw(cfg.k_elements)
+        scenario = setup.scenario(channels, fit.assignment)
+        outcome = optimize_scenario(scenario, cfg, setup.registry.rng("agent/test"))
+        assert outcome.feasible
+        assert max(len(order) for order in outcome.plan.decoding_order) > 1
+        ref = reference_point(
+            scenario, outcome.phase.indices, cfg.resolution_bits, outcome.splits
+        )
+        assert outcome.plan.decoding_order == ref.plan.decoding_order
 
 
 class TestSweeps:
@@ -407,6 +426,17 @@ class TestCli:
                 "element_counts",
                 "sweep-elements",
             ),
+            ({**SMALL, "algorithm": "dqn", "episodes": 0}, "episodes", "sweep-power"),
+            (
+                {**SMALL, "algorithm": "tabular", "steps_per_episode": 0},
+                "steps_per_episode",
+                "pipeline",
+            ),
+            (
+                {**SMALL, "algorithm": "random-phase", "random_samples": -3},
+                "random_samples",
+                "sweep-power",
+            ),
         ],
         ids=[
             "top-level-array",
@@ -420,6 +450,9 @@ class TestCli:
             "infinite-qos-floor",
             "oracle-phases-k-elements",
             "oracle-phases-element-counts",
+            "no-episodes",
+            "no-steps-per-episode",
+            "negative-random-samples",
         ],
     )
     def test_invalid_config_exits_before_any_output(

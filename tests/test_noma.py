@@ -10,22 +10,26 @@ from irsnoma_lab.noma import (
     NetworkScenario,
     alpha_from_units,
     balanced_split,
-    check_sic,
     decoding_order_by_gain,
-    evaluate,
     evaluate_batch,
     evaluate_configuration,
     oma_tdma_sum_rate,
+)
+from scalar_reference import (
+    check_sic,
+    evaluate,
     qos_check,
+    reference_point,
     sinr_cross,
     sum_rate,
 )
-from irsnoma_lab.precoding import Precoder
+
+# SINR, SIC and QoS tests run on the per-pair scalar reference; the grid
+# evaluator is compared against it in TestEvaluateBatch.
 
 
-def unit_precoder(m=1, power=None):
-    cols = np.eye(m, dtype=complex)
-    return Precoder(columns=cols, total_power=float(power if power else m))
+def unit_precoder(m=1):
+    return np.eye(m, dtype=complex)
 
 
 def two_user_plan(alpha=(0.8, 0.2)):
@@ -118,7 +122,6 @@ class TestSinr:
         w = rng.standard_normal((m_clusters, m_clusters)) + 1j * rng.standard_normal(
             (m_clusters, m_clusters)
         )
-        precoder = Precoder(columns=w, total_power=float(np.sum(np.abs(w) ** 2)))
         plan = ClusterPlan(
             assignment=(0, 0, 1, 1),
             decoding_order=((0, 1), (2, 3)),
@@ -127,7 +130,7 @@ class TestSinr:
         noise = 0.05
         for (q, p) in [(0, 1), (1, 0), (2, 3), (3, 2)]:
             m = plan.cluster_of(q)
-            got = sinr_cross(m, q, p, h, precoder, plan, noise)
+            got = sinr_cross(m, q, p, h, w, plan, noise)
             # Independent scalar re-evaluation, term by term.
             own = abs(np.dot(h[q], w[:, m])) ** 2
             num = plan.alpha_of(p) ** 2 * own
@@ -145,11 +148,10 @@ class TestSinr:
         rng = np.random.default_rng(5)
         h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         w = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        precoder = Precoder(columns=w, total_power=1.0)
         plan = ClusterPlan((0, 1), ((0,), (1,)), ((1.0,), (1.0,)))
         noise = 0.1
         tau = sinr_cross(
-            0, 0, 0, h, precoder, plan, noise, interference_model="coherent"
+            0, 0, 0, h, w, plan, noise, interference_model="coherent"
         )
         own = abs(np.dot(h[0], w[:, 0])) ** 2
         inter = abs(np.dot(h[0], w[:, 1])) ** 2  # single other beam: same as sum
@@ -243,7 +245,6 @@ class TestProposition1Chain:
         for _ in range(500):
             h = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
             w = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            precoder = Precoder(columns=w, total_power=1.0)
             gains = np.abs(h @ w)
             plans = []
             for m, members in enumerate([(0, 1), (2, 3)]):
@@ -253,7 +254,7 @@ class TestProposition1Chain:
                 (plans[0], plans[1]),
                 ((0.8, 0.2), (0.7, 0.3)),
             )
-            report = evaluate(h, precoder, plan, 0.05)
+            report = evaluate(h, w, plan, 0.05)
             for m in range(2):
                 b, a = plan.decoding_order[m]
                 r_ab = np.log2(1 + report.cross_sinr[(a, b)])
@@ -270,8 +271,7 @@ class TestOmaBaseline:
         plan = ClusterPlan((0,), ((0,),), ((1.0,),))
         h = np.array([[gain + 0j]])
         w = np.array([[np.sqrt(power) + 0j]])
-        precoder = Precoder(columns=w, total_power=power)
-        report = evaluate(h, precoder, plan, noise)
+        report = evaluate(h, w, plan, noise)
         assert oma_tdma_sum_rate([gain], power, noise) == pytest.approx(
             report.sum_rate
         )
@@ -344,40 +344,22 @@ class TestEvaluateConfiguration:
         splits = ((0.9, 0.1), (0.9, 0.1))
         phase = PhaseConfig((0, 0, 0, 0), 2)
         result = evaluate_configuration(scenario, phase, splits)
-        assert result.feasible == (
-            result.report.sic_feasible and result.report.qos_feasible
+        ref = reference_point(scenario, phase.indices, phase.resolution_bits, splits)
+        assert result.feasible == (ref.report.sic_feasible and ref.report.qos_feasible)
+        assert np.sum(np.abs(ref.w) ** 2) == pytest.approx(4.0, abs=1e-9)
+        assert ref.report.sum_rate == pytest.approx(
+            float(np.sum(ref.report.rates)), abs=1e-12
         )
-        assert result.precoder.total_power == pytest.approx(4.0, abs=1e-9)
-        assert result.report.sum_rate == pytest.approx(
-            float(np.sum(result.report.rates)), abs=1e-12
-        )
-
-    def test_report_csv_rows_schema(self):
-        rng = np.random.default_rng(9)
-        scenario = random_scenario(rng)
-        result = evaluate_configuration(
-            scenario, PhaseConfig((0, 1, 2, 3), 2), ((0.5, 0.5), (0.5, 0.5))
-        )
-        rows = result.report.csv_rows()
-        assert len(rows) == 4
-        for user, cluster, order, alpha, tau, rate in rows:
-            assert cluster in (0, 1)
-            assert order in (0, 1)
-            assert alpha == pytest.approx(0.5)
-            assert tau >= 0 and rate >= 0
+        assert result.sum_rate == ref.sum_rate
 
     def test_balanced_split_helper(self):
         assert balanced_split(4) == pytest.approx((0.25,) * 4)
 
 
-@st.composite
-def grid_instances(draw):
-    """A small scenario, a stack of phase rows and a list of splits."""
+def _grid_instance(draw, sizes, k, bits, n_phases, n_splits):
+    """A scenario with these cluster sizes, ``n_phases`` phase rows and ``n_splits`` splits."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
     n_clusters, n_users = len(sizes), sum(sizes)
-    k = draw(st.integers(1, 3))
-    bits = draw(st.integers(1, 2))
     assignment = [m for m, size in enumerate(sizes) for _ in range(size)]
     rng.shuffle(assignment)
     g = rng.standard_normal((k, n_clusters)) + 1j * rng.standard_normal(
@@ -398,32 +380,88 @@ def grid_instances(draw):
         interference_model=draw(st.sampled_from(["incoherent", "coherent"])),
         alpha_domain=draw(st.sampled_from(["amplitude", "power"])),
     )
-    phase_idx = rng.integers(0, 1 << bits, (draw(st.integers(1, 8)), k))
+    phase_idx = rng.integers(0, 1 << bits, (n_phases, k))
     splits = [
         tuple(alpha_from_units(rng.multinomial(10, np.ones(n) / n)) for n in sizes)
-        for _ in range(draw(st.integers(1, 8)))
+        for _ in range(n_splits)
     ]
     return scenario, phase_idx, bits, splits
+
+
+@st.composite
+def grid_instances(draw):
+    """A small scenario, a stack of phase rows and a list of splits."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    return _grid_instance(
+        draw,
+        sizes,
+        k=draw(st.integers(1, 3)),
+        bits=draw(st.integers(1, 2)),
+        n_phases=draw(st.integers(1, 8)),
+        n_splits=draw(st.integers(1, 8)),
+    )
+
+
+@st.composite
+def paper_scale_instances(draw):
+    """Shapes the RL environment scores: up to 5 clusters, 10 users, K 25, B 5."""
+    n_clusters = draw(st.integers(1, 5))
+    n_users = draw(st.integers(n_clusters, 10))
+    cuts = []
+    if n_clusters > 1:
+        cuts = sorted(
+            draw(
+                st.sets(
+                    st.integers(1, n_users - 1),
+                    min_size=n_clusters - 1,
+                    max_size=n_clusters - 1,
+                )
+            )
+        )
+    sizes = [b - a for a, b in zip([0] + cuts, cuts + [n_users])]
+    n_phases, n_splits = draw(st.sampled_from([(1, 1), (1, 3), (3, 1), (2, 2)]))
+    return _grid_instance(
+        draw,
+        sizes,
+        k=draw(st.integers(1, 25)),
+        bits=draw(st.integers(1, 5)),
+        n_phases=n_phases,
+        n_splits=n_splits,
+    )
+
+
+def assert_grid_equals_reference(instance):
+    """Every grid point equals the scalar reference, and the 1 x 1 entry agrees."""
+    scenario, phase_idx, bits, splits = instance
+    grid = evaluate_batch(scenario, phase_idx, splits, bits)
+    shape = (len(phase_idx), len(splits))
+    assert grid.sum_rate.shape == grid.feasible.shape == shape
+    for p, row in enumerate(phase_idx):
+        for s, split in enumerate(splits):
+            ref = reference_point(scenario, row, bits, split)
+            point = evaluate_configuration(scenario, PhaseConfig(row, bits), split)
+            assert grid.feasible[p, s] == ref.feasible == point.feasible
+            assert point.sum_rate == grid.sum_rate[p, s]
+            if ref.report is None:
+                assert grid.sum_rate[p, s] == 0.0
+                assert np.isnan(grid.own_gains[p]).all()
+                assert point.own_gains is None
+            else:
+                assert grid.sum_rate[p, s] == ref.sum_rate
+                assert np.array_equal(grid.own_gains[p], ref.own_gains)
+                assert np.array_equal(point.own_gains, ref.own_gains)
 
 
 class TestEvaluateBatch:
     @settings(max_examples=200, deadline=None)
     @given(grid_instances())
     def test_equals_single_point_path(self, instance):
-        scenario, phase_idx, bits, splits = instance
-        grid = evaluate_batch(scenario, phase_idx, splits, bits)
-        shape = (len(phase_idx), len(splits))
-        assert grid.sum_rate.shape == grid.feasible.shape == shape
-        for p, row in enumerate(phase_idx):
-            for s, split in enumerate(splits):
-                ref = evaluate_configuration(scenario, PhaseConfig(row, bits), split)
-                assert grid.feasible[p, s] == ref.feasible
-                if ref.report is None:
-                    assert grid.sum_rate[p, s] == 0.0
-                    assert np.isnan(grid.own_gains[p]).all()
-                else:
-                    assert grid.sum_rate[p, s] == ref.sum_rate
-                    assert np.array_equal(grid.own_gains[p], ref.own_gains)
+        assert_grid_equals_reference(instance)
+
+    @settings(max_examples=200, deadline=None)
+    @given(paper_scale_instances())
+    def test_equals_reference_at_paper_scale(self, instance):
+        assert_grid_equals_reference(instance)
 
     def test_own_power_rounds_like_a_numpy_scalar(self):
         # libm pow(x, 2) and the array square x * x differ in rare last bits.
