@@ -48,7 +48,6 @@ from .noma import (
     ALPHA_DOMAINS,
     INTERFERENCE_MODELS,
     NetworkScenario,
-    evaluate_configuration,
     gain_ordered_plan,
     oma_tdma_sum_rate,
 )
@@ -64,7 +63,7 @@ from .oracle import (
 from .rl import (
     NomaPhaseEnv,
     QApproximator,
-    _BestTracker,
+    random_search,
     train_agent,
     train_tabular_agent,
 )
@@ -422,44 +421,35 @@ def _search_space(scenario: NetworkScenario, config: ExperimentConfig) -> Search
 def optimize_scenario(
     scenario: NetworkScenario, config: ExperimentConfig, rng
 ) -> SlotOutcome:
-    """Run the configured optimizer on one slot's network scenario."""
+    """Run the configured optimizer on one slot's network scenario.
+
+    The plan's decoding order comes from the own gains the search kept for
+    its winner.
+    """
     algorithm = config.algorithm
-    curve = None
     if algorithm == "oracle":
-        result = brute_force_optimum(scenario, _search_space(scenario, config))
-        rate, phase, splits = result.best_rate, result.best_phase, result.best_splits
+        best = brute_force_optimum(scenario, _search_space(scenario, config))
     else:
         env = NomaPhaseEnv(
             scenario,
             resolution_bits=config.resolution_bits,
             alpha_step=config.alpha_step,
         )
+        budget = (config.episodes, config.steps_per_episode, rng)
         if algorithm == "random-phase":
-            tracker = _BestTracker(env)
-            for _ in range(config.random_samples):
-                tracker.consider(*env.random_state(rng))
-            rate, phase, splits = tracker.rate, tracker.phase, tracker.splits
+            best = random_search(env, config.random_samples, rng)
+        elif algorithm == "dqn":
+            approx = QApproximator(env.feature_dim, env.n_actions, seed=rng)
+            best = train_agent(env, approx, *budget)
         else:
-            budget = dict(
-                episodes=config.episodes,
-                steps_per_episode=config.steps_per_episode,
-                seed=rng,
-            )
-            if algorithm == "dqn":
-                approx = QApproximator(env.feature_dim, env.n_actions, seed=rng)
-                outcome = train_agent(env, approx, **budget)
-            else:
-                outcome = train_tabular_agent(env, **budget)
-            rate, phase, splits = (
-                outcome.best_rate, outcome.best_phase, outcome.best_splits
-            )
-            curve = outcome.curve
-
-    if phase is None:
+            best = train_tabular_agent(env, *budget)
+    curve = best.curve if algorithm in ("dqn", "tabular") else None
+    if best.best_phase is None:
         return SlotOutcome(0.0, False, None, None, None, curve)
-    gains = evaluate_configuration(scenario, phase, splits).own_gains
-    plan = gain_ordered_plan(scenario, gains, splits)
-    return SlotOutcome(rate, True, phase, splits, plan, curve)
+    plan = gain_ordered_plan(scenario, best.best_gains, best.best_splits)
+    return SlotOutcome(
+        best.best_rate, True, best.best_phase, best.best_splits, plan, curve
+    )
 
 
 # ---------------------------------------------------------------------------

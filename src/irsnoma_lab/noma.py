@@ -105,15 +105,9 @@ class ClusterPlan:
     def cluster_of(self, user: int) -> int:
         return self.assignment[user]
 
-    def position_of(self, user: int) -> int:
-        return self.decoding_order[self.assignment[user]].index(user)
-
     def alpha_of(self, user: int) -> float:
         m = self.assignment[user]
         return self.power_split[m][self.decoding_order[m].index(user)]
-
-    def occupancy(self) -> tuple[int, ...]:
-        return tuple(len(o) for o in self.decoding_order)
 
 
 def decoding_order_by_gain(members, gains) -> tuple[int, ...]:
@@ -126,11 +120,6 @@ def decoding_order_by_gain(members, gains) -> tuple[int, ...]:
     if not np.all(np.isfinite(gains)):
         raise ValueError("gains must be finite")
     return tuple(sorted(members, key=lambda u: (gains[u], u)))
-
-
-def balanced_split(size: int) -> tuple[float, ...]:
-    """Equal power coefficients over ``size`` users."""
-    return tuple(np.full(size, 1.0 / size))
 
 
 def alpha_from_units(units) -> tuple[float, ...]:

@@ -14,7 +14,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -152,7 +152,10 @@ def enumerate_alpha_grids(
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Feasible maximizer of the exhaustive search (or the no-result marker)."""
+    """Feasible maximizer of the exhaustive search (or the no-result marker).
+
+    ``best_gains`` holds the maximizer's own gains; the JSON leaves them out.
+    """
 
     best_phase: PhaseConfig | None
     best_splits: tuple[tuple[float, ...], ...] | None
@@ -160,6 +163,7 @@ class OracleResult:
     feasible_count: int
     evaluated_count: int
     wall_time_s: float
+    best_gains: np.ndarray | None = field(compare=False)
 
     def to_json(self) -> str:
         doc = {
@@ -221,6 +225,7 @@ def brute_force_optimum(
     best_rate = -np.inf
     best_phase = None
     best_splits = None
+    best_gains = None
     feasible = 0
     chunks = _grid_chunks(space.phase_count, len(all_splits), CHUNK_POINTS)
     for p0, p1, s0, s1 in chunks:
@@ -233,6 +238,7 @@ def brute_force_optimum(
             best_rate = float(rates[p, s])
             best_phase = PhaseConfig(tuple(phase_idx[p]), bits)
             best_splits = all_splits[s0 + s]
+            best_gains = scores.own_gains[p].copy()
     return OracleResult(
         best_phase=best_phase,
         best_splits=best_splits,
@@ -240,4 +246,5 @@ def brute_force_optimum(
         feasible_count=feasible,
         evaluated_count=space.phase_count * len(all_splits),
         wall_time_s=time.perf_counter() - start,
+        best_gains=best_gains,
     )

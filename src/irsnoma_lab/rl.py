@@ -6,7 +6,7 @@ level count), shifts one power-grid unit between two users of a cluster, or
 does nothing.  The reward is the constrained sum rate, penalized by a fixed
 amount whenever the SIC or QoS check fails.
 
-Two learners share the rollout machinery: a plain Q-table
+One epsilon-greedy rollout loop serves two learners, a plain Q-table
 
     Q[s, a] += psi * (r + beta * max_a' Q[s', a'] - Q[s, a])
 
@@ -15,7 +15,8 @@ against a periodically synchronized target copy,
 
     y = r + beta * max_a' Q_target(s', a'),    loss = mean (y - Q(s, a))^2
 
-with uniform replay sampling and epsilon-greedy exploration.
+with uniform replay sampling, and the random-phase baseline, which is the
+same loop with no steps after each episode's random start.
 """
 
 from __future__ import annotations
@@ -36,6 +37,15 @@ from .noma import (
 from .oracle import _units_from_step
 
 WEIGHTS_FORMAT = "irsnoma-qnet-v1"
+
+# Epsilon schedule of both learners; fixed tabular and replay settings.
+EPSILON_START = 1.0
+EPSILON_DECAY = 0.995
+EPSILON_MIN = 0.05
+TABULAR_LEARNING_RATE = 0.2
+TABULAR_DISCOUNT = 0.9
+REPLAY_CAPACITY = 10_000
+BATCH_SIZE = 32
 
 
 # ---------------------------------------------------------------------------
@@ -76,36 +86,41 @@ def tabular_q_update(
 # Function approximator
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Transition:
-    state_features: np.ndarray
-    action: int
-    reward: float
-    next_features: np.ndarray
-    terminal: bool = False
-
-
 class ReplayMemory:
-    """Fixed-capacity ring buffer with uniform sampling."""
+    """Fixed-capacity ring buffer of transitions, one array per field."""
 
-    def __init__(self, capacity: int = 10_000):
+    def __init__(self, capacity: int, feature_dim: int):
         self.capacity = int(capacity)
-        self._buffer: list[Transition] = []
+        self.states = np.empty((self.capacity, feature_dim))
+        self.actions = np.empty(self.capacity, dtype=np.int64)
+        self.rewards = np.empty(self.capacity)
+        self.next_states = np.empty((self.capacity, feature_dim))
+        self._size = 0
         self._cursor = 0
 
-    def push(self, transition: Transition):
-        if len(self._buffer) < self.capacity:
-            self._buffer.append(transition)
-        else:
-            self._buffer[self._cursor] = transition
-        self._cursor = (self._cursor + 1) % self.capacity
+    def push(self, state, action: int, reward: float, next_state):
+        i = self._cursor
+        self.states[i] = state
+        self.actions[i] = action
+        self.rewards[i] = reward
+        self.next_states[i] = next_state
+        self._cursor = (i + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
 
-    def sample(self, rng: np.random.Generator, batch_size: int) -> list[Transition]:
-        idx = rng.integers(0, len(self._buffer), size=batch_size)
-        return [self._buffer[i] for i in idx]
+    def sample(self, rng: np.random.Generator, batch_size: int):
+        """(states, actions, rewards, next_states) of a uniform minibatch."""
+        idx = rng.integers(0, self._size, size=batch_size)
+        return self.states[idx], self.actions[idx], self.rewards[idx], self.next_states[idx]
 
     def __len__(self) -> int:
-        return len(self._buffer)
+        return self._size
+
+
+# The constructor arguments a weights file records besides the weights.
+_SETTINGS = (
+    "input_dim", "n_actions", "hidden", "learning_rate", "discount",
+    "epsilon_start", "epsilon_decay", "epsilon_min", "sync_period", "clip_norm",
+)
 
 
 class QApproximator:
@@ -118,9 +133,9 @@ class QApproximator:
         hidden=(64, 64),
         learning_rate: float = 1e-3,
         discount: float = 0.9,
-        epsilon_start: float = 1.0,
-        epsilon_decay: float = 0.995,
-        epsilon_min: float = 0.05,
+        epsilon_start: float = EPSILON_START,
+        epsilon_decay: float = EPSILON_DECAY,
+        epsilon_min: float = EPSILON_MIN,
         sync_period: int = 100,
         clip_norm: float = 1e6,
         seed=None,
@@ -183,10 +198,14 @@ class QApproximator:
 
     # -- training ---------------------------------------------------------
 
-    def td_target(self, reward: float, next_features, terminal: bool = False) -> float:
-        if terminal:
-            return float(reward)
-        return float(reward + self.discount * np.max(self.target_values(next_features)))
+    def td_target(self, rewards, next_features) -> np.ndarray:
+        """Minibatch targets ``r + beta * max_a' Q_target(s', a')`` in one forward.
+
+        Rows go through as stacked one-row products, which round like scoring
+        each transition alone (a plain ``X @ W.T`` does not).
+        """
+        rows = np.asarray(next_features, dtype=float)[:, None, :]
+        return rewards + self.discount * np.max(self.target_values(rows), axis=(1, 2))
 
     def loss_and_gradients(self, features, actions, targets):
         """Mean squared TD loss and gradients w.r.t. the online weights."""
@@ -212,15 +231,11 @@ class QApproximator:
                 delta = (delta @ self.weights[layer]) * (pre_acts[layer - 1] > 0)
         return loss, grads_w, grads_b
 
-    def train_step(self, batch: list[Transition]) -> tuple[float, bool]:
+    def train_step(self, features, actions, rewards, next_features) -> tuple[float, bool]:
         """One descent step on a replay minibatch; hard-syncs on schedule."""
-        if not batch:
+        if not len(actions):
             raise ValueError("minibatch must be non-empty")
-        features = np.stack([t.state_features for t in batch])
-        actions = [t.action for t in batch]
-        targets = [
-            self.td_target(t.reward, t.next_features, t.terminal) for t in batch
-        ]
+        targets = self.td_target(rewards, next_features)
         loss, grads_w, grads_b = self.loss_and_gradients(features, actions, targets)
         norm = np.sqrt(
             sum(float(np.sum(g**2)) for g in grads_w)
@@ -250,21 +265,10 @@ class QApproximator:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> str:
-        doc = {
-            "format": WEIGHTS_FORMAT,
-            "input_dim": self.input_dim,
-            "n_actions": self.n_actions,
-            "hidden": list(self.hidden),
-            "learning_rate": self.learning_rate,
-            "discount": self.discount,
-            "epsilon_start": self.epsilon_start,
-            "epsilon_decay": self.epsilon_decay,
-            "epsilon_min": self.epsilon_min,
-            "sync_period": self.sync_period,
-            "clip_norm": self.clip_norm,
-            "weights": [w.tolist() for w in self.weights],
-            "biases": [b.tolist() for b in self.biases],
-        }
+        doc = {name: getattr(self, name) for name in _SETTINGS}
+        doc["format"] = WEIGHTS_FORMAT
+        doc["weights"] = [w.tolist() for w in self.weights]
+        doc["biases"] = [b.tolist() for b in self.biases]
         return json.dumps(doc, sort_keys=True)
 
     @classmethod
@@ -272,19 +276,7 @@ class QApproximator:
         doc = json.loads(text)
         if doc.get("format") != WEIGHTS_FORMAT:
             raise ValueError(f"unsupported weights format {doc.get('format')!r}")
-        approx = cls(
-            input_dim=doc["input_dim"],
-            n_actions=doc["n_actions"],
-            hidden=doc["hidden"],
-            learning_rate=doc["learning_rate"],
-            discount=doc["discount"],
-            epsilon_start=doc["epsilon_start"],
-            epsilon_decay=doc["epsilon_decay"],
-            epsilon_min=doc["epsilon_min"],
-            sync_period=doc["sync_period"],
-            clip_norm=doc["clip_norm"],
-            seed=0,
-        )
+        approx = cls(**{name: doc[name] for name in _SETTINGS}, seed=0)
         approx.weights = [np.asarray(w, dtype=float) for w in doc["weights"]]
         approx.biases = [np.asarray(b, dtype=float) for b in doc["biases"]]
         approx.sync_target()
@@ -313,7 +305,6 @@ class EnvState:
 
     phase_indices: tuple[int, ...]
     alpha_units: tuple[tuple[int, ...], ...]
-    slot_index: int
     feature_vector: np.ndarray
 
     def key(self):
@@ -385,17 +376,13 @@ class NomaPhaseEnv:
             gains = np.zeros(self.scenario.channels.n_users)
         return np.concatenate([phases, alphas, gains])
 
-    def _evaluate(self, phase_indices, alpha_units):
+    def _make_state(self, phase_indices, alpha_units):
         phase = PhaseConfig(phase_indices, self.resolution_bits)
         splits = tuple(alpha_from_units(u) for u in alpha_units)
-        return evaluate_configuration(self.scenario, phase, splits)
-
-    def _make_state(self, phase_indices, alpha_units, slot_index):
-        result = self._evaluate(phase_indices, alpha_units)
+        result = evaluate_configuration(self.scenario, phase, splits)
         state = EnvState(
             phase_indices=tuple(int(n) for n in phase_indices),
             alpha_units=tuple(tuple(int(u) for u in units) for units in alpha_units),
-            slot_index=int(slot_index),
             feature_vector=self._features(phase_indices, alpha_units, result),
         )
         return state, result
@@ -413,7 +400,7 @@ class NomaPhaseEnv:
             units.append(
                 tuple(base + (1 if i < extra else 0) for i in range(size))
             )
-        return self._make_state((0,) * self.k_elements, tuple(units), 0)
+        return self._make_state((0,) * self.k_elements, tuple(units))
 
     def random_state(self, rng: np.random.Generator):
         phases = tuple(int(v) for v in rng.integers(0, self.levels, size=self.k_elements))
@@ -421,7 +408,7 @@ class NomaPhaseEnv:
             tuple(int(u) for u in rng.multinomial(self.units_total, np.full(size, 1.0 / size)))
             for size in self.cluster_sizes
         )
-        return self._make_state(phases, units, 0)
+        return self._make_state(phases, units)
 
     # -- dynamics -----------------------------------------------------------
 
@@ -443,9 +430,7 @@ class NomaPhaseEnv:
                 units[m][j] += 1
         elif action.kind != ACTION_NOOP:
             raise ValueError(f"unknown action kind {action.kind!r}")
-        next_state, result = self._make_state(
-            phases, tuple(tuple(u) for u in units), state.slot_index + 1
-        )
+        next_state, result = self._make_state(phases, tuple(tuple(u) for u in units))
         return next_state, self.reward(result), result
 
 
@@ -463,12 +448,13 @@ class CurvePoint:
 
 @dataclass(frozen=True, eq=False)
 class TrainResult:
-    """Best feasible configuration seen during training plus the learner."""
+    """Best feasible configuration seen (with its own gains) plus the learner."""
 
     learner: object
     best_phase: PhaseConfig | None
     best_splits: tuple | None
     best_rate: float
+    best_gains: np.ndarray | None
     curve: list
     visited: int
 
@@ -483,12 +469,57 @@ class _BestTracker:
         self.rate = -np.inf
         self.phase = None
         self.splits = None
+        self.gains = None
 
     def consider(self, state: EnvState, result: ConfigurationResult):
         if result.feasible and result.sum_rate > self.rate:
             self.rate = result.sum_rate
             self.phase = PhaseConfig(state.phase_indices, self.env.resolution_bits)
             self.splits = state.power_splits
+            self.gains = result.own_gains
+
+
+def _rollout(
+    env: NomaPhaseEnv, learner, episodes, steps_per_episode, rng, epsilon, greedy, learn
+) -> TrainResult:
+    """Epsilon-greedy rollout from a random state per episode, for any learner.
+
+    ``learn(state, action, reward, next_state)`` returns a loss or None.  A
+    step draws ``uniform``, then ``integers`` when exploring, then what
+    ``learn`` draws.  The curve's best reward is a running maximum.
+    """
+    tracker = _BestTracker(env)
+    curve = []
+    visited = 0
+    for episode in range(episodes):
+        state, result = env.random_state(rng)
+        tracker.consider(state, result)
+        visited += 1
+        eps = epsilon(episode)
+        losses = []
+        for _ in range(steps_per_episode):
+            if rng.uniform() < eps:
+                action = int(rng.integers(env.n_actions))
+            else:
+                action = int(greedy(state))
+            next_state, reward, result = env.step(state, action)
+            visited += 1
+            tracker.consider(next_state, result)
+            loss = learn(state, action, reward, next_state)
+            if loss is not None:
+                losses.append(loss)
+            state = next_state
+        loss = float(np.mean(losses)) if losses else float("nan")
+        curve.append(CurvePoint(episode, tracker.rate, eps, loss))
+    return TrainResult(
+        learner=learner,
+        best_phase=tracker.phase,
+        best_splits=tracker.splits,
+        best_rate=float(tracker.rate) if tracker.phase else 0.0,
+        best_gains=tracker.gains,
+        curve=curve,
+        visited=visited,
+    )
 
 
 def train_agent(
@@ -497,119 +528,62 @@ def train_agent(
     episodes: int,
     steps_per_episode: int,
     seed=None,
-    replay_capacity: int = 10_000,
-    batch_size: int = 32,
     warmup: int = 200,
 ) -> TrainResult:
-    """Epsilon-greedy DQN training; episodes restart from random states.
+    """Epsilon-greedy DQN training on replay minibatches of ``BATCH_SIZE``.
 
-    Returns the best constraint-feasible configuration ever visited and a
-    per-episode learning curve whose best-reward column is the running
-    maximum (non-decreasing by construction).
+    Training starts once the replay holds ``warmup`` transitions; the harness
+    keeps the default of 200, so a run of ``episodes * steps_per_episode <
+    200`` steps takes no train step and its curve's loss column is NaN.
+    Returns the best constraint-feasible configuration ever visited.
     """
     rng = as_rng(seed)
-    memory = ReplayMemory(replay_capacity)
-    tracker = _BestTracker(env)
-    curve = []
-    visited = 0
-    for episode in range(episodes):
-        state, result = env.random_state(rng)
-        tracker.consider(state, result)
-        visited += 1
-        eps = approx.epsilon(episode)
-        losses = []
-        for _ in range(steps_per_episode):
-            if rng.uniform() < eps:
-                action = int(rng.integers(env.n_actions))
-            else:
-                action = int(np.argmax(approx.forward(state.feature_vector)))
-            next_state, reward, result = env.step(state, action)
-            visited += 1
-            tracker.consider(next_state, result)
-            memory.push(
-                Transition(
-                    state_features=state.feature_vector,
-                    action=action,
-                    reward=reward,
-                    next_features=next_state.feature_vector,
-                )
-            )
-            if len(memory) >= max(batch_size, warmup):
-                loss, _ = approx.train_step(memory.sample(rng, batch_size))
-                losses.append(loss)
-            state = next_state
-        curve.append(
-            CurvePoint(
-                episode=episode,
-                best_reward=tracker.rate,
-                epsilon=eps,
-                loss=float(np.mean(losses)) if losses else float("nan"),
-            )
-        )
-    return TrainResult(
-        learner=approx,
-        best_phase=tracker.phase,
-        best_splits=tracker.splits,
-        best_rate=float(tracker.rate) if tracker.phase else 0.0,
-        curve=curve,
-        visited=visited,
+    memory = ReplayMemory(REPLAY_CAPACITY, env.feature_dim)
+
+    def learn(state, action, reward, next_state):
+        memory.push(state.feature_vector, action, reward, next_state.feature_vector)
+        if len(memory) >= max(BATCH_SIZE, warmup):
+            return approx.train_step(*memory.sample(rng, BATCH_SIZE))[0]
+        return None
+
+    return _rollout(
+        env, approx, episodes, steps_per_episode, rng,
+        epsilon=approx.epsilon,
+        greedy=lambda state: np.argmax(approx.forward(state.feature_vector)),
+        learn=learn,
     )
 
 
 def train_tabular_agent(
-    env: NomaPhaseEnv,
-    episodes: int,
-    steps_per_episode: int,
-    seed=None,
-    learning_rate: float = 0.2,
-    discount: float = 0.9,
-    epsilon_start: float = 1.0,
-    epsilon_decay: float = 0.995,
-    epsilon_min: float = 0.05,
+    env: NomaPhaseEnv, episodes: int, steps_per_episode: int, seed=None
 ) -> TrainResult:
-    """Tabular Q-learning on the same environment, keyed by exact state."""
-    rng = as_rng(seed)
+    """Tabular Q-learning on the same environment, keyed by exact state.
+
+    Epsilon decays by repeated multiplication, which rounds differently from
+    the DQN's ``EPSILON_START * EPSILON_DECAY**episode``.
+    """
     table = QTable(env.n_actions)
-    tracker = _BestTracker(env)
-    curve = []
-    visited = 0
-    epsilon = epsilon_start
-    for episode in range(episodes):
-        state, result = env.random_state(rng)
-        tracker.consider(state, result)
-        visited += 1
-        for _ in range(steps_per_episode):
-            if rng.uniform() < epsilon:
-                action = int(rng.integers(env.n_actions))
-            else:
-                action = int(np.argmax(table.values(state.key())))
-            next_state, reward, result = env.step(state, action)
-            visited += 1
-            tracker.consider(next_state, result)
-            tabular_q_update(
-                table,
-                state.key(),
-                action,
-                reward,
-                next_state.key(),
-                learning_rate,
-                discount,
-            )
-            state = next_state
-        curve.append(
-            CurvePoint(
-                episode=episode,
-                best_reward=tracker.rate,
-                epsilon=epsilon,
-                loss=float("nan"),
-            )
+    schedule = [EPSILON_START]
+    while len(schedule) < episodes:
+        schedule.append(max(EPSILON_MIN, schedule[-1] * EPSILON_DECAY))
+
+    def learn(state, action, reward, next_state):
+        tabular_q_update(
+            table, state.key(), action, reward, next_state.key(),
+            TABULAR_LEARNING_RATE, TABULAR_DISCOUNT,
         )
-        epsilon = max(epsilon_min, epsilon * epsilon_decay)
-    return TrainResult(
-        learner=table,
-        best_phase=tracker.phase,
-        best_splits=tracker.splits,
-        best_rate=float(tracker.rate) if tracker.phase else 0.0,
-        curve=curve,
-        visited=visited,
+
+    return _rollout(
+        env, table, episodes, steps_per_episode, as_rng(seed),
+        epsilon=schedule.__getitem__,
+        greedy=lambda state: np.argmax(table.values(state.key())),
+        learn=learn,
+    )
+
+
+def random_search(env: NomaPhaseEnv, samples: int, seed=None) -> TrainResult:
+    """The random-phase baseline: ``samples`` random states and no steps."""
+    return _rollout(
+        env, None, samples, 0, as_rng(seed),
+        epsilon=lambda episode: 1.0, greedy=None, learn=None,
     )

@@ -5,6 +5,7 @@ import stat
 import numpy as np
 import pytest
 
+from irsnoma_lab import harness
 from irsnoma_lab.channel import ChannelRealization, load_scenario
 from irsnoma_lab.cli import main
 from irsnoma_lab.harness import (
@@ -23,6 +24,7 @@ from irsnoma_lab.harness import (
     read_csv,
     write_csv,
 )
+from irsnoma_lab.noma import evaluate_configuration
 from irsnoma_lab.oracle import enumerate_phase_configs
 from scalar_reference import reference_point
 
@@ -220,7 +222,15 @@ class TestPipeline:
 
 class TestWinnerPlan:
     @pytest.mark.parametrize("algorithm", ["oracle", "random-phase", "dqn", "tabular"])
-    def test_decoding_order_matches_reference(self, tmp_path, algorithm):
+    def test_decoding_order_matches_reference(self, tmp_path, monkeypatch, algorithm):
+        recorded = []
+        build_plan = harness.gain_ordered_plan
+
+        def spy(scenario, own_gains, splits):
+            recorded.append(own_gains)
+            return build_plan(scenario, own_gains, splits)
+
+        monkeypatch.setattr(harness, "gain_ordered_plan", spy)
         cfg = small_config(tmp_path, algorithm=algorithm, n_users=6)
         setup = prepare(cfg, 1)
         channels, fit = setup.draw(cfg.k_elements)
@@ -232,6 +242,11 @@ class TestWinnerPlan:
             scenario, outcome.phase.indices, cfg.resolution_bits, outcome.splits
         )
         assert outcome.plan.decoding_order == ref.plan.decoding_order
+        # The plan is built from the gains the search recorded for its winner,
+        # and they equal a fresh evaluation of that point.
+        (gains,) = recorded
+        fresh = evaluate_configuration(scenario, outcome.phase, outcome.splits)
+        assert np.array_equal(gains, fresh.own_gains)
 
 
 class TestSweeps:

@@ -9,7 +9,6 @@ from irsnoma_lab.noma import (
     _scalar_abs2,
     NetworkScenario,
     alpha_from_units,
-    balanced_split,
     decoding_order_by_gain,
     evaluate_batch,
     evaluate_configuration,
@@ -58,9 +57,7 @@ class TestClusterPlan:
             power_split=((0.7, 0.3), (1.0,)),
         )
         assert plan.cluster_of(2) == 0
-        assert plan.position_of(2) == 0
         assert plan.alpha_of(0) == pytest.approx(0.3)
-        assert plan.occupancy() == (2, 1)
 
     def test_alpha_from_units_exact_simplex(self):
         for units in [(1,), (3, 7), (0, 2, 8), (5, 5, 5, 5)]:
@@ -351,9 +348,6 @@ class TestEvaluateConfiguration:
             float(np.sum(ref.report.rates)), abs=1e-12
         )
         assert result.sum_rate == ref.sum_rate
-
-    def test_balanced_split_helper(self):
-        assert balanced_split(4) == pytest.approx((0.25,) * 4)
 
 
 def _grid_instance(draw, sizes, k, bits, n_phases, n_splits):

@@ -11,7 +11,7 @@ from irsnoma_lab.rl import (
     QApproximator,
     QTable,
     ReplayMemory,
-    Transition,
+    random_search,
     tabular_q_update,
     train_agent,
     train_tabular_agent,
@@ -138,30 +138,27 @@ class TestQApproximator:
 class TestTdTarget:
     def test_zero_discount(self):
         approx = QApproximator(2, 2, discount=0.0, seed=0)
-        assert approx.td_target(2.5, np.zeros(2)) == pytest.approx(2.5)
-
-    def test_terminal_rule(self):
-        approx = QApproximator(2, 2, discount=0.9, seed=0)
-        assert approx.td_target(1.5, np.ones(2), terminal=True) == pytest.approx(1.5)
+        assert approx.td_target(np.array([2.5]), np.zeros((1, 2))) == pytest.approx([2.5])
 
     def test_compositional(self):
         approx = QApproximator(3, 4, discount=0.7, seed=5)
         x = np.random.default_rng(6).standard_normal(3)
         expected = 0.3 + 0.7 * float(np.max(approx.target_values(x)))
-        assert approx.td_target(0.3, x) == pytest.approx(expected)
+        assert approx.td_target(np.array([0.3]), x[None])[0] == pytest.approx(expected)
 
     def test_target_stale_between_syncs(self):
         approx = QApproximator(3, 3, sync_period=10**9, seed=9)
         x = np.random.default_rng(10).standard_normal(3)
-        before = approx.td_target(1.0, x)
-        batch = [
-            Transition(np.random.default_rng(i).standard_normal(3), i % 3, 1.0,
-                       np.random.default_rng(i + 50).standard_normal(3))
-            for i in range(8)
-        ]
+        before = approx.td_target(np.array([1.0]), x[None])
+        batch = (
+            np.stack([np.random.default_rng(i).standard_normal(3) for i in range(8)]),
+            np.arange(8) % 3,
+            np.ones(8),
+            np.stack([np.random.default_rng(i + 50).standard_normal(3) for i in range(8)]),
+        )
         for _ in range(5):
-            approx.train_step(batch)
-        assert approx.td_target(1.0, x) == before
+            approx.train_step(*batch)
+        assert approx.td_target(np.array([1.0]), x[None]) == before
 
 
 class TestDqnTraining:
@@ -209,38 +206,117 @@ class TestDqnTraining:
         feats = rng.standard_normal((32, 4))
         actions = rng.integers(0, 3, size=32)
         rewards = rng.standard_normal(32)
-        batch = [
-            Transition(feats[i], int(actions[i]), float(rewards[i]), feats[i])
-            for i in range(32)
-        ]
-        first_loss, _ = approx.train_step(batch)
+        first_loss, _ = approx.train_step(feats, actions, rewards, feats)
         for _ in range(199):
-            last, _ = approx.train_step(batch)
+            last, _ = approx.train_step(feats, actions, rewards, feats)
         assert last <= first_loss / 10.0
 
     def test_gradient_clipping_flagged(self):
         approx = QApproximator(2, 2, clip_norm=1e-9, seed=16)
-        batch = [Transition(np.ones(2), 0, 100.0, np.ones(2))]
-        _, clipped = approx.train_step(batch)
+        _, clipped = approx.train_step(
+            np.ones((1, 2)), np.array([0]), np.array([100.0]), np.ones((1, 2))
+        )
         assert clipped
 
 
 class TestReplayMemory:
     def test_ring_overwrite(self):
-        mem = ReplayMemory(capacity=3)
+        mem = ReplayMemory(capacity=3, feature_dim=1)
         for i in range(5):
-            mem.push(Transition(np.array([float(i)]), 0, 0.0, np.array([0.0])))
+            mem.push(np.array([float(i)]), 0, 0.0, np.array([0.0]))
         assert len(mem) == 3
-        stored = sorted(t.state_features[0] for t in mem._buffer)
+        stored = sorted(mem.states[:, 0])
         assert stored == [2.0, 3.0, 4.0]
 
     def test_seeded_sampling(self):
-        mem = ReplayMemory(10)
+        mem = ReplayMemory(10, feature_dim=1)
         for i in range(10):
-            mem.push(Transition(np.array([float(i)]), 0, 0.0, np.array([0.0])))
+            mem.push(np.array([float(i)]), 0, 0.0, np.array([0.0]))
         a = mem.sample(np.random.default_rng(1), 4)
         b = mem.sample(np.random.default_rng(1), 4)
-        assert [t.state_features[0] for t in a] == [t.state_features[0] for t in b]
+        assert list(a[0][:, 0]) == list(b[0][:, 0])
+
+
+class ListReplay:
+    """The replay as a list of (state, action, reward, next_state) tuples."""
+
+    def __init__(self, capacity):
+        self.capacity, self.buffer, self.cursor = capacity, [], 0
+
+    def push(self, transition):
+        if len(self.buffer) < self.capacity:
+            self.buffer.append(transition)
+        else:
+            self.buffer[self.cursor] = transition
+        self.cursor = (self.cursor + 1) % self.capacity
+
+    def sample(self, rng, batch_size):
+        idx = rng.integers(0, len(self.buffer), size=batch_size)
+        return [self.buffer[i] for i in idx]
+
+
+def per_transition_train_step(approx, batch):
+    """``QApproximator.train_step`` with one target-network forward per transition."""
+    features = np.stack([s for s, _, _, _ in batch])
+    actions = [a for _, a, _, _ in batch]
+    targets = [
+        float(r + approx.discount * np.max(approx.target_values(s2)))
+        for _, _, r, s2 in batch
+    ]
+    loss, grads_w, grads_b = approx.loss_and_gradients(features, actions, targets)
+    norm = np.sqrt(
+        sum(float(np.sum(g**2)) for g in grads_w)
+        + sum(float(np.sum(g**2)) for g in grads_b)
+    )
+    clipped = norm > approx.clip_norm
+    if clipped:
+        scale = approx.clip_norm / norm
+        grads_w = [g * scale for g in grads_w]
+        grads_b = [g * scale for g in grads_b]
+    for w, gw in zip(approx.weights, grads_w):
+        w -= approx.learning_rate * gw
+    for b, gb in zip(approx.biases, grads_b):
+        b -= approx.learning_rate * gb
+    approx._train_steps += 1
+    if approx._train_steps % approx.sync_period == 0:
+        approx.sync_target()
+    return loss, clipped
+
+
+class TestArrayReplayEqualsPerTransitionLoop:
+    @pytest.mark.parametrize(
+        "batch_size, capacity, pushes, clip_norm",
+        [(1, 500, 120, 1e6), (32, 500, 120, 1e6), (1, 10, 120, 1e6),
+         (32, 50, 200, 1e6), (32, 50, 200, 0.5)],
+        ids=["batch1", "batch32", "batch1-wraps", "batch32-wraps", "batch32-clipped"],
+    )
+    def test_bit_identical(self, batch_size, capacity, pushes, clip_norm):
+        dim, n_actions = 75, 51  # the feature and action counts at paper scale
+        arrays = QApproximator(dim, n_actions, sync_period=7, clip_norm=clip_norm, seed=31)
+        loop = QApproximator.from_json(arrays.to_json())
+        memory, reference = ReplayMemory(capacity, dim), ListReplay(capacity)
+        rng_a, rng_b = np.random.default_rng(32), np.random.default_rng(32)
+        data = np.random.default_rng(33)
+        clips = 0
+        for step in range(pushes):
+            state, next_state = data.uniform(size=dim), data.uniform(size=dim)
+            action = int(data.integers(n_actions))
+            reward = float(data.normal(3.0, 4.0)) - (5.0 if step % 3 else 0.0)
+            memory.push(state, action, reward, next_state)
+            reference.push((state, action, reward, next_state))
+            if step + 1 < batch_size:
+                continue
+            got = arrays.train_step(*memory.sample(rng_a, batch_size))
+            want = per_transition_train_step(loop, reference.sample(rng_b, batch_size))
+            assert got == want
+            clips += got[1]
+            for mine, theirs in zip(
+                arrays.weights + arrays.biases + arrays.target_weights + arrays.target_biases,
+                loop.weights + loop.biases + loop.target_weights + loop.target_biases,
+            ):
+                assert np.array_equal(mine, theirs)
+        assert len(memory) == min(capacity, pushes)
+        assert (clips > 0) == (clip_norm < 1.0)
 
 
 class TestEnvironment:
@@ -350,6 +426,19 @@ class TestAgents:
         )
         assert result.best_rate >= 0.9 * oracle.best_rate
         assert result.best_rate <= oracle.best_rate + 1e-12
+
+    def test_random_search_keeps_the_best_random_state(self):
+        env = NomaPhaseEnv(tiny_scenario(), resolution_bits=2, alpha_step=0.5)
+        result = random_search(env, 15, seed=25)
+        rng = np.random.default_rng(25)
+        draws = [env.random_state(rng) for _ in range(15)]
+        feasible = [(r.sum_rate, s, r) for s, r in draws if r.feasible]
+        rate, state, scored = max(feasible, key=lambda item: item[0])
+        assert result.best_rate == rate
+        assert result.best_phase.indices == state.phase_indices
+        assert result.best_splits == state.power_splits
+        assert np.array_equal(result.best_gains, scored.own_gains)
+        assert result.visited == 15 and len(result.curve) == 15
 
     def test_tabular_agent_runs(self):
         env = NomaPhaseEnv(tiny_scenario(), resolution_bits=1, alpha_step=0.5)
