@@ -81,6 +81,16 @@ def small_config(tmp_path, **overrides):
     return ExperimentConfig(**params)
 
 
+def has_finite_loss(cfg, name):
+    """True if a learning curve took a train step: some loss is not NaN.
+
+    The DQN trains only once its replay holds 200 transitions, so a run
+    needs more than 200 agent steps per slot (12 x 20 here) to get one.
+    """
+    _, rows = read_csv(os.path.join(cfg.out_dir, "curves", name))
+    return any(np.isfinite(float(row[3])) for row in rows)
+
+
 class TestSeedRegistry:
     def test_streams_deterministic_and_named(self):
         a = SeedRegistry(7)
@@ -200,24 +210,28 @@ class TestPipeline:
 
     def test_dqn_beats_random_phase_on_paired_slots(self, tmp_path):
         base = small_config(
-            tmp_path, slots=10, episodes=10, steps_per_episode=8, random_samples=20
+            tmp_path, slots=10, episodes=12, steps_per_episode=20, random_samples=20
         )
         random_rows = cmd_pipeline(base.with_overrides(algorithm="random-phase"))
-        dqn_rows = cmd_pipeline(base.with_overrides(algorithm="dqn"))
+        dqn = base.with_overrides(algorithm="dqn", save_curves=True)
+        dqn_rows = cmd_pipeline(dqn)
         random_mean = np.mean([r[2] for r in random_rows])
         dqn_mean = np.mean([r[2] for r in dqn_rows])
         assert dqn_mean >= random_mean
+        for slot in range(dqn.slots):
+            assert has_finite_loss(dqn, f"curve_seed1_slot{slot}.csv")
 
     def test_learning_curves_written(self, tmp_path):
         cfg = small_config(
-            tmp_path, algorithm="dqn", episodes=4, steps_per_episode=4,
+            tmp_path, algorithm="dqn", episodes=12, steps_per_episode=20,
             slots=1, save_curves=True,
         )
         cmd_pipeline(cfg)
         curve = os.path.join(cfg.out_dir, "curves", "curve_seed1_slot0.csv")
         header, rows = read_csv(curve)
         assert header == ["episode", "best_reward", "epsilon", "loss"]
-        assert len(rows) == 4
+        assert len(rows) == 12
+        assert has_finite_loss(cfg, "curve_seed1_slot0.csv")
 
 
 class TestWinnerPlan:
@@ -231,13 +245,16 @@ class TestWinnerPlan:
             return build_plan(scenario, own_gains, splits)
 
         monkeypatch.setattr(harness, "gain_ordered_plan", spy)
-        cfg = small_config(tmp_path, algorithm=algorithm, n_users=6)
+        budget = dict(episodes=12, steps_per_episode=20) if algorithm == "dqn" else {}
+        cfg = small_config(tmp_path, algorithm=algorithm, n_users=6, **budget)
         setup = prepare(cfg, 1)
         channels, fit = setup.draw(cfg.k_elements)
         scenario = setup.scenario(channels, fit.assignment)
         outcome = optimize_scenario(scenario, cfg, setup.registry.rng("agent/test"))
         assert outcome.feasible
         assert max(len(order) for order in outcome.plan.decoding_order) > 1
+        if algorithm == "dqn":
+            assert any(np.isfinite(point.loss) for point in outcome.curve)
         ref = reference_point(
             scenario, outcome.phase.indices, cfg.resolution_bits, outcome.splits
         )
