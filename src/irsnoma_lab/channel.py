@@ -58,11 +58,6 @@ class ServiceRegion:
                 raise ValueError("obstacle polygon needs at least 3 (x, y) vertices")
             object.__setattr__(self, "obstacle", poly)
 
-    @property
-    def area(self) -> float:
-        xmin, ymin, xmax, ymax = self.bounds
-        return (xmax - xmin) * (ymax - ymin)
-
     def contains(self, point) -> bool:
         """True if ``point`` lies inside the bounds and outside the obstacle."""
         x, y = float(point[0]), float(point[1])

@@ -43,10 +43,6 @@ class CsiFeatureSet:
     normalized: np.ndarray
     features: np.ndarray
 
-    @property
-    def n_users(self) -> int:
-        return int(self.raw.shape[0])
-
 
 def normalize_channels(raw) -> CsiFeatureSet:
     """Unit-normalize each user's channel and build real features.
@@ -101,10 +97,6 @@ class GmmParams:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "variances", var)
-
-    @property
-    def n_components(self) -> int:
-        return int(self.weights.shape[0])
 
     def flatten(self) -> np.ndarray:
         return np.concatenate(

@@ -157,8 +157,6 @@ class RecurrentPredictor:
     ``w_out``/``b_out`` form the linear head read off the final hidden state.
     """
 
-    GATE_ORDER = ("input", "forget", "output", "candidate")
-
     def __init__(
         self,
         input_dim: int = 2,
@@ -191,10 +189,6 @@ class RecurrentPredictor:
             "w_out": self.w_out,
             "b_out": self.b_out,
         }
-
-    def set_parameters(self, params: dict[str, np.ndarray]):
-        for name, value in params.items():
-            getattr(self, name)[...] = value
 
     # -- forward ------------------------------------------------------------
 

@@ -92,18 +92,6 @@ class SearchSpace:
             raise SearchSpaceTooLargeError(self.total_count, guard)
 
 
-def enumerate_phase_configs(
-    k_elements: int, resolution_bits: int, guard: int = EVALUATION_GUARD
-) -> Iterator[PhaseConfig]:
-    """All (2**B)**K reflection states exactly once, lexicographic order."""
-    levels = 1 << resolution_bits
-    count = levels**k_elements
-    if count > guard:
-        raise SearchSpaceTooLargeError(count, guard)
-    for indices in itertools.product(range(levels), repeat=k_elements):
-        yield PhaseConfig(indices, resolution_bits)
-
-
 def phase_index_block(
     k_elements: int, resolution_bits: int, start: int, stop: int
 ) -> np.ndarray:

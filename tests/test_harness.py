@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import stat
@@ -28,7 +29,6 @@ from irsnoma_lab.harness import (
     write_csv,
 )
 from irsnoma_lab.noma import evaluate_configuration
-from irsnoma_lab.oracle import enumerate_phase_configs
 from scalar_reference import reference_point
 
 SMALL = dict(
@@ -343,10 +343,9 @@ class TestSweeps:
 def per_phase_single_user_gain(channels, user, resolution_bits):
     """Best single-user gain as one effective channel and norm per phase."""
     best = 0.0
-    for phase in enumerate_phase_configs(channels.k_elements, resolution_bits):
-        coeffs = np.exp(
-            2j * np.pi * np.asarray(phase.indices) / (1 << resolution_bits)
-        )
+    levels = 1 << resolution_bits
+    for indices in itertools.product(range(levels), repeat=channels.k_elements):
+        coeffs = np.exp(2j * np.pi * np.asarray(indices) / levels)
         h_eff = (np.conj(channels.user_channels[user]) * coeffs) @ channels.g_matrix
         best = max(best, float(np.linalg.norm(h_eff)))
     return best

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,6 @@ from irsnoma_lab.oracle import (
     brute_force_optimum,
     composition_count,
     enumerate_alpha_grids,
-    enumerate_phase_configs,
     phase_index_block,
 )
 
@@ -34,11 +35,20 @@ def result_fields(result):
     )
 
 
+def all_phases(k_elements, resolution_bits):
+    """Every phase config once, lexicographic, straight from ``itertools.product``."""
+    levels = range(1 << resolution_bits)
+    return [
+        PhaseConfig(indices, resolution_bits)
+        for indices in itertools.product(levels, repeat=k_elements)
+    ]
+
+
 def literal_optimum(scenario, space):
     """The exhaustive search as a plain loop over single points."""
     best_rate, best_phase, best_splits = -np.inf, None, None
     feasible = evaluated = 0
-    for phase in enumerate_phase_configs(space.k_elements, space.resolution_bits):
+    for phase in all_phases(space.k_elements, space.resolution_bits):
         for splits in enumerate_alpha_grids(space.cluster_sizes, space.alpha_step):
             evaluated += 1
             point = evaluate_configuration(scenario, phase, splits)
@@ -64,26 +74,26 @@ def make_scenario(rng, n_clusters=1, users_per_cluster=1, k_elements=1, power=1.
 
 class TestPhaseEnumeration:
     def test_counts(self):
-        assert len(list(enumerate_phase_configs(1, 1))) == 2
-        assert len(list(enumerate_phase_configs(4, 2))) == 256
+        assert SearchSpace(1, 1, (1,)).phase_count == len(phase_index_block(1, 1, 0, 2)) == 2
+        assert SearchSpace(4, 2, (1,)).phase_count == len(phase_index_block(4, 2, 0, 256)) == 256
 
     def test_no_duplicates(self):
-        configs = [p.indices for p in enumerate_phase_configs(2, 3)]
+        configs = [tuple(row) for row in phase_index_block(2, 3, 0, 64).tolist()]
         assert len(configs) == 64
         assert len(set(configs)) == 64
 
     def test_lexicographic_order(self):
-        configs = [p.indices for p in enumerate_phase_configs(2, 1)]
-        assert configs == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        configs = phase_index_block(2, 1, 0, 4).tolist()
+        assert configs == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
     def test_index_block_matches_enumeration(self):
-        rows = [p.indices for p in enumerate_phase_configs(3, 2)]
-        assert phase_index_block(3, 2, 0, 64).tolist() == [list(r) for r in rows]
-        assert phase_index_block(3, 2, 5, 9).tolist() == [list(r) for r in rows[5:9]]
+        rows = [list(r) for r in itertools.product(range(4), repeat=3)]
+        assert phase_index_block(3, 2, 0, 64).tolist() == rows
+        assert phase_index_block(3, 2, 5, 9).tolist() == rows[5:9]
 
     def test_guard(self):
         with pytest.raises(SearchSpaceTooLargeError) as err:
-            list(enumerate_phase_configs(40, 5))
+            SearchSpace(40, 5, (1,)).check_guard()
         assert err.value.count == 32**40
 
 
@@ -214,7 +224,7 @@ class TestBruteForce:
         scenario = make_scenario(rng, n_clusters=2, users_per_cluster=2, k_elements=2)
         space = SearchSpace(2, 1, (2, 2), alpha_step=0.5)
         result = brute_force_optimum(scenario, space)
-        for phase in enumerate_phase_configs(2, 1):
+        for phase in all_phases(2, 1):
             for splits in enumerate_alpha_grids((2, 2), 0.5):
                 point = evaluate_configuration(scenario, phase, splits)
                 if point.feasible:
