@@ -35,9 +35,8 @@ print("\n=== DQN agent (600 episodes) ===")
 env = NomaPhaseEnv(scenario, resolution_bits=2, alpha_step=0.1)
 approx = QApproximator(env.feature_dim, env.n_actions, seed=1)
 outcome = train_agent(env, approx, episodes=600, steps_per_episode=15, seed=7)
-print("best visited: %.4f (%.1f%% of optimum) over %d states"
-      % (outcome.best_rate, 100 * outcome.best_rate / oracle.best_rate,
-         outcome.visited))
+print("best visited: %.4f (%.1f%% of optimum)"
+      % (outcome.best_rate, 100 * outcome.best_rate / oracle.best_rate))
 marks = [0, 99, 299, 599]
 for m in marks:
     pt = outcome.curve[m]

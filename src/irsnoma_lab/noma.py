@@ -343,6 +343,16 @@ class ConfigurationResult:
     feasible: bool
     own_gains: np.ndarray | None
 
+    @classmethod
+    def of_first_point(cls, grid: GridScores) -> "ConfigurationResult":
+        """The result at point (0, 0) of a grid, as a 1 x 1 grid has it."""
+        gains = grid.own_gains[0]
+        return cls(
+            sum_rate=float(grid.sum_rate[0, 0]),
+            feasible=bool(grid.feasible[0, 0]),
+            own_gains=None if np.isnan(gains[0]) else gains,
+        )
+
 
 def evaluate_configuration(
     scenario: NetworkScenario,
@@ -354,14 +364,9 @@ def evaluate_configuration(
     An unworkably conditioned combined channel makes the point infeasible
     rather than an error.
     """
-    grid = evaluate_batch(
-        scenario, np.array([phase.indices]), [splits], phase.resolution_bits
-    )
-    gains = grid.own_gains[0]
-    return ConfigurationResult(
-        sum_rate=float(grid.sum_rate[0, 0]),
-        feasible=bool(grid.feasible[0, 0]),
-        own_gains=None if np.isnan(gains[0]) else gains,
+    phase_idx = np.array([phase.indices])
+    return ConfigurationResult.of_first_point(
+        evaluate_batch(scenario, phase_idx, [splits], phase.resolution_bits)
     )
 
 

@@ -3,8 +3,11 @@
 The agent walks the discrete configuration space through local edits: one
 action bumps a single element's phase index up or down (wrapping modulo the
 level count), shifts one power-grid unit between two users of a cluster, or
-does nothing.  The reward is the constrained sum rate, penalized by a fixed
-amount whenever the SIC or QoS check fails.
+does nothing.  A state is two small int arrays, the phase indices and the
+power units, and an action is one row of a table built with the
+environment: a phase offset per element plus the unit slot that gives and
+the one that takes a unit.  The reward is the constrained sum rate,
+penalized by a fixed amount whenever the SIC or QoS check fails.
 
 One epsilon-greedy rollout loop serves two learners, a plain Q-table
 
@@ -28,12 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import PhaseConfig, as_rng
-from .noma import (
-    ConfigurationResult,
-    NetworkScenario,
-    alpha_from_units,
-    evaluate_configuration,
-)
+from .noma import ConfigurationResult, NetworkScenario, evaluate_batch
 from .oracle import _units_from_step
 
 WEIGHTS_FORMAT = "irsnoma-qnet-v1"
@@ -52,32 +50,22 @@ BATCH_SIZE = 32
 # Tabular learner
 # ---------------------------------------------------------------------------
 
-class QTable:
-    """State-keyed action-value table; unseen entries default to zero."""
-
-    def __init__(self, n_actions: int):
-        self.n_actions = int(n_actions)
-        self._table: dict = defaultdict(lambda: np.zeros(self.n_actions))
-
-    def values(self, state_key) -> np.ndarray:
-        return self._table[state_key]
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-
 def tabular_q_update(
-    q_table: QTable,
+    q_table: defaultdict,
     state_key,
     action: int,
     reward: float,
     next_state_key,
     psi: float,
     beta: float,
-) -> QTable:
-    """One temporal-difference backup on the table (same-table bootstrap)."""
-    values = q_table.values(state_key)
-    bootstrap = float(np.max(q_table.values(next_state_key)))
+) -> defaultdict:
+    """One temporal-difference backup (same-table bootstrap).
+
+    ``q_table`` maps a state key to its action values and creates unseen
+    entries as zeros, e.g. ``defaultdict(lambda: np.zeros(n_actions))``.
+    """
+    values = q_table[state_key]
+    bootstrap = float(np.max(q_table[next_state_key]))
     values[action] += psi * (reward + beta * bootstrap - values[action])
     return q_table
 
@@ -287,42 +275,30 @@ class QApproximator:
 # Environment
 # ---------------------------------------------------------------------------
 
-ACTION_NOOP = "no-op"
-ACTION_PHASE_UP = "phase-increment"
-ACTION_PHASE_DOWN = "phase-decrement"
-ACTION_ALPHA_SHIFT = "alpha-shift"
-
-
-@dataclass(frozen=True)
-class EnvAction:
-    kind: str
-    target: tuple
-
-
 @dataclass(frozen=True, eq=False)
 class EnvState:
-    """Snapshot of the adjustable configuration plus its feature encoding."""
+    """Phase indices (K,), power units (N,) cluster after cluster, and features."""
 
-    phase_indices: tuple[int, ...]
-    alpha_units: tuple[tuple[int, ...], ...]
+    phases: np.ndarray
+    units: np.ndarray
     feature_vector: np.ndarray
 
-    def key(self):
-        return (self.phase_indices, self.alpha_units)
-
-    @property
-    def power_splits(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(alpha_from_units(units) for units in self.alpha_units)
+    def key(self) -> bytes:
+        return self.phases.tobytes() + self.units.tobytes()
 
 
 class NomaPhaseEnv:
     """Local-move environment over phase indices and quantized power splits.
 
-    The action set is one no-op, one increment and one decrement per surface
-    element, and one unit transfer per ordered user pair inside each
-    cluster, so its size is 2K + 2 * sum_m C(p_m, 2) + 1.  Rewards are the
-    sum rate of the resulting configuration minus ``infeasible_penalty``
-    whenever the SIC or QoS check fails.
+    Action ``a`` adds ``phase_delta[a]`` (K,) to the phases modulo the level
+    count, then moves one power unit from slot ``give[a]`` to slot
+    ``take[a]`` unless ``give[a]`` is -1 or holds no unit.  The rows are one
+    no-op, one increment and one decrement per surface element, and one
+    unit transfer per ordered user pair inside each cluster, so there are
+    2K + 2 * sum_m C(p_m, 2) + 1.  Slot i of cluster m funds the i-th
+    decoded user of m, with coefficient ``units / units_total``.  Rewards
+    are the sum rate of the resulting configuration minus
+    ``infeasible_penalty`` whenever the SIC or QoS check fails.
     """
 
     def __init__(
@@ -339,53 +315,50 @@ class NomaPhaseEnv:
         self.alpha_step = float(alpha_step)
         self.infeasible_penalty = float(infeasible_penalty)
         self.cluster_sizes = scenario.cluster_sizes()
-        self.k_elements = scenario.channels.k_elements
+        self.k_elements = k = scenario.channels.k_elements
 
-        actions = [EnvAction(ACTION_NOOP, ())]
-        for k in range(self.k_elements):
-            actions.append(EnvAction(ACTION_PHASE_UP, (k,)))
-        for k in range(self.k_elements):
-            actions.append(EnvAction(ACTION_PHASE_DOWN, (k,)))
-        for m, size in enumerate(self.cluster_sizes):
-            for i in range(size):
-                for j in range(size):
-                    if i != j:
-                        actions.append(EnvAction(ACTION_ALPHA_SHIFT, (m, i, j)))
-        self.actions = tuple(actions)
+        starts = np.cumsum((0,) + self.cluster_sizes)
+        self._cuts = starts[1:-1]
+        moves = [
+            (start + i, start + j)
+            for start, size in zip(starts, self.cluster_sizes)
+            for i in range(size)
+            for j in range(size)
+            if i != j
+        ]
+        eye = np.eye(k, dtype=np.int64)
+        zeros = np.zeros((1 + len(moves), k), dtype=np.int64)
+        self.phase_delta = np.vstack([zeros[:1], eye, -eye, zeros[1:]])
+        no_move = [(-1, -1)] * (1 + 2 * k)
+        self.give, self.take = np.array(no_move + moves, dtype=np.int64).T
 
     @property
     def n_actions(self) -> int:
-        return len(self.actions)
+        return len(self.give)
 
     @property
     def feature_dim(self) -> int:
         return self.k_elements + sum(self.cluster_sizes) + self.scenario.channels.n_users
 
-    def describe_action(self, action_id: int) -> EnvAction:
-        return self.actions[action_id]
+    def splits(self, units: np.ndarray) -> tuple[tuple[float, ...], ...]:
+        """Per-cluster power coefficients ``units / units_total``."""
+        parts = np.split(units / self.units_total, self._cuts)
+        return tuple(tuple(float(a) for a in part) for part in parts)
 
     # -- state construction ---------------------------------------------
 
-    def _features(self, phase_indices, alpha_units, result: ConfigurationResult):
-        phases = np.asarray(phase_indices, dtype=float) / self.levels
-        alphas = np.concatenate([alpha_from_units(u) for u in alpha_units])
+    def _make_state(self, phases: np.ndarray, units: np.ndarray):
+        grid = evaluate_batch(
+            self.scenario, phases[None], [self.splits(units)], self.resolution_bits
+        )
+        result = ConfigurationResult.of_first_point(grid)
         if result.own_gains is not None:
             peak = float(np.max(result.own_gains))
             gains = result.own_gains / peak if peak > 0 else result.own_gains * 0.0
         else:
             gains = np.zeros(self.scenario.channels.n_users)
-        return np.concatenate([phases, alphas, gains])
-
-    def _make_state(self, phase_indices, alpha_units):
-        phase = PhaseConfig(phase_indices, self.resolution_bits)
-        splits = tuple(alpha_from_units(u) for u in alpha_units)
-        result = evaluate_configuration(self.scenario, phase, splits)
-        state = EnvState(
-            phase_indices=tuple(int(n) for n in phase_indices),
-            alpha_units=tuple(tuple(int(u) for u in units) for units in alpha_units),
-            feature_vector=self._features(phase_indices, alpha_units, result),
-        )
-        return state, result
+        features = np.concatenate([phases / self.levels, units / self.units_total, gains])
+        return EnvState(phases, units, features), result
 
     def reward(self, result: ConfigurationResult) -> float:
         if result.feasible:
@@ -397,40 +370,30 @@ class NomaPhaseEnv:
         units = []
         for size in self.cluster_sizes:
             base, extra = divmod(self.units_total, size)
-            units.append(
-                tuple(base + (1 if i < extra else 0) for i in range(size))
-            )
-        return self._make_state((0,) * self.k_elements, tuple(units))
+            units += [base + (1 if i < extra else 0) for i in range(size)]
+        return self._make_state(
+            np.zeros(self.k_elements, dtype=np.int64), np.array(units, dtype=np.int64)
+        )
 
     def random_state(self, rng: np.random.Generator):
-        phases = tuple(int(v) for v in rng.integers(0, self.levels, size=self.k_elements))
-        units = tuple(
-            tuple(int(u) for u in rng.multinomial(self.units_total, np.full(size, 1.0 / size)))
+        phases = rng.integers(0, self.levels, size=self.k_elements)
+        units = np.concatenate([
+            rng.multinomial(self.units_total, np.full(size, 1.0 / size))
             for size in self.cluster_sizes
-        )
+        ])
         return self._make_state(phases, units)
 
     # -- dynamics -----------------------------------------------------------
 
     def step(self, state: EnvState, action_id: int):
-        """Apply one local edit; returns (next_state, reward, evaluation)."""
-        action = self.actions[action_id]
-        phases = list(state.phase_indices)
-        units = [list(u) for u in state.alpha_units]
-        if action.kind == ACTION_PHASE_UP:
-            (k,) = action.target
-            phases[k] = (phases[k] + 1) % self.levels
-        elif action.kind == ACTION_PHASE_DOWN:
-            (k,) = action.target
-            phases[k] = (phases[k] - 1) % self.levels
-        elif action.kind == ACTION_ALPHA_SHIFT:
-            m, i, j = action.target
-            if units[m][i] > 0:
-                units[m][i] -= 1
-                units[m][j] += 1
-        elif action.kind != ACTION_NOOP:
-            raise ValueError(f"unknown action kind {action.kind!r}")
-        next_state, result = self._make_state(phases, tuple(tuple(u) for u in units))
+        """Apply one action row; returns (next_state, reward, evaluation)."""
+        phases = (state.phases + self.phase_delta[action_id]) % self.levels
+        units = state.units.copy()
+        give, take = self.give[action_id], self.take[action_id]
+        if give >= 0 and units[give] > 0:
+            units[give] -= 1
+            units[take] += 1
+        next_state, result = self._make_state(phases, units)
         return next_state, self.reward(result), result
 
 
@@ -456,27 +419,10 @@ class TrainResult:
     best_rate: float
     best_gains: np.ndarray | None
     curve: list
-    visited: int
 
     @property
     def found_feasible(self) -> bool:
         return self.best_phase is not None
-
-
-class _BestTracker:
-    def __init__(self, env: NomaPhaseEnv):
-        self.env = env
-        self.rate = -np.inf
-        self.phase = None
-        self.splits = None
-        self.gains = None
-
-    def consider(self, state: EnvState, result: ConfigurationResult):
-        if result.feasible and result.sum_rate > self.rate:
-            self.rate = result.sum_rate
-            self.phase = PhaseConfig(state.phase_indices, self.env.resolution_bits)
-            self.splits = state.power_splits
-            self.gains = result.own_gains
 
 
 def _rollout(
@@ -488,13 +434,12 @@ def _rollout(
     step draws ``uniform``, then ``integers`` when exploring, then what
     ``learn`` draws.  The curve's best reward is a running maximum.
     """
-    tracker = _BestTracker(env)
+    best_rate, best = -np.inf, None  # best: (state, own gains)
     curve = []
-    visited = 0
     for episode in range(episodes):
         state, result = env.random_state(rng)
-        tracker.consider(state, result)
-        visited += 1
+        if result.feasible and result.sum_rate > best_rate:
+            best_rate, best = result.sum_rate, (state, result.own_gains)
         eps = epsilon(episode)
         losses = []
         for _ in range(steps_per_episode):
@@ -503,23 +448,19 @@ def _rollout(
             else:
                 action = int(greedy(state))
             next_state, reward, result = env.step(state, action)
-            visited += 1
-            tracker.consider(next_state, result)
+            if result.feasible and result.sum_rate > best_rate:
+                best_rate, best = result.sum_rate, (next_state, result.own_gains)
             loss = learn(state, action, reward, next_state)
             if loss is not None:
                 losses.append(loss)
             state = next_state
         loss = float(np.mean(losses)) if losses else float("nan")
-        curve.append(CurvePoint(episode, tracker.rate, eps, loss))
-    return TrainResult(
-        learner=learner,
-        best_phase=tracker.phase,
-        best_splits=tracker.splits,
-        best_rate=float(tracker.rate) if tracker.phase else 0.0,
-        best_gains=tracker.gains,
-        curve=curve,
-        visited=visited,
-    )
+        curve.append(CurvePoint(episode, best_rate, eps, loss))
+    if best is None:
+        return TrainResult(learner, None, None, 0.0, None, curve)
+    state, gains = best
+    phase = PhaseConfig(state.phases, env.resolution_bits)
+    return TrainResult(learner, phase, env.splits(state.units), float(best_rate), gains, curve)
 
 
 def train_agent(
@@ -562,7 +503,7 @@ def train_tabular_agent(
     Epsilon decays by repeated multiplication, which rounds differently from
     the DQN's ``EPSILON_START * EPSILON_DECAY**episode``.
     """
-    table = QTable(env.n_actions)
+    table = defaultdict(lambda: np.zeros(env.n_actions))
     schedule = [EPSILON_START]
     while len(schedule) < episodes:
         schedule.append(max(EPSILON_MIN, schedule[-1] * EPSILON_DECAY))
@@ -576,7 +517,7 @@ def train_tabular_agent(
     return _rollout(
         env, table, episodes, steps_per_episode, as_rng(seed),
         epsilon=schedule.__getitem__,
-        greedy=lambda state: np.argmax(table.values(state.key())),
+        greedy=lambda state: np.argmax(table[state.key()]),
         learn=learn,
     )
 

@@ -9,6 +9,11 @@ precoder from the package (both have their own tests against independent
 formulas) and repeats every later float step in the order the grid
 evaluator must match bit for bit.
 
+It also keeps the RL environment's step as it was first written: actions
+as (kind, target) pairs dispatched one kind at a time on tuple states,
+scored through ``PhaseConfig`` and ``alpha_from_units``.  The
+environment's action table must reproduce it bit for bit.
+
 The file has no ``test_`` prefix, so pytest imports it only from tests.
 """
 
@@ -18,8 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from irsnoma_lab.channel import effective_channels_batch
-from irsnoma_lab.noma import SIC_RATE_TOL, ClusterPlan, decoding_order_by_gain
+from irsnoma_lab.channel import PhaseConfig, effective_channels_batch
+from irsnoma_lab.noma import (
+    SIC_RATE_TOL,
+    ClusterPlan,
+    alpha_from_units,
+    decoding_order_by_gain,
+    evaluate_configuration,
+)
 from irsnoma_lab.precoding import zero_forcing
 
 
@@ -218,3 +229,71 @@ def reference_point(scenario, phase_indices, resolution_bits: int, splits) -> Re
         plan=plan,
         report=report,
     )
+
+
+# ---------------------------------------------------------------------------
+# RL environment step
+# ---------------------------------------------------------------------------
+
+ACTION_NOOP = "no-op"
+ACTION_PHASE_UP = "phase-increment"
+ACTION_PHASE_DOWN = "phase-decrement"
+ACTION_ALPHA_SHIFT = "alpha-shift"
+
+
+def reference_actions(k_elements: int, cluster_sizes) -> list[tuple[str, tuple]]:
+    """The environment's actions as (kind, target) pairs, in action-id order."""
+    actions = [(ACTION_NOOP, ())]
+    actions += [(ACTION_PHASE_UP, (k,)) for k in range(k_elements)]
+    actions += [(ACTION_PHASE_DOWN, (k,)) for k in range(k_elements)]
+    for m, size in enumerate(cluster_sizes):
+        for i in range(size):
+            for j in range(size):
+                if i != j:
+                    actions.append((ACTION_ALPHA_SHIFT, (m, i, j)))
+    return actions
+
+
+def reference_step(phase_indices, alpha_units, action, levels: int):
+    """Apply one (kind, target) edit to a tuple state.
+
+    ``alpha_units`` holds one tuple of unit counts per cluster; a shift
+    from a user with no unit left changes nothing.
+    """
+    kind, target = action
+    phases = list(phase_indices)
+    units = [list(u) for u in alpha_units]
+    if kind == ACTION_PHASE_UP:
+        (k,) = target
+        phases[k] = (phases[k] + 1) % levels
+    elif kind == ACTION_PHASE_DOWN:
+        (k,) = target
+        phases[k] = (phases[k] - 1) % levels
+    elif kind == ACTION_ALPHA_SHIFT:
+        m, i, j = target
+        if units[m][i] > 0:
+            units[m][i] -= 1
+            units[m][j] += 1
+    elif kind != ACTION_NOOP:
+        raise ValueError(f"unknown action kind {kind!r}")
+    return tuple(phases), tuple(tuple(u) for u in units)
+
+
+def reference_state(scenario, phase_indices, alpha_units, resolution_bits: int):
+    """(features, splits, result) of a tuple state.
+
+    Features are the phase indices over the level count, the power
+    coefficients cluster after cluster, and the own gains over their peak
+    (zeros when the phase is ill-conditioned).
+    """
+    splits = tuple(alpha_from_units(u) for u in alpha_units)
+    phase = PhaseConfig(phase_indices, resolution_bits)
+    result = evaluate_configuration(scenario, phase, splits)
+    phases = np.asarray(phase_indices, dtype=float) / phase.n_levels
+    alphas = np.concatenate([alpha_from_units(u) for u in alpha_units])
+    if result.own_gains is not None:
+        peak = float(np.max(result.own_gains))
+        gains = result.own_gains / peak if peak > 0 else result.own_gains * 0.0
+    else:
+        gains = np.zeros(scenario.channels.n_users)
+    return np.concatenate([phases, alphas, gains]), splits, result

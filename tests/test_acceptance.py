@@ -6,6 +6,7 @@ on a desk-class machine).
 """
 
 import time
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -38,7 +39,6 @@ from irsnoma_lab.precoding import zero_forcing
 from irsnoma_lab.rl import (
     NomaPhaseEnv,
     QApproximator,
-    QTable,
     tabular_q_update,
     train_agent,
 )
@@ -275,7 +275,7 @@ def test_criterion_5_tabular_q_fixed_point():
         for s in range(2):
             for a in range(2):
                 q_star[s, a] = (1.0 if a == 1 else 0.0) + beta * v[a]
-    table = QTable(2)
+    table = defaultdict(lambda: np.zeros(2))
     updates = 0
     for _ in range(2500):
         for s in range(2):
@@ -284,7 +284,7 @@ def test_criterion_5_tabular_q_fixed_point():
                     table, s, a, 1.0 if a == 1 else 0.0, a, psi=1.0, beta=beta
                 )
                 updates += 1
-    learned = np.array([[table.values(s)[a] for a in range(2)] for s in range(2)])
+    learned = np.array([[table[s][a] for a in range(2)] for s in range(2)])
     err = float(np.max(np.abs(learned - q_star)))
     elapsed = time.perf_counter() - started
     ok = err < 1e-3 and updates <= 10_000

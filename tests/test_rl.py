@@ -1,7 +1,10 @@
 import json
+from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irsnoma_lab.channel import ChannelRealization
 from irsnoma_lab.noma import NetworkScenario
@@ -9,13 +12,13 @@ from irsnoma_lab.oracle import SearchSpace, brute_force_optimum
 from irsnoma_lab.rl import (
     NomaPhaseEnv,
     QApproximator,
-    QTable,
     ReplayMemory,
     random_search,
     tabular_q_update,
     train_agent,
     train_tabular_agent,
 )
+from scalar_reference import reference_actions, reference_state, reference_step
 
 
 def tiny_scenario(seed=5, n_clusters=1, users_per_cluster=2, k_elements=2, power=2.0):
@@ -34,15 +37,15 @@ def tiny_scenario(seed=5, n_clusters=1, users_per_cluster=2, k_elements=2, power
 
 class TestTabularUpdate:
     def test_full_overwrite_no_bootstrap(self):
-        table = QTable(2)
+        table = defaultdict(lambda: np.zeros(2))
         tabular_q_update(table, "s", 0, reward=3.5, next_state_key="t", psi=1.0, beta=0.0)
-        assert table.values("s")[0] == pytest.approx(3.5)
+        assert table["s"][0] == pytest.approx(3.5)
 
     def test_zero_learning_rate_is_noop(self):
-        table = QTable(2)
-        table.values("s")[0] = 1.0
+        table = defaultdict(lambda: np.zeros(2))
+        table["s"][0] = 1.0
         tabular_q_update(table, "s", 0, 10.0, "t", psi=0.0, beta=0.9)
-        assert table.values("s")[0] == 1.0
+        assert table["s"][0] == 1.0
 
     def test_two_state_chain_matches_value_iteration(self):
         # Deterministic MDP: action a jumps to state a; reaching state 1
@@ -55,7 +58,7 @@ class TestTabularUpdate:
                 for a in range(2):
                     q_star[s, a] = (1.0 if a == 1 else 0.0) + beta * v[a]
 
-        table = QTable(2)
+        table = defaultdict(lambda: np.zeros(2))
         updates = 0
         for _ in range(200):
             for s in range(2):
@@ -64,7 +67,7 @@ class TestTabularUpdate:
                         table, s, a, 1.0 if a == 1 else 0.0, a, psi=1.0, beta=beta
                     )
                     updates += 1
-        learned = np.array([[table.values(s)[a] for a in range(2)] for s in range(2)])
+        learned = np.array([[table[s][a] for a in range(2)] for s in range(2)])
         assert updates <= 10_000
         assert np.max(np.abs(learned - q_star)) < 1e-6
 
@@ -80,7 +83,7 @@ class TestTabularUpdate:
         for _ in range(600):
             q_star = rew + beta * q_star.max(axis=1)[nxt]
 
-        table = QTable(n_actions)
+        table = defaultdict(lambda: np.zeros(n_actions))
         visits = np.zeros((n_states, n_actions))
         for _ in range(40_000):
             s = int(rng.integers(n_states))
@@ -91,7 +94,7 @@ class TestTabularUpdate:
                 psi=1.0 / visits[s, a] ** 0.55, beta=beta,
             )
         learned = np.array(
-            [[table.values(s)[a] for a in range(n_actions)] for s in range(n_states)]
+            [[table[s][a] for a in range(n_actions)] for s in range(n_states)]
         )
         assert np.max(np.abs(learned - q_star)) < 1e-3
 
@@ -331,8 +334,8 @@ class TestEnvironment:
         env = NomaPhaseEnv(tiny_scenario(), resolution_bits=2, alpha_step=0.5)
         state, result = env.initial_state()
         next_state, reward, next_result = env.step(state, 0)
-        assert next_state.phase_indices == state.phase_indices
-        assert next_state.alpha_units == state.alpha_units
+        assert np.array_equal(next_state.phases, state.phases)
+        assert np.array_equal(next_state.units, state.units)
         assert reward == pytest.approx(env.reward(result))
 
     def test_phase_increment_wraps(self):
@@ -340,19 +343,20 @@ class TestEnvironment:
         state, _ = env.initial_state()
         for _ in range(3):
             state, _, _ = env.step(state, 1)  # increment element 0
-        assert state.phase_indices[0] == 3
+        assert state.phases[0] == 3
         state, _, _ = env.step(state, 1)
-        assert state.phase_indices[0] == 0
+        assert state.phases[0] == 0
 
     def test_alpha_shift_clamped_at_zero(self):
         env = NomaPhaseEnv(tiny_scenario(), resolution_bits=1, alpha_step=0.5)
         state, _ = env.initial_state()
         shift_id = 1 + 2 * env.k_elements  # first alpha-shift action (0 -> 1)
-        assert env.describe_action(shift_id).kind == "alpha-shift"
+        assert (env.give[shift_id], env.take[shift_id]) == (0, 1)
+        assert not env.phase_delta[shift_id].any()
         for _ in range(4):
             state, _, _ = env.step(state, shift_id)
-        assert state.alpha_units[0][0] == 0
-        assert state.alpha_units[0][1] == env.units_total
+        assert state.units[0] == 0
+        assert state.units[1] == env.units_total
 
     def test_action_space_closure(self):
         env = NomaPhaseEnv(
@@ -365,8 +369,9 @@ class TestEnvironment:
         for _ in range(100):
             action = int(rng.integers(env.n_actions))
             state, _, _ = env.step(state, action)
-            assert all(0 <= n < env.levels for n in state.phase_indices)
-            for units, split in zip(state.alpha_units, state.power_splits):
+            assert all(0 <= n < env.levels for n in state.phases)
+            cluster_units = np.split(state.units, np.cumsum(env.cluster_sizes)[:-1])
+            for units, split in zip(cluster_units, env.splits(state.units)):
                 assert sum(units) == env.units_total
                 assert abs(sum(split) - 1.0) < 1e-9
 
@@ -394,6 +399,68 @@ class TestEnvironment:
     def test_bad_alpha_step_rejected(self):
         with pytest.raises(ValueError):
             NomaPhaseEnv(tiny_scenario(), resolution_bits=1, alpha_step=0.3)
+
+
+def cluster_tuples(env, units):
+    """A unit array as one tuple of counts per cluster."""
+    return tuple(
+        tuple(part) for part in np.split(units.tolist(), np.cumsum(env.cluster_sizes)[:-1])
+    )
+
+
+def assert_matches_reference(env, state, result, phases, alpha_units):
+    """``state``/``result`` equal the reference scoring of a tuple state, bit for bit.
+
+    Returns the reference result.
+    """
+    features, splits, ref = reference_state(
+        env.scenario, phases, alpha_units, env.resolution_bits
+    )
+    assert state.phases.tolist() == list(phases)
+    assert cluster_tuples(env, state.units) == alpha_units
+    assert state.feature_vector.tobytes() == features.tobytes()
+    assert env.splits(state.units) == splits
+    assert (result.sum_rate, result.feasible) == (ref.sum_rate, ref.feasible)
+    if ref.own_gains is None:
+        assert result.own_gains is None
+    else:
+        assert result.own_gains.tobytes() == ref.own_gains.tobytes()
+    return ref
+
+
+class TestActionTableEqualsReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_clusters=st.integers(1, 3),
+        users_per_cluster=st.integers(1, 3),
+        k_elements=st.integers(1, 4),
+        bits=st.integers(1, 3),
+        alpha_step=st.sampled_from([0.5, 0.25, 0.2, 0.1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_action_from_random_states(
+        self, n_clusters, users_per_cluster, k_elements, bits, alpha_step, seed
+    ):
+        scenario = tiny_scenario(
+            seed=seed % 1000, n_clusters=n_clusters,
+            users_per_cluster=users_per_cluster, k_elements=k_elements,
+        )
+        env = NomaPhaseEnv(scenario, resolution_bits=bits, alpha_step=alpha_step)
+        actions = reference_actions(k_elements, env.cluster_sizes)
+        assert env.n_actions == len(actions)
+        rng = np.random.default_rng(seed)
+        for start in [env.initial_state(), env.random_state(rng), env.random_state(rng)]:
+            state, result = start
+            phases = tuple(state.phases.tolist())
+            alpha_units = cluster_tuples(env, state.units)
+            assert_matches_reference(env, state, result, phases, alpha_units)
+            for action_id, action in enumerate(actions):
+                nxt, reward, result = env.step(state, action_id)
+                ref_phases, ref_units = reference_step(
+                    phases, alpha_units, action, env.levels
+                )
+                ref = assert_matches_reference(env, nxt, result, ref_phases, ref_units)
+                assert reward == env.reward(ref)
 
 
 class TestAgents:
@@ -435,10 +502,10 @@ class TestAgents:
         feasible = [(r.sum_rate, s, r) for s, r in draws if r.feasible]
         rate, state, scored = max(feasible, key=lambda item: item[0])
         assert result.best_rate == rate
-        assert result.best_phase.indices == state.phase_indices
-        assert result.best_splits == state.power_splits
+        assert list(result.best_phase.indices) == state.phases.tolist()
+        assert result.best_splits == env.splits(state.units)
         assert np.array_equal(result.best_gains, scored.own_gains)
-        assert result.visited == 15 and len(result.curve) == 15
+        assert len(result.curve) == 15
 
     def test_tabular_agent_runs(self):
         env = NomaPhaseEnv(tiny_scenario(), resolution_bits=1, alpha_step=0.5)
