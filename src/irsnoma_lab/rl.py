@@ -284,6 +284,7 @@ class EnvState:
     feature_vector: np.ndarray
 
     def key(self) -> bytes:
+        """The tabular learner's key: equal states give equal bytes."""
         return self.phases.tobytes() + self.units.tobytes()
 
 
@@ -312,7 +313,6 @@ class NomaPhaseEnv:
         self.resolution_bits = int(resolution_bits)
         self.levels = 1 << self.resolution_bits
         self.units_total = _units_from_step(alpha_step)
-        self.alpha_step = float(alpha_step)
         self.infeasible_penalty = float(infeasible_penalty)
         self.cluster_sizes = scenario.cluster_sizes()
         self.k_elements = k = scenario.channels.k_elements
@@ -432,7 +432,8 @@ def _rollout(
 
     ``learn(state, action, reward, next_state)`` returns a loss or None.  A
     step draws ``uniform``, then ``integers`` when exploring, then what
-    ``learn`` draws.  The curve's best reward is a running maximum.
+    ``learn`` draws.  The curve's best reward is a running maximum; the
+    winner's ``PhaseConfig`` and split tuples are built once, at the end.
     """
     best_rate, best = -np.inf, None  # best: (state, own gains)
     curve = []
@@ -460,7 +461,8 @@ def _rollout(
         return TrainResult(learner, None, None, 0.0, None, curve)
     state, gains = best
     phase = PhaseConfig(state.phases, env.resolution_bits)
-    return TrainResult(learner, phase, env.splits(state.units), float(best_rate), gains, curve)
+    splits = env.splits(state.units)
+    return TrainResult(learner, phase, splits, float(best_rate), gains, curve)
 
 
 def train_agent(
@@ -498,7 +500,7 @@ def train_agent(
 def train_tabular_agent(
     env: NomaPhaseEnv, episodes: int, steps_per_episode: int, seed=None
 ) -> TrainResult:
-    """Tabular Q-learning on the same environment, keyed by exact state.
+    """Tabular Q-learning on the same environment, keyed by ``EnvState.key``.
 
     Epsilon decays by repeated multiplication, which rounds differently from
     the DQN's ``EPSILON_START * EPSILON_DECAY**episode``.

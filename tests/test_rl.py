@@ -370,8 +370,8 @@ class TestEnvironment:
             action = int(rng.integers(env.n_actions))
             state, _, _ = env.step(state, action)
             assert all(0 <= n < env.levels for n in state.phases)
-            cluster_units = np.split(state.units, np.cumsum(env.cluster_sizes)[:-1])
-            for units, split in zip(cluster_units, env.splits(state.units)):
+            splits = env.splits(state.units)
+            for units, split in zip(cluster_tuples(env, state.units), splits):
                 assert sum(units) == env.units_total
                 assert abs(sum(split) - 1.0) < 1e-9
 
