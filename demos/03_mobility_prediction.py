@@ -39,7 +39,7 @@ for u, blocks in enumerate(result.predictions):
 
 print("\n=== held-out one-step accuracy vs persistence ===")
 for u in range(3):
-    tail = result.trajectories[u].positions[24:]
+    tail = result.trajectories[u][24:]
     mse = one_step_mse(result.predictors[u], result.scaler, tail)
     base = persistence_mse(tail, result.predictors[u].window_len)
     verdict = "beats" if mse < base else "loses to"

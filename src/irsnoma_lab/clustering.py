@@ -29,6 +29,8 @@ VARIANCE_FLOOR = 1e-10
 DEFAULT_EPSILON = 1e-15
 DEFAULT_GAIN_THRESHOLD = 0.3  # rho_1
 DEFAULT_CORRELATION_THRESHOLD = 0.7  # rho_2
+LLOYD_MAX_ROUNDS = 100
+EM_MAX_ITER = 500
 
 
 class DegenerateCsiError(ValueError):
@@ -133,7 +135,6 @@ def rough_partition(
     rho2: float = DEFAULT_CORRELATION_THRESHOLD,
     seed=None,
     gate_vectors=None,
-    max_rounds: int = 100,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Seeded rough partition: threshold gate, then Lloyd iterations.
 
@@ -176,7 +177,7 @@ def rough_partition(
         dists = [np.linalg.norm(x[u] - centers[m]) for m in candidates]
         assignment[u] = list(candidates)[int(np.argmin(dists))]
 
-    for _ in range(max_rounds):
+    for _ in range(LLOYD_MAX_ROUNDS):
         for m in range(m_clusters):
             members = np.flatnonzero(assignment == m)
             if members.size:
@@ -333,9 +334,8 @@ def fit(
     features,
     m_clusters: int,
     epsilon: float = DEFAULT_EPSILON,
-    max_iter: int = 500,
+    max_iter: int = EM_MAX_ITER,
     seed=None,
-    init_assignment=None,
     rho1: float = DEFAULT_GAIN_THRESHOLD,
     rho2: float = DEFAULT_CORRELATION_THRESHOLD,
     gate_vectors=None,
@@ -351,10 +351,9 @@ def fit(
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     x = np.atleast_2d(np.asarray(features, dtype=float))
-    if init_assignment is None:
-        init_assignment, _ = rough_partition(
-            x, m_clusters, rho1=rho1, rho2=rho2, seed=seed, gate_vectors=gate_vectors
-        )
+    init_assignment, _ = rough_partition(
+        x, m_clusters, rho1=rho1, rho2=rho2, seed=seed, gate_vectors=gate_vectors
+    )
     params = init_gmm(init_assignment, x)
 
     converged = False
@@ -380,13 +379,7 @@ def fit(
 
 
 def cluster_users(
-    raw_channels,
-    m_clusters: int,
-    epsilon: float = DEFAULT_EPSILON,
-    max_iter: int = 500,
-    seed=None,
-    rho1: float = DEFAULT_GAIN_THRESHOLD,
-    rho2: float = DEFAULT_CORRELATION_THRESHOLD,
+    raw_channels, m_clusters: int, epsilon: float = DEFAULT_EPSILON, seed=None
 ) -> FitResult:
     """Full pipeline on raw CSI: normalize, rough-partition, then EM fit.
 
@@ -395,12 +388,5 @@ def cluster_users(
     """
     csi = normalize_channels(raw_channels)
     return fit(
-        csi.features,
-        m_clusters,
-        epsilon=epsilon,
-        max_iter=max_iter,
-        seed=seed,
-        rho1=rho1,
-        rho2=rho2,
-        gate_vectors=csi.normalized,
+        csi.features, m_clusters, epsilon=epsilon, seed=seed, gate_vectors=csi.normalized
     )

@@ -413,7 +413,7 @@ def _search_space(scenario: NetworkScenario, config: ExperimentConfig) -> Search
     return SearchSpace(
         k_elements=scenario.channels.k_elements,
         resolution_bits=config.resolution_bits,
-        cluster_sizes=scenario.cluster_sizes(),
+        cluster_sizes=scenario.cluster_sizes,
         alpha_step=config.alpha_step,
     )
 

@@ -24,26 +24,14 @@ from .channel import TWO_PI, ServiceRegion, as_rng
 MIN_ACCEPTANCE_RATE = 1e-4
 ACCEPTANCE_PROBE_BUDGET = 10_000
 
+# Algorithm 1's per-user predictor and its minibatch training.
+PREDICTOR_HIDDEN_DIM = 16
+PREDICTOR_LEARNING_RATE = 0.08
+PREDICTOR_BATCH_SIZE = 16
+
 
 class EnvelopeTooLooseError(RuntimeError):
     """Rejection sampling accepted almost nothing; the proposal bound is too loose."""
-
-
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """Time-ordered positions of one user, one row per slot."""
-
-    positions: np.ndarray
-    timestep: float = 1.0
-
-    def __post_init__(self):
-        pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
-        if pos.shape[0] < 1 or pos.shape[1] != 2:
-            raise ValueError(f"trajectory needs an (n, 2) array, got {pos.shape}")
-        object.__setattr__(self, "positions", pos)
-
-    def __len__(self) -> int:
-        return int(self.positions.shape[0])
 
 
 def rejection_sample_positions(
@@ -201,9 +189,8 @@ class RecurrentPredictor:
         for step in range(t):
             x = windows[:, step, :]
             z = np.concatenate([x, h], axis=1) @ self.w_gates.T + self.b_gates
-            i = _sigmoid(z[:, :hd])
-            f = _sigmoid(z[:, hd : 2 * hd])
-            o = _sigmoid(z[:, 2 * hd : 3 * hd])
+            gates = _sigmoid(z[:, : 3 * hd])
+            i, f, o = gates[:, :hd], gates[:, hd : 2 * hd], gates[:, 2 * hd :]
             g = np.tanh(z[:, 3 * hd :])
             c_new = f * c + i * g
             tanh_c = np.tanh(c_new)
@@ -288,12 +275,9 @@ class RecurrentPredictor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function; ``exp`` only ever sees a non-positive argument."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sliding_windows(positions: np.ndarray, window_len: int):
@@ -367,7 +351,10 @@ def one_step_mse(
 
 @dataclass(frozen=True, eq=False)
 class Algorithm1Result:
-    """Accumulated sample trajectories plus the trained per-user predictors."""
+    """Accumulated sample trajectories plus the trained per-user predictors.
+
+    ``trajectories[u]`` holds user u's first ``n_max`` positions, (n_max, 2).
+    """
 
     trajectories: list
     predictors: list
@@ -383,12 +370,8 @@ def run_algorithm1(
     n_max: int,
     seed=None,
     motion: ConstantVelocityModel | None = None,
-    hidden_dim: int = 16,
     window_len: int = 8,
-    learning_rate: float = 0.08,
     train_steps_per_round: int = 600,
-    batch_size: int = 16,
-    rotation_augment: bool = True,
     trajectories=None,
 ) -> Algorithm1Result:
     """Alternate training on accumulated samples with block position prediction.
@@ -404,8 +387,8 @@ def run_algorithm1(
 
     Training happens in scaled [-1, 1] coordinates over displacement
     sequences (see :func:`displacement_pairs`); predictions are reported
-    back in meters.  Batches are randomly rotated by default so the learned
-    step extrapolation is direction-equivariant rather than tied to the
+    back in meters.  Batches are randomly rotated so the learned step
+    extrapolation is direction-equivariant rather than tied to the
     headings seen so far.
     """
     if n0 < window_len + 2:
@@ -433,9 +416,9 @@ def run_algorithm1(
     predictors = [
         RecurrentPredictor(
             input_dim=2,
-            hidden_dim=hidden_dim,
+            hidden_dim=PREDICTOR_HIDDEN_DIM,
             window_len=window_len,
-            learning_rate=learning_rate,
+            learning_rate=PREDICTOR_LEARNING_RATE,
             seed=rng,
         )
         for _ in range(n_users)
@@ -451,16 +434,11 @@ def run_algorithm1(
             known = scaler.normalize(truths[u][:revealed])
             windows, targets = displacement_pairs(known, window_len)
             for _ in range(train_steps_per_round):
-                pick = rng.integers(0, windows.shape[0], size=min(batch_size, windows.shape[0]))
-                w_batch, t_batch = windows[pick], targets[pick]
-                if rotation_augment:
-                    ang = rng.uniform(0.0, TWO_PI)
-                    rot = np.array(
-                        [[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]]
-                    )
-                    w_batch = w_batch @ rot.T
-                    t_batch = t_batch @ rot.T
-                pred.train_step(w_batch, t_batch)
+                size = min(PREDICTOR_BATCH_SIZE, windows.shape[0])
+                pick = rng.integers(0, windows.shape[0], size=size)
+                ang = rng.uniform(0.0, TWO_PI)
+                rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
+                pred.train_step(windows[pick] @ rot.T, targets[pick] @ rot.T)
             window = known[-(window_len + 1) :].copy()
             block_pred = np.empty((block, 2))
             for step in range(block):
@@ -473,9 +451,8 @@ def run_algorithm1(
         revealed += block
         rounds += 1
 
-    trajectories = [Trajectory(truths[u][:n_max]) for u in range(n_users)]
     return Algorithm1Result(
-        trajectories=trajectories,
+        trajectories=[truth[:n_max] for truth in truths],
         predictors=predictors,
         predictions=predictions,
         scaler=scaler,

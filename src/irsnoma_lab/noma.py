@@ -25,7 +25,7 @@ case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -122,22 +122,6 @@ def decoding_order_by_gain(members, gains) -> tuple[int, ...]:
     return tuple(sorted(members, key=lambda u: (gains[u], u)))
 
 
-def alpha_from_units(units) -> tuple[float, ...]:
-    """Simplex coefficients from non-negative integer grid counts.
-
-    Normalizing by the count total keeps the sum at 1 to machine precision,
-    so a grid split built here always passes plan validation, and any two
-    callers quantizing the same counts produce bit-identical coefficients.
-    """
-    arr = np.asarray(units, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("unit counts must be non-negative")
-    total = arr.sum()
-    if total <= 0:
-        raise ValueError("unit counts must not all be zero")
-    return tuple(float(v) for v in arr / total)
-
-
 def oma_tdma_sum_rate(gains, total_power: float, noise_variance: float) -> float:
     """TDMA baseline: each user gets a 1/n time share at full power.
 
@@ -158,7 +142,14 @@ def oma_tdma_sum_rate(gains, total_power: float, noise_variance: float) -> float
 
 @dataclass(frozen=True, eq=False)
 class NetworkScenario:
-    """Fixed per-slot context: channels, cluster membership, budget, flags."""
+    """Fixed per-slot context: channels, cluster membership, budget, flags.
+
+    Construction also fixes the cluster layout every scorer reads: the
+    members and sizes of each cluster, and the decoding slots, which run
+    through the clusters one after another.  A power split is one (N,)
+    coefficient row over those slots: cluster m's entries are contiguous
+    and in decoding position.  ``qos_floors`` becomes one floor per user.
+    """
 
     channels: ChannelRealization
     assignment: tuple[int, ...]
@@ -166,10 +157,23 @@ class NetworkScenario:
     qos_floors: float | np.ndarray = 0.0
     interference_model: str = "incoherent"
     alpha_domain: str = "amplitude"
+    members: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    cluster_sizes: tuple[int, ...] = field(init=False, repr=False)
+    # user_cluster[u]: u's cluster.  Slot k serves cluster slot_cluster[k];
+    # same_cluster[j, k] marks slots j != k of one cluster; other_beams[k]
+    # lists the beams of every other cluster; slot sic_later[i] decodes the
+    # signal of slot sic_earlier[i].
+    user_cluster: np.ndarray = field(init=False, repr=False)
+    slot_cluster: np.ndarray = field(init=False, repr=False)
+    same_cluster: np.ndarray = field(init=False, repr=False)
+    other_beams: np.ndarray = field(init=False, repr=False)
+    sic_later: np.ndarray = field(init=False, repr=False)
+    sic_earlier: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         assignment = tuple(int(c) for c in self.assignment)
-        if len(assignment) != self.channels.n_users:
+        n_users = self.channels.n_users
+        if len(assignment) != n_users:
             raise ValueError("assignment length != number of users")
         n_clusters = max(assignment) + 1
         if self.channels.n_antennas != n_clusters:
@@ -186,17 +190,51 @@ class NetworkScenario:
             raise ValueError(f"unknown interference model {self.interference_model!r}")
         if self.alpha_domain not in ALPHA_DOMAINS:
             raise ValueError(f"unknown alpha domain {self.alpha_domain!r}")
-        object.__setattr__(self, "assignment", assignment)
+        floors = np.array(
+            np.broadcast_to(np.asarray(self.qos_floors, dtype=float), (n_users,))
+        )
+        if (floors < 0).any():
+            raise ValueError("SINR floors must be non-negative")
+
+        user_cluster = np.array(assignment)
+        members = tuple(np.flatnonzero(user_cluster == m) for m in range(n_clusters))
+        slot_cluster = np.sort(user_cluster)
+        slot = np.arange(n_users)
+        same = (slot_cluster[:, None] == slot_cluster) & (slot[:, None] != slot)
+        other = slot_cluster[:, None] != np.arange(n_clusters)
+        later, earlier = np.nonzero(same & (slot[:, None] > slot))
+        for name, value in (
+            ("assignment", assignment),
+            ("qos_floors", floors),
+            ("members", members),
+            ("cluster_sizes", tuple(len(mem) for mem in members)),
+            ("user_cluster", user_cluster),
+            ("slot_cluster", slot_cluster),
+            ("same_cluster", same),
+            ("other_beams", np.nonzero(other)[1].reshape(n_users, -1)),
+            ("sic_later", later),
+            ("sic_earlier", earlier),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def n_clusters(self) -> int:
-        return max(self.assignment) + 1
+        return len(self.members)
 
-    def cluster_sizes(self) -> tuple[int, ...]:
-        counts = [0] * self.n_clusters
-        for c in self.assignment:
-            counts[c] += 1
-        return tuple(counts)
+    def split_row(self, splits) -> np.ndarray:
+        """The (N,) coefficient row of per-cluster split tuples."""
+        if len(splits) != self.n_clusters:
+            raise ValueError("power_split and decoding_order cluster counts differ")
+        for m, (part, size) in enumerate(zip(splits, self.cluster_sizes)):
+            if len(part) != size:
+                raise ValueError(f"cluster {m}: split size != member count")
+        return np.array([a for part in splits for a in part], dtype=float)
+
+    def split_tuples(self, row) -> tuple[tuple[float, ...], ...]:
+        """Per-cluster split tuples of an (N,) coefficient row."""
+        cuts = np.cumsum(self.cluster_sizes)[:-1]
+        parts = np.split(np.asarray(row, dtype=float), cuts)
+        return tuple(tuple(float(a) for a in part) for part in parts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,22 +251,17 @@ class GridScores:
     own_gains: np.ndarray
 
 
-def _split_weights(splits, sizes, domain: str) -> np.ndarray:
-    """(S, N) SINR weights of the splits, cluster after cluster, checked like a plan."""
-    for split in splits:
-        if len(split) != len(sizes):
-            raise ValueError("power_split and decoding_order cluster counts differ")
-        for m, (part, size) in enumerate(zip(split, sizes)):
-            if len(part) != size:
-                raise ValueError(f"cluster {m}: split size != member count")
-    alphas = np.array(
-        [[a for part in split for a in part] for split in splits], dtype=float
-    ).reshape(len(splits), sum(sizes))
+def _split_weights(scenario: NetworkScenario, alphas) -> np.ndarray:
+    """(S, N) SINR weights of the coefficient rows, each cluster checked like a plan."""
+    alphas = np.asarray(alphas, dtype=float)
+    n_users = scenario.channels.n_users
+    if alphas.ndim != 2 or alphas.shape[1] != n_users:
+        raise ValueError(f"splits must be an (S, {n_users}) array, got {alphas.shape}")
     start = 0
-    for m, size in enumerate(sizes):
+    for m, size in enumerate(scenario.cluster_sizes):
         _check_simplex(m, alphas[:, start : start + size])
         start += size
-    return alphas * alphas if domain == "amplitude" else alphas
+    return alphas * alphas if scenario.alpha_domain == "amplitude" else alphas
 
 
 def _scalar_abs2(z: np.ndarray) -> np.ndarray:
@@ -244,69 +277,57 @@ def _scalar_abs2(z: np.ndarray) -> np.ndarray:
 def evaluate_batch(
     scenario: NetworkScenario,
     phase_idx,
-    splits,
+    alphas,
     resolution_bits: int,
 ) -> GridScores:
-    """Score the grid ``phase_idx`` (P, K) x ``splits`` (S split tuples).
+    """Score the grid ``phase_idx`` (P, K) x ``alphas`` (S, N) coefficient rows.
 
     Effective channels, cluster heads, the condition check and the ZF solve
     run once per phase, batched over the P phases.  Each cluster's users
     are decoded in ascending order of their own-beam gain (weakest first,
-    lower index on ties), so position i of ``splits[s][m]`` funds the i-th
+    lower index on ties), so cluster m's i-th entry of a row funds its i-th
     decoded user; SINRs, SIC and QoS then run for all S splits and all
-    clusters at once.  Every point equals the per-pair scalar evaluation
-    bit for bit: each float step repeats its expression and summation order
-    (``h_row @ W`` as a stacked row product, intra-cluster weights added in
-    decoding order, inter-cluster power summed over the other beams only,
-    own power squared as a numpy scalar).
+    clusters at once over the scenario's decoding slots.  Every point
+    equals the per-pair scalar evaluation bit for bit: each float step
+    repeats its expression and summation order (``h_row @ W`` as a stacked
+    row product, intra-cluster weights added in decoding order,
+    inter-cluster power summed over the other beams only, own power squared
+    as a numpy scalar).
     """
     channels = scenario.channels
     h_eff = effective_channels_batch(channels, phase_idx, resolution_bits)
-    n_phases, n_users, n_clusters = h_eff.shape
-    assign = np.asarray(scenario.assignment)
-    members = [np.flatnonzero(assign == m) for m in range(n_clusters)]
-    wts = _split_weights(splits, [len(mem) for mem in members], scenario.alpha_domain)
-    floors = np.broadcast_to(
-        np.asarray(scenario.qos_floors, dtype=float), (n_users,)
-    )
-    if (floors < 0).any():
-        raise ValueError("SINR floors must be non-negative")
-    n_splits = len(splits)
+    n_phases, n_users, _ = h_eff.shape
+    wts = _split_weights(scenario, alphas)
+    n_splits = len(wts)
     sum_rate = np.zeros((n_phases, n_splits))
     feasible = np.zeros((n_phases, n_splits), dtype=bool)
     own_gains = np.full((n_phases, n_users), np.nan)
 
-    ok, w = zero_forcing(h_eff, members, scenario.total_power)
+    ok, w = zero_forcing(h_eff, scenario.members, scenario.total_power)
     if not ok.any():
         return GridScores(sum_rate, feasible, own_gains)
     h_eff = h_eff[ok]
+    assign = scenario.user_cluster
     own_beams = w[:, :, assign].transpose(0, 2, 1)
     gains = np.abs(np.einsum("pum,pum->pu", h_eff, own_beams))
     if not np.isfinite(gains).all():
         raise ValueError("gains must be finite")
     own_gains[ok] = gains
 
-    # Decoding slots: the clusters one after another, each in decoding
-    # order.  Slot k serves cluster slot_cluster[k]; at phase p its user is
-    # order[p, k].  ``same[j, k]``: slots j != k share a cluster.
-    slot_cluster = np.sort(assign)
+    # At phase p the user in slot k is order[p, k].
+    slot_cluster = scenario.slot_cluster
     order = np.lexsort((gains, np.broadcast_to(assign, gains.shape)))
-    slot = np.arange(n_users)
-    same = (slot_cluster[:, None] == slot_cluster) & (slot[:, None] != slot)
-    other_beams = np.nonzero(slot_cluster[:, None] != np.arange(n_clusters))[1]
 
     beams = (h_eff[..., None, :] @ w[:, None])[..., 0, :]  # (P', N, M): h_u . w_g
     rows = np.arange(len(w))[:, None]
     own = _scalar_abs2(beams[rows, order, slot_cluster])
-    others = beams[
-        rows[:, :, None], order[:, :, None], other_beams.reshape(n_users, -1)
-    ]
+    others = beams[rows[:, :, None], order[:, :, None], scenario.other_beams]
     if scenario.interference_model == "incoherent":
         inter = np.sum(np.abs(others) ** 2, axis=-1)
     else:
         inter = _scalar_abs2(np.sum(others, axis=-1))
     # The other members' weights, added one by one in decoding order.
-    intra = np.cumsum(wts[:, :, None] * same, axis=1)[:, -1]
+    intra = np.cumsum(wts[:, :, None] * scenario.same_cluster, axis=1)[:, -1]
 
     # sinr[p, s, k]: the user in slot k decoding its own signal.
     noise = channels.noise_variance
@@ -314,7 +335,7 @@ def evaluate_batch(
     sinr = (wts * own3) / (own3 * intra + inter[:, None, :] + noise)
     rates = np.log2(1.0 + sinr)
     sic = True
-    later, earlier = np.nonzero(same & (slot[:, None] > slot))
+    later, earlier = scenario.sic_later, scenario.sic_earlier
     if later.size:
         # Slot later[i] decoding the signal of slot earlier[i], same cluster.
         own_l = own[:, None, later]
@@ -324,7 +345,8 @@ def evaluate_batch(
         need = rates[:, :, earlier]
         floor = need - SIC_RATE_TOL * np.maximum(1.0, np.abs(need))
         sic = ~(np.log2(1.0 + tau) < floor).any(axis=-1)
-    feasible[ok] = sic & (sinr >= floors[order][:, None, :]).all(axis=-1)
+    floors = scenario.qos_floors[order][:, None, :]
+    feasible[ok] = sic & (sinr >= floors).all(axis=-1)
     user_rates = np.empty_like(rates)
     user_rates[rows, :, order] = rates.transpose(0, 2, 1)
     sum_rate[ok] = np.sum(user_rates, axis=-1)
@@ -361,23 +383,21 @@ def evaluate_configuration(
 ) -> ConfigurationResult:
     """Score one point of the discrete search space: a 1 x 1 :func:`evaluate_batch`.
 
-    An unworkably conditioned combined channel makes the point infeasible
-    rather than an error.
+    ``splits`` holds one tuple of coefficients per cluster.  An unworkably
+    conditioned combined channel makes the point infeasible rather than an
+    error.
     """
     phase_idx = np.array([phase.indices])
+    alphas = scenario.split_row(splits)[None]
     return ConfigurationResult.of_first_point(
-        evaluate_batch(scenario, phase_idx, [splits], phase.resolution_bits)
+        evaluate_batch(scenario, phase_idx, alphas, phase.resolution_bits)
     )
 
 
-def gain_ordered_plan(
-    scenario: NetworkScenario, own_gains, splits
-) -> ClusterPlan:
+def gain_ordered_plan(scenario: NetworkScenario, own_gains, splits) -> ClusterPlan:
     """The plan :func:`evaluate_batch` scores at a point with these own gains."""
-    assign = np.asarray(scenario.assignment)
     order = tuple(
-        decoding_order_by_gain(np.flatnonzero(assign == m), own_gains)
-        for m in range(scenario.n_clusters)
+        decoding_order_by_gain(members, own_gains) for members in scenario.members
     )
     return ClusterPlan(
         assignment=scenario.assignment, decoding_order=order, power_split=splits

@@ -10,7 +10,6 @@ desk-scale.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import time
@@ -20,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from .channel import PhaseConfig
-from .noma import NetworkScenario, alpha_from_units, evaluate_batch
+from .noma import NetworkScenario, evaluate_batch
 
 EVALUATION_GUARD = 10**8
 # Grid points (or phases, for one user's gain) scored per chunk.  Working
@@ -33,10 +32,11 @@ CHUNK_POINTS = 1 << 12
 class SearchSpaceTooLargeError(ValueError):
     """Enumeration would exceed the evaluation guard."""
 
-    def __init__(self, count: int, guard: int = EVALUATION_GUARD):
+    def __init__(self, count: int):
         self.count = int(count)
         super().__init__(
-            f"search space holds {count} evaluations, above the guard {guard}"
+            f"search space holds {count} evaluations, above the guard "
+            f"{EVALUATION_GUARD}"
         )
 
 
@@ -87,9 +87,9 @@ class SearchSpace:
     def total_count(self) -> int:
         return self.phase_count * self.split_count
 
-    def check_guard(self, guard: int = EVALUATION_GUARD):
-        if self.total_count > guard:
-            raise SearchSpaceTooLargeError(self.total_count, guard)
+    def check_guard(self):
+        if self.total_count > EVALUATION_GUARD:
+            raise SearchSpaceTooLargeError(self.total_count)
 
 
 def phase_index_block(
@@ -111,31 +111,23 @@ def _compositions(units: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def enumerate_alpha_grids(
-    cluster_sizes, step: float, guard: int = EVALUATION_GUARD
-) -> Iterator[tuple[tuple[float, ...], ...]]:
-    """Cross-product of per-cluster simplex grids with spacing ``step``.
+def alpha_grid(cluster_sizes, step: float) -> np.ndarray:
+    """Every split on the step grid as one (S, N) coefficient row each.
 
-    Single-user clusters contribute the only split (1.0); larger clusters
-    enumerate every composition of the unit budget on the step grid.
+    Rows run through the cross product of the per-cluster simplex grids in
+    lexicographic order, the first cluster slowest; within a cluster the
+    unit compositions run lexicographically too (see :func:`_compositions`).
+    A single-user cluster has the one coefficient 1.0.  The oracle breaks
+    ties toward the earlier row.
     """
     units = _units_from_step(step)
-    sizes = tuple(int(s) for s in cluster_sizes)
-    count = 1
-    for size in sizes:
-        count *= composition_count(units, size) if size > 1 else 1
-    if count > guard:
-        raise SearchSpaceTooLargeError(count, guard)
-    per_cluster = []
-    for size in sizes:
-        if size == 1:
-            per_cluster.append([(1.0,)])
-        else:
-            per_cluster.append(
-                [alpha_from_units(c) for c in _compositions(units, size)]
-            )
-    for combo in itertools.product(*per_cluster):
-        yield tuple(combo)
+    per_cluster = [
+        np.array(list(_compositions(units, int(size))), dtype=float) / units
+        for size in cluster_sizes
+    ]
+    picks = np.indices([len(grid) for grid in per_cluster])
+    picks = picks.reshape(len(per_cluster), -1)
+    return np.concatenate([grid[pick] for grid, pick in zip(per_cluster, picks)], axis=1)
 
 
 @dataclass(frozen=True)
@@ -186,11 +178,7 @@ def _grid_chunks(n_phases: int, n_splits: int, size: int):
                 yield p, p + 1, s, min(s + size, n_splits)
 
 
-def brute_force_optimum(
-    scenario: NetworkScenario,
-    space: SearchSpace,
-    guard: int = EVALUATION_GUARD,
-) -> OracleResult:
+def brute_force_optimum(scenario: NetworkScenario, space: SearchSpace) -> OracleResult:
     """Evaluate every (phase, split) pair and keep the feasible maximizer.
 
     Chunks of at most ``CHUNK_POINTS`` points run phase-major, split-minor;
@@ -198,41 +186,41 @@ def brute_force_optimum(
     improvement, so ties resolve to the lexicographically first point and
     reruns are bit-identical.
     """
-    if space.cluster_sizes != scenario.cluster_sizes():
+    if space.cluster_sizes != scenario.cluster_sizes:
         raise ValueError(
             f"search space cluster sizes {space.cluster_sizes} do not match the "
-            f"scenario's {scenario.cluster_sizes()}"
+            f"scenario's {scenario.cluster_sizes}"
         )
     if space.k_elements != scenario.channels.k_elements:
         raise ValueError("search space element count does not match the channels")
-    space.check_guard(guard)
+    space.check_guard()
 
     start = time.perf_counter()
     bits = space.resolution_bits
-    all_splits = list(enumerate_alpha_grids(space.cluster_sizes, space.alpha_step))
+    grid = alpha_grid(space.cluster_sizes, space.alpha_step)
     best_rate = -np.inf
     best_phase = None
     best_splits = None
     best_gains = None
     feasible = 0
-    chunks = _grid_chunks(space.phase_count, len(all_splits), CHUNK_POINTS)
+    chunks = _grid_chunks(space.phase_count, len(grid), CHUNK_POINTS)
     for p0, p1, s0, s1 in chunks:
         phase_idx = phase_index_block(space.k_elements, bits, p0, p1)
-        scores = evaluate_batch(scenario, phase_idx, all_splits[s0:s1], bits)
+        scores = evaluate_batch(scenario, phase_idx, grid[s0:s1], bits)
         feasible += int(np.count_nonzero(scores.feasible))
         rates = np.where(scores.feasible, scores.sum_rate, -np.inf)
         p, s = np.unravel_index(np.argmax(rates), rates.shape)
         if rates[p, s] > best_rate:
             best_rate = float(rates[p, s])
             best_phase = PhaseConfig(tuple(phase_idx[p]), bits)
-            best_splits = all_splits[s0 + s]
+            best_splits = scenario.split_tuples(grid[s0 + s])
             best_gains = scores.own_gains[p].copy()
     return OracleResult(
         best_phase=best_phase,
         best_splits=best_splits,
         best_rate=float(best_rate) if feasible else 0.0,
         feasible_count=feasible,
-        evaluated_count=space.phase_count * len(all_splits),
+        evaluated_count=space.phase_count * len(grid),
         wall_time_s=time.perf_counter() - start,
         best_gains=best_gains,
     )

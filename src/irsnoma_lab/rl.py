@@ -44,6 +44,8 @@ TABULAR_LEARNING_RATE = 0.2
 TABULAR_DISCOUNT = 0.9
 REPLAY_CAPACITY = 10_000
 BATCH_SIZE = 32
+# Reward deducted from the sum rate of a point that fails the SIC or QoS check.
+INFEASIBLE_PENALTY = 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -297,31 +299,26 @@ class NomaPhaseEnv:
     no-op, one increment and one decrement per surface element, and one
     unit transfer per ordered user pair inside each cluster, so there are
     2K + 2 * sum_m C(p_m, 2) + 1.  Slot i of cluster m funds the i-th
-    decoded user of m, with coefficient ``units / units_total``.  Rewards
-    are the sum rate of the resulting configuration minus
-    ``infeasible_penalty`` whenever the SIC or QoS check fails.
+    decoded user of m, with coefficient ``units / units_total``: the unit
+    array is the scenario's coefficient row scaled by ``units_total``.
+    Rewards are the sum rate of the resulting configuration minus
+    ``INFEASIBLE_PENALTY`` whenever the SIC or QoS check fails.
     """
 
     def __init__(
-        self,
-        scenario: NetworkScenario,
-        resolution_bits: int,
-        alpha_step: float = 0.05,
-        infeasible_penalty: float = 5.0,
+        self, scenario: NetworkScenario, resolution_bits: int, alpha_step: float = 0.05
     ):
         self.scenario = scenario
         self.resolution_bits = int(resolution_bits)
         self.levels = 1 << self.resolution_bits
         self.units_total = _units_from_step(alpha_step)
-        self.infeasible_penalty = float(infeasible_penalty)
-        self.cluster_sizes = scenario.cluster_sizes()
         self.k_elements = k = scenario.channels.k_elements
 
-        starts = np.cumsum((0,) + self.cluster_sizes)
-        self._cuts = starts[1:-1]
+        sizes = scenario.cluster_sizes
+        starts = np.cumsum((0,) + sizes)
         moves = [
             (start + i, start + j)
-            for start, size in zip(starts, self.cluster_sizes)
+            for start, size in zip(starts, sizes)
             for i in range(size)
             for j in range(size)
             if i != j
@@ -338,18 +335,14 @@ class NomaPhaseEnv:
 
     @property
     def feature_dim(self) -> int:
-        return self.k_elements + sum(self.cluster_sizes) + self.scenario.channels.n_users
-
-    def splits(self, units: np.ndarray) -> tuple[tuple[float, ...], ...]:
-        """Per-cluster power coefficients ``units / units_total``."""
-        parts = np.split(units / self.units_total, self._cuts)
-        return tuple(tuple(float(a) for a in part) for part in parts)
+        return self.k_elements + 2 * self.scenario.channels.n_users
 
     # -- state construction ---------------------------------------------
 
     def _make_state(self, phases: np.ndarray, units: np.ndarray):
+        alphas = units / self.units_total
         grid = evaluate_batch(
-            self.scenario, phases[None], [self.splits(units)], self.resolution_bits
+            self.scenario, phases[None], alphas[None], self.resolution_bits
         )
         result = ConfigurationResult.of_first_point(grid)
         if result.own_gains is not None:
@@ -357,18 +350,18 @@ class NomaPhaseEnv:
             gains = result.own_gains / peak if peak > 0 else result.own_gains * 0.0
         else:
             gains = np.zeros(self.scenario.channels.n_users)
-        features = np.concatenate([phases / self.levels, units / self.units_total, gains])
+        features = np.concatenate([phases / self.levels, alphas, gains])
         return EnvState(phases, units, features), result
 
     def reward(self, result: ConfigurationResult) -> float:
         if result.feasible:
             return result.sum_rate
-        return result.sum_rate - self.infeasible_penalty
+        return result.sum_rate - INFEASIBLE_PENALTY
 
     def initial_state(self):
         """Zero phases with the most even on-grid power split per cluster."""
         units = []
-        for size in self.cluster_sizes:
+        for size in self.scenario.cluster_sizes:
             base, extra = divmod(self.units_total, size)
             units += [base + (1 if i < extra else 0) for i in range(size)]
         return self._make_state(
@@ -379,7 +372,7 @@ class NomaPhaseEnv:
         phases = rng.integers(0, self.levels, size=self.k_elements)
         units = np.concatenate([
             rng.multinomial(self.units_total, np.full(size, 1.0 / size))
-            for size in self.cluster_sizes
+            for size in self.scenario.cluster_sizes
         ])
         return self._make_state(phases, units)
 
@@ -461,7 +454,7 @@ def _rollout(
         return TrainResult(learner, None, None, 0.0, None, curve)
     state, gains = best
     phase = PhaseConfig(state.phases, env.resolution_bits)
-    splits = env.splits(state.units)
+    splits = env.scenario.split_tuples(state.units / env.units_total)
     return TrainResult(learner, phase, splits, float(best_rate), gains, curve)
 
 

@@ -11,8 +11,9 @@ evaluator must match bit for bit.
 
 It also keeps the RL environment's step as it was first written: actions
 as (kind, target) pairs dispatched one kind at a time on tuple states,
-scored through ``PhaseConfig`` and ``alpha_from_units``.  The
-environment's action table must reproduce it bit for bit.
+scored through ``PhaseConfig`` and per-cluster split tuples from
+:func:`alpha_from_units`.  The environment's action table must reproduce
+it bit for bit.
 
 The file has no ``test_`` prefix, so pytest imports it only from tests.
 """
@@ -27,11 +28,25 @@ from irsnoma_lab.channel import PhaseConfig, effective_channels_batch
 from irsnoma_lab.noma import (
     SIC_RATE_TOL,
     ClusterPlan,
-    alpha_from_units,
     decoding_order_by_gain,
     evaluate_configuration,
 )
 from irsnoma_lab.precoding import zero_forcing
+
+
+def alpha_from_units(units) -> tuple[float, ...]:
+    """Simplex coefficients from non-negative integer grid counts.
+
+    Normalizing by the count total keeps the sum at 1 to machine precision,
+    so a grid split built here always passes plan validation.
+    """
+    arr = np.asarray(units, dtype=float)
+    if np.any(arr < 0):
+        raise ValueError("unit counts must be non-negative")
+    total = arr.sum()
+    if total <= 0:
+        raise ValueError("unit counts must not all be zero")
+    return tuple(float(v) for v in arr / total)
 
 
 def _alpha_weight(alpha: float, domain: str) -> float:

@@ -410,7 +410,7 @@ def test_criterion_9_mobility_beats_persistence():
         predictor = result.predictors[0]
         # Held-out horizon: the final predicted block (samples the last
         # training round never saw) plus the preceding context window.
-        tail = result.trajectories[0].positions[24:]
+        tail = result.trajectories[0][24:]
         mse = one_step_mse(predictor, result.scaler, tail)
         baseline = persistence_mse(tail, predictor.window_len)
         wins += mse < baseline

@@ -204,12 +204,17 @@ class TestPipeline:
             assert sum(occupancy) == cfg.n_users
 
     def test_bit_identical_reruns(self, tmp_path):
-        cfg = small_config(tmp_path, algorithm="dqn", episodes=4, steps_per_episode=4)
+        cfg = small_config(
+            tmp_path, algorithm="dqn", episodes=12, steps_per_episode=20,
+            save_curves=True,
+        )
         cmd_pipeline(cfg)
         first = open(os.path.join(cfg.out_dir, "pipeline.csv"), "rb").read()
         cmd_pipeline(cfg)
         second = open(os.path.join(cfg.out_dir, "pipeline.csv"), "rb").read()
         assert first == second
+        for slot in range(cfg.slots):
+            assert has_finite_loss(cfg, f"curve_seed1_slot{slot}.csv")
 
     def test_dqn_beats_random_phase_on_paired_slots(self, tmp_path):
         base = small_config(

@@ -8,7 +8,7 @@ from irsnoma_lab.mobility import (
     EnvelopeTooLooseError,
     PositionScaler,
     RecurrentPredictor,
-    Trajectory,
+    _sigmoid,
     displacement_pairs,
     one_step_mse,
     persistence_mse,
@@ -185,6 +185,31 @@ class TestLstmTraining:
             )
 
 
+def masked_sigmoid(x):
+    """The logistic function with one ``exp`` call per sign of the argument."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    def test_equals_the_masked_form_bit_for_bit(self):
+        tiny = np.finfo(float).smallest_subnormal
+        edges = np.array(
+            [0.0, -0.0, 745.0, -745.0, np.inf, -np.inf, np.nan,
+             tiny, -tiny, 1e3 * tiny, -1e3 * tiny, 709.8, -709.8, 36.8, -36.8]
+        )
+        assert np.array_equal(_sigmoid(edges), masked_sigmoid(edges), equal_nan=True)
+        rng = np.random.default_rng(41)
+        for i in range(200):
+            shape = (int(rng.integers(1, 20)), int(rng.integers(1, 50)))
+            x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 2.5)
+            assert np.array_equal(_sigmoid(x), masked_sigmoid(x)), i
+
+
 class TestAlgorithm1:
     def test_no_training_round_when_budget_met(self):
         result = run_algorithm1(BOX, n_users=2, n0=12, n_max=12, seed=0)
@@ -215,7 +240,8 @@ class TestAlgorithm1:
             region, n_users=3, n0=10, n_max=20, seed=3, train_steps_per_round=5
         )
         for traj in result.trajectories:
-            assert region.contains_many(traj.positions).all()
+            assert traj.shape == (20, 2)
+            assert region.contains_many(traj).all()
 
     def test_beats_persistence_on_linear_motion(self):
         motion = ConstantVelocityModel(speed=1.5, heading_noise_std=0.0)
@@ -223,7 +249,7 @@ class TestAlgorithm1:
             BOX, n_users=1, n0=16, n_max=64, seed=0, motion=motion
         )
         pred = result.predictors[0]
-        tail = result.trajectories[0].positions[24:]
+        tail = result.trajectories[0][24:]
         assert one_step_mse(pred, result.scaler, tail) < persistence_mse(
             tail, pred.window_len
         )
@@ -265,14 +291,12 @@ class TestHelpers:
 class TestTrajectoryCsv:
     def test_roundtrip(self, tmp_path):
         trajs = [
-            Trajectory(np.array([[0.0, 1.0], [2.0, 3.0]])),
-            Trajectory(np.array([[4.5, -1.25], [6.0, 7.0], [8.0, 9.0]])),
+            np.array([[0.0, 1.0], [2.0, 3.0]]),
+            np.array([[4.5, -1.25], [6.0, 7.0], [8.0, 9.0]]),
         ]
         path = tmp_path / "trajectories.csv"
         rows = [
-            (u, t, x, y)
-            for u, traj in enumerate(trajs)
-            for t, (x, y) in enumerate(traj.positions)
+            (u, t, x, y) for u, traj in enumerate(trajs) for t, (x, y) in enumerate(traj)
         ]
         write_csv(path, ["user", "t", "x", "y"], rows)
         _, read = read_csv(path)
@@ -282,8 +306,4 @@ class TestTrajectoryCsv:
         ]
         assert len(loaded) == 2
         for a, b in zip(trajs, loaded):
-            assert np.array_equal(a.positions, b)
-
-    def test_empty_positions_rejected(self):
-        with pytest.raises(ValueError):
-            Trajectory(np.empty((0, 2)))
+            assert np.array_equal(a, b)

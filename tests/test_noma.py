@@ -8,13 +8,13 @@ from irsnoma_lab.noma import (
     ClusterPlan,
     _scalar_abs2,
     NetworkScenario,
-    alpha_from_units,
     decoding_order_by_gain,
     evaluate_batch,
     evaluate_configuration,
     oma_tdma_sum_rate,
 )
 from scalar_reference import (
+    alpha_from_units,
     check_sic,
     evaluate,
     qos_check,
@@ -351,7 +351,10 @@ class TestEvaluateConfiguration:
 
 
 def _grid_instance(draw, sizes, k, bits, n_phases, n_splits):
-    """A scenario with these cluster sizes, ``n_phases`` phase rows and ``n_splits`` splits."""
+    """A scenario with these cluster sizes, ``n_phases`` phase rows and ``n_splits`` splits.
+
+    Each split is one tuple of coefficients per cluster.
+    """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_clusters, n_users = len(sizes), sum(sizes)
     assignment = [m for m, size in enumerate(sizes) for _ in range(size)]
@@ -424,10 +427,16 @@ def paper_scale_instances(draw):
     )
 
 
+def flat_row(split):
+    """A split's per-cluster tuples laid end to end."""
+    return [a for part in split for a in part]
+
+
 def assert_grid_equals_reference(instance):
     """Every grid point equals the scalar reference, and the 1 x 1 entry agrees."""
     scenario, phase_idx, bits, splits = instance
-    grid = evaluate_batch(scenario, phase_idx, splits, bits)
+    alphas = np.array([flat_row(split) for split in splits])
+    grid = evaluate_batch(scenario, phase_idx, alphas, bits)
     shape = (len(phase_idx), len(splits))
     assert grid.sum_rate.shape == grid.feasible.shape == shape
     for p, row in enumerate(phase_idx):
@@ -466,7 +475,62 @@ class TestEvaluateBatch:
 
     def test_rejects_a_split_off_the_simplex(self):
         scenario = random_scenario(np.random.default_rng(3))
-        with pytest.raises(ValueError, match="sum to 1"):
+        with pytest.raises(ValueError, match="cluster 0: power coefficients do not"):
             evaluate_batch(
-                scenario, np.zeros((1, 4), dtype=int), [((0.5, 0.6), (0.5, 0.5))], 2
+                scenario, np.zeros((1, 4), dtype=int), [[0.5, 0.6, 0.5, 0.5]], 2
             )
+
+    def test_rejects_a_row_of_the_wrong_width(self):
+        scenario = random_scenario(np.random.default_rng(3))
+        phase_idx = np.zeros((1, 4), dtype=int)
+        for alphas in ([[0.5, 0.5, 1.0]], [0.5, 0.5, 0.5, 0.5], np.ones((1, 5)) / 5):
+            with pytest.raises(ValueError, match=r"\(S, 4\) array"):
+                evaluate_batch(scenario, phase_idx, alphas, 2)
+
+
+class TestScenarioLayout:
+    def test_layout_of_an_interleaved_assignment(self):
+        rng = np.random.default_rng(9)
+        base = random_scenario(rng, n_clusters=2, users_per_cluster=2)
+        scenario = NetworkScenario(
+            channels=base.channels, assignment=(1, 0, 1, 0), total_power=4.0
+        )
+        assert [m.tolist() for m in scenario.members] == [[1, 3], [0, 2]]
+        assert scenario.cluster_sizes == (2, 2)
+        assert scenario.slot_cluster.tolist() == [0, 0, 1, 1]
+        assert scenario.other_beams.tolist() == [[1], [1], [0], [0]]
+        assert scenario.sic_later.tolist() == [1, 3]
+        assert scenario.sic_earlier.tolist() == [0, 2]
+        assert np.array_equal(scenario.same_cluster, np.kron(np.eye(2), 1 - np.eye(2)))
+
+    def test_split_row_round_trip(self):
+        scenario = random_scenario(np.random.default_rng(4), n_clusters=3)
+        splits = ((0.25, 0.75), (1.0, 0.0), (0.1, 0.9))
+        row = scenario.split_row(splits)
+        assert row.tolist() == [0.25, 0.75, 1.0, 0.0, 0.1, 0.9]
+        assert scenario.split_tuples(row) == splits
+        assert scenario.split_row(scenario.split_tuples(row)).tobytes() == row.tobytes()
+
+    def test_split_row_checks_cluster_count_and_size(self):
+        scenario = random_scenario(np.random.default_rng(4))
+        with pytest.raises(ValueError, match="cluster counts differ"):
+            scenario.split_row(((0.5, 0.5),))
+        with pytest.raises(ValueError, match="cluster 1: split size"):
+            scenario.split_row(((0.5, 0.5), (1.0,)))
+
+    def test_negative_floor_rejected_at_construction(self):
+        base = random_scenario(np.random.default_rng(5))
+        for floors in (-0.1, [0.0, 0.1, -1e-9, 0.0]):
+            with pytest.raises(ValueError, match="SINR floors must be non-negative"):
+                NetworkScenario(
+                    channels=base.channels, assignment=base.assignment,
+                    total_power=4.0, qos_floors=floors,
+                )
+
+    def test_floors_become_one_per_user(self):
+        base = random_scenario(np.random.default_rng(5))
+        scenario = NetworkScenario(
+            channels=base.channels, assignment=base.assignment,
+            total_power=4.0, qos_floors=0.5,
+        )
+        assert scenario.qos_floors.tolist() == [0.5] * 4

@@ -11,9 +11,9 @@ from irsnoma_lab.noma import NetworkScenario, evaluate_configuration
 from irsnoma_lab.oracle import (
     SearchSpace,
     SearchSpaceTooLargeError,
+    alpha_grid,
     brute_force_optimum,
     composition_count,
-    enumerate_alpha_grids,
     phase_index_block,
 )
 
@@ -44,12 +44,30 @@ def all_phases(k_elements, resolution_bits):
     ]
 
 
+def literal_splits(cluster_sizes, step):
+    """Every split as per-cluster tuples, straight from ``itertools.product``.
+
+    A cluster's tuples are the unit counts summing to the budget, in
+    lexicographic order, each divided by the budget.
+    """
+    units = round(1 / step)
+    per_cluster = [
+        [
+            tuple(c / units for c in counts)
+            for counts in itertools.product(range(units + 1), repeat=size)
+            if sum(counts) == units
+        ]
+        for size in cluster_sizes
+    ]
+    return list(itertools.product(*per_cluster))
+
+
 def literal_optimum(scenario, space):
     """The exhaustive search as a plain loop over single points."""
     best_rate, best_phase, best_splits = -np.inf, None, None
     feasible = evaluated = 0
     for phase in all_phases(space.k_elements, space.resolution_bits):
-        for splits in enumerate_alpha_grids(space.cluster_sizes, space.alpha_step):
+        for splits in literal_splits(space.cluster_sizes, space.alpha_step):
             evaluated += 1
             point = evaluate_configuration(scenario, phase, splits)
             if point.feasible:
@@ -99,30 +117,36 @@ class TestPhaseEnumeration:
 
 class TestAlphaEnumeration:
     def test_single_user(self):
-        grids = list(enumerate_alpha_grids((1,), 0.5))
-        assert grids == [((1.0,),)]
+        assert alpha_grid((1,), 0.5).tolist() == [[1.0]]
 
     def test_two_users_half_step(self):
-        grids = [g[0] for g in enumerate_alpha_grids((2,), 0.5)]
-        assert grids == [(0.0, 1.0), (0.5, 0.5), (1.0, 0.0)]
+        grid = alpha_grid((2,), 0.5).tolist()
+        assert grid == [[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]]
 
     def test_two_users_tenth_step(self):
-        grids = list(enumerate_alpha_grids((2,), 0.1))
-        assert len(grids) == 11
+        assert alpha_grid((2,), 0.1).shape == (11, 2)
 
     def test_cross_product_over_clusters(self):
-        grids = list(enumerate_alpha_grids((2, 2), 0.5))
-        assert len(grids) == 9
+        assert alpha_grid((2, 2), 0.5).shape == (9, 4)
 
     def test_bad_step_rejected(self):
         with pytest.raises(ValueError):
-            list(enumerate_alpha_grids((2,), 0.3))
+            alpha_grid((2,), 0.3)
 
     def test_composition_count_matches(self):
         assert composition_count(10, 2) == 11
         assert composition_count(2, 3) == 6
-        grids = list(enumerate_alpha_grids((3,), 0.5))
-        assert len(grids) == composition_count(2, 3)
+        assert len(alpha_grid((3,), 0.5)) == composition_count(2, 3)
+
+    @pytest.mark.parametrize("sizes", [(1,), (3,), (2, 2), (1, 3, 2)])
+    @pytest.mark.parametrize("step", [0.5, 0.25, 0.2, 0.1])
+    def test_rows_equal_the_literal_product_in_order(self, sizes, step):
+        # Row order decides which of two tied points the oracle keeps.
+        literal = [
+            [a for part in split for a in part]
+            for split in literal_splits(sizes, step)
+        ]
+        assert alpha_grid(sizes, step).tolist() == literal
 
 
 class TestSearchSpace:
@@ -225,7 +249,7 @@ class TestBruteForce:
         space = SearchSpace(2, 1, (2, 2), alpha_step=0.5)
         result = brute_force_optimum(scenario, space)
         for phase in all_phases(2, 1):
-            for splits in enumerate_alpha_grids((2, 2), 0.5):
+            for splits in literal_splits((2, 2), 0.5):
                 point = evaluate_configuration(scenario, phase, splits)
                 if point.feasible:
                     assert result.best_rate >= point.sum_rate - 1e-15
@@ -275,7 +299,7 @@ class TestBatchedSearchEqualsLiteralLoop:
             alpha_domain=domain,
         )
         space = SearchSpace(
-            k_elements, 1, scenario.cluster_sizes(), alpha_step=0.25
+            k_elements, 1, scenario.cluster_sizes, alpha_step=0.25
         )
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oracle, "CHUNK_POINTS", chunk)

@@ -18,7 +18,12 @@ from irsnoma_lab.rl import (
     train_agent,
     train_tabular_agent,
 )
-from scalar_reference import reference_actions, reference_state, reference_step
+from scalar_reference import (
+    alpha_from_units,
+    reference_actions,
+    reference_state,
+    reference_step,
+)
 
 
 def tiny_scenario(seed=5, n_clusters=1, users_per_cluster=2, k_elements=2, power=2.0):
@@ -370,10 +375,8 @@ class TestEnvironment:
             action = int(rng.integers(env.n_actions))
             state, _, _ = env.step(state, action)
             assert all(0 <= n < env.levels for n in state.phases)
-            splits = env.splits(state.units)
-            for units, split in zip(cluster_tuples(env, state.units), splits):
+            for units in cluster_tuples(env, state.units):
                 assert sum(units) == env.units_total
-                assert abs(sum(split) - 1.0) < 1e-9
 
     def test_single_element_sweep_reaches_brute_force_max(self):
         scenario = tiny_scenario(n_clusters=1, users_per_cluster=1, k_elements=1)
@@ -404,7 +407,7 @@ class TestEnvironment:
 def cluster_tuples(env, units):
     """A unit array as one tuple of counts per cluster."""
     return tuple(
-        tuple(part) for part in np.split(units.tolist(), np.cumsum(env.cluster_sizes)[:-1])
+        tuple(part) for part in np.split(units.tolist(), np.cumsum(env.scenario.cluster_sizes)[:-1])
     )
 
 
@@ -419,7 +422,7 @@ def assert_matches_reference(env, state, result, phases, alpha_units):
     assert state.phases.tolist() == list(phases)
     assert cluster_tuples(env, state.units) == alpha_units
     assert state.feature_vector.tobytes() == features.tobytes()
-    assert env.splits(state.units) == splits
+    assert env.scenario.split_tuples(state.units / env.units_total) == splits
     assert (result.sum_rate, result.feasible) == (ref.sum_rate, ref.feasible)
     if ref.own_gains is None:
         assert result.own_gains is None
@@ -446,7 +449,7 @@ class TestActionTableEqualsReference:
             users_per_cluster=users_per_cluster, k_elements=k_elements,
         )
         env = NomaPhaseEnv(scenario, resolution_bits=bits, alpha_step=alpha_step)
-        actions = reference_actions(k_elements, env.cluster_sizes)
+        actions = reference_actions(k_elements, env.scenario.cluster_sizes)
         assert env.n_actions == len(actions)
         rng = np.random.default_rng(seed)
         for start in [env.initial_state(), env.random_state(rng), env.random_state(rng)]:
@@ -503,7 +506,9 @@ class TestAgents:
         rate, state, scored = max(feasible, key=lambda item: item[0])
         assert result.best_rate == rate
         assert list(result.best_phase.indices) == state.phases.tolist()
-        assert result.best_splits == env.splits(state.units)
+        assert result.best_splits == tuple(
+            alpha_from_units(units) for units in cluster_tuples(env, state.units)
+        )
         assert np.array_equal(result.best_gains, scored.own_gains)
         assert len(result.curve) == 15
 
