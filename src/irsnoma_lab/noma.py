@@ -175,6 +175,8 @@ class NetworkScenario:
         n_users = self.channels.n_users
         if len(assignment) != n_users:
             raise ValueError("assignment length != number of users")
+        if min(assignment) < 0:
+            raise ValueError("cluster ids must be non-negative")
         n_clusters = max(assignment) + 1
         if self.channels.n_antennas != n_clusters:
             raise ValueError(

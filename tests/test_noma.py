@@ -527,6 +527,13 @@ class TestScenarioLayout:
                     total_power=4.0, qos_floors=floors,
                 )
 
+    def test_negative_cluster_id_rejected(self):
+        base = random_scenario(np.random.default_rng(6))
+        with pytest.raises(ValueError, match="cluster ids must be non-negative"):
+            NetworkScenario(
+                channels=base.channels, assignment=(0, 1, -1, 1), total_power=4.0
+            )
+
     def test_floors_become_one_per_user(self):
         base = random_scenario(np.random.default_rng(5))
         scenario = NetworkScenario(
