@@ -18,7 +18,7 @@ from irsnoma_lab.channel import (
 )
 from irsnoma_lab.noma import (
     NetworkScenario,
-    evaluate_configuration,
+    evaluate_batch,
     gain_ordered_plan,
     oma_tdma_sum_rate,
 )
@@ -37,30 +37,33 @@ scenario = NetworkScenario(
 )
 
 phase = PhaseConfig((0,) * 8, resolution_bits=3)
+phase_idx = [phase.indices]
+# A power split is one coefficient row: cluster 0's users, then cluster 1's,
+# each cluster in decoding order.  One call scores every (phase, row) pair.
+balanced, classic = [0.5, 0.5, 0.5, 0.5], [0.8, 0.2, 0.8, 0.2]
+grid = evaluate_batch(scenario, phase_idx, [balanced, classic], phase.resolution_bits)
 
 print("=== balanced power split ===")
-splits = ((0.5, 0.5), (0.5, 0.5))
-result = evaluate_configuration(scenario, phase, splits)
-print("own-beam gains |h_u . w_m|:", np.array2string(result.own_gains, precision=3))
+own_gains = grid.own_gains[0]
+print("own-beam gains |h_u . w_m|:", np.array2string(own_gains, precision=3))
 # Each cluster decodes its weakest own-beam gain first.
-plan = gain_ordered_plan(scenario, result.own_gains, splits)
+plan = gain_ordered_plan(scenario, own_gains, scenario.split_tuples(balanced))
 for m, order in enumerate(plan.decoding_order):
     print(f"cluster {m}: decode order {' > '.join(map(str, order))}, "
           f"alphas {plan.power_split[m]}")
 print("sum rate: %.3f bits/s/Hz | SIC and QoS ok: %s"
-      % (result.sum_rate, result.feasible))
+      % (grid.sum_rate[0, 0], grid.feasible[0, 0]))
 
 print("\n=== favoring the weak user (classic NOMA split) ===")
-result = evaluate_configuration(scenario, phase, ((0.8, 0.2), (0.8, 0.2)))
-print("sum rate: %.3f | feasible: %s" % (result.sum_rate, result.feasible))
+print("sum rate: %.3f | feasible: %s" % (grid.sum_rate[0, 1], grid.feasible[0, 1]))
 
 print("\n=== power sweep at this configuration ===")
 for dbm in (30.0, 45.0, 60.0, 75.0):
     swept = NetworkScenario(
         channels=channels, assignment=(0, 0, 1, 1), total_power=dbm_to_watts(dbm)
     )
-    r = evaluate_configuration(swept, phase, ((0.8, 0.2), (0.8, 0.2)))
-    print(f"P = {dbm:4.0f} dBm -> sum rate {r.sum_rate:.3f}")
+    r = evaluate_batch(swept, phase_idx, [classic], phase.resolution_bits)
+    print(f"P = {dbm:4.0f} dBm -> sum rate {r.sum_rate[0, 0]:.3f}")
 
 # TDMA baseline with the same per-user effective gains at this phase state.
 h_eff = effective_channels_batch(channels, [phase.indices], phase.resolution_bits)[0]

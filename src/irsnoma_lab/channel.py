@@ -60,16 +60,10 @@ class ServiceRegion:
 
     def contains(self, point) -> bool:
         """True if ``point`` lies inside the bounds and outside the obstacle."""
-        x, y = float(point[0]), float(point[1])
-        xmin, ymin, xmax, ymax = self.bounds
-        if not (xmin <= x <= xmax and ymin <= y <= ymax):
-            return False
-        if self.obstacle is not None and _point_in_polygon(x, y, self.obstacle):
-            return False
-        return True
+        return bool(self.contains_many(np.asarray(point, dtype=float)[None, :2])[0])
 
     def contains_many(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`contains` over an (n, 2) array."""
+        """Membership of each row of an (n, 2) array of points."""
         pts = np.asarray(points, dtype=float)
         xmin, ymin, xmax, ymax = self.bounds
         ok = (
@@ -83,26 +77,9 @@ class ServiceRegion:
         return ok
 
 
-def _point_in_polygon(x: float, y: float, poly: np.ndarray) -> bool:
-    # Ray casting; boundary points count as inside (conservatively excluded
-    # from the service region).
-    n = poly.shape[0]
-    inside = False
-    x0, y0 = poly[-1]
-    for i in range(n):
-        x1, y1 = poly[i]
-        if min(y0, y1) < y <= max(y0, y1) and x <= max(x0, x1):
-            if y0 != y1:
-                x_cross = (y - y0) * (x1 - x0) / (y1 - y0) + x0
-                if x0 == x1 or x <= x_cross:
-                    inside = not inside
-        x0, y0 = x1, y1
-    return inside
-
-
 def _points_in_polygon(x: np.ndarray, y: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    # _point_in_polygon over arrays of points: the same tests and crossing
-    # expression, edge by edge, so both agree on every point.
+    # Ray casting, edge by edge over all points at once; boundary points
+    # count as inside (conservatively excluded from the service region).
     inside = np.zeros(x.shape, dtype=bool)
     x0, y0 = poly[-1]
     for x1, y1 in poly:
@@ -156,11 +133,12 @@ class ScenarioGeometry:
         if users.shape[0] < 1:
             raise ValueError("at least one user is required")
         object.__setattr__(self, "user_positions", users)
-        for i, u in enumerate(users):
-            if not self.region.contains(u[:2]):
-                raise ValueError(
-                    f"user {i} at {u[:2].tolist()} is outside the service region"
-                )
+        outside = np.flatnonzero(~self.region.contains_many(users[:, :2]))
+        if outside.size:
+            i = int(outside[0])
+            raise ValueError(
+                f"user {i} at {users[i, :2].tolist()} is outside the service region"
+            )
 
     @property
     def n_users(self) -> int:

@@ -11,9 +11,10 @@ or ``m_clusters`` below 1, ``m_clusters > n_users`` without a
 ``scenario_path``, an ``alpha_step`` that does not divide 1, an empty seed
 list, an unknown algorithm, ``interference_model`` or ``alpha_domain``, a
 negative or non-finite ``qos_floor``, powers, element counts or slot counts
-out of range, and, under the oracle, more than 1e8 phase configs at
-``k_elements`` (at the largest of ``element_counts`` for sweep-elements)
-are all rejected.
+out of range, and, under the oracle, more than 1e8 evaluations (2**(B*K)
+phase configs times the fewest power splits of any clustering, or the phase
+configs alone with a ``scenario_path``) at ``k_elements`` (at the largest of
+``element_counts`` for sweep-elements) are all rejected.
 
 Exit codes: 0 on success; 1 on a validation error, reported on stderr as
 ``error: <message>``; 2 when a run ends infeasible or without a result (no

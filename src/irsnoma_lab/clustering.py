@@ -61,19 +61,23 @@ def normalize_channels(raw) -> CsiFeatureSet:
     return CsiFeatureSet(raw=raw, normalized=normalized, features=features)
 
 
-def gain_difference(a, b) -> float:
-    """Norm of the difference of elementwise channel magnitudes."""
-    return float(np.linalg.norm(np.abs(np.asarray(a)) - np.abs(np.asarray(b))))
+def _seed_gate(gate: np.ndarray, seeds: np.ndarray, rho1: float, rho2: float):
+    """The rough partition's threshold gate of every row against the seed rows.
 
-
-def correlation(a, b) -> float:
-    """Magnitude of the normalized inner product of two channel vectors."""
-    a = np.asarray(a).ravel()
-    b = np.asarray(b).ravel()
-    denom = np.linalg.norm(a) * np.linalg.norm(b)
-    if denom == 0.0:
-        return 0.0
-    return float(np.abs(np.vdot(a, b)) / denom)
+    Returns (n, M) arrays ``(qualifies, gain_diff, corr)``: ``gain_diff`` is
+    the norm of the difference of elementwise magnitudes, ``corr`` the
+    magnitude of the normalized inner product (0 where a norm is 0), and a
+    row qualifies for a seed when ``gain_diff < rho1`` and ``corr > rho2``.
+    Each pair reduces as 1-D ``np.linalg.norm`` and ``np.vdot`` do: one BLAS
+    dot per pair (a stacked (1, K) @ (K, 1) product), one norm per row.
+    """
+    diff = (np.abs(gate)[:, None] - np.abs(gate[seeds]))[..., None, :]
+    gain_diff = np.sqrt(diff @ diff.swapaxes(-1, -2))[..., 0, 0]
+    inner = np.abs(np.conj(gate)[:, None, None] @ gate[seeds][..., None])[..., 0, 0]
+    norm = np.array([np.linalg.norm(row) for row in gate])
+    denom = np.multiply.outer(norm, norm[seeds])
+    corr = np.divide(inner, denom, out=np.zeros(denom.shape), where=denom != 0.0)
+    return (gain_diff < rho1) & (corr > rho2), gain_diff, corr
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,18 +168,15 @@ def rough_partition(
     for m, s in enumerate(seeds):
         assignment[s] = m
 
+    qualifies, _, _ = _seed_gate(gate, seeds, rho1, rho2)
     for u in range(n):
         if assignment[u] >= 0:
             continue
-        qualifying = [
-            m
-            for m, s in enumerate(seeds)
-            if gain_difference(gate[u], gate[s]) < rho1
-            and correlation(gate[u], gate[s]) > rho2
-        ]
-        candidates = qualifying if qualifying else range(m_clusters)
+        candidates = np.flatnonzero(qualifies[u])
+        if not candidates.size:
+            candidates = np.arange(m_clusters)
         dists = [np.linalg.norm(x[u] - centers[m]) for m in candidates]
-        assignment[u] = list(candidates)[int(np.argmin(dists))]
+        assignment[u] = candidates[int(np.argmin(dists))]
 
     for _ in range(LLOYD_MAX_ROUNDS):
         for m in range(m_clusters):

@@ -58,6 +58,7 @@ from .oracle import (
     SearchSpaceTooLargeError,
     _units_from_step,
     brute_force_optimum,
+    composition_count,
     phase_index_block,
 )
 from .rl import (
@@ -174,19 +175,22 @@ class ExperimentConfig:
         if not (math.isfinite(self.qos_floor) and self.qos_floor >= 0):
             raise ValueError(f"qos_floor {self.qos_floor!r} must be finite and >= 0")
         if self.algorithm == "oracle":
-            self.check_oracle_phases(self.k_elements, "k_elements")
+            self.check_oracle_size(self.k_elements, "k_elements")
 
-    def check_oracle_phases(self, k_elements: int, field: str) -> None:
-        """Reject an oracle search whose phase configs alone exceed the guard.
+    def check_oracle_size(self, k_elements: int, field: str) -> None:
+        """Reject an oracle search above the guard under every clustering.
 
-        There are (2**B)**K = 2**(B*K) phase configs and at least one split.
+        m - 1 singleton clusters give the fewest splits (a scenario file brings
+        its own users: phases only); 2**64 phases alone exceed the guard.
         """
         exponent = self.resolution_bits * k_elements
-        if exponent >= EVALUATION_GUARD.bit_length():
+        parts = 1 if self.scenario_path else self.n_users - self.m_clusters + 1
+        splits = composition_count(_units_from_step(self.alpha_step), parts)
+        if splits << min(exponent, 64) > EVALUATION_GUARD:
             raise ValueError(
-                f"{field} {k_elements} at resolution_bits {self.resolution_bits} "
-                f"gives 2**{exponent} oracle phase configs, above the guard "
-                f"{EVALUATION_GUARD}"
+                f"{field} {k_elements} at resolution_bits {self.resolution_bits} gives "
+                f"2**{exponent} oracle phase configs x {splits} power splits at least, "
+                f"above the guard {EVALUATION_GUARD}"
             )
 
     @classmethod
@@ -526,7 +530,7 @@ def cmd_sweep_power(config: ExperimentConfig) -> list[tuple]:
 def cmd_sweep_elements(config: ExperimentConfig) -> list[tuple]:
     """Sum rate over element counts; smaller surfaces are prefixes of larger."""
     if config.algorithm == "oracle":
-        config.check_oracle_phases(max(config.element_counts), "element_counts")
+        config.check_oracle_size(max(config.element_counts), "element_counts")
     rows = []
     for seed in config.seeds:
         setup = prepare(config, seed)

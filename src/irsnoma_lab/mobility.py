@@ -310,20 +310,22 @@ def displacement_pairs(positions_norm: np.ndarray, window_len: int):
     return windows / scales[:, None, None], targets / scales[:, None]
 
 
+def _next_position(predictor: RecurrentPredictor, scaled_window) -> np.ndarray:
+    """One-step forecast in scaled coordinates from ``window_len + 1`` positions.
+
+    The window's RMS-normalized deltas feed the predictor, and the forecast
+    displacement extends the last position.
+    """
+    deltas = np.diff(scaled_window, axis=0)
+    scale = float(_window_scales(deltas[None, :, :])[0])
+    return scaled_window[-1] + predictor.forward(deltas / scale) * scale
+
+
 def predict_next(
     predictor: RecurrentPredictor, scaler: PositionScaler, window_m
 ) -> np.ndarray:
-    """One-step position forecast in meters.
-
-    ``window_m`` holds ``window_len + 1`` past positions; their normalized
-    deltas feed the predictor and the forecast displacement extends the
-    last position.
-    """
-    w = scaler.normalize(window_m)
-    deltas = np.diff(w, axis=0)
-    scale = float(_window_scales(deltas[None, :, :])[0])
-    delta = predictor.forward(deltas / scale) * scale
-    return scaler.denormalize(w[-1] + delta)
+    """One-step position forecast in meters from ``window_len + 1`` past positions."""
+    return scaler.denormalize(_next_position(predictor, scaler.normalize(window_m)))
 
 
 def persistence_mse(positions: np.ndarray, window_len: int) -> float:
@@ -442,9 +444,7 @@ def run_algorithm1(
             window = known[-(window_len + 1) :].copy()
             block_pred = np.empty((block, 2))
             for step in range(block):
-                deltas = np.diff(window, axis=0)
-                scale = float(_window_scales(deltas[None, :, :])[0])
-                nxt = window[-1] + pred.forward(deltas / scale) * scale
+                nxt = _next_position(pred, window)
                 block_pred[step] = scaler.denormalize(nxt)
                 window = np.vstack([window[1:], nxt])
             predictions[u].append(block_pred)

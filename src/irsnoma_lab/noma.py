@@ -19,8 +19,7 @@ the "power" domain (num proportional to a_p, not a_p^2) is available as a
 flag.
 
 :func:`evaluate_batch` is the one evaluator: it scores a grid of phase
-configs and power splits, and :func:`evaluate_configuration` is its 1 x 1
-case.
+configs and power splits.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelRealization, PhaseConfig, effective_channels_batch
+from .channel import ChannelRealization, effective_channels_batch
 from .precoding import zero_forcing
 
 ALPHA_SUM_TOL = 1e-12
@@ -223,15 +222,6 @@ class NetworkScenario:
     def n_clusters(self) -> int:
         return len(self.members)
 
-    def split_row(self, splits) -> np.ndarray:
-        """The (N,) coefficient row of per-cluster split tuples."""
-        if len(splits) != self.n_clusters:
-            raise ValueError("power_split and decoding_order cluster counts differ")
-        for m, (part, size) in enumerate(zip(splits, self.cluster_sizes)):
-            if len(part) != size:
-                raise ValueError(f"cluster {m}: split size != member count")
-        return np.array([a for part in splits for a in part], dtype=float)
-
     def split_tuples(self, row) -> tuple[tuple[float, ...], ...]:
         """Per-cluster split tuples of an (N,) coefficient row."""
         cuts = np.cumsum(self.cluster_sizes)[:-1]
@@ -376,24 +366,6 @@ class ConfigurationResult:
             feasible=bool(grid.feasible[0, 0]),
             own_gains=None if np.isnan(gains[0]) else gains,
         )
-
-
-def evaluate_configuration(
-    scenario: NetworkScenario,
-    phase: PhaseConfig,
-    splits: tuple[tuple[float, ...], ...],
-) -> ConfigurationResult:
-    """Score one point of the discrete search space: a 1 x 1 :func:`evaluate_batch`.
-
-    ``splits`` holds one tuple of coefficients per cluster.  An unworkably
-    conditioned combined channel makes the point infeasible rather than an
-    error.
-    """
-    phase_idx = np.array([phase.indices])
-    alphas = scenario.split_row(splits)[None]
-    return ConfigurationResult.of_first_point(
-        evaluate_batch(scenario, phase_idx, alphas, phase.resolution_bits)
-    )
 
 
 def gain_ordered_plan(scenario: NetworkScenario, own_gains, splits) -> ClusterPlan:

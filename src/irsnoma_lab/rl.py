@@ -24,7 +24,6 @@ same loop with no steps after each episode's random start.
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -33,8 +32,6 @@ import numpy as np
 from .channel import PhaseConfig, as_rng
 from .noma import ConfigurationResult, NetworkScenario, evaluate_batch
 from .oracle import _units_from_step
-
-WEIGHTS_FORMAT = "irsnoma-qnet-v1"
 
 # Epsilon schedule of both learners; fixed tabular and replay settings.
 EPSILON_START = 1.0
@@ -106,13 +103,6 @@ class ReplayMemory:
         return self._size
 
 
-# The constructor arguments a weights file records besides the weights.
-_SETTINGS = (
-    "input_dim", "n_actions", "hidden", "learning_rate", "discount",
-    "epsilon_start", "epsilon_decay", "epsilon_min", "sync_period", "clip_norm",
-)
-
-
 class QApproximator:
     """Two-hidden-layer ReLU network with a hard-synced target copy."""
 
@@ -134,9 +124,6 @@ class QApproximator:
             raise ValueError("discount must lie in [0, 1)")
         if learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        self.input_dim = int(input_dim)
-        self.n_actions = int(n_actions)
-        self.hidden = tuple(int(h) for h in hidden)
         self.learning_rate = float(learning_rate)
         self.discount = float(discount)
         self.epsilon_start = float(epsilon_start)
@@ -146,7 +133,7 @@ class QApproximator:
         self.clip_norm = float(clip_norm)
 
         rng = as_rng(seed)
-        sizes = [self.input_dim, *self.hidden, self.n_actions]
+        sizes = [int(input_dim), *(int(h) for h in hidden), int(n_actions)]
         self.weights = []
         self.biases = []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
@@ -251,26 +238,6 @@ class QApproximator:
 
     def epsilon(self, episode: int) -> float:
         return max(self.epsilon_min, self.epsilon_start * self.epsilon_decay**episode)
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self) -> str:
-        doc = {name: getattr(self, name) for name in _SETTINGS}
-        doc["format"] = WEIGHTS_FORMAT
-        doc["weights"] = [w.tolist() for w in self.weights]
-        doc["biases"] = [b.tolist() for b in self.biases]
-        return json.dumps(doc, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "QApproximator":
-        doc = json.loads(text)
-        if doc.get("format") != WEIGHTS_FORMAT:
-            raise ValueError(f"unsupported weights format {doc.get('format')!r}")
-        approx = cls(**{name: doc[name] for name in _SETTINGS}, seed=0)
-        approx.weights = [np.asarray(w, dtype=float) for w in doc["weights"]]
-        approx.biases = [np.asarray(b, dtype=float) for b in doc["biases"]]
-        approx.sync_target()
-        return approx
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,10 @@ scored through ``PhaseConfig`` and per-cluster split tuples from
 :func:`alpha_from_units`.  The environment's action table must reproduce
 it bit for bit.
 
+Two more scalar forms serve as references for array code: the one-point
+ray cast behind ``ServiceRegion.contains_many``, and the per-pair gain
+difference and correlation of the rough partition's threshold gate.
+
 The file has no ``test_`` prefix, so pytest imports it only from tests.
 """
 
@@ -28,10 +32,19 @@ from irsnoma_lab.channel import PhaseConfig, effective_channels_batch
 from irsnoma_lab.noma import (
     SIC_RATE_TOL,
     ClusterPlan,
+    ConfigurationResult,
     decoding_order_by_gain,
-    evaluate_configuration,
+    evaluate_batch,
 )
 from irsnoma_lab.precoding import zero_forcing
+
+
+def evaluate_point(scenario, phase: PhaseConfig, splits) -> ConfigurationResult:
+    """Score one (phase, per-cluster split tuples) point as a 1 x 1 grid."""
+    alphas = np.array([[a for part in splits for a in part]], dtype=float)
+    phase_idx = np.array([phase.indices])
+    grid = evaluate_batch(scenario, phase_idx, alphas, phase.resolution_bits)
+    return ConfigurationResult.of_first_point(grid)
 
 
 def alpha_from_units(units) -> tuple[float, ...]:
@@ -303,7 +316,7 @@ def reference_state(scenario, phase_indices, alpha_units, resolution_bits: int):
     """
     splits = tuple(alpha_from_units(u) for u in alpha_units)
     phase = PhaseConfig(phase_indices, resolution_bits)
-    result = evaluate_configuration(scenario, phase, splits)
+    result = evaluate_point(scenario, phase, splits)
     phases = np.asarray(phase_indices, dtype=float) / phase.n_levels
     alphas = np.concatenate([alpha_from_units(u) for u in alpha_units])
     if result.own_gains is not None:
@@ -312,3 +325,47 @@ def reference_state(scenario, phase_indices, alpha_units, resolution_bits: int):
     else:
         gains = np.zeros(scenario.channels.n_users)
     return np.concatenate([phases, alphas, gains]), splits, result
+
+
+# ---------------------------------------------------------------------------
+# Service region and clustering gate
+# ---------------------------------------------------------------------------
+
+def point_in_polygon(x: float, y: float, poly: np.ndarray) -> bool:
+    """Ray casting for one point; boundary points count as inside."""
+    n = poly.shape[0]
+    inside = False
+    x0, y0 = poly[-1]
+    for i in range(n):
+        x1, y1 = poly[i]
+        if min(y0, y1) < y <= max(y0, y1) and x <= max(x0, x1):
+            if y0 != y1:
+                x_cross = (y - y0) * (x1 - x0) / (y1 - y0) + x0
+                if x0 == x1 or x <= x_cross:
+                    inside = not inside
+        x0, y0 = x1, y1
+    return inside
+
+
+def region_contains(region, point) -> bool:
+    """True if ``point`` lies inside the bounds and outside the obstacle."""
+    x, y = float(point[0]), float(point[1])
+    xmin, ymin, xmax, ymax = region.bounds
+    if not (xmin <= x <= xmax and ymin <= y <= ymax):
+        return False
+    return region.obstacle is None or not point_in_polygon(x, y, region.obstacle)
+
+
+def gain_difference(a, b) -> float:
+    """Norm of the difference of elementwise channel magnitudes."""
+    return float(np.linalg.norm(np.abs(np.asarray(a)) - np.abs(np.asarray(b))))
+
+
+def correlation(a, b) -> float:
+    """Magnitude of the normalized inner product of two channel vectors."""
+    a = np.asarray(a).ravel()
+    b = np.asarray(b).ravel()
+    denom = np.linalg.norm(a) * np.linalg.norm(b)
+    if denom == 0.0:
+        return 0.0
+    return float(np.abs(np.vdot(a, b)) / denom)

@@ -33,7 +33,7 @@ from irsnoma_lab.mobility import (
     persistence_mse,
     run_algorithm1,
 )
-from irsnoma_lab.noma import NetworkScenario, evaluate_configuration, gain_ordered_plan
+from irsnoma_lab.noma import NetworkScenario, gain_ordered_plan
 from irsnoma_lab.oracle import SearchSpace, brute_force_optimum
 from irsnoma_lab.precoding import zero_forcing
 from irsnoma_lab.rl import (
@@ -42,7 +42,7 @@ from irsnoma_lab.rl import (
     tabular_q_update,
     train_agent,
 )
-from scalar_reference import reference_point, sinr_cross
+from scalar_reference import evaluate_point, reference_point, sinr_cross
 
 # Pinned regression scenario for the RL-vs-oracle criterion: 4 elements at
 # 2 resolution bits, two 2-user clusters, alpha grid 0.1, 60 dBm budget.
@@ -126,7 +126,7 @@ def test_criterion_2_sic_decoding_chain():
         phase = PhaseConfig(tuple(rng.integers(0, 4, size=3)), 2)
         split = float(rng.uniform(0.05, 0.95))
         splits = ((split, 1.0 - split), (1.0,))
-        result = evaluate_configuration(scenario, phase, splits)
+        result = evaluate_point(scenario, phase, splits)
         if result.own_gains is None:
             continue
         plan = gain_ordered_plan(scenario, result.own_gains, splits)

@@ -19,6 +19,7 @@ from irsnoma_lab.channel import (
     sample_channels,
     scenario_to_json,
 )
+from scalar_reference import region_contains
 
 
 def small_geometry(n_users=2):
@@ -245,8 +246,9 @@ class TestGeometryAndRegion:
         edge_pts = (poly + t * (ends - poly)).reshape(-1, 2)
         pts = np.concatenate([pts, poly, edge_pts])
         many = region.contains_many(pts)
-        scalar = np.array([region.contains(p) for p in pts])
+        scalar = np.array([region_contains(region, p) for p in pts])
         assert np.array_equal(many, scalar)
+        assert np.array_equal([region.contains(p) for p in pts], scalar)
 
     def test_irs_defaults_to_origin(self):
         geom = ScenarioGeometry(bs_position=[0, -60, 10], user_positions=[[5.0, 5.0]])

@@ -1,21 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irsnoma_lab.clustering import (
     DegenerateCsiError,
     GmmParams,
     Responsibilities,
+    _seed_gate,
     cluster_users,
-    correlation,
     em_e_step,
     em_m_step,
     fit,
-    gain_difference,
     init_gmm,
     log_likelihood,
     normalize_channels,
     rough_partition,
 )
+from scalar_reference import correlation, gain_difference
 
 
 class TestNormalizeChannels:
@@ -60,6 +62,60 @@ class TestGateFunctions:
         b = np.array([0.8, 0.6])
         assert gain_difference(a, a) == 0.0
         assert gain_difference(a, b) == pytest.approx(np.sqrt(0.08))
+
+
+@st.composite
+def gate_instances(draw):
+    """(gate rows, sorted seed indices): real or complex rows, 1-9 users, 1-29
+    elements, optionally unit-normalized, with a zero row or duplicate rows,
+    and M = 1, M = n or any M in between."""
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(1, 29))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gate = rng.standard_normal((n, k))
+    if draw(st.booleans()):
+        gate = gate + 1j * rng.standard_normal((n, k))
+    if draw(st.booleans()):
+        gate /= np.linalg.norm(gate, axis=1, keepdims=True)
+    if n > 1 and draw(st.booleans()):
+        gate[draw(st.integers(1, n - 1))] = gate[0]
+    if draw(st.booleans()):
+        gate[draw(st.integers(0, n - 1))] = 0.0
+    m = draw(st.sampled_from([1, n, draw(st.integers(1, n))]))
+    seeds = np.sort(rng.choice(n, size=m, replace=False))
+    return gate, seeds
+
+
+def reference_gate(gate, seeds):
+    """Gain differences and correlations pair by pair through the scalar forms."""
+    gain_diff = np.array([[gain_difference(u, gate[s]) for s in seeds] for u in gate])
+    corr = np.array([[correlation(u, gate[s]) for s in seeds] for u in gate])
+    return gain_diff, corr
+
+
+class TestSeedGateEqualsScalarReference:
+    @settings(max_examples=300, deadline=None)
+    @given(gate_instances())
+    def test_matrices_bit_identical(self, instance):
+        gate, seeds = instance
+        _, gain_diff, corr = _seed_gate(gate, seeds, 0.3, 0.7)
+        ref_gain_diff, ref_corr = reference_gate(gate, seeds)
+        assert np.array_equal(gain_diff, ref_gain_diff)
+        assert np.array_equal(corr, ref_corr)
+        zero = ~gate.any(axis=1)
+        assert (corr[zero] == 0.0).all() and (corr[:, zero[seeds]] == 0.0).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(gate_instances(), st.data())
+    def test_mask_with_thresholds_on_a_boundary(self, instance, data):
+        # rho1 and rho2 equal to entries of the matrices put the strict
+        # comparisons exactly on a boundary.
+        gate, seeds = instance
+        ref_gain_diff, ref_corr = reference_gate(gate, seeds)
+        rho1 = data.draw(st.sampled_from(ref_gain_diff.ravel().tolist()))
+        rho2 = data.draw(st.sampled_from(ref_corr.ravel().tolist()))
+        qualifies, _, _ = _seed_gate(gate, seeds, rho1, rho2)
+        assert np.array_equal(qualifies, (ref_gain_diff < rho1) & (ref_corr > rho2))
 
 
 class TestRoughPartition:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import stat
 
@@ -28,8 +29,8 @@ from irsnoma_lab.harness import (
     read_csv,
     write_csv,
 )
-from irsnoma_lab.noma import evaluate_configuration
-from scalar_reference import reference_point
+from irsnoma_lab.oracle import composition_count
+from scalar_reference import evaluate_point, reference_point
 
 SMALL = dict(
     algorithm="random-phase",
@@ -60,6 +61,18 @@ ORACLE_1U = dict(
     resolution_bits=2,
     power_dbm=40.0,
     alpha_step=0.5,
+)
+
+# One cluster of all ten users on a 1 % power grid: only 2 phase configs,
+# but the split grid alone is far above the oracle's evaluation guard.
+ORACLE_SPLITS_OVERSIZE = dict(
+    SMALL,
+    algorithm="oracle",
+    n_users=10,
+    m_clusters=1,
+    k_elements=1,
+    resolution_bits=1,
+    alpha_step=0.01,
 )
 
 
@@ -139,6 +152,24 @@ class TestConfig:
     def test_scenario_file_lifts_the_user_count_check(self):
         cfg = ExperimentConfig(n_users=2, m_clusters=5, scenario_path="s.json")
         assert cfg.m_clusters == 5
+
+    def test_oracle_split_bound_is_the_fewest_splits_of_any_clustering(self):
+        # Every cluster size vector of n users in m non-empty clusters.
+        for n in range(1, 9):
+            for m in range(1, n + 1):
+                grid = itertools.product(range(1, n + 1), repeat=m)
+                sizes = [c for c in grid if sum(c) == n]
+                for units in (1, 2, 5, 10):
+                    fewest = min(
+                        math.prod(composition_count(units, s) for s in c) for c in sizes
+                    )
+                    assert fewest == composition_count(units, n - m + 1)
+
+    def test_scenario_file_keeps_the_phase_only_oracle_check(self):
+        doc = dict(ORACLE_SPLITS_OVERSIZE, scenario_path="s.json")
+        assert ExperimentConfig(**doc).alpha_step == 0.01
+        with pytest.raises(ValueError, match="2\\*\\*27 oracle phase configs x 1 "):
+            ExperimentConfig(**{**doc, "k_elements": 27})
 
 
 class TestCsvHelpers:
@@ -270,7 +301,7 @@ class TestWinnerPlan:
         # The plan is built from the gains the search recorded for its winner,
         # and they equal a fresh evaluation of that point.
         (gains,) = recorded
-        fresh = evaluate_configuration(scenario, outcome.phase, outcome.splits)
+        fresh = evaluate_point(scenario, outcome.phase, outcome.splits)
         assert np.array_equal(gains, fresh.own_gains)
 
 
@@ -530,6 +561,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
         assert not out.exists()
+
+    def test_oversize_oracle_split_grid_fails_before_training(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            raise RuntimeError("Algorithm 1 started")
+
+        monkeypatch.setattr(harness, "run_algorithm1", spy)
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**ORACLE_SPLITS_OVERSIZE, "out_dir": str(out)}))
+        assert main(["pipeline", "--config", str(cfg_path)]) == 1
+        # 2 phase configs x C(109, 9) splits = 8,526,843,022,542 evaluations.
+        assert "2**1 oracle phase configs x 4263421511271 power splits" in (
+            capsys.readouterr().err
+        )
+        assert calls == [] and not out.exists()
 
     def test_infeasible_oracle_exit_code(self, tmp_path):
         cfg_path = tmp_path / "config.json"

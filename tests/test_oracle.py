@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from irsnoma_lab import oracle
 from irsnoma_lab.channel import ChannelRealization, PhaseConfig, dbm_to_watts
-from irsnoma_lab.noma import NetworkScenario, evaluate_configuration
+from irsnoma_lab.noma import NetworkScenario
 from irsnoma_lab.oracle import (
     SearchSpace,
     SearchSpaceTooLargeError,
@@ -16,6 +16,7 @@ from irsnoma_lab.oracle import (
     composition_count,
     phase_index_block,
 )
+from scalar_reference import evaluate_point
 
 # Chunk sizes that put chunk boundaries inside phases, between phases, and
 # (at the default) nowhere on small grids.
@@ -69,7 +70,7 @@ def literal_optimum(scenario, space):
     for phase in all_phases(space.k_elements, space.resolution_bits):
         for splits in literal_splits(space.cluster_sizes, space.alpha_step):
             evaluated += 1
-            point = evaluate_configuration(scenario, phase, splits)
+            point = evaluate_point(scenario, phase, splits)
             if point.feasible:
                 feasible += 1
                 if point.sum_rate > best_rate:
@@ -169,7 +170,7 @@ class TestBruteForce:
         space = SearchSpace(1, 1, (1,), alpha_step=0.5)
         result = brute_force_optimum(scenario, space)
         rates = [
-            evaluate_configuration(scenario, PhaseConfig((n,), 1), ((1.0,),)).sum_rate
+            evaluate_point(scenario, PhaseConfig((n,), 1), ((1.0,),)).sum_rate
             for n in (0, 1)
         ]
         assert result.best_rate == pytest.approx(max(rates))
@@ -250,7 +251,7 @@ class TestBruteForce:
         result = brute_force_optimum(scenario, space)
         for phase in all_phases(2, 1):
             for splits in literal_splits((2, 2), 0.5):
-                point = evaluate_configuration(scenario, phase, splits)
+                point = evaluate_point(scenario, phase, splits)
                 if point.feasible:
                     assert result.best_rate >= point.sum_rate - 1e-15
 
