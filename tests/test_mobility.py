@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,9 @@ from irsnoma_lab.mobility import (
 )
 
 BOX = ServiceRegion(bounds=(-50.0, -50.0, 50.0, 50.0))
+
+# run_algorithm1 at U = 3, n0 = 12, n_max = 40, 50 steps per round (seed 17).
+MULTI_ROUND_SHA256 = "8c490597b4f1031eed7cf566fe21e11c3818abce6a3678fec2e59503094efb92"
 
 
 class TestRejectionSampling:
@@ -253,6 +258,24 @@ class TestAlgorithm1:
         assert one_step_mse(pred, result.scaler, tail) < persistence_mse(
             tail, pred.window_len
         )
+
+    def test_multi_round_outputs_match_stored_hash(self):
+        # Three users over two doubling rounds (blocks of 12 and 16): every
+        # predicted block, user by user and round by round, then each user's
+        # final weights, hashed as raw float64 bytes.
+        result = run_algorithm1(
+            BOX, n_users=3, n0=12, n_max=40, seed=17, train_steps_per_round=50
+        )
+        assert result.rounds == 2
+        assert [b.shape[0] for b in result.predictions[0]] == [12, 16]
+        digest = hashlib.sha256()
+        for blocks in result.predictions:
+            for block in blocks:
+                digest.update(np.ascontiguousarray(block).tobytes())
+        for predictor in result.predictors:
+            for value in predictor.parameters().values():
+                digest.update(np.ascontiguousarray(value).tobytes())
+        assert digest.hexdigest() == MULTI_ROUND_SHA256
 
     def test_invalid_budgets_rejected(self):
         with pytest.raises(ValueError):
