@@ -38,9 +38,9 @@ for u, blocks in enumerate(result.predictions):
     print(f"user {u}: predicted blocks of sizes {sizes}")
 
 print("\n=== held-out one-step accuracy vs persistence ===")
-for u in range(3):
-    tail = result.trajectories[u][24:]
-    mse = one_step_mse(result.predictors[u], result.scaler, tail)
-    base = persistence_mse(tail, result.predictors[u].window_len)
+tails = result.trajectories[:, 24:]
+mses = one_step_mse(result.predictors, result.scaler, tails)
+for u, (tail, mse) in enumerate(zip(tails, mses)):
+    base = persistence_mse(tail, result.predictors.window_len)
     verdict = "beats" if mse < base else "loses to"
     print(f"user {u}: predictor {mse:.3f} m^2 {verdict} persistence {base:.3f} m^2")

@@ -16,6 +16,11 @@ phase configs times the fewest power splits of any clustering, or the phase
 configs alone with a ``scenario_path``) at ``k_elements`` (at the largest of
 ``element_counts`` for sweep-elements) are all rejected.
 
+A ``dqn`` run of a command that trains an agent (pipeline, sweep-power,
+sweep-elements, compare-oma) whose ``episodes * steps_per_episode`` stays
+below the replay warmup never takes a train step; it still runs, after one
+``warning: ...`` line on stderr.
+
 Exit codes: 0 on success; 1 on a validation error, reported on stderr as
 ``error: <message>``; 2 when a run ends infeasible or without a result (no
 feasible pipeline slot, or no feasible oracle configuration).
@@ -39,6 +44,11 @@ from .harness import (  # noqa: F401
     cmd_sweep_elements,
     cmd_sweep_power,
 )
+
+from .rl import BATCH_SIZE, WARMUP
+
+# Commands that train one agent per run with the configured algorithm.
+AGENT_COMMANDS = ("pipeline", "sweep-power", "sweep-elements", "compare-oma")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -123,11 +133,24 @@ def load_config(args) -> ExperimentConfig:
     return ExperimentConfig().with_overrides(**overrides)
 
 
+def _warn_untrained_dqn(command: str, config: ExperimentConfig) -> None:
+    steps = config.episodes * config.steps_per_episode
+    warmup = max(BATCH_SIZE, WARMUP)
+    if config.algorithm == "dqn" and command in AGENT_COMMANDS and steps < warmup:
+        print(
+            f"warning: {config.episodes} episodes x {config.steps_per_episode} steps "
+            f"= {steps} transitions per DQN run, below the replay warmup of "
+            f"{warmup}; the agent never trains",
+            file=sys.stderr,
+        )
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _, summarize = COMMANDS[args.command]
     try:
         config = load_config(args)
+        _warn_untrained_dqn(args.command, config)
         result = globals()["cmd_" + args.command.replace("-", "_")](config)
     except (ValueError, OSError, KeyError, TypeError) as err:
         print(f"error: {err}", file=sys.stderr)

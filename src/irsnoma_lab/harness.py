@@ -372,7 +372,7 @@ class Setup:
     def forecasts(self) -> list[np.ndarray]:
         """Per-slot one-step position forecasts after ``n_max``, kept in the region."""
         config, region = self.config, self.geometry.region
-        truths = self.truths(config.n_max + config.slots)
+        truths = np.stack(self.truths(config.n_max + config.slots))
         algo1 = run_algorithm1(
             region,
             self.geometry.n_users,
@@ -386,12 +386,10 @@ class Setup:
         w, base = config.window_len + 1, config.n_max
         forecasts = []
         for slot in range(config.slots):
-            predicted = []
-            for u, predictor in enumerate(algo1.predictors):
-                window = truths[u][base - w + slot : base + slot]
-                pos = predict_next(predictor, algo1.scaler, window)
-                predicted.append(pos if region.contains(pos) else window[-1])
-            forecasts.append(np.asarray(predicted))
+            windows = truths[:, base - w + slot : base + slot]
+            predicted = predict_next(algo1.predictors, algo1.scaler, windows)
+            inside = region.contains_many(predicted)
+            forecasts.append(np.where(inside[:, None], predicted, windows[:, -1]))
         return forecasts
 
 

@@ -3,7 +3,9 @@
 Positions are proposed uniformly over the service region's bounding box and
 accepted by rejection (optionally against a bounded target density), ground
 truth between slots follows a constant-speed walk with Gaussian heading
-perturbation, and future positions are forecast by a single-cell LSTM
+perturbation, and future positions are forecast by a single-cell LSTM per
+user (all users' cells stacked on a leading user axis and trained in
+lockstep):
 
     i = sigmoid(W_i [x; h] + b_i)      f = sigmoid(W_f [x; h] + b_f)
     o = sigmoid(W_o [x; h] + b_o)      g = tanh(W_g [x; h] + b_g)
@@ -15,6 +17,7 @@ through time on mean-squared error with plain gradient descent.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,11 +141,16 @@ class PositionScaler:
 
 
 class RecurrentPredictor:
-    """Single LSTM cell plus linear head; predicts the next 2-D position.
+    """Single LSTM cell plus linear head per user, every user in lockstep.
 
-    Weight layout: ``w_gates`` stacks the input/forget/output/candidate gate
-    blocks (4H rows) against the concatenated [input; hidden] vector;
-    ``w_out``/``b_out`` form the linear head read off the final hidden state.
+    Each parameter carries a leading user axis of length ``n_users``:
+    ``w_gates`` (U, 4H, D+H) stacks the input/forget/output/candidate gate
+    blocks against the concatenated [input; hidden] vector, ``b_gates`` is
+    (U, 4H), and ``w_out`` (U, D, H) / ``b_out`` (U, D) form the linear head
+    read off the final hidden state.  The users share no parameter, so slice
+    u is user u's own predictor and one predictor is ``n_users=1``.  Windows
+    and targets carry the same leading user axis; ``predictor[u]`` is user
+    u's one-user view of the shared weights.
     """
 
     def __init__(
@@ -152,21 +160,27 @@ class RecurrentPredictor:
         window_len: int = 8,
         learning_rate: float = 0.05,
         clip_norm: float = 10.0,
+        n_users: int = 1,
         seed=None,
     ):
-        if min(input_dim, hidden_dim, window_len) < 1:
-            raise ValueError("dimensions and window length must be positive")
+        if min(input_dim, hidden_dim, window_len, n_users) < 1:
+            raise ValueError("dimensions, window length and user count must be positive")
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         self.window_len = window_len
+        self.n_users = n_users
         self.learning_rate = float(learning_rate)
         self.clip_norm = float(clip_norm)
         rng = as_rng(seed)
         lim = 1.0 / np.sqrt(hidden_dim + input_dim)
-        self.w_gates = rng.uniform(-lim, lim, size=(4 * hidden_dim, input_dim + hidden_dim))
-        self.b_gates = np.zeros(4 * hidden_dim)
-        self.w_out = rng.uniform(-lim, lim, size=(input_dim, hidden_dim))
-        self.b_out = np.zeros(input_dim)
+        self.w_gates = np.empty((n_users, 4 * hidden_dim, input_dim + hidden_dim))
+        self.b_gates = np.zeros((n_users, 4 * hidden_dim))
+        self.w_out = np.empty((n_users, input_dim, hidden_dim))
+        self.b_out = np.zeros((n_users, input_dim))
+        # User-major draws: each user's gate block, then its head.
+        for u in range(n_users):
+            self.w_gates[u] = rng.uniform(-lim, lim, size=self.w_gates.shape[1:])
+            self.w_out[u] = rng.uniform(-lim, lim, size=self.w_out.shape[1:])
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -178,63 +192,80 @@ class RecurrentPredictor:
             "b_out": self.b_out,
         }
 
+    def __len__(self) -> int:
+        return self.n_users
+
+    def __getitem__(self, user: int) -> "RecurrentPredictor":
+        """User ``user``'s predictor: a one-user view sharing these weights."""
+        user = range(self.n_users)[user]
+        view = copy.copy(self)
+        view.n_users = 1
+        for name, value in self.parameters().items():
+            setattr(view, name, value[user : user + 1])
+        return view
+
     # -- forward ------------------------------------------------------------
 
     def _forward_batch(self, windows: np.ndarray):
-        b, t, d = windows.shape
+        u, b, t, d = windows.shape
         hd = self.hidden_dim
-        h = np.zeros((b, hd))
-        c = np.zeros((b, hd))
+        h = np.zeros((u, b, hd))
+        c = np.zeros((u, b, hd))
+        w_gates_t = self.w_gates.transpose(0, 2, 1)
+        b_gates = self.b_gates[:, None, :]
         cache = []
         for step in range(t):
-            x = windows[:, step, :]
-            z = np.concatenate([x, h], axis=1) @ self.w_gates.T + self.b_gates
-            gates = _sigmoid(z[:, : 3 * hd])
-            i, f, o = gates[:, :hd], gates[:, hd : 2 * hd], gates[:, 2 * hd :]
-            g = np.tanh(z[:, 3 * hd :])
+            x = windows[:, :, step, :]
+            z = np.concatenate([x, h], axis=2) @ w_gates_t + b_gates
+            gates = _sigmoid(z[..., : 3 * hd])
+            i, f, o = gates[..., :hd], gates[..., hd : 2 * hd], gates[..., 2 * hd :]
+            g = np.tanh(z[..., 3 * hd :])
             c_new = f * c + i * g
             tanh_c = np.tanh(c_new)
             h_new = o * tanh_c
             cache.append((x, h, c, i, f, o, g, tanh_c))
             h, c = h_new, c_new
-        y = h @ self.w_out.T + self.b_out
+        y = h @ self.w_out.transpose(0, 2, 1) + self.b_out[:, None, :]
         return y, h, cache
 
-    def forward(self, window) -> np.ndarray:
-        """Prediction for one window of ``window_len`` positions."""
-        w = np.asarray(window, dtype=float)
-        if w.ndim != 2 or w.shape != (self.window_len, self.input_dim):
-            raise ValueError(
-                f"window must be ({self.window_len}, {self.input_dim}), got {w.shape}"
-            )
+    def forward(self, windows) -> np.ndarray:
+        """Each user's prediction from its own window: (U, window_len, D) -> (U, D)."""
+        w = np.asarray(windows, dtype=float)
+        shape = (self.n_users, self.window_len, self.input_dim)
+        if w.shape != shape:
+            raise ValueError(f"windows must be {shape}, got {w.shape}")
         if not np.all(np.isfinite(w)):
             raise ValueError("window contains non-finite values")
-        y, _, _ = self._forward_batch(w[None, :, :])
-        return y[0]
+        y, _, _ = self._forward_batch(w[:, None])
+        return y[:, 0]
 
     # -- training -----------------------------------------------------------
 
     def loss_and_gradients(self, windows, targets):
-        """MSE loss and its analytic gradients over a batch (no update)."""
+        """Per-user MSE losses (U,) and their analytic gradients (no update).
+
+        ``windows`` is (U, B, window_len, D) and ``targets`` (U, B, D); user
+        u's loss and gradient slice depend on its own batch alone.
+        """
         windows = np.asarray(windows, dtype=float)
         targets = np.asarray(targets, dtype=float)
-        b = windows.shape[0]
+        u, b = windows.shape[:2]
         hd = self.hidden_dim
         d = self.input_dim
 
         y, h_last, cache = self._forward_batch(windows)
         err = y - targets
-        loss = float(np.mean(err**2))
+        losses = np.mean((err**2).reshape(u, -1), axis=1)
 
-        dy = 2.0 * err / err.size
+        dy = 2.0 * err / (b * d)
         grads = {
-            "w_out": dy.T @ h_last,
-            "b_out": dy.sum(axis=0),
+            "w_out": dy.transpose(0, 2, 1) @ h_last,
+            "b_out": dy.sum(axis=1),
             "w_gates": np.zeros_like(self.w_gates),
             "b_gates": np.zeros_like(self.b_gates),
         }
         dh = dy @ self.w_out
-        dc = np.zeros((b, hd))
+        dc = np.zeros((u, b, hd))
         for x, h_prev, c_prev, i, f, o, g, tanh_c in reversed(cache):
             do = dh * tanh_c
             dc = dc + dh * o * (1.0 - tanh_c**2)
@@ -248,30 +279,38 @@ class RecurrentPredictor:
                     do * o * (1.0 - o),
                     dg * (1.0 - g**2),
                 ],
-                axis=1,
+                axis=2,
             )
-            xh = np.concatenate([x, h_prev], axis=1)
-            grads["w_gates"] += dz.T @ xh
-            grads["b_gates"] += dz.sum(axis=0)
-            dh = dz @ self.w_gates[:, d:]
+            xh = np.concatenate([x, h_prev], axis=2)
+            grads["w_gates"] += dz.transpose(0, 2, 1) @ xh
+            grads["b_gates"] += dz.sum(axis=1)
+            dh = dz @ self.w_gates[:, :, d:]
             dc = dc * f
-        return loss, grads
+        return losses, grads
 
-    def train_step(self, windows, targets) -> tuple[float, bool]:
-        """One gradient-descent update; returns (pre-update loss, clipped?)."""
-        if len(windows) == 0:
-            raise ValueError("batch must be non-empty")
-        loss, grads = self.loss_and_gradients(windows, targets)
-        norm = np.sqrt(sum(float(np.sum(g**2)) for g in grads.values()))
-        clipped = norm > self.clip_norm
-        if clipped:
-            scale = self.clip_norm / norm
-            grads = {k: g * scale for k, g in grads.items()}
+    def train_step(self, windows, targets) -> tuple[np.ndarray, int]:
+        """One gradient-descent update of every user.
+
+        Each user's gradient is clipped by its own norm.  Returns the
+        per-user pre-update losses (U,) and how many users were clipped.
+        """
+        windows = np.asarray(windows, dtype=float)
+        if windows.ndim != 4 or windows.shape[1] == 0:
+            raise ValueError("windows must be a non-empty (users, batch, window, dim) array")
+        losses, grads = self.loss_and_gradients(windows, targets)
+        norms = np.sqrt(
+            sum(np.sum((g**2).reshape(self.n_users, -1), axis=1) for g in grads.values())
+        )
+        clipped = norms > self.clip_norm
+        if clipped.any():
+            scale = np.ones(self.n_users)
+            scale[clipped] = self.clip_norm / norms[clipped]
+            grads = {k: g * scale.reshape((-1,) + (1,) * (g.ndim - 1)) for k, g in grads.items()}
         for name, grad in grads.items():
             getattr(self, name)[...] -= self.learning_rate * grad
         if not all(np.all(np.isfinite(v)) for v in self.parameters().values()):
             raise FloatingPointError("predictor parameters became non-finite")
-        return loss, clipped
+        return losses, int(clipped.sum())
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -281,14 +320,20 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def sliding_windows(positions: np.ndarray, window_len: int):
-    """All (window, next-position) training pairs from one trajectory."""
+    """All (window, next-position) training pairs from one trajectory.
+
+    Leading axes (one per user, say) carry through: (..., n, D) positions
+    give (..., n - window_len, window_len, D) windows and (..., n -
+    window_len, D) targets.
+    """
     pos = np.asarray(positions, dtype=float)
-    n = pos.shape[0]
+    lead, n, d = pos.shape[:-2], pos.shape[-2], pos.shape[-1]
     if n < window_len + 1:
-        return np.empty((0, window_len, pos.shape[1])), np.empty((0, pos.shape[1]))
-    windows = np.stack([pos[t : t + window_len] for t in range(n - window_len)])
-    targets = pos[window_len:]
-    return windows, targets
+        return np.empty(lead + (0, window_len, d)), np.empty(lead + (0, d))
+    windows = np.stack(
+        [pos[..., t : t + window_len, :] for t in range(n - window_len)], axis=-3
+    )
+    return windows, pos[..., window_len:, :]
 
 
 def _window_scales(delta_windows: np.ndarray) -> np.ndarray:
@@ -303,29 +348,33 @@ def displacement_pairs(positions_norm: np.ndarray, window_len: int):
     the window's RMS step size, and the target is the next delta on the
     same scale.  Absolute coordinates and the absolute speed never enter
     the network: straight motion reduces to "copy the last (unit) row".
+    Leading axes carry through as in :func:`sliding_windows`.
     """
-    deltas = np.diff(np.asarray(positions_norm, dtype=float), axis=0)
+    deltas = np.diff(np.asarray(positions_norm, dtype=float), axis=-2)
     windows, targets = sliding_windows(deltas, window_len)
     scales = _window_scales(windows)
-    return windows / scales[:, None, None], targets / scales[:, None]
+    return windows / scales[..., None, None], targets / scales[..., None]
 
 
-def _next_position(predictor: RecurrentPredictor, scaled_window) -> np.ndarray:
-    """One-step forecast in scaled coordinates from ``window_len + 1`` positions.
+def _next_position(predictor: RecurrentPredictor, scaled_windows) -> np.ndarray:
+    """Each user's one-step forecast in scaled coordinates, (U, window_len + 1, D) -> (U, D).
 
-    The window's RMS-normalized deltas feed the predictor, and the forecast
-    displacement extends the last position.
+    A window's RMS-normalized deltas feed the predictor, and the forecast
+    displacement extends the window's last position.
     """
-    deltas = np.diff(scaled_window, axis=0)
-    scale = float(_window_scales(deltas[None, :, :])[0])
-    return scaled_window[-1] + predictor.forward(deltas / scale) * scale
+    deltas = np.diff(scaled_windows, axis=1)
+    scales = _window_scales(deltas)[:, None]
+    return scaled_windows[:, -1] + predictor.forward(deltas / scales[..., None]) * scales
 
 
 def predict_next(
-    predictor: RecurrentPredictor, scaler: PositionScaler, window_m
+    predictor: RecurrentPredictor, scaler: PositionScaler, windows_m
 ) -> np.ndarray:
-    """One-step position forecast in meters from ``window_len + 1`` past positions."""
-    return scaler.denormalize(_next_position(predictor, scaler.normalize(window_m)))
+    """Each user's one-step forecast in meters from its ``window_len + 1`` past positions.
+
+    ``windows_m`` is (U, window_len + 1, 2); the result is (U, 2).
+    """
+    return scaler.denormalize(_next_position(predictor, scaler.normalize(windows_m)))
 
 
 def persistence_mse(positions: np.ndarray, window_len: int) -> float:
@@ -342,24 +391,50 @@ def persistence_mse(positions: np.ndarray, window_len: int) -> float:
 
 def one_step_mse(
     predictor: RecurrentPredictor, scaler: PositionScaler, positions: np.ndarray
-) -> float:
-    """Mean squared one-step error (meters^2) over all windows of a trajectory."""
-    windows, targets = sliding_windows(positions, predictor.window_len + 1)
-    if windows.shape[0] == 0:
+) -> np.ndarray:
+    """Each user's mean squared one-step error (meters^2) over all its windows.
+
+    ``positions`` is (U, n, 2), one trajectory per user; the result is (U,).
+    """
+    pos = np.asarray(positions, dtype=float)
+    w = predictor.window_len + 1
+    n = pos.shape[1]
+    if n < w + 1:
         raise ValueError("trajectory shorter than one window")
-    preds = np.stack([predict_next(predictor, scaler, w) for w in windows])
-    return float(np.mean(np.sum((preds - targets) ** 2, axis=1)))
+    preds = np.stack(
+        [predict_next(predictor, scaler, pos[:, t : t + w]) for t in range(n - w)], axis=1
+    )
+    return np.mean(np.sum((preds - pos[:, w:]) ** 2, axis=-1), axis=-1)
+
+
+def _draw_minibatches(rng, n_users: int, n_pairs: int, steps: int):
+    """Every user's minibatch picks (U, steps, batch) and rotation angles (U, steps).
+
+    Drawn user-major, each step's ``integers`` before its ``uniform``: the
+    stream order of training the users one after another.
+    """
+    size = min(PREDICTOR_BATCH_SIZE, n_pairs)
+    picks = np.empty((n_users, steps, size), dtype=np.int64)
+    angles = np.empty((n_users, steps))
+    for u in range(n_users):
+        for step in range(steps):
+            picks[u, step] = rng.integers(0, n_pairs, size=size)
+            angles[u, step] = rng.uniform(0.0, TWO_PI)
+    return picks, angles
 
 
 @dataclass(frozen=True, eq=False)
 class Algorithm1Result:
     """Accumulated sample trajectories plus the trained per-user predictors.
 
-    ``trajectories[u]`` holds user u's first ``n_max`` positions, (n_max, 2).
+    ``trajectories[u]`` holds user u's first ``n_max`` positions, an
+    (U, n_max, 2) array; ``predictors`` is one lockstep predictor with a
+    user axis (``predictors[u]`` is user u's); ``predictions[u]`` lists
+    user u's forecast blocks, one per round.
     """
 
-    trajectories: list
-    predictors: list
+    trajectories: np.ndarray
+    predictors: RecurrentPredictor
     predictions: list
     scaler: PositionScaler
     rounds: int
@@ -380,12 +455,17 @@ def run_algorithm1(
 
     Each user starts from a rejection-sampled position and moves per the
     motion model; the first ``n0`` positions form the initial sample set.
-    Every round trains that user's predictor on all samples revealed so far,
+    Every round trains each user's predictor on all samples revealed so far,
     forecasts the next block autoregressively (block size = current sample
     count, truncated to land exactly on ``n_max``), then extends the sample
     set with the matching ground-truth block, doubling it per round.  With
     ``n_max == n0`` no training round runs and the initial samples are
     returned as-is.
+
+    All users train and forecast in lockstep on one predictor with a user
+    axis.  A round first draws every user's minibatch picks and rotation
+    angles in the order one-user-after-another training would consume them,
+    so the results equal training each user alone, bit for bit.
 
     Training happens in scaled [-1, 1] coordinates over displacement
     sequences (see :func:`displacement_pairs`); predictions are reported
@@ -415,46 +495,46 @@ def run_algorithm1(
         for t in truths:
             if t.shape[0] < n_max:
                 raise ValueError("each supplied trajectory needs at least n_max rows")
-    predictors = [
-        RecurrentPredictor(
-            input_dim=2,
-            hidden_dim=PREDICTOR_HIDDEN_DIM,
-            window_len=window_len,
-            learning_rate=PREDICTOR_LEARNING_RATE,
-            seed=rng,
-        )
-        for _ in range(n_users)
-    ]
-    predictions: list[list[np.ndarray]] = [[] for _ in range(n_users)]
+    truths = np.stack([t[:n_max] for t in truths])
+    predictors = RecurrentPredictor(
+        input_dim=2,
+        hidden_dim=PREDICTOR_HIDDEN_DIM,
+        window_len=window_len,
+        learning_rate=PREDICTOR_LEARNING_RATE,
+        n_users=n_users,
+        seed=rng,
+    )
+    users = np.arange(n_users)[:, None]
+    blocks = []
 
     revealed = n0
-    rounds = 0
     while revealed < n_max:
         block = min(revealed, n_max - revealed)
-        for u in range(n_users):
-            pred = predictors[u]
-            known = scaler.normalize(truths[u][:revealed])
-            windows, targets = displacement_pairs(known, window_len)
-            for _ in range(train_steps_per_round):
-                size = min(PREDICTOR_BATCH_SIZE, windows.shape[0])
-                pick = rng.integers(0, windows.shape[0], size=size)
-                ang = rng.uniform(0.0, TWO_PI)
-                rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
-                pred.train_step(windows[pick] @ rot.T, targets[pick] @ rot.T)
-            window = known[-(window_len + 1) :].copy()
-            block_pred = np.empty((block, 2))
-            for step in range(block):
-                nxt = _next_position(pred, window)
-                block_pred[step] = scaler.denormalize(nxt)
-                window = np.vstack([window[1:], nxt])
-            predictions[u].append(block_pred)
+        known = scaler.normalize(truths[:, :revealed])
+        windows, targets = displacement_pairs(known, window_len)
+        picks, angles = _draw_minibatches(
+            rng, n_users, windows.shape[1], train_steps_per_round
+        )
+        cos, sin = np.cos(angles), np.sin(angles)
+        rots = np.stack([np.stack([cos, -sin], -1), np.stack([sin, cos], -1)], -2)
+        for step in range(train_steps_per_round):
+            pick, rot_t = picks[:, step], rots[:, step].transpose(0, 2, 1)
+            predictors.train_step(
+                windows[users, pick] @ rot_t[:, None], targets[users, pick] @ rot_t
+            )
+        window = known[:, -(window_len + 1) :]
+        block_pred = np.empty((n_users, block, 2))
+        for step in range(block):
+            nxt = _next_position(predictors, window)
+            block_pred[:, step] = scaler.denormalize(nxt)
+            window = np.concatenate([window[:, 1:], nxt[:, None]], axis=1)
+        blocks.append(block_pred)
         revealed += block
-        rounds += 1
 
     return Algorithm1Result(
-        trajectories=[truth[:n_max] for truth in truths],
+        trajectories=truths,
         predictors=predictors,
-        predictions=predictions,
+        predictions=[[b[u] for b in blocks] for u in range(n_users)],
         scaler=scaler,
-        rounds=rounds,
+        rounds=len(blocks),
     )

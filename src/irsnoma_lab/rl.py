@@ -41,6 +41,8 @@ TABULAR_LEARNING_RATE = 0.2
 TABULAR_DISCOUNT = 0.9
 REPLAY_CAPACITY = 10_000
 BATCH_SIZE = 32
+# Replay transitions before the DQN's first train step (and at least BATCH_SIZE).
+WARMUP = 200
 # Reward deducted from the sum rate of a point that fails the SIC or QoS check.
 INFEASIBLE_PENALTY = 5.0
 
@@ -431,13 +433,14 @@ def train_agent(
     episodes: int,
     steps_per_episode: int,
     seed=None,
-    warmup: int = 200,
+    warmup: int = WARMUP,
 ) -> TrainResult:
     """Epsilon-greedy DQN training on replay minibatches of ``BATCH_SIZE``.
 
-    Training starts once the replay holds ``warmup`` transitions; the harness
-    keeps the default of 200, so a run of ``episodes * steps_per_episode <
-    200`` steps takes no train step and its curve's loss column is NaN.
+    Training starts once the replay holds ``max(BATCH_SIZE, warmup)``
+    transitions; the harness keeps the default ``WARMUP``, so a run of
+    ``episodes * steps_per_episode`` below that takes no train step and its
+    curve's loss column is NaN (``cli.main`` warns before such a run).
     Returns the best constraint-feasible configuration ever visited.
     """
     rng = as_rng(seed)

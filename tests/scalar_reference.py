@@ -19,6 +19,10 @@ Two more scalar forms serve as references for array code: the one-point
 ray cast behind ``ServiceRegion.contains_many``, and the per-pair gain
 difference and correlation of the rough partition's threshold gate.
 
+Last, Algorithm 1's LSTM for one user: 2-D weights, one batch, one
+gradient norm.  ``mobility.RecurrentPredictor`` trains every user at once
+on a leading user axis and must equal this user by user, bit for bit.
+
 The file has no ``test_`` prefix, so pytest imports it only from tests.
 """
 
@@ -29,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from irsnoma_lab.channel import PhaseConfig, effective_channels_batch
+from irsnoma_lab.mobility import _sigmoid
 from irsnoma_lab.noma import (
     SIC_RATE_TOL,
     ClusterPlan,
@@ -369,3 +374,97 @@ def correlation(a, b) -> float:
     if denom == 0.0:
         return 0.0
     return float(np.abs(np.vdot(a, b)) / denom)
+
+
+# -- Algorithm 1's LSTM, one user ---------------------------------------------
+
+
+def lstm_init(rng, input_dim: int, hidden_dim: int) -> dict:
+    """One user's weights: the gate block's draws, then the head's."""
+    lim = 1.0 / np.sqrt(hidden_dim + input_dim)
+    w_gates = rng.uniform(-lim, lim, size=(4 * hidden_dim, input_dim + hidden_dim))
+    w_out = rng.uniform(-lim, lim, size=(input_dim, hidden_dim))
+    return {
+        "w_gates": w_gates,
+        "b_gates": np.zeros(4 * hidden_dim),
+        "w_out": w_out,
+        "b_out": np.zeros(input_dim),
+    }
+
+
+def lstm_forward_batch(params: dict, windows: np.ndarray):
+    """Outputs (B, D), last hidden state and per-step cache for (B, T, D) windows."""
+    b, t, d = windows.shape
+    hd = params["b_gates"].shape[0] // 4
+    h = np.zeros((b, hd))
+    c = np.zeros((b, hd))
+    cache = []
+    for step in range(t):
+        x = windows[:, step, :]
+        z = np.concatenate([x, h], axis=1) @ params["w_gates"].T + params["b_gates"]
+        gates = _sigmoid(z[:, : 3 * hd])
+        i, f, o = gates[:, :hd], gates[:, hd : 2 * hd], gates[:, 2 * hd :]
+        g = np.tanh(z[:, 3 * hd :])
+        c_new = f * c + i * g
+        tanh_c = np.tanh(c_new)
+        h_new = o * tanh_c
+        cache.append((x, h, c, i, f, o, g, tanh_c))
+        h, c = h_new, c_new
+    y = h @ params["w_out"].T + params["b_out"]
+    return y, h, cache
+
+
+def lstm_loss_and_gradients(params: dict, windows, targets):
+    """MSE loss and its analytic gradients over one user's batch (no update)."""
+    windows = np.asarray(windows, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    b, _, d = windows.shape
+    hd = params["b_gates"].shape[0] // 4
+
+    y, h_last, cache = lstm_forward_batch(params, windows)
+    err = y - targets
+    loss = float(np.mean(err**2))
+
+    dy = 2.0 * err / err.size
+    grads = {
+        "w_out": dy.T @ h_last,
+        "b_out": dy.sum(axis=0),
+        "w_gates": np.zeros_like(params["w_gates"]),
+        "b_gates": np.zeros_like(params["b_gates"]),
+    }
+    dh = dy @ params["w_out"]
+    dc = np.zeros((b, hd))
+    for x, h_prev, c_prev, i, f, o, g, tanh_c in reversed(cache):
+        do = dh * tanh_c
+        dc = dc + dh * o * (1.0 - tanh_c**2)
+        di = dc * g
+        dg = dc * i
+        df = dc * c_prev
+        dz = np.concatenate(
+            [
+                di * i * (1.0 - i),
+                df * f * (1.0 - f),
+                do * o * (1.0 - o),
+                dg * (1.0 - g**2),
+            ],
+            axis=1,
+        )
+        xh = np.concatenate([x, h_prev], axis=1)
+        grads["w_gates"] += dz.T @ xh
+        grads["b_gates"] += dz.sum(axis=0)
+        dh = dz @ params["w_gates"][:, d:]
+        dc = dc * f
+    return loss, grads
+
+
+def lstm_train_step(params: dict, windows, targets, learning_rate: float, clip_norm: float):
+    """One in-place gradient-descent update; returns (pre-update loss, clipped?)."""
+    loss, grads = lstm_loss_and_gradients(params, windows, targets)
+    norm = np.sqrt(sum(float(np.sum(g**2)) for g in grads.values()))
+    clipped = norm > clip_norm
+    if clipped:
+        scale = clip_norm / norm
+        grads = {k: g * scale for k, g in grads.items()}
+    for name, grad in grads.items():
+        params[name][...] -= learning_rate * grad
+    return loss, bool(clipped)

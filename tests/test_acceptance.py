@@ -205,8 +205,8 @@ def test_criterion_3_em_monotone_and_convergent():
 def _max_rel_error_lstm(rng) -> float:
     step = 1e-5
     pred = RecurrentPredictor(hidden_dim=3, window_len=4, seed=rng)
-    windows = rng.standard_normal((3, 4, 2))
-    targets = rng.standard_normal((3, 2))
+    windows = rng.standard_normal((3, 4, 2))[None]
+    targets = rng.standard_normal((3, 2))[None]
     _, grads = pred.loss_and_gradients(windows, targets)
     worst = 0.0
     for name, grad in grads.items():
@@ -214,9 +214,9 @@ def _max_rel_error_lstm(rng) -> float:
         for idx in range(param.size):
             orig = param.flat[idx]
             param.flat[idx] = orig + step
-            up, _ = pred.loss_and_gradients(windows, targets)
+            (up,), _ = pred.loss_and_gradients(windows, targets)
             param.flat[idx] = orig - step
-            down, _ = pred.loss_and_gradients(windows, targets)
+            (down,), _ = pred.loss_and_gradients(windows, targets)
             param.flat[idx] = orig
             fd = (up - down) / (2 * step)
             a = grad.flat[idx]
@@ -411,7 +411,7 @@ def test_criterion_9_mobility_beats_persistence():
         # Held-out horizon: the final predicted block (samples the last
         # training round never saw) plus the preceding context window.
         tail = result.trajectories[0][24:]
-        mse = one_step_mse(predictor, result.scaler, tail)
+        mse = one_step_mse(predictor, result.scaler, tail[None])[0]
         baseline = persistence_mse(tail, predictor.window_len)
         wins += mse < baseline
     elapsed = time.perf_counter() - started

@@ -562,6 +562,32 @@ class TestCli:
         assert err.startswith("error: ") and field in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("steps, warns", [(19, True), (20, False)])
+    def test_dqn_below_replay_warmup_warns(self, tmp_path, capsys, steps, warns):
+        # 10 x 19 = 190 transitions never reach the 200-transition warmup;
+        # 10 x 20 = 200 take exactly one train step.
+        doc = {**SMALL, "algorithm": "dqn", "episodes": 10, "steps_per_episode": steps,
+               "powers_dbm": [60.0]}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**doc, "out_dir": str(tmp_path / "cli")}))
+        assert main(["sweep-power", "--config", str(cfg_path)]) == 0
+        err = capsys.readouterr().err
+        warnings = [line for line in err.splitlines() if line.startswith("warning: ")]
+        assert len(warnings) == int(warns)
+        assert (f"= {10 * steps} transitions" in err) == warns
+        cmd_sweep_power(ExperimentConfig(**{**doc, "out_dir": str(tmp_path / "direct")}))
+        name = "sweep_power.csv"
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "direct" / name).read_bytes()
+
+    @pytest.mark.parametrize("algorithm, command", [("tabular", "sweep-power"), ("dqn", "cluster")])
+    def test_no_warmup_warning_without_a_dqn_run(self, tmp_path, capsys, algorithm, command):
+        doc = {**SMALL, "algorithm": algorithm, "episodes": 10, "steps_per_episode": 19,
+               "powers_dbm": [60.0], "out_dir": str(tmp_path / "cli")}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main([command, "--config", str(cfg_path)]) == 0
+        assert "warning" not in capsys.readouterr().err
+
     def test_oversize_oracle_split_grid_fails_before_training(
         self, tmp_path, capsys, monkeypatch
     ):

@@ -18,6 +18,12 @@ from irsnoma_lab.mobility import (
     run_algorithm1,
     sliding_windows,
 )
+from scalar_reference import (
+    lstm_forward_batch,
+    lstm_init,
+    lstm_loss_and_gradients,
+    lstm_train_step,
+)
 
 BOX = ServiceRegion(bounds=(-50.0, -50.0, 50.0, 50.0))
 
@@ -87,53 +93,69 @@ class TestLstmForward:
         pred.b_gates[...] = 0.0
         pred.w_out[...] = 0.0
         pred.b_out[...] = [0.25, -0.5]
-        out = pred.forward(np.ones((3, 2)))
+        out = pred.forward(np.ones((3, 2))[None])
         assert np.allclose(out, [0.25, -0.5])
 
     def test_deterministic(self):
         pred = RecurrentPredictor(hidden_dim=5, window_len=4, seed=1)
         window = np.random.default_rng(2).standard_normal((4, 2))
-        assert np.array_equal(pred.forward(window), pred.forward(window))
+        assert np.array_equal(pred.forward(window[None]), pred.forward(window[None]))
 
     def test_matches_independent_recurrence(self):
-        # Re-derive the forward pass step by step from the raw gate blocks.
-        pred = RecurrentPredictor(hidden_dim=3, window_len=5, seed=3)
+        # Re-derive each user's forward pass step by step from its raw gate
+        # blocks.
+        pred = RecurrentPredictor(hidden_dim=3, window_len=5, n_users=3, seed=3)
         rng = np.random.default_rng(4)
-        window = rng.standard_normal((5, 2))
+        windows = rng.standard_normal((3, 5, 2))
         hd = pred.hidden_dim
 
         def sigmoid(v):
             return 1.0 / (1.0 + np.exp(-v))
 
-        h = np.zeros(hd)
-        c = np.zeros(hd)
-        for x in window:
-            xh = np.concatenate([x, h])
-            z = pred.w_gates @ xh + pred.b_gates
-            i, f, o = sigmoid(z[:hd]), sigmoid(z[hd : 2 * hd]), sigmoid(z[2 * hd : 3 * hd])
-            g = np.tanh(z[3 * hd :])
-            c = f * c + i * g
-            h = o * np.tanh(c)
-        expected = pred.w_out @ h + pred.b_out
-        assert np.max(np.abs(pred.forward(window) - expected)) < 1e-10
+        out = pred.forward(windows)
+        for u, window in enumerate(windows):
+            h = np.zeros(hd)
+            c = np.zeros(hd)
+            for x in window:
+                xh = np.concatenate([x, h])
+                z = pred.w_gates[u] @ xh + pred.b_gates[u]
+                i, f, o = sigmoid(z[:hd]), sigmoid(z[hd : 2 * hd]), sigmoid(z[2 * hd : 3 * hd])
+                g = np.tanh(z[3 * hd :])
+                c = f * c + i * g
+                h = o * np.tanh(c)
+            expected = pred.w_out[u] @ h + pred.b_out[u]
+            assert np.max(np.abs(out[u] - expected)) < 1e-10
 
     def test_non_finite_input_rejected(self):
         pred = RecurrentPredictor(window_len=2, seed=0)
         bad = np.array([[0.0, 0.0], [np.nan, 0.0]])
         with pytest.raises(ValueError):
-            pred.forward(bad)
+            pred.forward(bad[None])
 
     def test_wrong_window_shape_rejected(self):
-        pred = RecurrentPredictor(window_len=4, seed=0)
+        pred = RecurrentPredictor(window_len=4, n_users=2, seed=0)
         with pytest.raises(ValueError):
-            pred.forward(np.zeros((3, 2)))
+            pred.forward(np.zeros((2, 3, 2)))
+        with pytest.raises(ValueError):
+            pred.forward(np.zeros((1, 4, 2)))
+
+    def test_user_view_shares_weights(self):
+        pred = RecurrentPredictor(hidden_dim=3, window_len=4, n_users=3, seed=11)
+        assert len(pred) == 3
+        view = pred[-1]
+        assert view.n_users == 1
+        for name, value in view.parameters().items():
+            assert np.shares_memory(value, getattr(pred, name))
+            assert np.array_equal(value, getattr(pred, name)[2:])
+        with pytest.raises(IndexError):
+            pred[3]
 
 
 class TestLstmTraining:
     def test_zero_learning_rate_keeps_parameters(self):
         pred = RecurrentPredictor(hidden_dim=4, window_len=3, learning_rate=0.0, seed=5)
         before = {k: v.copy() for k, v in pred.parameters().items()}
-        loss, _ = pred.train_step(np.ones((1, 3, 2)), np.array([[1.0, -1.0]]))
+        loss, _ = pred.train_step(np.ones((1, 3, 2))[None], np.array([[1.0, -1.0]])[None])
         assert loss > 0
         for k, v in pred.parameters().items():
             assert np.array_equal(v, before[k])
@@ -146,31 +168,36 @@ class TestLstmTraining:
         target = np.array([0.3, -0.2])
         losses = []
         for _ in range(50):
-            loss, _ = pred.train_step(window[None], target[None])
+            loss, _ = pred.train_step(window[None, None], target[None, None])
             losses.append(loss)
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_gradients_match_finite_differences(self):
+        # Two users: each weight moves its own user's loss and no other.
         rng = np.random.default_rng(8)
         step = 1e-5
         for _ in range(5):
             pred = RecurrentPredictor(
-                hidden_dim=3, window_len=4, learning_rate=0.1, seed=rng
+                hidden_dim=3, window_len=4, learning_rate=0.1, n_users=2, seed=rng
             )
-            windows = rng.standard_normal((3, 4, 2))
-            targets = rng.standard_normal((3, 2))
+            windows = rng.standard_normal((2, 3, 4, 2))
+            targets = rng.standard_normal((2, 3, 2))
             _, grads = pred.loss_and_gradients(windows, targets)
             for name, grad in grads.items():
                 param = getattr(pred, name)
                 flat_grad = grad.ravel()
+                per_user = param.size // pred.n_users
                 for idx in range(param.size):
+                    user = idx // per_user
+                    other = 1 - user
                     orig = param.flat[idx]
                     param.flat[idx] = orig + step
                     up, _ = pred.loss_and_gradients(windows, targets)
                     param.flat[idx] = orig - step
                     down, _ = pred.loss_and_gradients(windows, targets)
                     param.flat[idx] = orig
-                    fd = (up - down) / (2 * step)
+                    assert up[other] == down[other]
+                    fd = (up[user] - down[user]) / (2 * step)
                     rel = abs(flat_grad[idx] - fd) / max(
                         abs(flat_grad[idx]), abs(fd), 1e-6
                     )
@@ -180,14 +207,70 @@ class TestLstmTraining:
         pred = RecurrentPredictor(
             hidden_dim=4, window_len=2, learning_rate=0.01, clip_norm=1e-9, seed=9
         )
-        _, clipped = pred.train_step(np.ones((1, 2, 2)), np.array([[5.0, 5.0]]))
-        assert clipped
+        _, clipped = pred.train_step(np.ones((1, 2, 2))[None], np.array([[5.0, 5.0]])[None])
+        assert clipped == 1
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             RecurrentPredictor(seed=0).train_step(
-                np.empty((0, 8, 2)), np.empty((0, 2))
+                np.empty((0, 8, 2))[None], np.empty((0, 2))[None]
             )
+
+
+class TestLockstepEqualsScalarReference:
+    def test_training_is_bit_identical_per_user(self):
+        # Random (U, H, T, B) shapes, 20 steps each.  Each user's targets get
+        # their own scale and clip_norm sits at the median of the users'
+        # first gradient norms, so within one step some users clip and some
+        # do not.
+        rng = np.random.default_rng(2024)
+        counts = {"none": 0, "some": 0, "all": 0}
+        for case in range(16):
+            n_users = int(rng.integers(1, 6))
+            hidden = int(rng.integers(1, 9))
+            window_len = int(rng.integers(1, 7))
+            batch = int(rng.integers(1, 18))
+            target_scale = 10.0 ** rng.uniform(-1.0, 1.0, size=(n_users, 1, 1))
+            batches = [
+                (
+                    rng.standard_normal((n_users, batch, window_len, 2)),
+                    rng.standard_normal((n_users, batch, 2)) * target_scale,
+                )
+                for _ in range(20)
+            ]
+            init_rng = np.random.default_rng(case)
+            refs = [lstm_init(init_rng, 2, hidden) for _ in range(n_users)]
+            first_norms = []
+            for ref, w, t in zip(refs, *batches[0]):
+                _, grads = lstm_loss_and_gradients(ref, w, t)
+                first_norms.append(np.sqrt(sum(float(np.sum(g**2)) for g in grads.values())))
+            clip_norm = float(np.median(first_norms))
+            pred = RecurrentPredictor(
+                hidden_dim=hidden, window_len=window_len, learning_rate=0.05,
+                clip_norm=clip_norm, n_users=n_users, seed=case,
+            )
+            self.assert_same_weights(pred, refs)
+            for windows, targets in batches:
+                losses, n_clipped = pred.train_step(windows, targets)
+                want = [
+                    lstm_train_step(ref, w, t, 0.05, clip_norm)
+                    for ref, w, t in zip(refs, windows, targets)
+                ]
+                assert np.array_equal(losses, [loss for loss, _ in want])
+                assert isinstance(n_clipped, int)
+                assert n_clipped == sum(flag for _, flag in want)
+                self.assert_same_weights(pred, refs)
+                key = "none" if n_clipped == 0 else "all" if n_clipped == n_users else "some"
+                counts[key] += 1
+            windows = rng.standard_normal((n_users, window_len, 2))
+            want = [lstm_forward_batch(ref, w[None])[0][0] for ref, w in zip(refs, windows)]
+            assert np.array_equal(pred.forward(windows), want)
+        assert min(counts.values()) > 0, counts
+
+    @staticmethod
+    def assert_same_weights(pred, refs):
+        for name, value in pred.parameters().items():
+            assert np.array_equal(value, [ref[name] for ref in refs]), name
 
 
 def masked_sigmoid(x):
@@ -255,7 +338,7 @@ class TestAlgorithm1:
         )
         pred = result.predictors[0]
         tail = result.trajectories[0][24:]
-        assert one_step_mse(pred, result.scaler, tail) < persistence_mse(
+        assert one_step_mse(pred, result.scaler, tail[None])[0] < persistence_mse(
             tail, pred.window_len
         )
 
