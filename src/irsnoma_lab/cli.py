@@ -44,7 +44,6 @@ from .harness import (  # noqa: F401
     cmd_sweep_elements,
     cmd_sweep_power,
 )
-
 from .rl import BATCH_SIZE, WARMUP
 
 # Commands that train one agent per run with the configured algorithm.

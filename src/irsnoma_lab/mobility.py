@@ -192,9 +192,6 @@ class RecurrentPredictor:
             "b_out": self.b_out,
         }
 
-    def __len__(self) -> int:
-        return self.n_users
-
     def __getitem__(self, user: int) -> "RecurrentPredictor":
         """User ``user``'s predictor: a one-user view sharing these weights."""
         user = range(self.n_users)[user]
@@ -305,7 +302,9 @@ class RecurrentPredictor:
         if clipped.any():
             scale = np.ones(self.n_users)
             scale[clipped] = self.clip_norm / norms[clipped]
-            grads = {k: g * scale.reshape((-1,) + (1,) * (g.ndim - 1)) for k, g in grads.items()}
+            grads = {
+                k: g * scale.reshape((-1,) + (1,) * (g.ndim - 1)) for k, g in grads.items()
+            }
         for name, grad in grads.items():
             getattr(self, name)[...] -= self.learning_rate * grad
         if not all(np.all(np.isfinite(v)) for v in self.parameters().values()):

@@ -566,8 +566,9 @@ class TestCli:
     def test_dqn_below_replay_warmup_warns(self, tmp_path, capsys, steps, warns):
         # 10 x 19 = 190 transitions never reach the 200-transition warmup;
         # 10 x 20 = 200 take exactly one train step.
-        doc = {**SMALL, "algorithm": "dqn", "episodes": 10, "steps_per_episode": steps,
-               "powers_dbm": [60.0]}
+        doc = dict(
+            SMALL, algorithm="dqn", episodes=10, steps_per_episode=steps, powers_dbm=[60.0]
+        )
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({**doc, "out_dir": str(tmp_path / "cli")}))
         assert main(["sweep-power", "--config", str(cfg_path)]) == 0
@@ -575,14 +576,21 @@ class TestCli:
         warnings = [line for line in err.splitlines() if line.startswith("warning: ")]
         assert len(warnings) == int(warns)
         assert (f"= {10 * steps} transitions" in err) == warns
+        # The warning leaves the CSV bytes as a direct harness call writes them.
         cmd_sweep_power(ExperimentConfig(**{**doc, "out_dir": str(tmp_path / "direct")}))
-        name = "sweep_power.csv"
-        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "direct" / name).read_bytes()
+        cli_csv, direct_csv = (tmp_path / d / "sweep_power.csv" for d in ("cli", "direct"))
+        assert cli_csv.read_bytes() == direct_csv.read_bytes()
 
-    @pytest.mark.parametrize("algorithm, command", [("tabular", "sweep-power"), ("dqn", "cluster")])
-    def test_no_warmup_warning_without_a_dqn_run(self, tmp_path, capsys, algorithm, command):
-        doc = {**SMALL, "algorithm": algorithm, "episodes": 10, "steps_per_episode": 19,
-               "powers_dbm": [60.0], "out_dir": str(tmp_path / "cli")}
+    @pytest.mark.parametrize(
+        "algorithm, command", [("tabular", "sweep-power"), ("dqn", "cluster")]
+    )
+    def test_no_warmup_warning_without_a_dqn_run(
+        self, tmp_path, capsys, algorithm, command
+    ):
+        doc = dict(
+            SMALL, algorithm=algorithm, episodes=10, steps_per_episode=19,
+            powers_dbm=[60.0], out_dir=str(tmp_path / "cli"),
+        )
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(doc))
         assert main([command, "--config", str(cfg_path)]) == 0
