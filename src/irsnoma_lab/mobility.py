@@ -356,9 +356,10 @@ def displacement_pairs(positions_norm: np.ndarray, window_len: int):
 
 
 def _next_position(predictor: RecurrentPredictor, scaled_windows) -> np.ndarray:
-    """Each user's one-step forecast in scaled coordinates, (U, window_len + 1, D) -> (U, D).
+    """Each user's one-step forecast in scaled coordinates.
 
-    A window's RMS-normalized deltas feed the predictor, and the forecast
+    ``scaled_windows`` is (U, window_len + 1, D) and the result (U, D).  A
+    window's RMS-normalized deltas feed the predictor, and the forecast
     displacement extends the window's last position.
     """
     deltas = np.diff(scaled_windows, axis=1)
@@ -369,7 +370,7 @@ def _next_position(predictor: RecurrentPredictor, scaled_windows) -> np.ndarray:
 def predict_next(
     predictor: RecurrentPredictor, scaler: PositionScaler, windows_m
 ) -> np.ndarray:
-    """Each user's one-step forecast in meters from its ``window_len + 1`` past positions.
+    """Each user's one-step forecast in meters from its last positions.
 
     ``windows_m`` is (U, window_len + 1, 2); the result is (U, 2).
     """
