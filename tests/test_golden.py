@@ -15,6 +15,7 @@ import os
 
 import pytest
 
+from irsnoma_lab import harness
 from irsnoma_lab.cli import main
 
 CONFIG = dict(
@@ -113,6 +114,14 @@ GOLDEN = {
         "sweep_elements_mean.csv":
             "35c587e43a5cadcb8aabb06d95a9fe2c9b57506880a1391eb0f0588514b46501",
     },
+    "compare-oma dqn": {
+        "compare_oma.csv":
+            "a914d3dcf94159a38de0d47506017a5d51fdd98ee3dfe4940834c2c5cdcbc146",
+    },
+    "compare-oma tabular": {
+        "compare_oma.csv":
+            "14c677966a429762517ad3f13d4d96361d046e070b8386be506b31a4db5507c1",
+    },
     "compare-oma random-phase": {
         "compare_oma.csv":
             "c60e144b83371bcb6adada8dfaa7f62ef3c27291d31332e6c7b9fded772178e6",
@@ -168,3 +177,47 @@ def run_case(tmp_path, case):
 @pytest.mark.parametrize("case", list(GOLDEN))
 def test_outputs_match_stored_hashes(tmp_path, case):
     assert run_case(tmp_path, case) == GOLDEN[case]
+
+
+# sweep-power under dqn with 15 x 20 steps: every run pushes 300 transitions,
+# so it takes 101 train steps after the 200-transition warmup.  With a QoS
+# floor, seed 3 finds no feasible point at any power and seed 4 none at
+# 0 dBm.
+SWEEP_POWER_DQN = dict(
+    CONFIG,
+    algorithm="dqn",
+    powers_dbm=[0.0, 40.0, 60.0, 90.0],
+    qos_floor=0.001,
+    episodes=15,
+    steps_per_episode=20,
+)
+SWEEP_POWER_DQN_SHA256 = (
+    "532341f51cd83a00997d3cf1fbd34546e40ad8acbf2768f807d8b47badd2655a"
+)
+
+
+def test_sweep_power_dqn_runs_match_stored_hash(tmp_path, monkeypatch):
+    """Both CSVs plus every run's winner and learning curve, pinned by one hash."""
+    outcomes = []
+
+    class RecordedOutcome(harness.SlotOutcome):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            outcomes.append(self)
+
+    monkeypatch.setattr(harness, "SlotOutcome", RecordedOutcome)
+    out = tmp_path / "out"
+    config = harness.ExperimentConfig(**{**SWEEP_POWER_DQN, "out_dir": str(out)})
+    harness.cmd_sweep_power(config)
+    digest = hashlib.sha256()
+    for name in ("sweep_power.csv", "sweep_power_mean.csv"):
+        digest.update((out / name).read_bytes())
+    assert len(outcomes) == 8
+    assert [o.feasible for o in outcomes] == [False] * 5 + [True] * 3
+    for o in outcomes:
+        winner = None
+        if o.feasible:
+            winner = (o.phase.indices, o.splits, o.plan.decoding_order)
+        curve = [(p.episode, p.best_reward, p.epsilon, p.loss) for p in o.curve]
+        digest.update(repr((o.sum_rate, o.feasible, winner, curve)).encode())
+    assert digest.hexdigest() == SWEEP_POWER_DQN_SHA256
