@@ -32,9 +32,9 @@ print("optimum: %.4f bits/s/Hz at phases %s, splits %s (%.1fs)"
          oracle.wall_time_s))
 
 print("\n=== DQN agent (600 episodes) ===")
-env = NomaPhaseEnv(scenario, resolution_bits=2, alpha_step=0.1)
-approx = QApproximator(env.feature_dim, env.n_actions, seed=1)
-outcome = train_agent(env, approx, episodes=600, steps_per_episode=15, seed=7)
+env = NomaPhaseEnv([scenario], resolution_bits=2, alpha_step=0.1)
+approx = QApproximator(env.feature_dim, env.n_actions, seeds=[1])
+(outcome,) = train_agent(env, approx, episodes=600, steps_per_episode=15, seeds=[7])
 print("best visited: %.4f (%.1f%% of optimum)"
       % (outcome.best_rate, 100 * outcome.best_rate / oracle.best_rate))
 marks = [0, 99, 299, 599]
@@ -47,8 +47,8 @@ print("\n=== random-phase baseline (600 draws) ===")
 rng = np.random.default_rng(7)
 best = 0.0
 for _ in range(600):
-    state, result = env.random_state(rng)
-    if result.feasible:
-        best = max(best, result.sum_rate)
+    state, result = env.random_state([rng])
+    if result.feasible[0]:
+        best = max(best, result.sum_rate[0])
 print("best random draw: %.4f (%.1f%% of optimum)"
       % (best, 100 * best / oracle.best_rate))

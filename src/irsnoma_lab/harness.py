@@ -348,12 +348,17 @@ class Setup:
             alpha_domain=config.alpha_domain,
         )
 
-    def optimize(self, channels, assignment, stream: str, power_dbm=None):
-        """Run the configured optimizer with the ``agent/{stream}`` stream."""
+    def optimize(self, channels, assignment, streams, powers_dbm=None) -> list:
+        """One lockstep search, a run per stream, run i on ``agent/{streams[i]}``.
+
+        Run i spends ``powers_dbm[i]`` (the configured power by default).
+        """
+        if powers_dbm is None:
+            powers_dbm = [None] * len(streams)
         return optimize_scenario(
-            self.scenario(channels, assignment, power_dbm),
+            [self.scenario(channels, assignment, power) for power in powers_dbm],
             self.config,
-            self.registry.rng(f"agent/{stream}"),
+            [self.registry.rng(f"agent/{stream}") for stream in streams],
         )
 
     def truths(self, horizon: int) -> list[np.ndarray]:
@@ -421,37 +426,42 @@ def _search_space(scenario: NetworkScenario, config: ExperimentConfig) -> Search
 
 
 def optimize_scenario(
-    scenario: NetworkScenario, config: ExperimentConfig, rng
-) -> SlotOutcome:
-    """Run the configured optimizer on one slot's network scenario.
+    scenarios, config: ExperimentConfig, rngs
+) -> list[SlotOutcome]:
+    """Run the configured optimizer on one slot's scenario at E transmit powers.
 
-    The plan's decoding order comes from the own gains the search kept for
-    its winner.
+    ``scenarios`` differ only in their power, and run e draws from
+    ``rngs[e]``; the learners step all E runs in lockstep.  Each plan's
+    decoding order comes from the own gains the search kept for its winner.
     """
     algorithm = config.algorithm
     if algorithm == "oracle":
-        best = brute_force_optimum(scenario, _search_space(scenario, config))
+        bests = [brute_force_optimum(s, _search_space(s, config)) for s in scenarios]
     else:
         env = NomaPhaseEnv(
-            scenario,
+            scenarios,
             resolution_bits=config.resolution_bits,
             alpha_step=config.alpha_step,
         )
-        budget = (config.episodes, config.steps_per_episode, rng)
+        budget = (config.episodes, config.steps_per_episode, rngs)
         if algorithm == "random-phase":
-            best = random_search(env, config.random_samples, rng)
+            bests = random_search(env, config.random_samples, rngs)
         elif algorithm == "dqn":
-            approx = QApproximator(env.feature_dim, env.n_actions, seed=rng)
-            best = train_agent(env, approx, *budget)
+            approx = QApproximator(env.feature_dim, env.n_actions, seeds=rngs)
+            bests = train_agent(env, approx, *budget)
         else:
-            best = train_tabular_agent(env, *budget)
-    curve = best.curve if algorithm in ("dqn", "tabular") else None
-    if best.best_phase is None:
-        return SlotOutcome(0.0, False, None, None, None, curve)
-    plan = gain_ordered_plan(scenario, best.best_gains, best.best_splits)
-    return SlotOutcome(
-        best.best_rate, True, best.best_phase, best.best_splits, plan, curve
-    )
+            bests = train_tabular_agent(env, *budget)
+    outcomes = []
+    for scenario, best in zip(scenarios, bests):
+        curve = best.curve if algorithm in ("dqn", "tabular") else None
+        if best.best_phase is None:
+            outcomes.append(SlotOutcome(0.0, False, None, None, None, curve))
+            continue
+        plan = gain_ordered_plan(scenario, best.best_gains, best.best_splits)
+        outcomes.append(SlotOutcome(
+            best.best_rate, True, best.best_phase, best.best_splits, plan, curve
+        ))
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +496,7 @@ def cmd_pipeline(config: ExperimentConfig) -> list[tuple]:
                 f"/slot{slot}",
                 setup.geometry.with_user_positions(predicted),
             )
-            outcome = setup.optimize(channels, fit.assignment, f"slot{slot}")
+            (outcome,) = setup.optimize(channels, fit.assignment, [f"slot{slot}"])
             rows.append(
                 (
                     seed,
@@ -513,14 +523,21 @@ def cmd_pipeline(config: ExperimentConfig) -> list[tuple]:
 
 
 def cmd_sweep_power(config: ExperimentConfig) -> list[tuple]:
-    """Sum rate over the transmit-power grid; channels shared across powers."""
+    """Sum rate over the transmit-power grid; one lockstep search per seed.
+
+    The powers share channels and assignment, so their runs step together.
+    """
+    powers = config.powers_dbm
     rows = []
     for seed in config.seeds:
         setup = prepare(config, seed)
         channels, fit = setup.draw(config.k_elements)
-        for power in config.powers_dbm:
-            outcome = setup.optimize(channels, fit.assignment, f"power{power}", power)
-            rows.append((power, config.algorithm, seed, outcome.sum_rate))
+        streams = [f"power{power}" for power in powers]
+        outcomes = setup.optimize(channels, fit.assignment, streams, powers)
+        rows += [
+            (power, config.algorithm, seed, outcome.sum_rate)
+            for power, outcome in zip(powers, outcomes)
+        ]
     header = ["power_dbm", "algorithm", "seed", "sum_rate"]
     return _emit_sweep(config, "sweep_power", header, rows)
 
@@ -536,7 +553,7 @@ def cmd_sweep_elements(config: ExperimentConfig) -> list[tuple]:
         for k in config.element_counts:
             channels = full.slice_elements(k)
             fit = setup.cluster(channels)
-            outcome = setup.optimize(channels, fit.assignment, f"k{k}")
+            (outcome,) = setup.optimize(channels, fit.assignment, [f"k{k}"])
             rows.append((k, config.power_dbm, seed, outcome.sum_rate))
     header = ["k_elements", "power_dbm", "seed", "sum_rate"]
     return _emit_sweep(config, "sweep_elements", header, rows)
@@ -581,11 +598,12 @@ def aligned_single_user_gain(channels, user: int, resolution_bits: int) -> float
 def cmd_compare_oma(config: ExperimentConfig) -> list[tuple]:
     """Paired NOMA-vs-TDMA comparison on identical channels per seed.
 
-    Each seed's channels, assignment and TDMA gains are drawn once; rows
-    run power-major, then seed.
+    Each seed's channels, assignment and TDMA gains are drawn once, and one
+    lockstep search covers all its powers; rows run power-major, then seed.
     """
     exhaustive_ok = (1 << config.resolution_bits) ** config.k_elements <= 10**6
     gain_fn = best_single_user_gain if exhaustive_ok else aligned_single_user_gain
+    powers = config.powers_dbm
     prepared = []
     for seed in config.seeds:
         setup = prepare(config, seed)
@@ -594,13 +612,13 @@ def cmd_compare_oma(config: ExperimentConfig) -> list[tuple]:
             gain_fn(channels, u, config.resolution_bits)
             for u in range(channels.n_users)
         ]
-        prepared.append((setup, channels, fit.assignment, gains))
+        streams = [f"power{power}" for power in powers]
+        outcomes = setup.optimize(channels, fit.assignment, streams, powers)
+        prepared.append((channels, gains, outcomes))
     rows = []
-    for power in config.powers_dbm:
-        for setup, channels, assignment, gains in prepared:
-            noma_rate = setup.optimize(
-                channels, assignment, f"power{power}", power
-            ).sum_rate
+    for i, power in enumerate(powers):
+        for channels, gains, outcomes in prepared:
+            noma_rate = outcomes[i].sum_rate
             oma_rate = oma_tdma_sum_rate(
                 gains, dbm_to_watts(power), channels.noise_variance
             )

@@ -18,8 +18,9 @@ enter inside the squared magnitude as written above ("amplitude" domain);
 the "power" domain (num proportional to a_p, not a_p^2) is available as a
 flag.
 
-:func:`evaluate_batch` is the one evaluator: it scores a grid of phase
-configs and power splits.
+:func:`evaluate_batch` scores a grid of phase configs and power splits,
+and :func:`evaluate_points` the diagonal of one: a phase, a split and a
+transmit power per point.  Both run one body.
 """
 
 from __future__ import annotations
@@ -231,11 +232,12 @@ class NetworkScenario:
 
 @dataclass(frozen=True, eq=False)
 class GridScores:
-    """Scores of every (phase, split) point of a grid.
+    """Scores of every (phase, split) point of a grid, or of E paired points.
 
-    ``sum_rate`` and ``feasible`` are (P, S) and ``own_gains`` is (P, N).  A
-    phase whose combined channel is ill-conditioned scores rate 0 and is
-    infeasible at every split, and its own gains are NaN.
+    ``sum_rate`` and ``feasible`` are (P, S) for a grid and (E,) for paired
+    points; ``own_gains`` is (P, N) or (E, N).  A phase whose combined
+    channel is ill-conditioned scores rate 0 and is infeasible at every
+    split, and its own gains are NaN.
     """
 
     sum_rate: np.ndarray
@@ -286,19 +288,50 @@ def evaluate_batch(
     inter-cluster power summed over the other beams only, own power squared
     as a numpy scalar).
     """
+    wts = _split_weights(scenario, alphas)
+    return _score(scenario, phase_idx, resolution_bits, wts[None], scenario.total_power)
+
+
+def evaluate_points(
+    scenario: NetworkScenario,
+    phase_idx,
+    alphas,
+    resolution_bits: int,
+    total_power,
+) -> GridScores:
+    """Score E paired points: phase row e with split row e at power ``total_power[e]``.
+
+    ``phase_idx`` is (E, K), ``alphas`` (E, N) and ``total_power`` (E,);
+    the scenario's own budget is not read.  Point e equals the 1 x 1 grid
+    of :func:`evaluate_batch` on the scenario at that power, bit for bit.
+    """
+    wts = _split_weights(scenario, alphas)
+    power = np.asarray(total_power, dtype=float)
+    if not len(wts) == len(phase_idx) == len(power):
+        raise ValueError(
+            f"{len(phase_idx)} phase rows, {len(wts)} splits and {len(power)} "
+            "powers do not pair up"
+        )
+    grid = _score(scenario, phase_idx, resolution_bits, wts[:, None], power)
+    return GridScores(grid.sum_rate[:, 0], grid.feasible[:, 0], grid.own_gains)
+
+
+def _score(scenario, phase_idx, resolution_bits, wts, total_power) -> GridScores:
+    """The body of both evaluators: ``wts`` is (1, S, N) for a grid, (P, 1, N) paired."""
     channels = scenario.channels
     h_eff = effective_channels_batch(channels, phase_idx, resolution_bits)
     n_phases, n_users, _ = h_eff.shape
-    wts = _split_weights(scenario, alphas)
-    n_splits = len(wts)
+    n_splits = wts.shape[1]
     sum_rate = np.zeros((n_phases, n_splits))
     feasible = np.zeros((n_phases, n_splits), dtype=bool)
     own_gains = np.full((n_phases, n_users), np.nan)
 
-    ok, w = zero_forcing(h_eff, scenario.members, scenario.total_power)
+    ok, w = zero_forcing(h_eff, scenario.members, total_power)
     if not ok.any():
         return GridScores(sum_rate, feasible, own_gains)
     h_eff = h_eff[ok]
+    if len(wts) > 1:
+        wts = wts[ok]
     assign = scenario.user_cluster
     own_beams = w[:, :, assign].transpose(0, 2, 1)
     gains = np.abs(np.einsum("pum,pum->pu", h_eff, own_beams))
@@ -319,7 +352,7 @@ def evaluate_batch(
     else:
         inter = _scalar_abs2(np.sum(others, axis=-1))
     # The other members' weights, added one by one in decoding order.
-    intra = np.cumsum(wts[:, :, None] * scenario.same_cluster, axis=1)[:, -1]
+    intra = np.cumsum(wts[..., None] * scenario.same_cluster, axis=-2)[..., -1, :]
 
     # sinr[p, s, k]: the user in slot k decoding its own signal.
     noise = channels.noise_variance
@@ -331,8 +364,8 @@ def evaluate_batch(
     if later.size:
         # Slot later[i] decoding the signal of slot earlier[i], same cluster.
         own_l = own[:, None, later]
-        tau = (wts[:, earlier] * own_l) / (
-            own_l * intra[:, earlier] + inter[:, None, later] + noise
+        tau = (wts[..., earlier] * own_l) / (
+            own_l * intra[..., earlier] + inter[:, None, later] + noise
         )
         need = rates[:, :, earlier]
         floor = need - SIC_RATE_TOL * np.maximum(1.0, np.abs(need))
@@ -343,29 +376,6 @@ def evaluate_batch(
     user_rates[rows, :, order] = rates.transpose(0, 2, 1)
     sum_rate[ok] = np.sum(user_rates, axis=-1)
     return GridScores(sum_rate, feasible, own_gains)
-
-
-@dataclass(frozen=True, eq=False)
-class ConfigurationResult:
-    """Outcome of evaluating one (phase config, power split) point.
-
-    ``own_gains`` is None when the phase's combined channel is
-    ill-conditioned.
-    """
-
-    sum_rate: float
-    feasible: bool
-    own_gains: np.ndarray | None
-
-    @classmethod
-    def of_first_point(cls, grid: GridScores) -> "ConfigurationResult":
-        """The result at point (0, 0) of a grid, as a 1 x 1 grid has it."""
-        gains = grid.own_gains[0]
-        return cls(
-            sum_rate=float(grid.sum_rate[0, 0]),
-            feasible=bool(grid.feasible[0, 0]),
-            own_gains=None if np.isnan(gains[0]) else gains,
-        )
 
 
 def gain_ordered_plan(scenario: NetworkScenario, own_gains, splits) -> ClusterPlan:

@@ -31,7 +31,7 @@ def cluster_heads(h_eff: np.ndarray, members) -> np.ndarray:
 def zero_forcing(
     h_eff: np.ndarray,
     members,
-    total_power: float,
+    total_power,
     condition_limit: float = CONDITION_LIMIT,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Zero-forcing precoders for a stack of P effective-channel matrices.
@@ -41,9 +41,11 @@ def zero_forcing(
     and ``w`` (ok.sum(), M, M) holds their precoders, column m serving
     cluster m.  The unscaled solution W satisfies H W = I; every column is
     then multiplied by sqrt(P / sum_m ||w_m||^2) so the power constraint
-    holds with equality.
+    holds with equality.  ``total_power`` is one budget P for the stack or
+    one per matrix, (P,); only that final scale reads it.
     """
-    if total_power <= 0:
+    power = np.asarray(total_power, dtype=float)
+    if not (power > 0).all():
         raise ValueError("total_power must be positive")
     n_clusters = h_eff.shape[-1]
     if len(members) != n_clusters:
@@ -53,14 +55,17 @@ def zero_forcing(
         )
     heads = cluster_heads(h_eff, members)
     hmat = h_eff[np.arange(len(h_eff))[:, None], heads]
-    cond = np.linalg.cond(hmat)
+    # np.linalg.cond's 2-norm ratio, read off the singular values directly.
+    sv = np.linalg.svd(hmat, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cond = sv[:, 0] / sv[:, -1]
     ok = np.isfinite(cond) & (cond <= condition_limit)
     hmat = hmat[ok]
     w = np.linalg.solve(
         hmat, np.broadcast_to(np.eye(n_clusters, dtype=complex), hmat.shape)
     )
     used = (np.abs(w) ** 2).reshape(len(w), n_clusters * n_clusters).sum(axis=1)
-    w *= np.sqrt(total_power / used)[:, None, None]
+    w *= np.sqrt((power[ok] if power.ndim else power) / used)[:, None, None]
     if not np.isfinite(w.view(float)).all():
         raise ValueError("precoder contains non-finite entries")
     return ok, w

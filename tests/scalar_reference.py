@@ -19,9 +19,13 @@ Two more scalar forms serve as references for array code: the one-point
 ray cast behind ``ServiceRegion.contains_many``, and the per-pair gain
 difference and correlation of the rough partition's threshold gate.
 
-Last, Algorithm 1's LSTM for one user: 2-D weights, one batch, one
-gradient norm.  ``mobility.RecurrentPredictor`` trains every user at once
-on a leading user axis and must equal this user by user, bit for bit.
+Algorithm 1's LSTM for one user: 2-D weights, one batch, one gradient
+norm.  ``mobility.RecurrentPredictor`` trains every user at once on a
+leading user axis and must equal this user by user, bit for bit.
+
+Last, the DQN's Q-network for one run, :class:`QNetReference`: 2-D
+weights, one minibatch, one gradient norm.  ``rl.QApproximator`` trains
+every run at once on a leading run axis and must equal it run by run.
 
 The file has no ``test_`` prefix, so pytest imports it only from tests.
 """
@@ -37,11 +41,23 @@ from irsnoma_lab.mobility import _sigmoid
 from irsnoma_lab.noma import (
     SIC_RATE_TOL,
     ClusterPlan,
-    ConfigurationResult,
     decoding_order_by_gain,
     evaluate_batch,
 )
 from irsnoma_lab.precoding import zero_forcing
+
+
+@dataclass(frozen=True, eq=False)
+class ConfigurationResult:
+    """Outcome of evaluating one (phase config, power split) point.
+
+    ``own_gains`` is None when the phase's combined channel is
+    ill-conditioned.
+    """
+
+    sum_rate: float
+    feasible: bool
+    own_gains: np.ndarray | None
 
 
 def evaluate_point(scenario, phase: PhaseConfig, splits) -> ConfigurationResult:
@@ -49,7 +65,12 @@ def evaluate_point(scenario, phase: PhaseConfig, splits) -> ConfigurationResult:
     alphas = np.array([[a for part in splits for a in part]], dtype=float)
     phase_idx = np.array([phase.indices])
     grid = evaluate_batch(scenario, phase_idx, alphas, phase.resolution_bits)
-    return ConfigurationResult.of_first_point(grid)
+    gains = grid.own_gains[0]
+    return ConfigurationResult(
+        sum_rate=float(grid.sum_rate[0, 0]),
+        feasible=bool(grid.feasible[0, 0]),
+        own_gains=None if np.isnan(gains[0]) else gains,
+    )
 
 
 def alpha_from_units(units) -> tuple[float, ...]:
@@ -468,3 +489,100 @@ def lstm_train_step(params: dict, windows, targets, learning_rate: float, clip_n
     for name, grad in grads.items():
         params[name][...] -= learning_rate * grad
     return loss, bool(clipped)
+
+
+# -- The DQN's Q-network, one run ----------------------------------------------
+
+
+class QNetReference:
+    """One run's two-hidden-layer ReLU network with a hard-synced target copy.
+
+    Weights are (out, in) and biases (out,); :meth:`of_run` copies run e of
+    a stacked ``rl.QApproximator``, settings included.
+    """
+
+    @classmethod
+    def of_run(cls, approx, run: int) -> "QNetReference":
+        net = cls()
+        for name in ("learning_rate", "discount", "sync_period", "clip_norm", "_train_steps"):
+            setattr(net, name, getattr(approx, name))
+        for name in ("weights", "biases", "target_weights", "target_biases"):
+            setattr(net, name, [p[run].copy() for p in getattr(approx, name)])
+        return net
+
+    def _forward(self, x: np.ndarray, weights, biases):
+        a = np.atleast_2d(np.asarray(x, dtype=float))
+        pre_acts = []
+        acts = [a]
+        for layer, (w, b) in enumerate(zip(weights, biases)):
+            z = a @ w.T + b
+            pre_acts.append(z)
+            a = np.maximum(z, 0.0) if layer < len(weights) - 1 else z
+            acts.append(a)
+        return a, pre_acts, acts
+
+    def forward(self, features) -> np.ndarray:
+        x = np.asarray(features, dtype=float)
+        out, _, _ = self._forward(x, self.weights, self.biases)
+        return out[0] if x.ndim == 1 else out
+
+    def target_values(self, features) -> np.ndarray:
+        x = np.asarray(features, dtype=float)
+        out, _, _ = self._forward(x, self.target_weights, self.target_biases)
+        return out[0] if x.ndim == 1 else out
+
+    def sync_target(self):
+        self.target_weights = [w.copy() for w in self.weights]
+        self.target_biases = [b.copy() for b in self.biases]
+
+    def td_target(self, rewards, next_features) -> np.ndarray:
+        rows = np.asarray(next_features, dtype=float)[:, None, :]
+        return rewards + self.discount * np.max(self.target_values(rows), axis=(1, 2))
+
+    def loss_and_gradients(self, features, actions, targets):
+        x = np.atleast_2d(np.asarray(features, dtype=float))
+        actions = np.asarray(actions, dtype=int)
+        targets = np.asarray(targets, dtype=float)
+        batch = x.shape[0]
+
+        out, pre_acts, acts = self._forward(x, self.weights, self.biases)
+        picked = out[np.arange(batch), actions]
+        err = picked - targets
+        loss = float(np.mean(err**2))
+
+        d_out = np.zeros_like(out)
+        d_out[np.arange(batch), actions] = 2.0 * err / batch
+        grads_w = [None] * len(self.weights)
+        grads_b = [None] * len(self.biases)
+        delta = d_out
+        for layer in range(len(self.weights) - 1, -1, -1):
+            grads_w[layer] = delta.T @ acts[layer]
+            grads_b[layer] = delta.sum(axis=0)
+            if layer > 0:
+                delta = (delta @ self.weights[layer]) * (pre_acts[layer - 1] > 0)
+        return loss, grads_w, grads_b
+
+    def apply(self, loss, grads_w, grads_b) -> tuple[float, bool]:
+        """Clip by the one gradient norm, descend, and sync on schedule."""
+        norm = np.sqrt(
+            sum(float(np.sum(g**2)) for g in grads_w)
+            + sum(float(np.sum(g**2)) for g in grads_b)
+        )
+        clipped = norm > self.clip_norm
+        if clipped:
+            scale = self.clip_norm / norm
+            grads_w = [g * scale for g in grads_w]
+            grads_b = [g * scale for g in grads_b]
+        for w, gw in zip(self.weights, grads_w):
+            w -= self.learning_rate * gw
+        for b, gb in zip(self.biases, grads_b):
+            b -= self.learning_rate * gb
+        self._train_steps += 1
+        if self._train_steps % self.sync_period == 0:
+            self.sync_target()
+        return loss, bool(clipped)
+
+    def train_step(self, features, actions, rewards, next_features) -> tuple[float, bool]:
+        """One descent step on a replay minibatch; returns (loss, clipped?)."""
+        targets = self.td_target(rewards, next_features)
+        return self.apply(*self.loss_and_gradients(features, actions, targets))

@@ -226,10 +226,10 @@ def _max_rel_error_lstm(rng) -> float:
 
 def _max_rel_error_qnet(rng) -> float:
     step = 1e-5
-    approx = QApproximator(4, 3, hidden=(8, 8), seed=rng)
-    feats = rng.standard_normal((5, 4))
-    actions = rng.integers(0, 3, size=5)
-    targets = rng.standard_normal(5)
+    approx = QApproximator(4, 3, hidden=(8, 8), seeds=[rng])
+    feats = rng.standard_normal((5, 4))[None]
+    actions = rng.integers(0, 3, size=5)[None]
+    targets = rng.standard_normal(5)[None]
     _, grads_w, grads_b = approx.loss_and_gradients(feats, actions, targets)
     worst = 0.0
     for param, grad in list(zip(approx.weights, grads_w)) + list(
@@ -239,9 +239,9 @@ def _max_rel_error_qnet(rng) -> float:
         for idx in idx_pool:
             orig = param.flat[idx]
             param.flat[idx] = orig + step
-            up, _, _ = approx.loss_and_gradients(feats, actions, targets)
+            (up,), _, _ = approx.loss_and_gradients(feats, actions, targets)
             param.flat[idx] = orig - step
-            down, _, _ = approx.loss_and_gradients(feats, actions, targets)
+            (down,), _, _ = approx.loss_and_gradients(feats, actions, targets)
             param.flat[idx] = orig
             fd = (up - down) / (2 * step)
             a = grad.flat[idx]
@@ -304,9 +304,11 @@ def test_criterion_6_dqn_vs_oracle():
         scenario, SearchSpace(4, 2, (2, 2), alpha_step=0.1)
     )
     assert oracle.best_rate == pytest.approx(PINNED_ORACLE_RATE, abs=1e-9)
-    env = NomaPhaseEnv(scenario, resolution_bits=2, alpha_step=0.1)
-    approx = QApproximator(env.feature_dim, env.n_actions, seed=1)
-    outcome = train_agent(env, approx, episodes=2000, steps_per_episode=15, seed=7)
+    env = NomaPhaseEnv([scenario], resolution_bits=2, alpha_step=0.1)
+    approx = QApproximator(env.feature_dim, env.n_actions, seeds=[1])
+    (outcome,) = train_agent(
+        env, approx, episodes=2000, steps_per_episode=15, seeds=[7]
+    )
     ratio = outcome.best_rate / oracle.best_rate
     elapsed = time.perf_counter() - started
     ok = ratio >= 0.90 and outcome.best_rate <= oracle.best_rate + 1e-9

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from irsnoma_lab.noma import (
     NetworkScenario,
     decoding_order_by_gain,
     evaluate_batch,
+    evaluate_points,
     oma_tdma_sum_rate,
 )
 from scalar_reference import (
@@ -486,6 +489,86 @@ class TestEvaluateBatch:
         for alphas in ([[0.5, 0.5, 1.0]], [0.5, 0.5, 0.5, 0.5], np.ones((1, 5)) / 5):
             with pytest.raises(ValueError, match=r"\(S, 4\) array"):
                 evaluate_batch(scenario, phase_idx, alphas, 2)
+
+
+@st.composite
+def paired_instances(draw):
+    """A small scenario, E phase rows, E splits and a power (W) per point."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    n_points = draw(st.integers(1, 8))
+    scenario, phase_idx, bits, splits = _grid_instance(
+        draw, sizes, k=draw(st.integers(1, 3)), bits=draw(st.integers(1, 2)),
+        n_phases=n_points, n_splits=n_points,
+    )
+    powers_dbm = draw(st.lists(st.floats(0.0, 120.0), min_size=n_points, max_size=n_points))
+    return scenario, phase_idx, bits, splits, [dbm_to_watts(p) for p in powers_dbm]
+
+
+def assert_points_equal_reference(instance):
+    """Point e equals the reference scoring of its phase and split at its power.
+
+    Returns the (ill-conditioned, feasible) flags of the points.
+    """
+    scenario, phase_idx, bits, splits, powers = instance
+    alphas = np.array([flat_row(split) for split in splits])
+    scores = evaluate_points(scenario, phase_idx, alphas, bits, powers)
+    assert scores.sum_rate.shape == scores.feasible.shape == (len(splits),)
+    flags = []
+    for e, (row, split, power) in enumerate(zip(phase_idx, splits, powers)):
+        at_power = dataclasses.replace(scenario, total_power=power)
+        ref = reference_point(at_power, row, bits, split)
+        point = evaluate_point(at_power, PhaseConfig(row, bits), split)
+        assert scores.feasible[e] == ref.feasible == point.feasible
+        assert scores.sum_rate[e] == point.sum_rate
+        if ref.report is None:
+            assert scores.sum_rate[e] == 0.0
+            assert np.isnan(scores.own_gains[e]).all()
+        else:
+            assert scores.sum_rate[e] == ref.sum_rate
+            assert np.array_equal(scores.own_gains[e], ref.own_gains)
+            assert np.array_equal(point.own_gains, ref.own_gains)
+        flags.append((ref.report is None, ref.feasible))
+    return flags
+
+
+class TestEvaluatePoints:
+    @settings(max_examples=200, deadline=None)
+    @given(paired_instances())
+    def test_equals_reference_with_a_power_per_point(self, instance):
+        assert_points_equal_reference(instance)
+
+    def test_ill_conditioned_and_infeasible_points(self):
+        # A QoS floor of 0.01 fails at low power and holds at high power; a
+        # surface whose users all see one channel leaves ZF singular.
+        flags = []
+        for seed, singular in ((1, False), (2, False), (3, True)):
+            rng = np.random.default_rng(seed)
+            base = random_scenario(rng)
+            h = base.channels.user_channels.copy()
+            if singular:
+                h[:] = h[0]
+            scenario = NetworkScenario(
+                channels=ChannelRealization(base.channels.g_matrix, h, 1e-3),
+                assignment=base.assignment, total_power=1.0, qos_floors=0.01,
+            )
+            phase_idx = rng.integers(0, 4, (6, 4))
+            splits = [((0.9, 0.1), (0.8, 0.2))] * 6
+            powers = [dbm_to_watts(p) for p in (0.0, 20.0, 40.0, 60.0, 90.0, 120.0)]
+            flags += assert_points_equal_reference((scenario, phase_idx, 2, splits, powers))
+        ill, feasible = zip(*flags)
+        assert any(ill) and not all(ill)
+        assert any(feasible) and not all(f for i, f in flags if not i)
+
+    def test_rejects_unpaired_rows(self):
+        scenario = random_scenario(np.random.default_rng(3))
+        phase_idx = np.zeros((2, 4), dtype=int)
+        alphas = np.full((2, 4), 0.5)
+        with pytest.raises(ValueError, match="do not pair up"):
+            evaluate_points(scenario, phase_idx, alphas[:1], 2, [1.0, 1.0])
+        with pytest.raises(ValueError, match="do not pair up"):
+            evaluate_points(scenario, phase_idx, alphas, 2, [1.0])
+        with pytest.raises(ValueError, match="total_power must be positive"):
+            evaluate_points(scenario, phase_idx, alphas, 2, [1.0, 0.0])
 
 
 class TestScenarioLayout:

@@ -123,6 +123,18 @@ class TestZfPrecoder:
         assert ok.tolist() == [True, False, True]
         assert np.array_equal(w, np.stack([zf(good[0], 3.0), zf(good[1], 3.0)]))
 
+    def test_power_per_matrix_equals_one_matrix_at_a_time(self):
+        rng = np.random.default_rng(62)
+        good = [random_well_conditioned(rng, 3) for _ in range(3)]
+        bad = np.ones((3, 3), dtype=complex)
+        powers = [0.5, 7.0, 1e-3, 2e4]
+        ok, w = zero_forcing(np.stack([good[0], bad, *good[1:]]), singletons(3), powers)
+        assert ok.tolist() == [True, False, True, True]
+        expected = [zf(h, p) for h, p in zip(good, powers[:1] + powers[2:])]
+        assert np.array_equal(w, np.stack(expected))
+        with pytest.raises(ValueError, match="total_power must be positive"):
+            zero_forcing(np.stack(good), singletons(3), [1.0, -1.0, 1.0])
+
 
 class TestClusterChannelMatrix:
     def test_condition_number_recorded(self):

@@ -1,4 +1,4 @@
-import copy
+import dataclasses
 from collections import defaultdict
 
 import numpy as np
@@ -10,6 +10,7 @@ from irsnoma_lab.channel import ChannelRealization
 from irsnoma_lab.noma import NetworkScenario
 from irsnoma_lab.oracle import SearchSpace, brute_force_optimum
 from irsnoma_lab.rl import (
+    INFEASIBLE_PENALTY,
     NomaPhaseEnv,
     QApproximator,
     ReplayMemory,
@@ -19,6 +20,7 @@ from irsnoma_lab.rl import (
     train_tabular_agent,
 )
 from scalar_reference import (
+    QNetReference,
     alpha_from_units,
     reference_actions,
     reference_state,
@@ -38,6 +40,11 @@ def tiny_scenario(seed=5, n_clusters=1, users_per_cluster=2, k_elements=2, power
     channels = ChannelRealization(g_matrix=g, user_channels=h, noise_variance=0.05)
     assignment = tuple(u // users_per_cluster for u in range(n_users))
     return NetworkScenario(channels=channels, assignment=assignment, total_power=power)
+
+
+def at_powers(scenario, powers):
+    """The scenario once per transmit power: the runs of one lockstep search."""
+    return [dataclasses.replace(scenario, total_power=p) for p in powers]
 
 
 class TestTabularUpdate:
@@ -106,133 +113,182 @@ class TestTabularUpdate:
 
 class TestQApproximator:
     def test_zero_weights_output_bias(self):
-        approx = QApproximator(3, 4, hidden=(5, 5), seed=0)
+        approx = QApproximator(3, 4, hidden=(5, 5), seeds=[0])
         for w in approx.weights:
             w[...] = 0.0
-        approx.biases[-1][...] = [1.0, -2.0, 0.5, 0.0]
-        out = approx.forward(np.ones(3))
-        assert np.allclose(out, [1.0, -2.0, 0.5, 0.0])
+        approx.biases[-1][0] = [1.0, -2.0, 0.5, 0.0]
+        out = approx.forward(np.ones((1, 1, 3)))
+        assert np.allclose(out[0, 0], [1.0, -2.0, 0.5, 0.0])
 
     def test_deterministic_forward(self):
-        approx = QApproximator(4, 3, seed=1)
-        x = np.random.default_rng(2).standard_normal(4)
+        approx = QApproximator(4, 3, seeds=[1])
+        x = np.random.default_rng(2).standard_normal((1, 1, 4))
         assert np.array_equal(approx.forward(x), approx.forward(x))
 
     def test_matches_independent_matrix_evaluation(self):
-        approx = QApproximator(3, 2, hidden=(4, 4), seed=3)
-        x = np.random.default_rng(4).standard_normal(3)
-        a = x
-        for layer, (w, b) in enumerate(zip(approx.weights, approx.biases)):
-            z = w @ a + b
-            a = np.maximum(z, 0.0) if layer < 2 else z
-        assert np.max(np.abs(approx.forward(x) - a)) < 1e-10
+        approx = QApproximator(3, 2, hidden=(4, 4), seeds=[3, 5])
+        x = np.random.default_rng(4).standard_normal((2, 1, 3))
+        out = approx.forward(x)
+        for run in range(2):
+            a = x[run, 0]
+            for layer, (w, b) in enumerate(zip(approx.weights, approx.biases)):
+                z = w[run] @ a + b[run]
+                a = np.maximum(z, 0.0) if layer < 2 else z
+            assert np.max(np.abs(out[run, 0] - a)) < 1e-10
+
+    def test_each_run_draws_from_its_own_seed(self):
+        pair = QApproximator(3, 2, hidden=(4, 4), seeds=[3, 5])
+        alone = QApproximator(3, 2, hidden=(4, 4), seeds=[5])
+        for stacked, single in zip(pair.weights, alone.weights):
+            assert np.array_equal(stacked[1], single[0])
 
     def test_non_finite_features_rejected(self):
-        approx = QApproximator(2, 2, seed=0)
+        approx = QApproximator(2, 2, seeds=[0])
         with pytest.raises(ValueError):
-            approx.forward(np.array([np.inf, 0.0]))
+            approx.forward(np.array([[[np.inf, 0.0]]]))
+
+    def test_rows_of_the_wrong_shape_rejected(self):
+        approx = QApproximator(2, 2, seeds=[0, 1])
+        for rows in (np.zeros((2, 2)), np.zeros((1, 1, 2)), np.zeros((2, 1, 3))):
+            with pytest.raises(ValueError, match=r"rows must be \(2, \.\.\., B, 2\)"):
+                approx.forward(rows)
 
 
 class TestTdTarget:
     def test_zero_discount(self):
-        approx = QApproximator(2, 2, discount=0.0, seed=0)
-        assert approx.td_target(np.array([2.5]), np.zeros((1, 2))) == pytest.approx([2.5])
+        approx = QApproximator(2, 2, discount=0.0, seeds=[0])
+        assert approx.td_target(np.array([[2.5]]), np.zeros((1, 1, 2))).tolist() == [[2.5]]
 
     def test_compositional(self):
-        approx = QApproximator(3, 4, discount=0.7, seed=5)
+        approx = QApproximator(3, 4, discount=0.7, seeds=[5])
         x = np.random.default_rng(6).standard_normal(3)
-        expected = 0.3 + 0.7 * float(np.max(approx.target_values(x)))
-        assert approx.td_target(np.array([0.3]), x[None])[0] == pytest.approx(expected)
+        expected = 0.3 + 0.7 * float(np.max(approx.target_values(x[None, None])))
+        assert approx.td_target(np.array([[0.3]]), x[None, None])[0, 0] == pytest.approx(expected)
 
     def test_target_stale_between_syncs(self):
-        approx = QApproximator(3, 3, sync_period=10**9, seed=9)
+        approx = QApproximator(3, 3, sync_period=10**9, seeds=[9])
         x = np.random.default_rng(10).standard_normal(3)
-        before = approx.td_target(np.array([1.0]), x[None])
+        before = approx.td_target(np.array([[1.0]]), x[None, None])
         batch = (
-            np.stack([np.random.default_rng(i).standard_normal(3) for i in range(8)]),
-            np.arange(8) % 3,
-            np.ones(8),
-            np.stack([np.random.default_rng(i + 50).standard_normal(3) for i in range(8)]),
+            np.stack([np.random.default_rng(i).standard_normal(3) for i in range(8)])[None],
+            (np.arange(8) % 3)[None],
+            np.ones((1, 8)),
+            np.stack([np.random.default_rng(i + 50).standard_normal(3) for i in range(8)])[None],
         )
         for _ in range(5):
             approx.train_step(*batch)
-        assert approx.td_target(np.array([1.0]), x[None]) == before
+        assert approx.td_target(np.array([[1.0]]), x[None, None]) == before
 
 
 class TestDqnTraining:
     def test_zero_residual_zero_gradients(self):
-        approx = QApproximator(3, 3, seed=11)
+        approx = QApproximator(3, 3, seeds=[11])
         rng = np.random.default_rng(12)
-        feats = rng.standard_normal((6, 3))
-        actions = rng.integers(0, 3, size=6)
-        current = approx.forward(feats)[np.arange(6), actions]
+        feats = rng.standard_normal((1, 6, 3))
+        actions = rng.integers(0, 3, size=(1, 6))
+        current = approx.forward(feats)[0, np.arange(6), actions[0]][None]
         loss, grads_w, grads_b = approx.loss_and_gradients(feats, actions, current)
-        assert loss == 0.0
+        assert loss.tolist() == [0.0]
         for g in grads_w + grads_b:
             assert np.max(np.abs(g)) < 1e-12
 
     def test_gradients_match_finite_differences(self):
+        # Two runs: each gradient is its own run's, and nudging one run's
+        # weights leaves the other run's loss untouched.
         rng = np.random.default_rng(13)
         step = 1e-5
-        approx = QApproximator(4, 3, hidden=(8, 8), seed=rng)
-        feats = rng.standard_normal((5, 4))
-        actions = rng.integers(0, 3, size=5)
-        targets = rng.standard_normal(5)
-        _, grads_w, grads_b = approx.loss_and_gradients(feats, actions, targets)
+        approx = QApproximator(4, 3, hidden=(8, 8), seeds=[rng, rng])
+        feats = rng.standard_normal((2, 5, 4))
+        actions = rng.integers(0, 3, size=(2, 5))
+        targets = rng.standard_normal((2, 5))
+        base, grads_w, grads_b = approx.loss_and_gradients(feats, actions, targets)
         params = list(zip(approx.weights, grads_w)) + list(zip(approx.biases, grads_b))
         for param, grad in params:
-            flat = grad.ravel()
-            idx_pool = rng.choice(param.size, size=min(25, param.size), replace=False)
-            for idx in idx_pool:
-                orig = param.flat[idx]
-                param.flat[idx] = orig + step
-                up, _, _ = approx.loss_and_gradients(feats, actions, targets)
-                param.flat[idx] = orig - step
-                down, _, _ = approx.loss_and_gradients(feats, actions, targets)
-                param.flat[idx] = orig
-                fd = (up - down) / (2 * step)
-                rel = abs(flat[idx] - fd) / max(abs(flat[idx]), abs(fd), 1e-6)
-                assert rel < 1e-4
+            for run in range(2):
+                weights, flat = param[run].reshape(-1), grad[run].ravel()
+                idx_pool = rng.choice(weights.size, size=min(25, weights.size), replace=False)
+                for idx in idx_pool:
+                    orig = weights[idx]
+                    weights[idx] = orig + step
+                    up, _, _ = approx.loss_and_gradients(feats, actions, targets)
+                    weights[idx] = orig - step
+                    down, _, _ = approx.loss_and_gradients(feats, actions, targets)
+                    weights[idx] = orig
+                    assert up[1 - run] == down[1 - run] == base[1 - run]
+                    fd = (up[run] - down[run]) / (2 * step)
+                    rel = abs(flat[idx] - fd) / max(abs(flat[idx]), abs(fd), 1e-6)
+                    assert rel < 1e-4
 
     def test_supervised_regression_sanity(self):
         # Discount 0 turns the TD target into the stored reward, so the
         # network regresses toward a fixed random target function.
         rng = np.random.default_rng(14)
         approx = QApproximator(
-            4, 3, hidden=(16, 16), learning_rate=0.1, discount=0.0, seed=15
+            4, 3, hidden=(16, 16), learning_rate=0.1, discount=0.0, seeds=[15]
         )
-        feats = rng.standard_normal((32, 4))
-        actions = rng.integers(0, 3, size=32)
-        rewards = rng.standard_normal(32)
-        first_loss, _ = approx.train_step(feats, actions, rewards, feats)
+        feats = rng.standard_normal((1, 32, 4))
+        actions = rng.integers(0, 3, size=(1, 32))
+        rewards = rng.standard_normal((1, 32))
+        (first_loss,), _ = approx.train_step(feats, actions, rewards, feats)
         for _ in range(199):
-            last, _ = approx.train_step(feats, actions, rewards, feats)
+            (last,), _ = approx.train_step(feats, actions, rewards, feats)
         assert last <= first_loss / 10.0
 
     def test_gradient_clipping_flagged(self):
-        approx = QApproximator(2, 2, clip_norm=1e-9, seed=16)
+        approx = QApproximator(2, 2, clip_norm=1e-9, seeds=[16])
         _, clipped = approx.train_step(
-            np.ones((1, 2)), np.array([0]), np.array([100.0]), np.ones((1, 2))
+            np.ones((1, 1, 2)), np.array([[0]]), np.array([[100.0]]), np.ones((1, 1, 2))
         )
-        assert clipped
+        assert clipped == 1
 
 
 class TestReplayMemory:
     def test_ring_overwrite(self):
-        mem = ReplayMemory(capacity=3, feature_dim=1)
+        mem = ReplayMemory(capacity=3, state_dtype=(float, 1))
         for i in range(5):
-            mem.push(np.array([float(i)]), 0, 0.0, np.array([0.0]))
+            mem.push(np.array([[float(i)]]), [0], [0.0], np.array([[0.0]]))
         assert len(mem) == 3
-        stored = sorted(mem.states[:, 0])
+        stored = sorted(mem.states[0, :, 0])
         assert stored == [2.0, 3.0, 4.0]
 
     def test_seeded_sampling(self):
-        mem = ReplayMemory(10, feature_dim=1)
+        mem = ReplayMemory(10, state_dtype=(float, 1))
         for i in range(10):
-            mem.push(np.array([float(i)]), 0, 0.0, np.array([0.0]))
-        a = mem.sample(np.random.default_rng(1), 4)
-        b = mem.sample(np.random.default_rng(1), 4)
-        assert list(a[0][:, 0]) == list(b[0][:, 0])
+            mem.push(np.array([[float(i)]]), [0], [0.0], np.array([[0.0]]))
+        a = mem.sample([np.random.default_rng(1)], 4)
+        b = mem.sample([np.random.default_rng(1)], 4)
+        assert list(a[0][0, :, 0]) == list(b[0][0, :, 0])
+
+    def test_each_run_samples_its_own_stream(self):
+        mem = ReplayMemory(10, state_dtype=(float, 1), n_runs=2)
+        for i in range(10):
+            mem.push(np.array([[i], [i + 100.0]]), [i, i], [0.0, 1.0], np.zeros((2, 1)))
+        states, actions, rewards, _ = mem.sample(
+            [np.random.default_rng(1), np.random.default_rng(2)], 4
+        )
+        for run, seed in enumerate((1, 2)):
+            picks = np.random.default_rng(seed).integers(0, 10, size=4)
+            assert actions[run].tolist() == picks.tolist()
+            assert states[run, :, 0].tolist() == (picks + 100.0 * run).tolist()
+            assert rewards[run].tolist() == [float(run)] * 4
+
+    def test_packed_env_states_give_back_their_features(self):
+        scenario = tiny_scenario(n_clusters=2, users_per_cluster=2, k_elements=3)
+        env = NomaPhaseEnv(at_powers(scenario, [1e-6, 1.0]), resolution_bits=3, alpha_step=0.1)
+        mem = ReplayMemory(20, env.state_dtype, n_runs=2)
+        rng = np.random.default_rng(4)
+        visited = []
+        for _ in range(20):
+            state, _ = env.random_state([rng, rng])
+            visited.append(state)
+            mem.push(env.pack(state), [0, 0], [0.0, 0.0], env.pack(state))
+        assert env.state_dtype.itemsize < env.feature_dim * 8 / 2
+        picks = [np.random.default_rng(5), np.random.default_rng(6)]
+        states, _, _, _ = mem.sample(picks, 12)
+        for run, seed in enumerate((5, 6)):
+            idx = np.random.default_rng(seed).integers(0, 20, size=12)
+            want = np.stack([visited[i].features[run] for i in idx])
+            assert env.features_of(states)[run].tobytes() == want.tobytes()
 
 
 class ListReplay:
@@ -253,128 +309,131 @@ class ListReplay:
         return [self.buffer[i] for i in idx]
 
 
-def per_transition_train_step(approx, batch):
-    """``QApproximator.train_step`` with one target-network forward per transition."""
+def per_transition_train_step(net: QNetReference, batch):
+    """One run's train step with one target-network forward per transition."""
     features = np.stack([s for s, _, _, _ in batch])
     actions = [a for _, a, _, _ in batch]
     targets = [
-        float(r + approx.discount * np.max(approx.target_values(s2)))
+        float(r + net.discount * np.max(net.target_values(s2)))
         for _, _, r, s2 in batch
     ]
-    loss, grads_w, grads_b = approx.loss_and_gradients(features, actions, targets)
-    norm = np.sqrt(
-        sum(float(np.sum(g**2)) for g in grads_w)
-        + sum(float(np.sum(g**2)) for g in grads_b)
-    )
-    clipped = norm > approx.clip_norm
-    if clipped:
-        scale = approx.clip_norm / norm
-        grads_w = [g * scale for g in grads_w]
-        grads_b = [g * scale for g in grads_b]
-    for w, gw in zip(approx.weights, grads_w):
-        w -= approx.learning_rate * gw
-    for b, gb in zip(approx.biases, grads_b):
-        b -= approx.learning_rate * gb
-    approx._train_steps += 1
-    if approx._train_steps % approx.sync_period == 0:
-        approx.sync_target()
-    return loss, clipped
+    return net.apply(*net.loss_and_gradients(features, actions, targets))
 
 
 class TestArrayReplayEqualsPerTransitionLoop:
+    """The stacked replay and train step equal, run by run, a list replay and
+    the one-run network stepped one transition at a time."""
+
     @pytest.mark.parametrize(
-        "batch_size, capacity, pushes, clip_norm",
-        [(1, 500, 120, 1e6), (32, 500, 120, 1e6), (1, 10, 120, 1e6),
-         (32, 50, 200, 1e6), (32, 50, 200, 0.5)],
-        ids=["batch1", "batch32", "batch1-wraps", "batch32-wraps", "batch32-clipped"],
+        "batch_size, capacity, pushes, clip_norm, n_runs",
+        [(1, 500, 120, 1e6, 1), (32, 500, 120, 1e6, 1), (1, 10, 120, 1e6, 1),
+         (32, 50, 200, 1e6, 1), (32, 50, 200, 0.5, 1), (32, 50, 200, 60.0, 3)],
+        ids=["batch1", "batch32", "batch1-wraps", "batch32-wraps", "batch32-clipped",
+             "three-runs-some-clip"],
     )
-    def test_bit_identical(self, batch_size, capacity, pushes, clip_norm):
+    def test_bit_identical(self, batch_size, capacity, pushes, clip_norm, n_runs):
         dim, n_actions = 75, 51  # the feature and action counts at paper scale
-        arrays = QApproximator(dim, n_actions, sync_period=7, clip_norm=clip_norm, seed=31)
-        loop = copy.deepcopy(arrays)
-        memory, reference = ReplayMemory(capacity, dim), ListReplay(capacity)
-        rng_a, rng_b = np.random.default_rng(32), np.random.default_rng(32)
+        seeds = [31 + run for run in range(n_runs)]
+        arrays = QApproximator(dim, n_actions, sync_period=7, clip_norm=clip_norm, seeds=seeds)
+        nets = [QNetReference.of_run(arrays, run) for run in range(n_runs)]
+        memory = ReplayMemory(capacity, (float, dim), n_runs)
+        references = [ListReplay(capacity) for _ in range(n_runs)]
+        rngs_a = [np.random.default_rng(40 + run) for run in range(n_runs)]
+        rngs_b = [np.random.default_rng(40 + run) for run in range(n_runs)]
         data = np.random.default_rng(33)
-        clips = 0
+        clips = []
         for step in range(pushes):
-            state, next_state = data.uniform(size=dim), data.uniform(size=dim)
-            action = int(data.integers(n_actions))
-            reward = float(data.normal(3.0, 4.0)) - (5.0 if step % 3 else 0.0)
-            memory.push(state, action, reward, next_state)
-            reference.push((state, action, reward, next_state))
+            # Run r's rewards are scaled by 4**r, so its gradients are larger.
+            transitions = [
+                (data.uniform(size=dim), int(data.integers(n_actions)),
+                 4.0**run * (float(data.normal(3.0, 4.0)) - (5.0 if step % 3 else 0.0)),
+                 data.uniform(size=dim))
+                for run in range(n_runs)
+            ]
+            memory.push(*(np.array(field) for field in zip(*transitions)))
+            for reference, transition in zip(references, transitions):
+                reference.push(transition)
             if step + 1 < batch_size:
                 continue
-            got = arrays.train_step(*memory.sample(rng_a, batch_size))
-            want = per_transition_train_step(loop, reference.sample(rng_b, batch_size))
-            assert got == want
-            clips += got[1]
-            for mine, theirs in zip(
-                arrays.weights + arrays.biases + arrays.target_weights + arrays.target_biases,
-                loop.weights + loop.biases + loop.target_weights + loop.target_biases,
-            ):
-                assert np.array_equal(mine, theirs)
+            losses, n_clipped = arrays.train_step(*memory.sample(rngs_a, batch_size))
+            want = [
+                per_transition_train_step(net, reference.sample(rng, batch_size))
+                for net, reference, rng in zip(nets, references, rngs_b)
+            ]
+            assert losses.tolist() == [loss for loss, _ in want]
+            assert n_clipped == sum(flag for _, flag in want)
+            clips.append(n_clipped)
+            for run, net in enumerate(nets):
+                for mine, theirs in zip(
+                    arrays.weights + arrays.biases + arrays.target_weights + arrays.target_biases,
+                    net.weights + net.biases + net.target_weights + net.target_biases,
+                ):
+                    assert np.array_equal(mine[run], theirs)
         assert len(memory) == min(capacity, pushes)
-        assert (clips > 0) == (clip_norm < 1.0)
+        assert (max(clips) > 0) == (clip_norm < 100.0)
+        if n_runs > 1:
+            assert any(0 < n < n_runs for n in clips)
 
 
 class TestEnvironment:
     def test_action_count_formula(self):
         scenario = tiny_scenario(n_clusters=2, users_per_cluster=2, k_elements=4)
-        env = NomaPhaseEnv(scenario, resolution_bits=2, alpha_step=0.1)
+        env = NomaPhaseEnv([scenario], resolution_bits=2, alpha_step=0.1)
         k, sizes = 4, (2, 2)
         expected = 2 * k + 2 * sum(s * (s - 1) // 2 for s in sizes) + 1
         assert env.n_actions == expected
 
     def test_noop_keeps_configuration(self):
-        env = NomaPhaseEnv(tiny_scenario(), resolution_bits=2, alpha_step=0.5)
+        env = NomaPhaseEnv([tiny_scenario()], resolution_bits=2, alpha_step=0.5)
         state, result = env.initial_state()
-        next_state, reward, next_result = env.step(state, 0)
+        next_state, reward, next_result = env.step(state, [0])
         assert np.array_equal(next_state.phases, state.phases)
         assert np.array_equal(next_state.units, state.units)
-        assert reward == pytest.approx(env.reward(result))
+        assert np.array_equal(reward, env.reward(result))
 
     def test_phase_increment_wraps(self):
-        env = NomaPhaseEnv(tiny_scenario(), resolution_bits=2, alpha_step=0.5)
+        env = NomaPhaseEnv([tiny_scenario()], resolution_bits=2, alpha_step=0.5)
         state, _ = env.initial_state()
         for _ in range(3):
-            state, _, _ = env.step(state, 1)  # increment element 0
-        assert state.phases[0] == 3
-        state, _, _ = env.step(state, 1)
-        assert state.phases[0] == 0
+            state, _, _ = env.step(state, [1])  # increment element 0
+        assert state.phases[0, 0] == 3
+        state, _, _ = env.step(state, [1])
+        assert state.phases[0, 0] == 0
 
     def test_alpha_shift_clamped_at_zero(self):
-        env = NomaPhaseEnv(tiny_scenario(), resolution_bits=1, alpha_step=0.5)
+        env = NomaPhaseEnv([tiny_scenario()], resolution_bits=1, alpha_step=0.5)
         state, _ = env.initial_state()
         shift_id = 1 + 2 * env.k_elements  # first alpha-shift action (0 -> 1)
-        assert (env.give[shift_id], env.take[shift_id]) == (0, 1)
+        assert env.unit_delta[shift_id].tolist() == [-1, 1]
         assert not env.phase_delta[shift_id].any()
         for _ in range(4):
-            state, _, _ = env.step(state, shift_id)
-        assert state.units[0] == 0
-        assert state.units[1] == env.units_total
+            state, _, _ = env.step(state, [shift_id])
+        assert state.units[0, 0] == 0
+        assert state.units[0, 1] == env.units_total
 
     def test_action_space_closure(self):
         env = NomaPhaseEnv(
-            tiny_scenario(n_clusters=2, users_per_cluster=2, k_elements=3),
+            at_powers(tiny_scenario(n_clusters=2, users_per_cluster=2, k_elements=3), [1.0, 2.0]),
             resolution_bits=2,
             alpha_step=0.25,
         )
         rng = np.random.default_rng(17)
-        state, _ = env.random_state(rng)
+        state, _ = env.random_state([rng, rng])
         for _ in range(100):
-            action = int(rng.integers(env.n_actions))
-            state, _, _ = env.step(state, action)
-            assert all(0 <= n < env.levels for n in state.phases)
-            for units in cluster_tuples(env, state.units):
-                assert sum(units) == env.units_total
+            actions = rng.integers(env.n_actions, size=2)
+            state, _, _ = env.step(state, actions)
+            assert ((0 <= state.phases) & (state.phases < env.levels)).all()
+            for units in state.units:
+                for cluster in cluster_tuples(env, units):
+                    assert sum(cluster) == env.units_total
 
     def test_single_element_sweep_reaches_brute_force_max(self):
         scenario = tiny_scenario(n_clusters=1, users_per_cluster=1, k_elements=1)
-        env = NomaPhaseEnv(scenario, resolution_bits=3, alpha_step=0.5)
+        env = NomaPhaseEnv([scenario], resolution_bits=3, alpha_step=0.5)
         state, result = env.initial_state()
-        best = env.reward(result)
+        (best,) = env.reward(result)
         for _ in range(env.levels - 1):
-            state, reward, _ = env.step(state, 1)
+            state, (reward,), _ = env.step(state, [1])
             best = max(best, reward)
         oracle = brute_force_optimum(
             scenario, SearchSpace(1, 3, (1,), alpha_step=0.5)
@@ -382,42 +441,59 @@ class TestEnvironment:
         assert best == pytest.approx(oracle.best_rate)
 
     def test_feature_vector_layout(self):
-        env = NomaPhaseEnv(tiny_scenario(), resolution_bits=2, alpha_step=0.5)
+        env = NomaPhaseEnv([tiny_scenario()], resolution_bits=2, alpha_step=0.5)
         state, _ = env.initial_state()
         k = env.k_elements
-        assert state.feature_vector.shape == (env.feature_dim,)
-        assert np.all(state.feature_vector[:k] == 0.0)  # zero phases
-        assert np.max(state.feature_vector[k + 2 :]) == pytest.approx(1.0)
+        assert state.features.shape == (1, env.feature_dim)
+        assert np.all(state.features[0, :k] == 0.0)  # zero phases
+        assert np.max(state.features[0, k + 2 :]) == pytest.approx(1.0)
 
     def test_bad_alpha_step_rejected(self):
         with pytest.raises(ValueError):
-            NomaPhaseEnv(tiny_scenario(), resolution_bits=1, alpha_step=0.3)
+            NomaPhaseEnv([tiny_scenario()], resolution_bits=1, alpha_step=0.3)
+
+    def test_runs_must_differ_only_in_power(self):
+        base = tiny_scenario(n_clusters=2, users_per_cluster=2)
+        NomaPhaseEnv(at_powers(base, [1.0, 3.0]), resolution_bits=1)
+        other_channels = tiny_scenario(seed=6, n_clusters=2, users_per_cluster=2)
+        for other in (
+            dataclasses.replace(base, assignment=(0, 1, 0, 1)),
+            dataclasses.replace(base, qos_floors=0.1),
+            dataclasses.replace(base, interference_model="coherent"),
+            dataclasses.replace(base, alpha_domain="power"),
+            dataclasses.replace(other_channels, total_power=base.total_power),
+        ):
+            with pytest.raises(ValueError, match="differ only in total_power"):
+                NomaPhaseEnv([base, other], resolution_bits=1)
+        with pytest.raises(ValueError, match="at least one scenario"):
+            NomaPhaseEnv([], resolution_bits=1)
 
 
 def cluster_tuples(env, units):
-    """A unit array as one tuple of counts per cluster."""
-    return tuple(
-        tuple(part) for part in np.split(units.tolist(), np.cumsum(env.scenario.cluster_sizes)[:-1])
-    )
+    """One run's unit array as one tuple of counts per cluster."""
+    cuts = np.cumsum(env.scenarios[0].cluster_sizes)[:-1]
+    return tuple(tuple(part) for part in np.split(units.tolist(), cuts))
 
 
-def assert_matches_reference(env, state, result, phases, alpha_units):
-    """``state``/``result`` equal the reference scoring of a tuple state, bit for bit.
+def assert_matches_reference(env, run, state, result, phases, alpha_units):
+    """Run ``run`` of ``state``/``result`` equals the reference scoring of a
+    tuple state at that run's power, bit for bit.
 
     Returns the reference result.
     """
+    scenario = env.scenarios[run]
     features, splits, ref = reference_state(
-        env.scenario, phases, alpha_units, env.resolution_bits
+        scenario, phases, alpha_units, env.resolution_bits
     )
-    assert state.phases.tolist() == list(phases)
-    assert cluster_tuples(env, state.units) == alpha_units
-    assert state.feature_vector.tobytes() == features.tobytes()
-    assert env.scenario.split_tuples(state.units / env.units_total) == splits
-    assert (result.sum_rate, result.feasible) == (ref.sum_rate, ref.feasible)
+    assert state.phases[run].tolist() == list(phases)
+    assert cluster_tuples(env, state.units[run]) == alpha_units
+    assert state.features[run].tobytes() == features.tobytes()
+    assert scenario.split_tuples(state.units[run] / env.units_total) == splits
+    assert (result.sum_rate[run], result.feasible[run]) == (ref.sum_rate, ref.feasible)
     if ref.own_gains is None:
-        assert result.own_gains is None
+        assert np.isnan(result.own_gains[run]).all()
     else:
-        assert result.own_gains.tobytes() == ref.own_gains.tobytes()
+        assert result.own_gains[run].tobytes() == ref.own_gains.tobytes()
     return ref
 
 
@@ -429,58 +505,73 @@ class TestActionTableEqualsReference:
         k_elements=st.integers(1, 4),
         bits=st.integers(1, 3),
         alpha_step=st.sampled_from([0.5, 0.25, 0.2, 0.1]),
+        powers=st.lists(st.floats(1e-4, 1e3), min_size=1, max_size=3),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_every_action_from_random_states(
-        self, n_clusters, users_per_cluster, k_elements, bits, alpha_step, seed
+        self, n_clusters, users_per_cluster, k_elements, bits, alpha_step, powers, seed
     ):
         scenario = tiny_scenario(
             seed=seed % 1000, n_clusters=n_clusters,
             users_per_cluster=users_per_cluster, k_elements=k_elements,
         )
-        env = NomaPhaseEnv(scenario, resolution_bits=bits, alpha_step=alpha_step)
-        actions = reference_actions(k_elements, env.scenario.cluster_sizes)
+        env = NomaPhaseEnv(at_powers(scenario, powers), resolution_bits=bits, alpha_step=alpha_step)
+        actions = reference_actions(k_elements, env.scenarios[0].cluster_sizes)
         assert env.n_actions == len(actions)
         rng = np.random.default_rng(seed)
-        for start in [env.initial_state(), env.random_state(rng), env.random_state(rng)]:
+        rngs = [rng] * len(powers)
+        for start in [env.initial_state(), env.random_state(rngs), env.random_state(rngs)]:
             state, result = start
-            phases = tuple(state.phases.tolist())
-            alpha_units = cluster_tuples(env, state.units)
-            assert_matches_reference(env, state, result, phases, alpha_units)
-            for action_id, action in enumerate(actions):
-                nxt, reward, result = env.step(state, action_id)
-                ref_phases, ref_units = reference_step(
-                    phases, alpha_units, action, env.levels
-                )
-                ref = assert_matches_reference(env, nxt, result, ref_phases, ref_units)
-                assert reward == env.reward(ref)
+            tuples = [
+                (tuple(state.phases[run].tolist()), cluster_tuples(env, state.units[run]))
+                for run in range(env.n_runs)
+            ]
+            for run, (phases, alpha_units) in enumerate(tuples):
+                assert_matches_reference(env, run, state, result, phases, alpha_units)
+            for action_id in range(len(actions)):
+                # Run r takes action (action_id + r), so the runs move apart.
+                ids = [(action_id + run) % len(actions) for run in range(env.n_runs)]
+                nxt, rewards, result = env.step(state, ids)
+                for run, (phases, alpha_units) in enumerate(tuples):
+                    ref_phases, ref_units = reference_step(
+                        phases, alpha_units, actions[ids[run]], env.levels
+                    )
+                    ref = assert_matches_reference(
+                        env, run, nxt, result, ref_phases, ref_units
+                    )
+                    penalty = 0.0 if ref.feasible else INFEASIBLE_PENALTY
+                    assert rewards[run] == ref.sum_rate - penalty
 
 
 class TestAgents:
     def test_curve_length_and_monotone_best(self):
-        env = NomaPhaseEnv(tiny_scenario(), resolution_bits=2, alpha_step=0.5)
-        approx = QApproximator(env.feature_dim, env.n_actions, seed=18)
-        result = train_agent(env, approx, episodes=12, steps_per_episode=5, seed=19, warmup=8)
+        env = NomaPhaseEnv([tiny_scenario()], resolution_bits=2, alpha_step=0.5)
+        approx = QApproximator(env.feature_dim, env.n_actions, seeds=[18])
+        (result,) = train_agent(
+            env, approx, episodes=12, steps_per_episode=5, seeds=[19], warmup=8
+        )
         assert len(result.curve) == 12
         bests = [p.best_reward for p in result.curve]
         assert all(b2 >= b1 for b1, b2 in zip(bests, bests[1:]))
         assert result.found_feasible
 
     def test_pure_exploration_acts_as_random_search(self):
-        env = NomaPhaseEnv(tiny_scenario(), resolution_bits=2, alpha_step=0.5)
+        env = NomaPhaseEnv([tiny_scenario()], resolution_bits=2, alpha_step=0.5)
         approx = QApproximator(
             env.feature_dim, env.n_actions,
-            epsilon_start=1.0, epsilon_decay=1.0, epsilon_min=1.0, seed=20,
+            epsilon_start=1.0, epsilon_decay=1.0, epsilon_min=1.0, seeds=[20],
         )
-        result = train_agent(env, approx, episodes=10, steps_per_episode=5, seed=21)
+        (result,) = train_agent(env, approx, episodes=10, steps_per_episode=5, seeds=[21])
         bests = [p.best_reward for p in result.curve]
         assert all(b2 >= b1 for b1, b2 in zip(bests, bests[1:]))
 
     def test_small_instance_near_oracle(self):
         scenario = tiny_scenario(n_clusters=1, users_per_cluster=2, k_elements=2)
-        env = NomaPhaseEnv(scenario, resolution_bits=2, alpha_step=0.1)
-        approx = QApproximator(env.feature_dim, env.n_actions, seed=22)
-        result = train_agent(env, approx, episodes=150, steps_per_episode=10, seed=23)
+        env = NomaPhaseEnv([scenario], resolution_bits=2, alpha_step=0.1)
+        approx = QApproximator(env.feature_dim, env.n_actions, seeds=[22])
+        (result,) = train_agent(
+            env, approx, episodes=150, steps_per_episode=10, seeds=[23]
+        )
         oracle = brute_force_optimum(
             scenario, SearchSpace(2, 2, (2,), alpha_step=0.1)
         )
@@ -488,22 +579,104 @@ class TestAgents:
         assert result.best_rate <= oracle.best_rate + 1e-12
 
     def test_random_search_keeps_the_best_random_state(self):
-        env = NomaPhaseEnv(tiny_scenario(), resolution_bits=2, alpha_step=0.5)
-        result = random_search(env, 15, seed=25)
+        env = NomaPhaseEnv([tiny_scenario()], resolution_bits=2, alpha_step=0.5)
+        (result,) = random_search(env, 15, seeds=[25])
         rng = np.random.default_rng(25)
-        draws = [env.random_state(rng) for _ in range(15)]
-        feasible = [(r.sum_rate, s, r) for s, r in draws if r.feasible]
+        draws = [env.random_state([rng]) for _ in range(15)]
+        feasible = [(r.sum_rate[0], s, r) for s, r in draws if r.feasible[0]]
         rate, state, scored = max(feasible, key=lambda item: item[0])
         assert result.best_rate == rate
-        assert list(result.best_phase.indices) == state.phases.tolist()
+        assert list(result.best_phase.indices) == state.phases[0].tolist()
         assert result.best_splits == tuple(
-            alpha_from_units(units) for units in cluster_tuples(env, state.units)
+            alpha_from_units(units) for units in cluster_tuples(env, state.units[0])
         )
-        assert np.array_equal(result.best_gains, scored.own_gains)
+        assert np.array_equal(result.best_gains, scored.own_gains[0])
         assert len(result.curve) == 15
 
     def test_tabular_agent_runs(self):
-        env = NomaPhaseEnv(tiny_scenario(), resolution_bits=1, alpha_step=0.5)
-        result = train_tabular_agent(env, episodes=20, steps_per_episode=5, seed=24)
+        env = NomaPhaseEnv([tiny_scenario()], resolution_bits=1, alpha_step=0.5)
+        (result,) = train_tabular_agent(env, episodes=20, steps_per_episode=5, seeds=[24])
         assert result.found_feasible
         assert len(result.curve) == 20
+
+    def test_one_seed_per_run(self):
+        env = NomaPhaseEnv(at_powers(tiny_scenario(), [1.0, 2.0]), resolution_bits=1)
+        approx = QApproximator(env.feature_dim, env.n_actions, seeds=[1, 2])
+        with pytest.raises(ValueError, match="1 seeds for 2 runs"):
+            train_agent(env, approx, 2, 2, seeds=[3])
+        with pytest.raises(ValueError, match="1 networks for 2 runs"):
+            train_agent(env, QApproximator(env.feature_dim, env.n_actions), 2, 2, seeds=[3, 4])
+        with pytest.raises(ValueError, match="3 seeds for 2 runs"):
+            random_search(env, 4, seeds=[1, 2, 3])
+
+
+class TestLockstepEqualsSingleRuns:
+    """E runs in lockstep equal the same E runs made one at a time, bit for bit.
+
+    The runs differ in power: at 1e-3 W the QoS floor is never met, and the
+    reward scale grows with power, so at ``CLIP_NORM`` some runs clip their
+    gradient in steps where others do not.
+    """
+
+    POWERS = (1e-3, 0.5, 2.0, 20.0)
+    SEEDS = (11, 12, 13, 14)
+    CLIP_NORM = 3.0
+
+    def scenarios(self):
+        base = tiny_scenario(seed=8, n_clusters=2, users_per_cluster=2, k_elements=3)
+        return at_powers(dataclasses.replace(base, qos_floors=0.05), self.POWERS)
+
+    def search(self, algorithm, scenarios, seeds):
+        """(results, learner, clipped runs per train step) of one lockstep search."""
+        env = NomaPhaseEnv(scenarios, resolution_bits=2, alpha_step=0.25)
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        if algorithm == "random-phase":
+            return random_search(env, 40, rngs), None, []
+        if algorithm == "tabular":
+            return train_tabular_agent(env, 10, 12, rngs), None, []
+        approx = QApproximator(
+            env.feature_dim, env.n_actions, hidden=(16, 16), sync_period=7,
+            clip_norm=self.CLIP_NORM, seeds=rngs,
+        )
+        clipped, step = [], approx.train_step
+
+        def counted(*batch):
+            losses, n_clipped = step(*batch)
+            clipped.append(n_clipped)
+            return losses, n_clipped
+
+        approx.train_step = counted
+        return train_agent(env, approx, 10, 12, rngs, warmup=40), approx, clipped
+
+    @pytest.mark.parametrize("algorithm", ["dqn", "tabular", "random-phase"])
+    def test_every_output_equal(self, algorithm):
+        scenarios = self.scenarios()
+        lockstep, approx, clipped = self.search(algorithm, scenarios, self.SEEDS)
+        assert [r.found_feasible for r in lockstep] == [False, True, True, True]
+        if algorithm == "dqn":
+            assert len(clipped) == 81  # 10 x 12 transitions, warmup 40
+            assert any(0 < n < len(scenarios) for n in clipped)
+        for run, (scenario, seed) in enumerate(zip(scenarios, self.SEEDS)):
+            (alone,), single, _ = self.search(algorithm, [scenario], [seed])
+            mine = lockstep[run]
+            assert np.array_equal(curve_array(mine), curve_array(alone), equal_nan=True)
+            assert mine.best_rate == alone.best_rate
+            assert mine.best_phase == alone.best_phase
+            assert mine.best_splits == alone.best_splits
+            assert (mine.best_gains is None) == (alone.best_gains is None)
+            if mine.best_gains is not None:
+                assert np.array_equal(mine.best_gains, alone.best_gains)
+            if algorithm == "dqn":
+                for stacked, own in zip(
+                    approx.weights + approx.biases + approx.target_weights + approx.target_biases,
+                    single.weights + single.biases + single.target_weights + single.target_biases,
+                ):
+                    assert np.array_equal(stacked[run], own[0])
+            if algorithm == "tabular":
+                assert mine.learner.keys() == alone.learner.keys()
+                for key, values in mine.learner.items():
+                    assert np.array_equal(values, alone.learner[key])
+
+
+def curve_array(result):
+    return np.array([(p.episode, p.best_reward, p.epsilon, p.loss) for p in result.curve])
