@@ -159,7 +159,9 @@ class NetworkScenario:
     alpha_domain: str = "amplitude"
     members: tuple[np.ndarray, ...] = field(init=False, repr=False)
     cluster_sizes: tuple[int, ...] = field(init=False, repr=False)
-    # user_cluster[u]: u's cluster.  Slot k serves cluster slot_cluster[k];
+    cluster_starts: np.ndarray = field(init=False, repr=False)
+    # user_cluster[u]: u's cluster.  Slot k serves cluster slot_cluster[k],
+    # and cluster m's slots start at cluster_starts[m];
     # same_cluster[j, k] marks slots j != k of one cluster; other_beams[k]
     # lists the beams of every other cluster; slot sic_later[i] decodes the
     # signal of slot sic_earlier[i].
@@ -210,6 +212,7 @@ class NetworkScenario:
             ("qos_floors", floors),
             ("members", members),
             ("cluster_sizes", tuple(len(mem) for mem in members)),
+            ("cluster_starts", np.searchsorted(slot_cluster, np.arange(n_clusters))),
             ("user_cluster", user_cluster),
             ("slot_cluster", slot_cluster),
             ("same_cluster", same),
@@ -225,8 +228,7 @@ class NetworkScenario:
 
     def split_tuples(self, row) -> tuple[tuple[float, ...], ...]:
         """Per-cluster split tuples of an (N,) coefficient row."""
-        cuts = np.cumsum(self.cluster_sizes)[:-1]
-        parts = np.split(np.asarray(row, dtype=float), cuts)
+        parts = np.split(np.asarray(row, dtype=float), self.cluster_starts[1:])
         return tuple(tuple(float(a) for a in part) for part in parts)
 
 
@@ -251,10 +253,15 @@ def _split_weights(scenario: NetworkScenario, alphas) -> np.ndarray:
     n_users = scenario.channels.n_users
     if alphas.ndim != 2 or alphas.shape[1] != n_users:
         raise ValueError(f"splits must be an (S, {n_users}) array, got {alphas.shape}")
-    start = 0
-    for m, size in enumerate(scenario.cluster_sizes):
-        _check_simplex(m, alphas[:, start : start + size])
-        start += size
+    # One screen over every cluster; only splits that fail it are checked
+    # cluster by cluster, which raises the plan's error.  Half the tolerance
+    # covers the rounding by which reduceat's sums can differ from each
+    # cluster's own sum (a few ulps).
+    starts = scenario.cluster_starts
+    sums = np.add.reduceat(alphas, starts, axis=1)
+    if (alphas < 0).any() or (np.abs(sums - 1.0) > ALPHA_SUM_TOL / 2).any():
+        for m, (start, size) in enumerate(zip(starts, scenario.cluster_sizes)):
+            _check_simplex(m, alphas[:, start : start + size])
     return alphas * alphas if scenario.alpha_domain == "amplitude" else alphas
 
 

@@ -5,9 +5,9 @@ action bumps a single element's phase index up or down (wrapping modulo the
 level count), shifts one power-grid unit between two users of a cluster, or
 does nothing.  A state is two small int arrays, the phase indices and the
 power units, and an action is one row of a table built with the
-environment: a phase offset per element plus the unit slot that gives and
-the one that takes a unit.  The reward is the constrained sum rate,
-penalized by a fixed amount whenever the SIC or QoS check fails.
+environment: a phase offset per element plus a unit transfer between two
+slots.  The reward is the constrained sum rate, penalized by a fixed
+amount whenever the SIC or QoS check fails.
 
 One epsilon-greedy rollout loop serves two learners, a plain Q-table
 

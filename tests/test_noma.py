@@ -483,6 +483,20 @@ class TestEvaluateBatch:
                 scenario, np.zeros((1, 4), dtype=int), [[0.5, 0.6, 0.5, 0.5]], 2
             )
 
+    def test_split_checks_name_the_first_failing_cluster(self):
+        # Clusters (0, 1) and (2, 3).  A sum off by 0.75e-12 fails the
+        # one-pass screen but passes the per-cluster check, as a plan would.
+        scenario = random_scenario(np.random.default_rng(3))
+        phase_idx = np.zeros((1, 4), dtype=int)
+        for row, error in (
+            ([0.5, 0.5, -0.25, 1.25], "cluster 1: negative power coefficient"),
+            ([0.5, 0.5 + 2e-12, 1.5, -0.5], "cluster 0: power coefficients do not"),
+            ([0.5, 0.5, 0.25, 0.75 + 2e-12], "cluster 1: power coefficients do not"),
+        ):
+            with pytest.raises(ValueError, match=error):
+                evaluate_batch(scenario, phase_idx, [row], 2)
+        evaluate_batch(scenario, phase_idx, [[0.5, 0.5 + 0.75e-12, 0.25, 0.75]], 2)
+
     def test_rejects_a_row_of_the_wrong_width(self):
         scenario = random_scenario(np.random.default_rng(3))
         phase_idx = np.zeros((1, 4), dtype=int)
