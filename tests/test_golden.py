@@ -12,6 +12,7 @@ that key is dropped before hashing.
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -42,7 +43,12 @@ NONDETERMINISTIC_KEYS = {"oracle.json": ("wall_time_s",)}
 
 # Per-case changes to CONFIG.  At K = 10, B = 2 the surface has 4**10 > 1e6
 # phase states, so compare-oma takes the coordinate-ascent TDMA gain.
-OVERRIDES = {"compare-oma random-phase": {"k_elements": 10}}
+# sweep-elements under dqn gets 15 x 20 steps, so each of its runs takes
+# 101 train steps after the 200-transition replay warmup.
+OVERRIDES = {
+    "compare-oma random-phase": {"k_elements": 10},
+    "sweep-elements dqn": {"episodes": 15, "steps_per_episode": 20},
+}
 
 # "<command> <algorithm>" -> {output path relative to out_dir: sha256}
 GOLDEN = {
@@ -113,6 +119,12 @@ GOLDEN = {
             "d91076543a7bcecf71355387c5c2a77cb1ac1c9e987d20e7ab3ba646a6267a6c",
         "sweep_elements_mean.csv":
             "35c587e43a5cadcb8aabb06d95a9fe2c9b57506880a1391eb0f0588514b46501",
+    },
+    "sweep-elements dqn": {
+        "sweep_elements.csv":
+            "9ff0ca11f7362294dd0a290d2e098473a03d7a75efa1d2a2c4ba7cbe37e1603f",
+        "sweep_elements_mean.csv":
+            "db98488129baf78a79910d848bed385b06f99e1c631ef89bf5eae97169626344",
     },
     "compare-oma dqn": {
         "compare_oma.csv":
@@ -196,8 +208,8 @@ SWEEP_POWER_DQN_SHA256 = (
 )
 
 
-def test_sweep_power_dqn_runs_match_stored_hash(tmp_path, monkeypatch):
-    """Both CSVs plus every run's winner and learning curve, pinned by one hash."""
+def run_recorded(monkeypatch, command, config, names):
+    """Run ``command``; return a digest fed the named outputs, and every outcome."""
     outcomes = []
 
     class RecordedOutcome(harness.SlotOutcome):
@@ -206,18 +218,53 @@ def test_sweep_power_dqn_runs_match_stored_hash(tmp_path, monkeypatch):
             outcomes.append(self)
 
     monkeypatch.setattr(harness, "SlotOutcome", RecordedOutcome)
-    out = tmp_path / "out"
-    config = harness.ExperimentConfig(**{**SWEEP_POWER_DQN, "out_dir": str(out)})
-    harness.cmd_sweep_power(config)
+    command(config)
     digest = hashlib.sha256()
-    for name in ("sweep_power.csv", "sweep_power_mean.csv"):
-        digest.update((out / name).read_bytes())
-    assert len(outcomes) == 8
-    assert [o.feasible for o in outcomes] == [False] * 5 + [True] * 3
+    for name in names:
+        digest.update((Path(config.out_dir) / name).read_bytes())
+    return digest, outcomes
+
+
+def add_outcomes(digest, outcomes):
+    """Add every run's rate, winner, decoding orders and curve to ``digest``."""
     for o in outcomes:
         winner = None
         if o.feasible:
             winner = (o.phase.indices, o.splits, o.plan.decoding_order)
         curve = [(p.episode, p.best_reward, p.epsilon, p.loss) for p in o.curve]
         digest.update(repr((o.sum_rate, o.feasible, winner, curve)).encode())
-    assert digest.hexdigest() == SWEEP_POWER_DQN_SHA256
+    return digest.hexdigest()
+
+
+def test_sweep_power_dqn_runs_match_stored_hash(tmp_path, monkeypatch):
+    """Both CSVs plus every run's winner and learning curve, pinned by one hash."""
+    config = harness.ExperimentConfig(**{**SWEEP_POWER_DQN, "out_dir": str(tmp_path / "out")})
+    digest, outcomes = run_recorded(
+        monkeypatch, harness.cmd_sweep_power, config,
+        ("sweep_power.csv", "sweep_power_mean.csv"),
+    )
+    assert len(outcomes) == 8
+    assert [o.feasible for o in outcomes] == [False] * 5 + [True] * 3
+    assert add_outcomes(digest, outcomes) == SWEEP_POWER_DQN_SHA256
+
+
+# pipeline under dqn over 2 seeds x 3 slots with 15 x 20 steps, so every
+# run takes 101 train steps.  The slots cluster differently (occupancies
+# 1-3, 2-2 and 3-1), so their action tables differ in size.
+PIPELINE_DQN = dict(CONFIG, algorithm="dqn", slots=3, episodes=15, steps_per_episode=20)
+PIPELINE_DQN_SHA256 = (
+    "420c13330fd9df00501938e05e2b432bfd3aaa481136f60bf296c534028c2c8e"
+)
+
+
+def test_pipeline_dqn_runs_match_stored_hash(tmp_path, monkeypatch):
+    """The slot CSV, every curve CSV, and every run's winner and curve, by one hash."""
+    config = harness.ExperimentConfig(**{**PIPELINE_DQN, "out_dir": str(tmp_path / "out")})
+    curves = [f"curves/curve_seed{seed}_slot{slot}.csv" for seed in (3, 4) for slot in range(3)]
+    digest, outcomes = run_recorded(
+        monkeypatch, harness.cmd_pipeline, config, ["pipeline.csv", *curves]
+    )
+    assert len(outcomes) == 6
+    _, rows = harness.read_csv(tmp_path / "out" / "pipeline.csv")
+    assert len({row[4] for row in rows}) > 1
+    assert add_outcomes(digest, outcomes) == PIPELINE_DQN_SHA256
