@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelRealization, effective_channels_batch
-from .precoding import zero_forcing
+from .precoding import member_table, zero_forcing
 
 ALPHA_SUM_TOL = 1e-12
 SIC_RATE_TOL = 1e-12
@@ -158,6 +158,7 @@ class NetworkScenario:
     interference_model: str = "incoherent"
     alpha_domain: str = "amplitude"
     members: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    member_table: np.ndarray = field(init=False, repr=False)
     cluster_sizes: tuple[int, ...] = field(init=False, repr=False)
     cluster_starts: np.ndarray = field(init=False, repr=False)
     # user_cluster[u]: u's cluster.  Slot k serves cluster slot_cluster[k],
@@ -211,6 +212,7 @@ class NetworkScenario:
             ("assignment", assignment),
             ("qos_floors", floors),
             ("members", members),
+            ("member_table", member_table(members)),
             ("cluster_sizes", tuple(len(mem) for mem in members)),
             ("cluster_starts", np.searchsorted(slot_cluster, np.arange(n_clusters))),
             ("user_cluster", user_cluster),
@@ -333,7 +335,7 @@ def _score(scenario, phase_idx, resolution_bits, wts, total_power) -> GridScores
     feasible = np.zeros((n_phases, n_splits), dtype=bool)
     own_gains = np.full((n_phases, n_users), np.nan)
 
-    ok, w = zero_forcing(h_eff, scenario.members, total_power)
+    ok, w = zero_forcing(h_eff, scenario.member_table, total_power)
     if not ok.any():
         return GridScores(sum_rate, feasible, own_gains)
     h_eff = h_eff[ok]

@@ -14,18 +14,34 @@ import numpy as np
 CONDITION_LIMIT = 1e8
 
 
-def cluster_heads(h_eff: np.ndarray, members) -> np.ndarray:
-    """(P, M) user index of each cluster's head under each of P phases.
+def member_table(members, width: int = 0) -> np.ndarray:
+    """(M, L) table of cluster members, L the size of the largest cluster or ``width``.
 
-    ``h_eff`` is (P, N, M); ``members[m]`` holds cluster m's user indices.
-    The head has the largest effective-channel norm; ties go to the lowest
-    user index.
+    Row m holds ``members[m]`` in order, padded by repeating its first user.
+    ``argmax`` returns the first of equal values, so a pad never wins.
     """
     for m, mem in enumerate(members):
         if len(mem) == 0:
             raise ValueError(f"cluster {m} is empty")
+    width = max(width, *(len(mem) for mem in members))
+    return np.array([[*mem, *[mem[0]] * (width - len(mem))] for mem in members], dtype=np.intp)
+
+
+def cluster_heads(h_eff: np.ndarray, members) -> np.ndarray:
+    """(P, M) user index of each cluster's head under each of P phases.
+
+    ``h_eff`` is (P, N, M).  ``members`` is a :func:`member_table`, (M, L)
+    for every phase or (P, M, L) for one table per phase, or the list of
+    each cluster's user indices.  The head has the largest effective-channel
+    norm; ties go to the member listed first, the lowest user index.
+    """
+    table = members if isinstance(members, np.ndarray) else member_table(members)
     norms = np.linalg.norm(h_eff, axis=-1)
-    return np.stack([mem[np.argmax(norms[:, mem], axis=1)] for mem in members], axis=1)
+    if table.ndim == 2:
+        return table[np.arange(len(table)), np.argmax(norms[:, table], axis=-1)]
+    rows = np.arange(len(h_eff))[:, None]
+    best = np.argmax(norms[rows[..., None], table], axis=-1)
+    return table[rows, np.arange(table.shape[1]), best]
 
 
 def zero_forcing(
@@ -36,7 +52,8 @@ def zero_forcing(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Zero-forcing precoders for a stack of P effective-channel matrices.
 
-    Returns ``(ok, w)``: ``ok`` (P,) marks the phases whose head matrix has
+    ``members`` names each cluster's users as :func:`cluster_heads` takes
+    them.  Returns ``(ok, w)``: ``ok`` (P,) marks the phases whose head matrix has
     a finite 2-norm condition number no larger than ``condition_limit``,
     and ``w`` (ok.sum(), M, M) holds their precoders, column m serving
     cluster m.  The unscaled solution W satisfies H W = I; every column is
@@ -48,12 +65,13 @@ def zero_forcing(
     if not (power > 0).all():
         raise ValueError("total_power must be positive")
     n_clusters = h_eff.shape[-1]
-    if len(members) != n_clusters:
+    table = members if isinstance(members, np.ndarray) else member_table(members)
+    if table.shape[-2] != n_clusters:
         raise ValueError(
             f"ZF needs one antenna per cluster: {n_clusters} antennas vs "
-            f"{len(members)} clusters"
+            f"{table.shape[-2]} clusters"
         )
-    heads = cluster_heads(h_eff, members)
+    heads = cluster_heads(h_eff, table)
     hmat = h_eff[np.arange(len(h_eff))[:, None], heads]
     # np.linalg.cond's 2-norm ratio, read off the singular values directly.
     sv = np.linalg.svd(hmat, compute_uv=False)
