@@ -291,7 +291,8 @@ def effective_channels_batch(
     by user u under ``PhaseConfig(phase_idx[p], resolution_bits)``, that is
     sum_k conj(h_uk) * coeffs_k * G[k, :].  ``phase_idx`` is a (P, K)
     integer array; ``users`` selects the channel rows (all users by
-    default).
+    default).  Channels stacked on a leading run axis, (P, N, K) users and
+    (P, K, M) surface, give slice p from run p's channels.
     """
     idx = np.asarray(phase_idx)
     levels = 1 << resolution_bits
@@ -304,8 +305,11 @@ def effective_channels_batch(
     coeffs = np.exp(1j * (TWO_PI * idx.astype(float) / levels))
     h = channels.user_channels
     if users is not None:
-        h = h[np.asarray(users, dtype=int)]
-    return (np.conj(h)[None] * coeffs[:, None, :]) @ channels.g_matrix
+        h = h[..., np.asarray(users, dtype=int), :]
+    # A leading run axis of 1 for one realization; the ufunc rounds some
+    # complex products differently when it broadcasts a 2-D operand.
+    h = np.conj(h).reshape(-1, *h.shape[-2:])
+    return (h * coeffs[:, None, :]) @ channels.g_matrix
 
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:

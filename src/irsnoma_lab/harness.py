@@ -71,6 +71,10 @@ from .rl import (
 
 SCHEMA_HEADER = f"# irsnoma-lab v{__version__}"
 ALGORITHMS = ("dqn", "tabular", "random-phase", "oracle")
+# Most runs one lockstep search steps at once.  Runs are independent, so a
+# command's runs step in chunks of this size with the same outputs; the
+# cap bounds the memory of many seeds (20 seeds x 5 pipeline slots).
+LOCKSTEP_RUNS = 16
 
 
 class SeedRegistry:
@@ -348,18 +352,17 @@ class Setup:
             alpha_domain=config.alpha_domain,
         )
 
-    def optimize(self, channels, assignment, streams, powers_dbm=None) -> list:
-        """One lockstep search, a run per stream, run i on ``agent/{streams[i]}``.
+    def runs(self, channels, assignment, streams, powers_dbm=None) -> list:
+        """One (scenario, generator) run per stream, run i on ``agent/{streams[i]}``.
 
         Run i spends ``powers_dbm[i]`` (the configured power by default).
         """
         if powers_dbm is None:
             powers_dbm = [None] * len(streams)
-        return optimize_scenario(
-            [self.scenario(channels, assignment, power) for power in powers_dbm],
-            self.config,
-            [self.registry.rng(f"agent/{stream}") for stream in streams],
-        )
+        return [
+            (self.scenario(channels, assignment, power), self.registry.rng(f"agent/{stream}"))
+            for stream, power in zip(streams, powers_dbm)
+        ]
 
     def truths(self, horizon: int) -> list[np.ndarray]:
         """Ground-truth trajectories of ``horizon`` positions per user."""
@@ -425,32 +428,39 @@ def _search_space(scenario: NetworkScenario, config: ExperimentConfig) -> Search
     )
 
 
+def _search(scenarios, config: ExperimentConfig, rngs) -> list:
+    """One lockstep search of the configured learner over these runs."""
+    env = NomaPhaseEnv(
+        scenarios,
+        resolution_bits=config.resolution_bits,
+        alpha_step=config.alpha_step,
+    )
+    budget = (config.episodes, config.steps_per_episode, rngs)
+    if config.algorithm == "random-phase":
+        return random_search(env, config.random_samples, rngs)
+    if config.algorithm == "dqn":
+        approx = QApproximator(env.feature_dim, env.n_actions, seeds=rngs)
+        return train_agent(env, approx, *budget)
+    return train_tabular_agent(env, *budget)
+
+
 def optimize_scenario(
     scenarios, config: ExperimentConfig, rngs
 ) -> list[SlotOutcome]:
-    """Run the configured optimizer on one slot's scenario at E transmit powers.
+    """Run the configured optimizer on E scenarios of one size, run e on ``rngs[e]``.
 
-    ``scenarios`` differ only in their power, and run e draws from
-    ``rngs[e]``; the learners step all E runs in lockstep.  Each plan's
-    decoding order comes from the own gains the search kept for its winner.
+    The learners step the runs in lockstep, up to ``LOCKSTEP_RUNS`` at a
+    time; the oracle searches each scenario alone.  Each plan's decoding
+    order comes from the own gains the search kept for its winner.
     """
     algorithm = config.algorithm
     if algorithm == "oracle":
         bests = [brute_force_optimum(s, _search_space(s, config)) for s in scenarios]
     else:
-        env = NomaPhaseEnv(
-            scenarios,
-            resolution_bits=config.resolution_bits,
-            alpha_step=config.alpha_step,
-        )
-        budget = (config.episodes, config.steps_per_episode, rngs)
-        if algorithm == "random-phase":
-            bests = random_search(env, config.random_samples, rngs)
-        elif algorithm == "dqn":
-            approx = QApproximator(env.feature_dim, env.n_actions, seeds=rngs)
-            bests = train_agent(env, approx, *budget)
-        else:
-            bests = train_tabular_agent(env, *budget)
+        bests = []
+        for start in range(0, len(scenarios), LOCKSTEP_RUNS):
+            chunk = slice(start, start + LOCKSTEP_RUNS)
+            bests += _search(scenarios[chunk], config, rngs[chunk])
     outcomes = []
     for scenario, best in zip(scenarios, bests):
         curve = best.curve if algorithm in ("dqn", "tabular") else None
@@ -462,6 +472,12 @@ def optimize_scenario(
             best.best_rate, True, best.best_phase, best.best_splits, plan, curve
         ))
     return outcomes
+
+
+def optimize(runs, config: ExperimentConfig) -> list[SlotOutcome]:
+    """:func:`optimize_scenario` over (scenario, generator) runs of one size."""
+    scenarios, rngs = zip(*runs)
+    return optimize_scenario(scenarios, config, rngs)
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +501,13 @@ def cmd_generate(config: ExperimentConfig) -> dict:
 
 
 def cmd_pipeline(config: ExperimentConfig) -> list[tuple]:
-    """Predict -> resample channels -> cluster -> optimize, slot by slot."""
-    rows = []
-    curves = {}
+    """Predict -> resample channels -> cluster -> optimize, for every seed and slot.
+
+    Each seed forecasts its slots first, then draws every slot's channels
+    and cluster fit; one lockstep search then covers all (seed, slot) runs.
+    Every stage reads its own named stream, so this order changes no draw.
+    """
+    slots, runs = [], []
     for seed in config.seeds:
         setup = prepare(config, seed)
         for slot, predicted in enumerate(setup.forecasts()):
@@ -496,19 +516,23 @@ def cmd_pipeline(config: ExperimentConfig) -> list[tuple]:
                 f"/slot{slot}",
                 setup.geometry.with_user_positions(predicted),
             )
-            (outcome,) = setup.optimize(channels, fit.assignment, [f"slot{slot}"])
-            rows.append(
-                (
-                    seed,
-                    slot,
-                    outcome.sum_rate,
-                    int(outcome.feasible),
-                    _occupancy_string(fit.occupancy()),
-                    _orders_string(outcome.plan),
-                )
+            slots.append((seed, slot, fit))
+            runs += setup.runs(channels, fit.assignment, [f"slot{slot}"])
+    rows = []
+    curves = {}
+    for (seed, slot, fit), outcome in zip(slots, optimize(runs, config)):
+        rows.append(
+            (
+                seed,
+                slot,
+                outcome.sum_rate,
+                int(outcome.feasible),
+                _occupancy_string(fit.occupancy()),
+                _orders_string(outcome.plan),
             )
-            if outcome.curve is not None:
-                curves[(seed, slot)] = outcome.curve
+        )
+        if outcome.curve is not None:
+            curves[(seed, slot)] = outcome.curve
     header = ["seed", "slot", "sum_rate", "feasible", "occupancy", "decoding_orders"]
     _emit(config, "pipeline.csv", header, rows)
     if config.save_curves:
@@ -522,39 +546,47 @@ def cmd_pipeline(config: ExperimentConfig) -> list[tuple]:
     return rows
 
 
-def cmd_sweep_power(config: ExperimentConfig) -> list[tuple]:
-    """Sum rate over the transmit-power grid; one lockstep search per seed.
+def _power_runs(config: ExperimentConfig, seed: int):
+    """A seed's channels and its runs, one per configured power."""
+    setup = prepare(config, seed)
+    channels, fit = setup.draw(config.k_elements)
+    streams = [f"power{power}" for power in config.powers_dbm]
+    return channels, setup.runs(channels, fit.assignment, streams, config.powers_dbm)
 
-    The powers share channels and assignment, so their runs step together.
-    """
-    powers = config.powers_dbm
-    rows = []
-    for seed in config.seeds:
-        setup = prepare(config, seed)
-        channels, fit = setup.draw(config.k_elements)
-        streams = [f"power{power}" for power in powers]
-        outcomes = setup.optimize(channels, fit.assignment, streams, powers)
-        rows += [
-            (power, config.algorithm, seed, outcome.sum_rate)
-            for power, outcome in zip(powers, outcomes)
-        ]
+
+def cmd_sweep_power(config: ExperimentConfig) -> list[tuple]:
+    """Sum rate over the transmit-power grid; one lockstep search over seeds x powers."""
+    runs = [run for seed in config.seeds for run in _power_runs(config, seed)[1]]
+    keys = [(seed, power) for seed in config.seeds for power in config.powers_dbm]
+    rows = [
+        (power, config.algorithm, seed, outcome.sum_rate)
+        for (seed, power), outcome in zip(keys, optimize(runs, config))
+    ]
     header = ["power_dbm", "algorithm", "seed", "sum_rate"]
     return _emit_sweep(config, "sweep_power", header, rows)
 
 
 def cmd_sweep_elements(config: ExperimentConfig) -> list[tuple]:
-    """Sum rate over element counts; smaller surfaces are prefixes of larger."""
+    """Sum rate over element counts; smaller surfaces are prefixes of larger.
+
+    One lockstep search per element count covers every seed.
+    """
     if config.algorithm == "oracle":
         config.check_oracle_size(max(config.element_counts), "element_counts")
-    rows = []
-    for seed in config.seeds:
-        setup = prepare(config, seed)
-        full = setup.channels(max(config.element_counts))
-        for k in config.element_counts:
+    setups = [prepare(config, seed) for seed in config.seeds]
+    fulls = [setup.channels(max(config.element_counts)) for setup in setups]
+    per_k = []  # per element count, one lockstep search over the seeds
+    for k in config.element_counts:
+        runs = []
+        for setup, full in zip(setups, fulls):
             channels = full.slice_elements(k)
-            fit = setup.cluster(channels)
-            (outcome,) = setup.optimize(channels, fit.assignment, [f"k{k}"])
-            rows.append((k, config.power_dbm, seed, outcome.sum_rate))
+            runs += setup.runs(channels, setup.cluster(channels).assignment, [f"k{k}"])
+        per_k.append(optimize(runs, config))
+    rows = [
+        (k, config.power_dbm, seed, outcomes[i].sum_rate)
+        for i, seed in enumerate(config.seeds)
+        for k, outcomes in zip(config.element_counts, per_k)
+    ]
     header = ["k_elements", "power_dbm", "seed", "sum_rate"]
     return _emit_sweep(config, "sweep_elements", header, rows)
 
@@ -599,26 +631,25 @@ def cmd_compare_oma(config: ExperimentConfig) -> list[tuple]:
     """Paired NOMA-vs-TDMA comparison on identical channels per seed.
 
     Each seed's channels, assignment and TDMA gains are drawn once, and one
-    lockstep search covers all its powers; rows run power-major, then seed.
+    lockstep search covers seeds x powers; rows run power-major, then seed.
     """
     exhaustive_ok = (1 << config.resolution_bits) ** config.k_elements <= 10**6
     gain_fn = best_single_user_gain if exhaustive_ok else aligned_single_user_gain
     powers = config.powers_dbm
-    prepared = []
+    prepared, runs = [], []
     for seed in config.seeds:
-        setup = prepare(config, seed)
-        channels, fit = setup.draw(config.k_elements)
+        channels, seed_runs = _power_runs(config, seed)
         gains = [
             gain_fn(channels, u, config.resolution_bits)
             for u in range(channels.n_users)
         ]
-        streams = [f"power{power}" for power in powers]
-        outcomes = setup.optimize(channels, fit.assignment, streams, powers)
-        prepared.append((channels, gains, outcomes))
+        prepared.append((channels, gains))
+        runs += seed_runs
+    outcomes = optimize(runs, config)
     rows = []
     for i, power in enumerate(powers):
-        for channels, gains, outcomes in prepared:
-            noma_rate = outcomes[i].sum_rate
+        for j, (channels, gains) in enumerate(prepared):
+            noma_rate = outcomes[j * len(powers) + i].sum_rate
             oma_rate = oma_tdma_sum_rate(
                 gains, dbm_to_watts(power), channels.noise_variance
             )

@@ -18,9 +18,9 @@ enter inside the squared magnitude as written above ("amplitude" domain);
 the "power" domain (num proportional to a_p, not a_p^2) is available as a
 flag.
 
-:func:`evaluate_batch` scores a grid of phase configs and power splits,
-and :func:`evaluate_points` the diagonal of one: a phase, a split and a
-transmit power per point.  Both run one body.
+:func:`evaluate_batch` scores a grid of phase configs and power splits on
+one scenario, and :func:`evaluate_points` one point on each of E scenarios
+of one size.  Both run one body.
 """
 
 from __future__ import annotations
@@ -172,6 +172,11 @@ class NetworkScenario:
     other_beams: np.ndarray = field(init=False, repr=False)
     sic_later: np.ndarray = field(init=False, repr=False)
     sic_earlier: np.ndarray = field(init=False, repr=False)
+    # How the scorer indexes the layout: one layout serves every phase.
+    run_index: tuple = field(init=False, repr=False)
+    own_beam_at: tuple = field(init=False, repr=False)
+    sic_later_at: tuple = field(init=False, repr=False)
+    sic_earlier_at: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         assignment = tuple(int(c) for c in self.assignment)
@@ -208,6 +213,7 @@ class NetworkScenario:
         same = (slot_cluster[:, None] == slot_cluster) & (slot[:, None] != slot)
         other = slot_cluster[:, None] != np.arange(n_clusters)
         later, earlier = np.nonzero(same & (slot[:, None] > slot))
+        every = slice(None)
         for name, value in (
             ("assignment", assignment),
             ("qos_floors", floors),
@@ -221,6 +227,10 @@ class NetworkScenario:
             ("other_beams", np.nonzero(other)[1].reshape(n_users, -1)),
             ("sic_later", later),
             ("sic_earlier", earlier),
+            ("run_index", ()),
+            ("own_beam_at", (every, every, user_cluster)),
+            ("sic_later_at", (every, None, later)),
+            ("sic_earlier_at", (Ellipsis, earlier)),
         ):
             object.__setattr__(self, name, value)
 
@@ -232,6 +242,113 @@ class NetworkScenario:
         """Per-cluster split tuples of an (N,) coefficient row."""
         parts = np.split(np.asarray(row, dtype=float), self.cluster_starts[1:])
         return tuple(tuple(float(a) for a in part) for part in parts)
+
+
+@dataclass(frozen=True, eq=False)
+class StackedChannels:
+    """The channels of E scenarios on a leading run axis: ``g_matrix`` (E, K, M),
+    ``user_channels`` (E, N, K) and ``noise_variance`` (E, 1, 1)."""
+
+    g_matrix: np.ndarray
+    user_channels: np.ndarray
+    noise_variance: np.ndarray
+
+    @property
+    def k_elements(self) -> int:
+        return int(self.g_matrix.shape[-2])
+
+
+@dataclass(frozen=True, eq=False)
+class ScenarioStack:
+    """E scenarios that share N, M, K and both flags, scored one point each.
+
+    The scenarios may differ in channels, assignment, occupancy, floors,
+    noise and power.  Every layout array of :class:`NetworkScenario` gets a
+    leading run axis of fixed shape: member tables are padded to the
+    widest cluster by repeating a member, which never wins the head
+    ``argmax``, and SIC pairs to the most pairs by self-pairs (slot 0
+    decoding its own signal), whose check repeats the own rate and never
+    fails.
+    """
+
+    scenarios: tuple
+    channels: StackedChannels = field(init=False, repr=False)
+    total_power: np.ndarray = field(init=False, repr=False)
+    interference_model: str = field(init=False, repr=False)
+    alpha_domain: str = field(init=False, repr=False)
+    member_table: np.ndarray = field(init=False, repr=False)
+    cluster_starts: np.ndarray = field(init=False, repr=False)
+    qos_floors: np.ndarray = field(init=False, repr=False)
+    user_cluster: np.ndarray = field(init=False, repr=False)
+    slot_cluster: np.ndarray = field(init=False, repr=False)
+    same_cluster: np.ndarray = field(init=False, repr=False)
+    other_beams: np.ndarray = field(init=False, repr=False)
+    sic_later: np.ndarray = field(init=False, repr=False)
+    sic_earlier: np.ndarray = field(init=False, repr=False)
+    run_index: tuple = field(init=False, repr=False)
+    own_beam_at: tuple = field(init=False, repr=False)
+    sic_later_at: tuple = field(init=False, repr=False)
+    sic_earlier_at: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        scenarios = tuple(self.scenarios)
+        if not scenarios:
+            raise ValueError("at least one scenario is required")
+
+        def size(s):
+            c = s.channels
+            return (c.n_users, c.n_antennas, c.k_elements, s.interference_model, s.alpha_domain)
+
+        first = scenarios[0]
+        for s in scenarios[1:]:
+            if size(s) != size(first):
+                raise ValueError(
+                    "stacked scenarios must share users, clusters, elements and flags: "
+                    f"{size(first)} vs {size(s)}"
+                )
+        n_runs, n_users, n_clusters = len(scenarios), first.channels.n_users, first.n_clusters
+        width = max(len(mem) for s in scenarios for mem in s.members)
+        n_pairs = max(len(s.sic_later) for s in scenarios)
+
+        def pairs(s, name):
+            return np.pad(getattr(s, name), (0, n_pairs - len(s.sic_later)))
+
+        def stack(name):
+            return np.stack([getattr(s, name) for s in scenarios])
+
+        later = np.stack([pairs(s, "sic_later") for s in scenarios])[:, None]
+        earlier = np.stack([pairs(s, "sic_earlier") for s in scenarios])[:, None]
+        runs = np.arange(n_runs)[:, None, None]
+        user_cluster = stack("user_cluster")
+        for name, value in (
+            ("scenarios", scenarios),
+            ("channels", StackedChannels(
+                np.stack([s.channels.g_matrix for s in scenarios]),
+                np.stack([s.channels.user_channels for s in scenarios]),
+                np.array([s.channels.noise_variance for s in scenarios])[:, None, None],
+            )),
+            ("total_power", np.array([s.total_power for s in scenarios], dtype=float)),
+            ("interference_model", first.interference_model),
+            ("alpha_domain", first.alpha_domain),
+            ("member_table", np.stack([member_table(s.members, width) for s in scenarios])),
+            # Every run's cluster starts in the runs' concatenated rows.
+            ("cluster_starts", (stack("cluster_starts") + n_users * runs[:, :, 0]).ravel()),
+            ("qos_floors", stack("qos_floors")),
+            ("user_cluster", user_cluster),
+            ("slot_cluster", stack("slot_cluster")),
+            ("same_cluster", stack("same_cluster")[:, None]),
+            ("other_beams", stack("other_beams")),
+            ("sic_later", later),
+            ("sic_earlier", earlier),
+            ("run_index", (runs[:, :, 0],)),
+            ("own_beam_at", (runs, np.arange(n_clusters)[:, None], user_cluster[:, None])),
+            ("sic_later_at", (runs, later)),
+            ("sic_earlier_at", (runs, 0, earlier)),
+        ):
+            object.__setattr__(self, name, value)
+
+    def __len__(self) -> int:
+        return len(self.scenarios)
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,94 +414,107 @@ def evaluate_batch(
     inter-cluster power summed over the other beams only, own power squared
     as a numpy scalar).
     """
-    wts = _split_weights(scenario, alphas)
-    return _score(scenario, phase_idx, resolution_bits, wts[None], scenario.total_power)
+    return _score(scenario, phase_idx, resolution_bits, _split_weights(scenario, alphas)[None])
 
 
-def evaluate_points(
-    scenario: NetworkScenario,
-    phase_idx,
-    alphas,
-    resolution_bits: int,
-    total_power,
-) -> GridScores:
-    """Score E paired points: phase row e with split row e at power ``total_power[e]``.
+def evaluate_points(scenarios, phase_idx, alphas, resolution_bits: int) -> GridScores:
+    """Score E points: phase row e with split row e on ``scenarios[e]``.
 
-    ``phase_idx`` is (E, K), ``alphas`` (E, N) and ``total_power`` (E,);
-    the scenario's own budget is not read.  Point e equals the 1 x 1 grid
-    of :func:`evaluate_batch` on the scenario at that power, bit for bit.
+    ``scenarios`` is a :class:`ScenarioStack` or the E scenarios to stack;
+    ``phase_idx`` is (E, K) and ``alphas`` (E, N), row e in run e's
+    decoding slots.  Point e equals the 1 x 1 grid of
+    :func:`evaluate_batch` on its own scenario, bit for bit.
     """
-    wts = _split_weights(scenario, alphas)
-    power = np.asarray(total_power, dtype=float)
-    if not len(wts) == len(phase_idx) == len(power):
+    stack = scenarios if isinstance(scenarios, ScenarioStack) else ScenarioStack(scenarios)
+    alphas = np.asarray(alphas, dtype=float)
+    if not len(stack) == len(phase_idx) == len(alphas):
         raise ValueError(
-            f"{len(phase_idx)} phase rows, {len(wts)} splits and {len(power)} "
-            "powers do not pair up"
+            f"{len(phase_idx)} phase rows, {len(alphas)} splits and {len(stack)} "
+            "scenarios do not pair up"
         )
-    grid = _score(scenario, phase_idx, resolution_bits, wts[:, None], power)
+    n_users = stack.user_cluster.shape[1]
+    if alphas.shape != (len(stack), n_users):
+        raise ValueError(f"splits must be an (E, {n_users}) array, got {alphas.shape}")
+    sums = np.add.reduceat(alphas.ravel(), stack.cluster_starts)
+    if (alphas < 0).any() or (np.abs(sums - 1.0) > ALPHA_SUM_TOL / 2).any():
+        for scenario, row in zip(stack.scenarios, alphas):
+            _split_weights(scenario, row[None])
+    wts = alphas * alphas if stack.alpha_domain == "amplitude" else alphas
+    grid = _score(stack, phase_idx, resolution_bits, wts[:, None])
     return GridScores(grid.sum_rate[:, 0], grid.feasible[:, 0], grid.own_gains)
 
 
-def _score(scenario, phase_idx, resolution_bits, wts, total_power) -> GridScores:
-    """The body of both evaluators: ``wts`` is (1, S, N) for a grid, (P, 1, N) paired."""
-    channels = scenario.channels
-    h_eff = effective_channels_batch(channels, phase_idx, resolution_bits)
-    n_phases, n_users, _ = h_eff.shape
-    n_splits = wts.shape[1]
-    sum_rate = np.zeros((n_phases, n_splits))
-    feasible = np.zeros((n_phases, n_splits), dtype=bool)
-    own_gains = np.full((n_phases, n_users), np.nan)
+def _score(layout, phase_idx, resolution_bits, wts) -> GridScores:
+    """The body of both evaluators.
 
-    ok, w = zero_forcing(h_eff, scenario.member_table, total_power)
+    ``layout`` is a scenario, whose one layout serves every phase, with
+    ``wts`` (1, S, N); or a :class:`ScenarioStack`, whose run e lays out
+    phase row e, with ``wts`` (E, 1, N).  The scorer reads the layout
+    through its index tuples, so a grid takes no per-run gather.  Every
+    row is scored; rows whose ZF failed are then set to rate 0, infeasible
+    and NaN gains.
+    """
+    h_eff = effective_channels_batch(layout.channels, phase_idx, resolution_bits)
+    n_phases, n_users, n_clusters = h_eff.shape
+    n_splits = wts.shape[1]
+    ok, w = zero_forcing(h_eff, layout.member_table, layout.total_power)
     if not ok.any():
-        return GridScores(sum_rate, feasible, own_gains)
-    h_eff = h_eff[ok]
-    if len(wts) > 1:
-        wts = wts[ok]
-    assign = scenario.user_cluster
-    own_beams = w[:, :, assign].transpose(0, 2, 1)
+        return GridScores(
+            np.zeros((n_phases, n_splits)),
+            np.zeros((n_phases, n_splits), dtype=bool),
+            np.full((n_phases, n_users), np.nan),
+        )
+    if not ok.all():
+        # Zero beams on the failed rows, so they score without error.
+        full = np.zeros((n_phases, n_clusters, n_clusters), dtype=complex)
+        full[ok] = w
+        w = full
+    own_beams = w[layout.own_beam_at].transpose(0, 2, 1)
     gains = np.abs(np.einsum("pum,pum->pu", h_eff, own_beams))
     if not np.isfinite(gains).all():
         raise ValueError("gains must be finite")
-    own_gains[ok] = gains
 
     # At phase p the user in slot k is order[p, k].
-    slot_cluster = scenario.slot_cluster
+    assign = layout.user_cluster
     order = np.lexsort((gains, np.broadcast_to(assign, gains.shape)))
 
-    beams = (h_eff[..., None, :] @ w[:, None])[..., 0, :]  # (P', N, M): h_u . w_g
-    rows = np.arange(len(w))[:, None]
-    own = _scalar_abs2(beams[rows, order, slot_cluster])
-    others = beams[rows[:, :, None], order[:, :, None], scenario.other_beams]
-    if scenario.interference_model == "incoherent":
+    beams = (h_eff[..., None, :] @ w[:, None])[..., 0, :]  # (P, N, M): h_u . w_g
+    rows = np.arange(n_phases)[:, None]
+    own = _scalar_abs2(beams[rows, order, layout.slot_cluster])
+    others = beams[rows[:, :, None], order[:, :, None], layout.other_beams]
+    if layout.interference_model == "incoherent":
         inter = np.sum(np.abs(others) ** 2, axis=-1)
     else:
         inter = _scalar_abs2(np.sum(others, axis=-1))
     # The other members' weights, added one by one in decoding order.
-    intra = np.cumsum(wts[..., None] * scenario.same_cluster, axis=-2)[..., -1, :]
+    intra = np.cumsum(wts[..., None] * layout.same_cluster, axis=-2)[..., -1, :]
 
     # sinr[p, s, k]: the user in slot k decoding its own signal.
-    noise = channels.noise_variance
+    noise = layout.channels.noise_variance
     own3 = own[:, None, :]
     sinr = (wts * own3) / (own3 * intra + inter[:, None, :] + noise)
     rates = np.log2(1.0 + sinr)
     sic = True
-    later, earlier = scenario.sic_later, scenario.sic_earlier
-    if later.size:
+    if layout.sic_later.size:
         # Slot later[i] decoding the signal of slot earlier[i], same cluster.
-        own_l = own[:, None, later]
-        tau = (wts[..., earlier] * own_l) / (
-            own_l * intra[..., earlier] + inter[:, None, later] + noise
+        at_later, at_earlier = layout.sic_later_at, layout.sic_earlier_at
+        own_l = own[at_later]
+        tau = (wts[at_earlier] * own_l) / (
+            own_l * intra[at_earlier] + inter[at_later] + noise
         )
-        need = rates[:, :, earlier]
+        need = rates[at_earlier]
         floor = need - SIC_RATE_TOL * np.maximum(1.0, np.abs(need))
         sic = ~(np.log2(1.0 + tau) < floor).any(axis=-1)
-    floors = scenario.qos_floors[order][:, None, :]
-    feasible[ok] = sic & (sinr >= floors).all(axis=-1)
+    floors = layout.qos_floors[(*layout.run_index, order)][:, None, :]
+    feasible = sic & (sinr >= floors).all(axis=-1)
     user_rates = np.empty_like(rates)
     user_rates[rows, :, order] = rates.transpose(0, 2, 1)
-    sum_rate[ok] = np.sum(user_rates, axis=-1)
-    return GridScores(sum_rate, feasible, own_gains)
+    sum_rate = np.sum(user_rates, axis=-1)
+    if not ok.all():
+        sum_rate[~ok] = 0.0
+        feasible[~ok] = False
+        gains[~ok] = np.nan
+    return GridScores(sum_rate, feasible, gains)
 
 
 def gain_ordered_plan(scenario: NetworkScenario, own_gains, splits) -> ClusterPlan:

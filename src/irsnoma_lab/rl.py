@@ -23,8 +23,10 @@ states only.
 
 Every search runs E runs in lockstep: one environment scores all E states
 of a step in one evaluator call, and the learners carry a leading run axis.
-The runs differ only in their transmit power and their random stream, and
-each run equals the same run made alone (E = 1) bit for bit.
+The runs share their sizes and may differ in everything else: channels,
+clustering, floors, noise, power and random stream.  Their action tables
+are padded to the longest, and each run equals the same run made alone
+(E = 1) bit for bit.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import PhaseConfig, as_rng
-from .noma import GridScores, NetworkScenario, evaluate_points
+from .noma import GridScores, ScenarioStack, evaluate_points
 from .oracle import _units_from_step
 
 # Epsilon schedule of both learners; fixed tabular and replay settings.
@@ -138,18 +140,20 @@ class QApproximator:
     network is E = 1.  Inputs and outputs carry the same leading run axis,
     and each run's rows go through its own layers exactly as they would
     through a network of its own.
+
+    ``n_actions`` is one action count for every run or one per run.  Run
+    e's output layer is drawn at its own count A_e and zero-padded to the
+    largest A; its padded outputs stay 0, take no gradient, and
+    :meth:`masked` hides them from every max.
     """
 
     def __init__(
         self,
         input_dim: int,
-        n_actions: int,
+        n_actions,
         hidden=(64, 64),
         learning_rate: float = 1e-3,
         discount: float = 0.9,
-        epsilon_start: float = EPSILON_START,
-        epsilon_decay: float = EPSILON_DECAY,
-        epsilon_min: float = EPSILON_MIN,
         sync_period: int = 100,
         clip_norm: float = 1e6,
         seeds=(None,),
@@ -163,20 +167,26 @@ class QApproximator:
             raise ValueError("at least one run (one seed) is required")
         self.learning_rate = float(learning_rate)
         self.discount = float(discount)
-        self.epsilon_start = float(epsilon_start)
-        self.epsilon_decay = float(epsilon_decay)
-        self.epsilon_min = float(epsilon_min)
         self.sync_period = int(sync_period)
         self.clip_norm = float(clip_norm)
+        self.n_actions = np.array(np.broadcast_to(n_actions, len(rngs)), dtype=np.int64)
+        width = int(self.n_actions.max())
+        # (E, A) marks each run's padded actions, None when no run has any.
+        self.padded = np.arange(width) >= self.n_actions[:, None]
+        if not self.padded.any():
+            self.padded = None
 
-        sizes = [int(input_dim), *(int(h) for h in hidden), int(n_actions)]
+        fan_ins = [int(input_dim), *(int(h) for h in hidden)]
+        fan_outs = [*fan_ins[1:], width]
         self.weights = []
         self.biases = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        for layer, (fan_in, fan_out) in enumerate(zip(fan_ins, fan_outs)):
             lim = np.sqrt(2.0 / fan_in)
-            self.weights.append(
-                np.stack([rng.uniform(-lim, lim, size=(fan_out, fan_in)) for rng in rngs])
-            )
+            rows = self.n_actions if layer == len(fan_ins) - 1 else [fan_out] * len(rngs)
+            weights = np.zeros((len(rngs), fan_out, fan_in))
+            for w, rng, n in zip(weights, rngs, rows):
+                w[:n] = rng.uniform(-lim, lim, size=(n, fan_in))
+            self.weights.append(weights)
             self.biases.append(np.zeros((len(rngs), fan_out)))
         self.sync_target()
         self._train_steps = 0
@@ -203,11 +213,25 @@ class QApproximator:
         pre_acts = []
         acts = [a]
         for layer, (w, b) in enumerate(zip(weights, biases)):
-            z = a @ w.transpose(0, 2, 1)[lead] + b[lead + (None,)]
+            if layer == len(weights) - 1 and self.padded is not None:
+                # Each run's real outputs as a product of their own width: BLAS
+                # rounds a column differently inside a wider matrix.
+                z = np.zeros(a.shape[:-1] + w.shape[1:2])
+                for z_e, a_e, w_e, b_e, n in zip(z, a, w, b, self.n_actions):
+                    z_e[..., :n] = a_e @ w_e[:n].T + b_e[:n]
+            else:
+                z = a @ w.transpose(0, 2, 1)[lead] + b[lead + (None,)]
             pre_acts.append(z)
             a = np.maximum(z, 0.0) if layer < len(weights) - 1 else z
             acts.append(a)
         return a, pre_acts, acts
+
+    def masked(self, values: np.ndarray) -> np.ndarray:
+        """Action values (E, ..., A) with each run's padded actions at -inf."""
+        if self.padded is None:
+            return values
+        lead = (slice(None),) + (None,) * (values.ndim - 2)
+        return np.where(self.padded[lead], -np.inf, values)
 
     def forward(self, features) -> np.ndarray:
         """Action values (E, ..., B, A) of rows (E, ..., B, D) under the online weights."""
@@ -232,7 +256,8 @@ class QApproximator:
         each transition alone (a plain ``X @ W.T`` does not).
         """
         rows = np.asarray(next_features, dtype=float)[..., None, :]
-        return rewards + self.discount * np.max(self.target_values(rows), axis=(-2, -1))
+        values = self.masked(self.target_values(rows))
+        return rewards + self.discount * np.max(values, axis=(-2, -1))
 
     def loss_and_gradients(self, features, actions, targets):
         """Per-run mean squared TD loss (E,) and gradients w.r.t. the online weights.
@@ -253,11 +278,22 @@ class QApproximator:
         grads_w = [None] * len(self.weights)
         grads_b = [None] * len(self.biases)
         delta = d_out
-        for layer in range(len(self.weights) - 1, -1, -1):
-            grads_w[layer] = delta.transpose(0, 2, 1) @ acts[layer]
+        out = len(self.weights) - 1
+        for layer in range(out, -1, -1):
+            w = self.weights[layer]
             grads_b[layer] = delta.sum(axis=1)
+            if layer == out and self.padded is not None:
+                # Per run at its own width, as in the forward pass.
+                grads_w[layer] = np.zeros_like(w)
+                back = np.empty(delta.shape[:-1] + w.shape[2:])
+                for e, n in enumerate(self.n_actions):
+                    grads_w[layer][e, :n] = delta[e, :, :n].T @ acts[layer][e]
+                    back[e] = delta[e, :, :n] @ w[e, :n]
+            else:
+                grads_w[layer] = delta.transpose(0, 2, 1) @ acts[layer]
+                back = delta @ w if layer > 0 else None
             if layer > 0:
-                delta = (delta @ self.weights[layer]) * (pre_acts[layer - 1] > 0)
+                delta = back * (pre_acts[layer - 1] > 0)
         return losses, grads_w, grads_b
 
     def train_step(self, features, actions, rewards, next_features) -> tuple[np.ndarray, int]:
@@ -271,10 +307,13 @@ class QApproximator:
         targets = self.td_target(rewards, next_features)
         losses, grads_w, grads_b = self.loss_and_gradients(features, actions, targets)
         # Per run, each layer's squares are summed as one flat row, and the
-        # layer sums are added weights first, then biases.
+        # layer sums are added weights first, then biases.  A run's padded
+        # output rows are left out: a longer row would split numpy's pairwise
+        # sum differently.
+        out = len(grads_w) - 1
         norm = np.sqrt(
-            sum((g**2).reshape(len(g), -1).sum(axis=1) for g in grads_w)
-            + sum((g**2).sum(axis=1) for g in grads_b)
+            sum(self._square_sums(g, layer == out) for layer, g in enumerate(grads_w))
+            + sum(self._square_sums(g, layer == out) for layer, g in enumerate(grads_b))
         )
         clipped = norm > self.clip_norm
         grads = grads_w + grads_b
@@ -294,8 +333,15 @@ class QApproximator:
             self.sync_target()
         return losses, int(clipped.sum())
 
-    def epsilon(self, episode: int) -> float:
-        return max(self.epsilon_min, self.epsilon_start * self.epsilon_decay**episode)
+    def _square_sums(self, grad: np.ndarray, output: bool) -> np.ndarray:
+        """(E,) sums of each run's squared gradient entries, output rows up to A_e."""
+        if self.padded is None or not output:
+            return (grad**2).reshape(len(grad), -1).sum(axis=1)
+        return np.array([(g[:a] ** 2).sum() for g, a in zip(grad, self.n_actions)])
+
+    @staticmethod
+    def epsilon(episode: int) -> float:
+        return max(EPSILON_MIN, EPSILON_START * EPSILON_DECAY**episode)
 
 
 # ---------------------------------------------------------------------------
@@ -317,77 +363,61 @@ class EnvState:
         return self.phases[run].tobytes() + self.units[run].tobytes()
 
 
-def _differ_only_in_power(a: NetworkScenario, b: NetworkScenario) -> bool:
-    ca, cb = a.channels, b.channels
-    return (
-        np.array_equal(ca.g_matrix, cb.g_matrix)
-        and np.array_equal(ca.user_channels, cb.user_channels)
-        and ca.noise_variance == cb.noise_variance
-        and a.assignment == b.assignment
-        and np.array_equal(a.qos_floors, b.qos_floors)
-        and a.interference_model == b.interference_model
-        and a.alpha_domain == b.alpha_domain
-    )
-
-
 class NomaPhaseEnv:
     """Local-move environment over phase indices and quantized power splits.
 
     One environment holds E runs, one per scenario.  The scenarios share
-    channels, assignment, floors and flags and differ only in
-    ``total_power``, so the runs share one action table and feature size,
-    and each step scores all E states in one :func:`evaluate_points` call.
+    their user, cluster and element counts and both flags, and each step
+    scores all E states in one :func:`evaluate_points` call.
 
     Action ``a`` adds ``phase_delta[a]`` (K,) to the phases modulo the level
-    count, and ``unit_delta[a]`` (N,) to the units unless that leaves a
-    slot below zero: a transfer takes one unit from one slot and gives it
-    to another.  The rows are one no-op, one increment and one decrement
-    per surface element, and one unit transfer per ordered user pair inside
-    each cluster, so there are 2K + 2 * sum_m C(p_m, 2) + 1.  Slot i of
-    cluster m funds the i-th decoded user of m, with coefficient
-    ``units / units_total``: the unit array is the scenario's coefficient
-    row scaled by ``units_total``.
+    count, and run e's ``unit_delta[e, a]`` (N,) to its units unless that
+    leaves a slot below zero: a transfer takes one unit from one slot and
+    gives it to another.  The rows are one no-op, one increment and one
+    decrement per surface element, and one unit transfer per ordered user
+    pair inside each cluster, so run e has A_e = 2K + 2 * sum_m C(p_m, 2) + 1
+    actions, ``n_actions[e]``.  Rows past A_e are padding: no move, never
+    drawn, and masked out of every max.  Slot i of cluster m funds the
+    i-th decoded user of m, with coefficient ``units / units_total``: the
+    unit array is the scenario's coefficient row scaled by ``units_total``.
     Rewards are the sum rate of the resulting configuration minus
     ``INFEASIBLE_PENALTY`` whenever the SIC or QoS check fails.
     """
 
     def __init__(self, scenarios, resolution_bits: int, alpha_step: float = 0.05):
-        self.scenarios = tuple(scenarios)
-        if not self.scenarios:
-            raise ValueError("at least one scenario is required")
-        scenario = self.scenarios[0]
-        if not all(_differ_only_in_power(scenario, s) for s in self.scenarios[1:]):
-            raise ValueError(
-                "lockstep scenarios must share channels, assignment, floors and "
-                "flags, and differ only in total_power"
-            )
-        self.total_power = np.array([s.total_power for s in self.scenarios], dtype=float)
+        self.stack = ScenarioStack(scenarios)
+        self.scenarios = self.stack.scenarios
         self.resolution_bits = int(resolution_bits)
         self.levels = 1 << self.resolution_bits
         self.units_total = _units_from_step(alpha_step)
-        self.k_elements = k = scenario.channels.k_elements
+        self.k_elements = k = self.scenarios[0].channels.k_elements
+        self.n_users = n = self.scenarios[0].channels.n_users
 
-        sizes = scenario.cluster_sizes
-        starts = np.cumsum((0,) + sizes)
         moves = [
-            (start + i, start + j)
-            for start, size in zip(starts, sizes)
-            for i in range(size)
-            for j in range(size)
-            if i != j
+            [
+                (start + i, start + j)
+                for start, size in zip(s.cluster_starts, s.cluster_sizes)
+                for i in range(size)
+                for j in range(size)
+                if i != j
+            ]
+            for s in self.scenarios
         ]
+        self.n_actions = np.array([1 + 2 * k + len(m) for m in moves], dtype=np.int64)
         eye = np.eye(k, dtype=np.int64)
-        zeros = np.zeros((1 + len(moves), k), dtype=np.int64)
+        zeros = np.zeros((self.n_actions.max() - 2 * k, k), dtype=np.int64)
         self.phase_delta = np.vstack([zeros[:1], eye, -eye, zeros[1:]])
-        self.unit_delta = np.zeros((len(self.phase_delta), sum(sizes)), dtype=np.int64)
-        for row, (give, take) in enumerate(moves, start=1 + 2 * k):
-            self.unit_delta[row, [give, take]] = (-1, 1)
+        self.unit_delta = np.zeros((self.n_runs, len(self.phase_delta), n), dtype=np.int64)
+        for deltas, run_moves in zip(self.unit_delta, moves):
+            for row, (give, take) in enumerate(run_moves, start=1 + 2 * k):
+                deltas[row, [give, take]] = (-1, 1)
+        self._runs = np.arange(self.n_runs)
         # A state as the replay stores it: indices and units in the smallest
         # integer types that hold them, and the float gains.
         self.state_dtype = np.dtype([
             ("phases", np.min_scalar_type(self.levels - 1), k),
-            ("units", np.min_scalar_type(self.units_total), sum(sizes)),
-            ("gains", np.float64, sum(sizes)),
+            ("units", np.min_scalar_type(self.units_total), n),
+            ("gains", np.float64, n),
         ], align=True)
 
     @property
@@ -395,12 +425,8 @@ class NomaPhaseEnv:
         return len(self.scenarios)
 
     @property
-    def n_actions(self) -> int:
-        return len(self.phase_delta)
-
-    @property
     def feature_dim(self) -> int:
-        return self.k_elements + 2 * self.scenarios[0].channels.n_users
+        return self.k_elements + 2 * self.n_users
 
     # -- state construction ---------------------------------------------
 
@@ -419,10 +445,7 @@ class NomaPhaseEnv:
         return self.features(packed["phases"], packed["units"], packed["gains"])
 
     def _make_state(self, phases: np.ndarray, units: np.ndarray):
-        scores = evaluate_points(
-            self.scenarios[0], phases, units / self.units_total, self.resolution_bits,
-            self.total_power,
-        )
+        scores = evaluate_points(self.stack, phases, units / self.units_total, self.resolution_bits)
         # Own gains over their peak; zeros where the peak is 0 or ZF failed (NaN).
         gains = scores.own_gains
         peak = np.max(gains, axis=1, keepdims=True)
@@ -434,29 +457,18 @@ class NomaPhaseEnv:
             scores.feasible, scores.sum_rate, scores.sum_rate - INFEASIBLE_PENALTY
         )
 
-    def initial_state(self):
-        """Zero phases with the most even on-grid power split per cluster, every run."""
-        units = []
-        for size in self.scenarios[0].cluster_sizes:
-            base, extra = divmod(self.units_total, size)
-            units += [base + (1 if i < extra else 0) for i in range(size)]
-        return self._make_state(
-            np.zeros((self.n_runs, self.k_elements), dtype=np.int64),
-            np.tile(np.array(units, dtype=np.int64), (self.n_runs, 1)),
-        )
-
-    def _draw(self, rng: np.random.Generator):
-        """One random (phases, units) pair: ``integers``, then a ``multinomial`` per cluster."""
+    def _draw(self, rng: np.random.Generator, run: int):
+        """Run ``run``'s random (phases, units): ``integers``, then a ``multinomial`` per cluster."""
         phases = rng.integers(0, self.levels, size=self.k_elements)
         units = np.concatenate([
             rng.multinomial(self.units_total, np.full(size, 1.0 / size))
-            for size in self.scenarios[0].cluster_sizes
+            for size in self.scenarios[run].cluster_sizes
         ])
         return phases, units
 
     def random_state(self, rngs):
         """One random state per run, run e drawn from ``rngs[e]``."""
-        phases, units = zip(*(self._draw(rng) for rng in rngs))
+        phases, units = zip(*(self._draw(rng, run) for run, rng in enumerate(rngs)))
         return self._make_state(np.stack(phases), np.stack(units))
 
     # -- dynamics -----------------------------------------------------------
@@ -464,7 +476,7 @@ class NomaPhaseEnv:
     def step(self, state: EnvState, actions):
         """Apply one action row per run; returns (next_state, rewards (E,), scores)."""
         phases = (state.phases + self.phase_delta[actions]) % self.levels
-        units = state.units + self.unit_delta[actions]
+        units = state.units + self.unit_delta[self._runs, actions]
         units = np.where((units >= 0).all(axis=1, keepdims=True), units, state.units)
         next_state, scores = self._make_state(phases, units)
         return next_state, self.reward(scores), scores
@@ -496,17 +508,13 @@ class TrainResult:
     best_gains: np.ndarray | None
     curve: list
 
-    @property
-    def found_feasible(self) -> bool:
-        return self.best_phase is not None
 
-
-def _result(env, learner, rate, phases, units, gains, curve) -> TrainResult:
-    """A run's TrainResult; its winner's ``PhaseConfig`` and split tuples built here."""
+def _result(env, run, learner, rate, phases, units, gains, curve) -> TrainResult:
+    """Run ``run``'s TrainResult; its winner's ``PhaseConfig`` and split tuples built here."""
     if rate == -np.inf:
         return TrainResult(learner, None, None, 0.0, None, curve)
     phase = PhaseConfig(phases, env.resolution_bits)
-    splits = env.scenarios[0].split_tuples(units / env.units_total)
+    splits = env.scenarios[run].split_tuples(units / env.units_total)
     return TrainResult(learner, phase, splits, float(rate), gains, curve)
 
 
@@ -519,10 +527,11 @@ def _rollout(
     runs)`` returns the greedy actions of the listed runs, and
     ``learn(state, actions, rewards, next_state)`` returns the per-run
     losses or None.  Run e draws only from ``rngs[e]``: per step
-    ``uniform``, then ``integers`` when exploring, then what ``learn``
-    draws for it.  Each curve's best reward is a running maximum.
+    ``uniform``, then ``integers`` over its own A_e actions when exploring,
+    then what ``learn`` draws for it.  Each curve's best reward is a
+    running maximum.
     """
-    n_runs, n_users = env.n_runs, env.scenarios[0].channels.n_users
+    n_runs, n_users = env.n_runs, env.n_users
     best_rate = np.full(n_runs, -np.inf)
     best_phases = np.zeros((n_runs, env.k_elements), dtype=np.int64)
     best_units = np.zeros((n_runs, n_users), dtype=np.int64)
@@ -548,7 +557,7 @@ def _rollout(
             greedy_runs = []
             for run, rng in enumerate(rngs):
                 if rng.uniform() < eps:
-                    actions[run] = rng.integers(env.n_actions)
+                    actions[run] = rng.integers(env.n_actions[run])
                 else:
                     greedy_runs.append(run)
             if greedy_runs:
@@ -564,7 +573,7 @@ def _rollout(
         for run, curve in enumerate(curves):
             curve.append(CurvePoint(episode, float(best_rate[run]), eps, float(means[run])))
     return [
-        _result(env, learners[run], best_rate[run], best_phases[run], best_units[run],
+        _result(env, run, learners[run], best_rate[run], best_phases[run], best_units[run],
                 best_gains[run], curves[run])
         for run in range(n_runs)
     ]
@@ -599,20 +608,29 @@ def train_agent(
     rngs = _run_rngs(env, seeds)
     if approx.n_runs != env.n_runs:
         raise ValueError(f"{approx.n_runs} networks for {env.n_runs} runs")
+    if not np.array_equal(approx.n_actions, env.n_actions):
+        raise ValueError(f"networks of {approx.n_actions} actions for runs of {env.n_actions}")
     capacity = min(REPLAY_CAPACITY, episodes * steps_per_episode)
     memory = ReplayMemory(capacity, env.state_dtype, env.n_runs)
+    # The last next state and its record: the next step starts from it.
+    last = [None, None]
 
     def learn(state, actions, rewards, next_state):
-        memory.push(env.pack(state), actions, rewards, env.pack(next_state))
+        record = last[1] if state is last[0] else env.pack(state)
+        last[:] = next_state, env.pack(next_state)
+        memory.push(record, actions, rewards, last[1])
         if len(memory) >= max(BATCH_SIZE, warmup):
             states, actions, rewards, next_states = memory.sample(rngs, BATCH_SIZE)
-            return approx.train_step(
-                env.features_of(states), actions, rewards, env.features_of(next_states)
-            )[0]
+            # Both halves of the minibatch rebuilt by one features_of call.
+            both = np.empty((2, *states.shape), env.state_dtype)
+            both[0], both[1] = states, next_states
+            features, next_features = env.features_of(both)
+            return approx.train_step(features, actions, rewards, next_features)[0]
         return None
 
     def greedy(state, runs):
-        return np.argmax(approx.forward(state.features[:, None])[runs, 0], axis=-1)
+        values = approx.masked(approx.forward(state.features[:, None]))
+        return np.argmax(values[runs, 0], axis=-1)
 
     return _rollout(
         env, [approx] * env.n_runs, episodes, steps_per_episode, rngs,
@@ -629,7 +647,7 @@ def train_tabular_agent(
     the DQN's ``EPSILON_START * EPSILON_DECAY**episode``.
     """
     rngs = _run_rngs(env, seeds)
-    tables = [defaultdict(lambda: np.zeros(env.n_actions)) for _ in rngs]
+    tables = [defaultdict(lambda a=a: np.zeros(a)) for a in env.n_actions]
     schedule = [EPSILON_START]
     while len(schedule) < episodes:
         schedule.append(max(EPSILON_MIN, schedule[-1] * EPSILON_DECAY))
@@ -662,11 +680,11 @@ def random_search(env: NomaPhaseEnv, samples: int, seeds=(None,)) -> list[TrainR
         raise ValueError("samples must be >= 1")
     rngs = _run_rngs(env, seeds)
     phases, units = (np.stack(a) for a in zip(*(
-        env._draw(rng) for rng in rngs for _ in range(samples)
+        env._draw(rng, run) for run, rng in enumerate(rngs) for _ in range(samples)
     )))
     scores = evaluate_points(
-        env.scenarios[0], phases, units / env.units_total, env.resolution_bits,
-        np.repeat(env.total_power, samples),
+        [s for s in env.scenarios for _ in range(samples)],
+        phases, units / env.units_total, env.resolution_bits,
     )
     rates = np.where(scores.feasible, scores.sum_rate, -np.inf).reshape(env.n_runs, samples)
     results = []
@@ -675,6 +693,6 @@ def random_search(env: NomaPhaseEnv, samples: int, seeds=(None,)) -> list[TrainR
         curve = [CurvePoint(i, float(r), 1.0, float("nan")) for i, r in enumerate(running)]
         i = run * samples + int(np.argmax(run_rates))
         results.append(_result(
-            env, None, running[-1], phases[i], units[i], scores.own_gains[i], curve
+            env, run, None, running[-1], phases[i], units[i], scores.own_gains[i], curve
         ))
     return results

@@ -10,6 +10,7 @@ from irsnoma_lab.noma import (
     ClusterPlan,
     _scalar_abs2,
     NetworkScenario,
+    ScenarioStack,
     decoding_order_by_gain,
     evaluate_batch,
     evaluate_points,
@@ -525,11 +526,11 @@ def assert_points_equal_reference(instance):
     """
     scenario, phase_idx, bits, splits, powers = instance
     alphas = np.array([flat_row(split) for split in splits])
-    scores = evaluate_points(scenario, phase_idx, alphas, bits, powers)
+    at_powers = [dataclasses.replace(scenario, total_power=p) for p in powers]
+    scores = evaluate_points(at_powers, phase_idx, alphas, bits)
     assert scores.sum_rate.shape == scores.feasible.shape == (len(splits),)
     flags = []
-    for e, (row, split, power) in enumerate(zip(phase_idx, splits, powers)):
-        at_power = dataclasses.replace(scenario, total_power=power)
+    for e, (row, split, at_power) in enumerate(zip(phase_idx, splits, at_powers)):
         ref = reference_point(at_power, row, bits, split)
         point = evaluate_point(at_power, PhaseConfig(row, bits), split)
         assert scores.feasible[e] == ref.feasible == point.feasible
@@ -542,6 +543,55 @@ def assert_points_equal_reference(instance):
             assert np.array_equal(scores.own_gains[e], ref.own_gains)
             assert np.array_equal(point.own_gains, ref.own_gains)
         flags.append((ref.report is None, ref.feasible))
+    return flags
+
+
+def stacked_scenario(rng, n_users, n_clusters, k, flags, singular):
+    """One run of a stack: its own channels, noise, power, floors and clustering."""
+    assignment = np.concatenate(
+        [np.arange(n_clusters), rng.integers(0, n_clusters, n_users - n_clusters)]
+    )
+    rng.shuffle(assignment)
+    g = rng.standard_normal((k, n_clusters)) + 1j * rng.standard_normal((k, n_clusters))
+    h = rng.standard_normal((n_users, k)) + 1j * rng.standard_normal((n_users, k))
+    if singular and n_clusters > 1:
+        h[:] = h[0]  # every cluster head sees the same channel: singular ZF
+    return NetworkScenario(
+        channels=ChannelRealization(
+            g_matrix=g * 10 ** rng.uniform(-3, 0),
+            user_channels=h * 10 ** rng.uniform(-3, 0),
+            noise_variance=10 ** rng.uniform(-10, -1),
+        ),
+        assignment=tuple(int(c) for c in assignment),
+        total_power=dbm_to_watts(rng.uniform(0.0, 120.0)),
+        qos_floors=rng.choice([0.0, 0.01, 1.0], size=n_users),
+        interference_model=flags[0],
+        alpha_domain=flags[1],
+    )
+
+
+def split_row(rng, scenario):
+    """A random on-grid coefficient row in the scenario's decoding slots."""
+    return np.concatenate([
+        rng.multinomial(10, np.ones(size) / size) / 10 for size in scenario.cluster_sizes
+    ])
+
+
+def assert_stack_equals_single_runs(scenarios, phase_idx, alphas, bits):
+    """Point e of the stack equals run e scored alone, E = 1 and as a 1 x 1 grid.
+
+    Returns the (ill-conditioned, feasible) flags of the points.
+    """
+    scores = evaluate_points(scenarios, phase_idx, alphas, bits)
+    flags = []
+    for e, scenario in enumerate(scenarios):
+        alone = evaluate_points([scenario], phase_idx[e : e + 1], alphas[e : e + 1], bits)
+        grid = evaluate_batch(scenario, phase_idx[e : e + 1], alphas[e : e + 1], bits)
+        for theirs in (alone, grid):
+            assert scores.sum_rate[e] == theirs.sum_rate.ravel()[0]
+            assert scores.feasible[e] == theirs.feasible.ravel()[0]
+            assert scores.own_gains[e].tobytes() == theirs.own_gains[0].tobytes()
+        flags.append((bool(np.isnan(scores.own_gains[e]).all()), bool(scores.feasible[e])))
     return flags
 
 
@@ -578,11 +628,74 @@ class TestEvaluatePoints:
         phase_idx = np.zeros((2, 4), dtype=int)
         alphas = np.full((2, 4), 0.5)
         with pytest.raises(ValueError, match="do not pair up"):
-            evaluate_points(scenario, phase_idx, alphas[:1], 2, [1.0, 1.0])
+            evaluate_points([scenario] * 2, phase_idx, alphas[:1], 2)
         with pytest.raises(ValueError, match="do not pair up"):
-            evaluate_points(scenario, phase_idx, alphas, 2, [1.0])
-        with pytest.raises(ValueError, match="total_power must be positive"):
-            evaluate_points(scenario, phase_idx, alphas, 2, [1.0, 0.0])
+            evaluate_points([scenario], phase_idx, alphas, 2)
+        with pytest.raises(ValueError, match=r"\(E, 4\) array"):
+            evaluate_points([scenario] * 2, phase_idx, np.full((2, 3), 0.5), 2)
+        with pytest.raises(ValueError, match="cluster 1: power coefficients do not"):
+            evaluate_points([scenario] * 2, phase_idx, [[0.5] * 4, [0.5, 0.5, 0.5, 0.6]], 2)
+
+    def test_rejects_scenarios_of_different_sizes(self):
+        base = random_scenario(np.random.default_rng(3))
+        for other in (
+            random_scenario(np.random.default_rng(4), users_per_cluster=3),
+            random_scenario(np.random.default_rng(4), k_elements=3),
+            dataclasses.replace(base, interference_model="coherent"),
+            dataclasses.replace(base, alpha_domain="power"),
+        ):
+            with pytest.raises(ValueError, match="must share users, clusters, elements and flags"):
+                ScenarioStack([base, other])
+        with pytest.raises(ValueError, match="at least one scenario"):
+            ScenarioStack([])
+
+
+@st.composite
+def stacked_instances(draw):
+    """E scenarios of one size, each with its own channels, clustering, floors,
+    noise and power, plus one phase row and one split per scenario."""
+    n_clusters = draw(st.integers(1, 3))
+    n_users = n_clusters + draw(st.integers(0, 4))
+    k, bits = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    flags = (
+        draw(st.sampled_from(["incoherent", "coherent"])),
+        draw(st.sampled_from(["amplitude", "power"])),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    singular = draw(st.lists(st.booleans(), min_size=1, max_size=6))
+    scenarios = [
+        stacked_scenario(rng, n_users, n_clusters, k, flags, ill) for ill in singular
+    ]
+    phase_idx = rng.integers(0, 1 << bits, (len(scenarios), k))
+    alphas = np.array([split_row(rng, s) for s in scenarios])
+    return scenarios, phase_idx, alphas, bits
+
+
+class TestStackedPoints:
+    """A stack of scenarios that differ in everything but their size scores
+    each point as its own scenario scored alone, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(stacked_instances())
+    def test_equals_one_run_at_a_time(self, instance):
+        assert_stack_equals_single_runs(*instance)
+
+    def test_mixed_occupancies_ill_conditioned_and_infeasible(self):
+        rng = np.random.default_rng(21)
+        scenarios = [
+            stacked_scenario(rng, 6, 3, 4, ("incoherent", "amplitude"), e % 4 == 3)
+            for e in range(12)
+        ]
+        # Every other run without floors, so some points pass every check.
+        scenarios[::2] = [dataclasses.replace(s, qos_floors=0.0) for s in scenarios[::2]]
+        assert len({s.cluster_sizes for s in scenarios}) > 2
+        assert len({len(s.sic_later) for s in scenarios}) > 1
+        phase_idx = rng.integers(0, 4, (12, 4))
+        alphas = np.array([split_row(rng, s) for s in scenarios])
+        flags = assert_stack_equals_single_runs(scenarios, phase_idx, alphas, 2)
+        ill, feasible = zip(*flags)
+        assert any(ill) and not all(ill)
+        assert any(feasible) and not all(f for i, f in flags if not i)
 
 
 class TestScenarioLayout:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from irsnoma_lab.precoding import CONDITION_LIMIT, cluster_heads, zero_forcing
+from irsnoma_lab.precoding import CONDITION_LIMIT, cluster_heads, member_table, zero_forcing
 
 
 def random_well_conditioned(rng, m, cond_cap=1e6):
@@ -52,6 +52,30 @@ class TestRepresentatives:
             [[[0.1], [0.9], [0.5]], [[0.7], [0.2], [0.5]]], dtype=complex
         )
         assert cluster_heads(h, members_of([0, 0, 1])).tolist() == [[1, 2], [0, 2]]
+
+
+    def test_member_table_pads_with_a_member(self):
+        table = member_table(members_of([1, 0, 1, 1, 2]), width=4)
+        assert table.tolist() == [[1, 1, 1, 1], [0, 2, 3, 0], [4, 4, 4, 4]]
+
+    def test_tables_equal_a_loop_over_clusters(self):
+        # Integer norms tie often; the padded tables pick what a per-cluster
+        # argmax picks, with one shared table or one table per phase.
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            n_clusters = int(rng.integers(1, 5))
+            assign = np.concatenate([
+                np.arange(n_clusters), rng.integers(0, n_clusters, int(rng.integers(0, 5)))
+            ])
+            rng.shuffle(assign)
+            members = members_of(assign)
+            h = rng.integers(0, 3, (int(rng.integers(1, 6)), len(assign), n_clusters)) + 0j
+            norms = np.linalg.norm(h, axis=-1)
+            want = [[mem[np.argmax(norms[p, mem])] for mem in members] for p in range(len(h))]
+            table = member_table(members)
+            assert cluster_heads(h, table).tolist() == want
+            per_phase = np.broadcast_to(member_table(members, width=5), (len(h), n_clusters, 5))
+            assert cluster_heads(h, np.ascontiguousarray(per_phase)).tolist() == want
 
 
 class TestZfPrecoder:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irsnoma_lab import rl
 from irsnoma_lab.channel import ChannelRealization
 from irsnoma_lab.noma import NetworkScenario
 from irsnoma_lab.oracle import SearchSpace, brute_force_optimum
@@ -28,7 +29,9 @@ from scalar_reference import (
 )
 
 
-def tiny_scenario(seed=5, n_clusters=1, users_per_cluster=2, k_elements=2, power=2.0):
+def tiny_scenario(
+    seed=5, n_clusters=1, users_per_cluster=2, k_elements=2, power=2.0, assignment=None
+):
     rng = np.random.default_rng(seed)
     n_users = n_clusters * users_per_cluster
     g = rng.standard_normal((k_elements, n_clusters)) + 1j * rng.standard_normal(
@@ -38,7 +41,8 @@ def tiny_scenario(seed=5, n_clusters=1, users_per_cluster=2, k_elements=2, power
         (n_users, k_elements)
     )
     channels = ChannelRealization(g_matrix=g, user_channels=h, noise_variance=0.05)
-    assignment = tuple(u // users_per_cluster for u in range(n_users))
+    if assignment is None:
+        assignment = tuple(u // users_per_cluster for u in range(n_users))
     return NetworkScenario(channels=channels, assignment=assignment, total_power=power)
 
 
@@ -152,6 +156,62 @@ class TestQApproximator:
         for rows in (np.zeros((2, 2)), np.zeros((1, 1, 2)), np.zeros((2, 1, 3))):
             with pytest.raises(ValueError, match=r"rows must be \(2, \.\.\., B, 2\)"):
                 approx.forward(rows)
+
+
+class TestPaddedNetwork:
+    """Runs of different action counts in one network: each run's outputs,
+    targets, gradients, clipping and weights equal its own unpadded network's,
+    also in steps where some runs clip and others do not."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_each_run_equals_its_own_network(self, seed):
+        rng = np.random.default_rng(seed)
+        n_runs, dim, batch = int(rng.integers(2, 6)), int(rng.integers(3, 80)), 32
+        counts = rng.integers(5, 140, size=n_runs)
+        seeds = rng.integers(0, 2**31, size=n_runs)
+        clip_norm = 20.0
+        padded = QApproximator(dim, counts, sync_period=7, clip_norm=clip_norm, seeds=seeds)
+        alone = [
+            QApproximator(dim, n, sync_period=7, clip_norm=clip_norm, seeds=[s])
+            for n, s in zip(counts, seeds)
+        ]
+        clips = []
+        for _ in range(20):
+            x, x_next = rng.standard_normal((2, n_runs, batch, dim))
+            actions = np.stack([rng.integers(0, n, size=batch) for n in counts])
+            # Run r's rewards are scaled by 4**r, so its gradients are larger.
+            rewards = 4.0 ** np.arange(n_runs)[:, None] * rng.normal(3.0, 4.0, (n_runs, batch))
+            values = padded.forward(x)
+            targets = padded.td_target(rewards, x_next)
+            _, grads_w, grads_b = padded.loss_and_gradients(x, actions, targets)
+            losses, n_clipped = padded.train_step(x, actions, rewards, x_next)
+            clips.append(n_clipped)
+            flags = 0
+            for run, (net, n) in enumerate(zip(alone, counts)):
+                one = (slice(run, run + 1),)
+                assert values[run, :, :n].tobytes() == net.forward(x[one])[0].tobytes()
+                assert np.isneginf(padded.masked(values)[run, :, n:]).all()
+                assert targets[run].tobytes() == net.td_target(rewards[one], x_next[one])[0].tobytes()
+                _, own_w, own_b = net.loss_and_gradients(x[one], actions[one], targets[one])
+                for mine, theirs in zip(grads_w + grads_b, own_w + own_b):
+                    assert mine[run, : theirs.shape[1]].tobytes() == theirs[0].tobytes()
+                    assert not mine[run, theirs.shape[1] :].any()
+                (loss,), flag = net.train_step(x[one], actions[one], rewards[one], x_next[one])
+                assert losses[run] == loss
+                flags += flag
+            assert n_clipped == flags
+        assert any(0 < n < n_runs for n in clips)
+        for run, net in enumerate(alone):
+            for mine, theirs in zip(
+                padded.weights + padded.biases + padded.target_weights + padded.target_biases,
+                net.weights + net.biases + net.target_weights + net.target_biases,
+            ):
+                assert mine[run, : theirs.shape[1]].tobytes() == theirs[0].tobytes()
+
+    def test_one_count_for_every_run_pads_nothing(self):
+        approx = QApproximator(3, 4, seeds=[1, 2])
+        assert approx.n_actions.tolist() == [4, 4]
+        assert approx.padded is None
 
 
 class TestTdTarget:
@@ -385,7 +445,7 @@ class TestEnvironment:
 
     def test_noop_keeps_configuration(self):
         env = NomaPhaseEnv([tiny_scenario()], resolution_bits=2, alpha_step=0.5)
-        state, result = env.initial_state()
+        state, result = env.random_state([np.random.default_rng(1)])
         next_state, reward, next_result = env.step(state, [0])
         assert np.array_equal(next_state.phases, state.phases)
         assert np.array_equal(next_state.units, state.units)
@@ -393,18 +453,19 @@ class TestEnvironment:
 
     def test_phase_increment_wraps(self):
         env = NomaPhaseEnv([tiny_scenario()], resolution_bits=2, alpha_step=0.5)
-        state, _ = env.initial_state()
-        for _ in range(3):
+        state, _ = env.random_state([np.random.default_rng(2)])
+        start = int(state.phases[0, 0])
+        seen = []
+        for _ in range(4):
             state, _, _ = env.step(state, [1])  # increment element 0
-        assert state.phases[0, 0] == 3
-        state, _, _ = env.step(state, [1])
-        assert state.phases[0, 0] == 0
+            seen.append(int(state.phases[0, 0]))
+        assert seen == [(start + i) % 4 for i in range(1, 5)]
 
     def test_alpha_shift_clamped_at_zero(self):
         env = NomaPhaseEnv([tiny_scenario()], resolution_bits=1, alpha_step=0.5)
-        state, _ = env.initial_state()
+        state, _ = env.random_state([np.random.default_rng(3)])
         shift_id = 1 + 2 * env.k_elements  # first alpha-shift action (0 -> 1)
-        assert env.unit_delta[shift_id].tolist() == [-1, 1]
+        assert env.unit_delta[0, shift_id].tolist() == [-1, 1]
         assert not env.phase_delta[shift_id].any()
         for _ in range(4):
             state, _, _ = env.step(state, [shift_id])
@@ -430,7 +491,7 @@ class TestEnvironment:
     def test_single_element_sweep_reaches_brute_force_max(self):
         scenario = tiny_scenario(n_clusters=1, users_per_cluster=1, k_elements=1)
         env = NomaPhaseEnv([scenario], resolution_bits=3, alpha_step=0.5)
-        state, result = env.initial_state()
+        state, result = env.random_state([np.random.default_rng(4)])
         (best,) = env.reward(result)
         for _ in range(env.levels - 1):
             state, (reward,), _ = env.step(state, [1])
@@ -442,36 +503,42 @@ class TestEnvironment:
 
     def test_feature_vector_layout(self):
         env = NomaPhaseEnv([tiny_scenario()], resolution_bits=2, alpha_step=0.5)
-        state, _ = env.initial_state()
+        state, _ = env.random_state([np.random.default_rng(5)])
         k = env.k_elements
         assert state.features.shape == (1, env.feature_dim)
-        assert np.all(state.features[0, :k] == 0.0)  # zero phases
+        assert state.features[0, :k].tolist() == (state.phases[0] / 4).tolist()
+        assert state.features[0, k : k + 2].tolist() == (state.units[0] / 2).tolist()
         assert np.max(state.features[0, k + 2 :]) == pytest.approx(1.0)
 
     def test_bad_alpha_step_rejected(self):
         with pytest.raises(ValueError):
             NomaPhaseEnv([tiny_scenario()], resolution_bits=1, alpha_step=0.3)
 
-    def test_runs_must_differ_only_in_power(self):
+    def test_runs_must_share_their_sizes_and_flags(self):
         base = tiny_scenario(n_clusters=2, users_per_cluster=2)
-        NomaPhaseEnv(at_powers(base, [1.0, 3.0]), resolution_bits=1)
-        other_channels = tiny_scenario(seed=6, n_clusters=2, users_per_cluster=2)
+        env = NomaPhaseEnv([
+            base,
+            dataclasses.replace(base, assignment=(0, 1, 1, 1), total_power=3.0),
+            dataclasses.replace(base, qos_floors=[0.1, 0.0, 0.2, 0.0]),
+            tiny_scenario(seed=6, n_clusters=2, users_per_cluster=2),
+        ], resolution_bits=1)
+        assert env.n_actions.tolist() == [9, 11, 9, 9]
         for other in (
-            dataclasses.replace(base, assignment=(0, 1, 0, 1)),
-            dataclasses.replace(base, qos_floors=0.1),
+            tiny_scenario(n_clusters=2, users_per_cluster=2, k_elements=3),
+            tiny_scenario(n_clusters=2, users_per_cluster=3),
+            tiny_scenario(n_clusters=1, users_per_cluster=4),
             dataclasses.replace(base, interference_model="coherent"),
             dataclasses.replace(base, alpha_domain="power"),
-            dataclasses.replace(other_channels, total_power=base.total_power),
         ):
-            with pytest.raises(ValueError, match="differ only in total_power"):
+            with pytest.raises(ValueError, match="must share users, clusters, elements and flags"):
                 NomaPhaseEnv([base, other], resolution_bits=1)
         with pytest.raises(ValueError, match="at least one scenario"):
             NomaPhaseEnv([], resolution_bits=1)
 
 
-def cluster_tuples(env, units):
-    """One run's unit array as one tuple of counts per cluster."""
-    cuts = np.cumsum(env.scenarios[0].cluster_sizes)[:-1]
+def cluster_tuples(env, units, run=0):
+    """Run ``run``'s unit array as one tuple of counts per cluster."""
+    cuts = np.cumsum(env.scenarios[run].cluster_sizes)[:-1]
     return tuple(tuple(part) for part in np.split(units.tolist(), cuts))
 
 
@@ -486,7 +553,7 @@ def assert_matches_reference(env, run, state, result, phases, alpha_units):
         scenario, phases, alpha_units, env.resolution_bits
     )
     assert state.phases[run].tolist() == list(phases)
-    assert cluster_tuples(env, state.units[run]) == alpha_units
+    assert cluster_tuples(env, state.units[run], run) == alpha_units
     assert state.features[run].tobytes() == features.tobytes()
     assert scenario.split_tuples(state.units[run] / env.units_total) == splits
     assert (result.sum_rate[run], result.feasible[run]) == (ref.sum_rate, ref.feasible)
@@ -517,10 +584,10 @@ class TestActionTableEqualsReference:
         )
         env = NomaPhaseEnv(at_powers(scenario, powers), resolution_bits=bits, alpha_step=alpha_step)
         actions = reference_actions(k_elements, env.scenarios[0].cluster_sizes)
-        assert env.n_actions == len(actions)
+        assert env.n_actions.tolist() == [len(actions)] * len(powers)
         rng = np.random.default_rng(seed)
         rngs = [rng] * len(powers)
-        for start in [env.initial_state(), env.random_state(rngs), env.random_state(rngs)]:
+        for start in [env.random_state(rngs) for _ in range(3)]:
             state, result = start
             tuples = [
                 (tuple(state.phases[run].tolist()), cluster_tuples(env, state.units[run]))
@@ -553,14 +620,13 @@ class TestAgents:
         assert len(result.curve) == 12
         bests = [p.best_reward for p in result.curve]
         assert all(b2 >= b1 for b1, b2 in zip(bests, bests[1:]))
-        assert result.found_feasible
+        assert result.best_phase is not None
 
-    def test_pure_exploration_acts_as_random_search(self):
+    def test_pure_exploration_acts_as_random_search(self, monkeypatch):
+        for name in ("EPSILON_START", "EPSILON_DECAY", "EPSILON_MIN"):
+            monkeypatch.setattr(rl, name, 1.0)
         env = NomaPhaseEnv([tiny_scenario()], resolution_bits=2, alpha_step=0.5)
-        approx = QApproximator(
-            env.feature_dim, env.n_actions,
-            epsilon_start=1.0, epsilon_decay=1.0, epsilon_min=1.0, seeds=[20],
-        )
+        approx = QApproximator(env.feature_dim, env.n_actions, seeds=[20])
         (result,) = train_agent(env, approx, episodes=10, steps_per_episode=5, seeds=[21])
         bests = [p.best_reward for p in result.curve]
         assert all(b2 >= b1 for b1, b2 in zip(bests, bests[1:]))
@@ -596,7 +662,7 @@ class TestAgents:
     def test_tabular_agent_runs(self):
         env = NomaPhaseEnv([tiny_scenario()], resolution_bits=1, alpha_step=0.5)
         (result,) = train_tabular_agent(env, episodes=20, steps_per_episode=5, seeds=[24])
-        assert result.found_feasible
+        assert result.best_phase is not None
         assert len(result.curve) == 20
 
     def test_one_seed_per_run(self):
@@ -605,7 +671,7 @@ class TestAgents:
         with pytest.raises(ValueError, match="1 seeds for 2 runs"):
             train_agent(env, approx, 2, 2, seeds=[3])
         with pytest.raises(ValueError, match="1 networks for 2 runs"):
-            train_agent(env, QApproximator(env.feature_dim, env.n_actions), 2, 2, seeds=[3, 4])
+            train_agent(env, QApproximator(env.feature_dim, env.n_actions[0]), 2, 2, seeds=[3, 4])
         with pytest.raises(ValueError, match="3 seeds for 2 runs"):
             random_search(env, 4, seeds=[1, 2, 3])
 
@@ -613,18 +679,30 @@ class TestAgents:
 class TestLockstepEqualsSingleRuns:
     """E runs in lockstep equal the same E runs made one at a time, bit for bit.
 
-    The runs differ in power: at 1e-3 W the QoS floor is never met, and the
+    The runs differ in channels, clustering, floors and power, so their
+    action counts differ (11, 13, 13 and 11): the lockstep network pads the
+    shorter output layers.  At 1e-3 W the QoS floor is never met, and the
     reward scale grows with power, so at ``CLIP_NORM`` some runs clip their
     gradient in steps where others do not.
     """
 
-    POWERS = (1e-3, 0.5, 2.0, 20.0)
+    RUNS = (  # (channel seed, assignment, power, floors)
+        (8, (0, 0, 1, 1), 1e-3, 0.05),
+        (9, (0, 1, 1, 1), 0.5, 0.0),
+        (10, (0, 0, 0, 1), 2.0, (0.05, 0.0, 0.0, 0.05)),
+        (11, (1, 1, 0, 0), 20.0, 0.0),
+    )
     SEEDS = (11, 12, 13, 14)
     CLIP_NORM = 3.0
 
     def scenarios(self):
-        base = tiny_scenario(seed=8, n_clusters=2, users_per_cluster=2, k_elements=3)
-        return at_powers(dataclasses.replace(base, qos_floors=0.05), self.POWERS)
+        return [
+            dataclasses.replace(
+                tiny_scenario(seed, 2, 2, k_elements=3, power=power, assignment=assignment),
+                qos_floors=floors,
+            )
+            for seed, assignment, power, floors in self.RUNS
+        ]
 
     def search(self, algorithm, scenarios, seeds):
         """(results, learner, clipped runs per train step) of one lockstep search."""
@@ -652,7 +730,9 @@ class TestLockstepEqualsSingleRuns:
     def test_every_output_equal(self, algorithm):
         scenarios = self.scenarios()
         lockstep, approx, clipped = self.search(algorithm, scenarios, self.SEEDS)
-        assert [r.found_feasible for r in lockstep] == [False, True, True, True]
+        assert [r.best_phase is not None for r in lockstep] == [False, True, True, True]
+        if approx is not None:
+            assert approx.n_actions.tolist() == [11, 13, 13, 11]
         if algorithm == "dqn":
             assert len(clipped) == 81  # 10 x 12 transitions, warmup 40
             assert any(0 < n < len(scenarios) for n in clipped)
@@ -671,7 +751,8 @@ class TestLockstepEqualsSingleRuns:
                     approx.weights + approx.biases + approx.target_weights + approx.target_biases,
                     single.weights + single.biases + single.target_weights + single.target_biases,
                 ):
-                    assert np.array_equal(stacked[run], own[0])
+                    assert np.array_equal(stacked[run, : own.shape[1]], own[0])
+                    assert not stacked[run, own.shape[1] :].any()
             if algorithm == "tabular":
                 assert mine.learner.keys() == alone.learner.keys()
                 for key, values in mine.learner.items():
