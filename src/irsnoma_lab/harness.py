@@ -444,15 +444,14 @@ def _search(scenarios, config: ExperimentConfig, rngs) -> list:
     return train_tabular_agent(env, *budget)
 
 
-def optimize_scenario(
-    scenarios, config: ExperimentConfig, rngs
-) -> list[SlotOutcome]:
-    """Run the configured optimizer on E scenarios of one size, run e on ``rngs[e]``.
+def optimize_scenario(runs, config: ExperimentConfig) -> list[SlotOutcome]:
+    """Run the configured optimizer on (scenario, generator) runs of one size.
 
     The learners step the runs in lockstep, up to ``LOCKSTEP_RUNS`` at a
     time; the oracle searches each scenario alone.  Each plan's decoding
     order comes from the own gains the search kept for its winner.
     """
+    scenarios, rngs = zip(*runs)
     algorithm = config.algorithm
     if algorithm == "oracle":
         bests = [brute_force_optimum(s, _search_space(s, config)) for s in scenarios]
@@ -472,12 +471,6 @@ def optimize_scenario(
             best.best_rate, True, best.best_phase, best.best_splits, plan, curve
         ))
     return outcomes
-
-
-def optimize(runs, config: ExperimentConfig) -> list[SlotOutcome]:
-    """:func:`optimize_scenario` over (scenario, generator) runs of one size."""
-    scenarios, rngs = zip(*runs)
-    return optimize_scenario(scenarios, config, rngs)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +513,7 @@ def cmd_pipeline(config: ExperimentConfig) -> list[tuple]:
             runs += setup.runs(channels, fit.assignment, [f"slot{slot}"])
     rows = []
     curves = {}
-    for (seed, slot, fit), outcome in zip(slots, optimize(runs, config)):
+    for (seed, slot, fit), outcome in zip(slots, optimize_scenario(runs, config)):
         rows.append(
             (
                 seed,
@@ -560,7 +553,7 @@ def cmd_sweep_power(config: ExperimentConfig) -> list[tuple]:
     keys = [(seed, power) for seed in config.seeds for power in config.powers_dbm]
     rows = [
         (power, config.algorithm, seed, outcome.sum_rate)
-        for (seed, power), outcome in zip(keys, optimize(runs, config))
+        for (seed, power), outcome in zip(keys, optimize_scenario(runs, config))
     ]
     header = ["power_dbm", "algorithm", "seed", "sum_rate"]
     return _emit_sweep(config, "sweep_power", header, rows)
@@ -581,7 +574,7 @@ def cmd_sweep_elements(config: ExperimentConfig) -> list[tuple]:
         for setup, full in zip(setups, fulls):
             channels = full.slice_elements(k)
             runs += setup.runs(channels, setup.cluster(channels).assignment, [f"k{k}"])
-        per_k.append(optimize(runs, config))
+        per_k.append(optimize_scenario(runs, config))
     rows = [
         (k, config.power_dbm, seed, outcomes[i].sum_rate)
         for i, seed in enumerate(config.seeds)
@@ -645,7 +638,7 @@ def cmd_compare_oma(config: ExperimentConfig) -> list[tuple]:
         ]
         prepared.append((channels, gains))
         runs += seed_runs
-    outcomes = optimize(runs, config)
+    outcomes = optimize_scenario(runs, config)
     rows = []
     for i, power in enumerate(powers):
         for j, (channels, gains) in enumerate(prepared):

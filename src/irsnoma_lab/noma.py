@@ -258,7 +258,6 @@ class StackedChannels:
         return int(self.g_matrix.shape[-2])
 
 
-@dataclass(frozen=True, eq=False)
 class ScenarioStack:
     """E scenarios that share N, M, K and both flags, scored one point each.
 
@@ -271,27 +270,8 @@ class ScenarioStack:
     fails.
     """
 
-    scenarios: tuple
-    channels: StackedChannels = field(init=False, repr=False)
-    total_power: np.ndarray = field(init=False, repr=False)
-    interference_model: str = field(init=False, repr=False)
-    alpha_domain: str = field(init=False, repr=False)
-    member_table: np.ndarray = field(init=False, repr=False)
-    cluster_starts: np.ndarray = field(init=False, repr=False)
-    qos_floors: np.ndarray = field(init=False, repr=False)
-    user_cluster: np.ndarray = field(init=False, repr=False)
-    slot_cluster: np.ndarray = field(init=False, repr=False)
-    same_cluster: np.ndarray = field(init=False, repr=False)
-    other_beams: np.ndarray = field(init=False, repr=False)
-    sic_later: np.ndarray = field(init=False, repr=False)
-    sic_earlier: np.ndarray = field(init=False, repr=False)
-    run_index: tuple = field(init=False, repr=False)
-    own_beam_at: tuple = field(init=False, repr=False)
-    sic_later_at: tuple = field(init=False, repr=False)
-    sic_earlier_at: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        scenarios = tuple(self.scenarios)
+    def __init__(self, scenarios):
+        self.scenarios = scenarios = tuple(scenarios)
         if not scenarios:
             raise ValueError("at least one scenario is required")
 
@@ -306,46 +286,41 @@ class ScenarioStack:
                     "stacked scenarios must share users, clusters, elements and flags: "
                     f"{size(first)} vs {size(s)}"
                 )
-        n_runs, n_users, n_clusters = len(scenarios), first.channels.n_users, first.n_clusters
-        width = max(len(mem) for s in scenarios for mem in s.members)
-        n_pairs = max(len(s.sic_later) for s in scenarios)
-
-        def pairs(s, name):
-            return np.pad(getattr(s, name), (0, n_pairs - len(s.sic_later)))
 
         def stack(name):
             return np.stack([getattr(s, name) for s in scenarios])
 
-        later = np.stack([pairs(s, "sic_later") for s in scenarios])[:, None]
-        earlier = np.stack([pairs(s, "sic_earlier") for s in scenarios])[:, None]
-        runs = np.arange(n_runs)[:, None, None]
-        user_cluster = stack("user_cluster")
-        for name, value in (
-            ("scenarios", scenarios),
-            ("channels", StackedChannels(
-                np.stack([s.channels.g_matrix for s in scenarios]),
-                np.stack([s.channels.user_channels for s in scenarios]),
-                np.array([s.channels.noise_variance for s in scenarios])[:, None, None],
-            )),
-            ("total_power", np.array([s.total_power for s in scenarios], dtype=float)),
-            ("interference_model", first.interference_model),
-            ("alpha_domain", first.alpha_domain),
-            ("member_table", np.stack([member_table(s.members, width) for s in scenarios])),
-            # Every run's cluster starts in the runs' concatenated rows.
-            ("cluster_starts", (stack("cluster_starts") + n_users * runs[:, :, 0]).ravel()),
-            ("qos_floors", stack("qos_floors")),
-            ("user_cluster", user_cluster),
-            ("slot_cluster", stack("slot_cluster")),
-            ("same_cluster", stack("same_cluster")[:, None]),
-            ("other_beams", stack("other_beams")),
-            ("sic_later", later),
-            ("sic_earlier", earlier),
-            ("run_index", (runs[:, :, 0],)),
-            ("own_beam_at", (runs, np.arange(n_clusters)[:, None], user_cluster[:, None])),
-            ("sic_later_at", (runs, later)),
-            ("sic_earlier_at", (runs, 0, earlier)),
-        ):
-            object.__setattr__(self, name, value)
+        def pairs(name):
+            n_pairs = max(len(s.sic_later) for s in scenarios)
+            return np.stack([
+                np.pad(getattr(s, name), (0, n_pairs - len(s.sic_later))) for s in scenarios
+            ])[:, None]
+
+        n_users, n_clusters = first.channels.n_users, first.n_clusters
+        width = max(len(mem) for s in scenarios for mem in s.members)
+        runs = np.arange(len(scenarios))[:, None, None]
+        self.channels = StackedChannels(
+            np.stack([s.channels.g_matrix for s in scenarios]),
+            np.stack([s.channels.user_channels for s in scenarios]),
+            np.array([s.channels.noise_variance for s in scenarios])[:, None, None],
+        )
+        self.total_power = np.array([s.total_power for s in scenarios], dtype=float)
+        self.interference_model = first.interference_model
+        self.alpha_domain = first.alpha_domain
+        self.member_table = np.stack([member_table(s.members, width) for s in scenarios])
+        # Every run's cluster starts in the runs' rows laid end to end.
+        self.cluster_starts = (stack("cluster_starts") + n_users * runs[:, :, 0]).ravel()
+        self.qos_floors = stack("qos_floors")
+        self.user_cluster = stack("user_cluster")
+        self.slot_cluster = stack("slot_cluster")
+        self.same_cluster = stack("same_cluster")[:, None]
+        self.other_beams = stack("other_beams")
+        self.sic_later = pairs("sic_later")
+        # Row e of the scorer's arrays reads run e's layout.
+        self.run_index = (runs[:, :, 0],)
+        self.own_beam_at = (runs, np.arange(n_clusters)[:, None], self.user_cluster[:, None])
+        self.sic_later_at = (runs, self.sic_later)
+        self.sic_earlier_at = (runs, 0, pairs("sic_earlier"))
 
     def __len__(self) -> int:
         return len(self.scenarios)

@@ -268,3 +268,10 @@ def test_pipeline_dqn_runs_match_stored_hash(tmp_path, monkeypatch):
     _, rows = harness.read_csv(tmp_path / "out" / "pipeline.csv")
     assert len({row[4] for row in rows}) > 1
     assert add_outcomes(digest, outcomes) == PIPELINE_DQN_SHA256
+
+
+@pytest.mark.parametrize("lockstep_runs", [1, 4])
+def test_pipeline_dqn_hash_holds_in_chunks(tmp_path, monkeypatch, lockstep_runs):
+    """Its six runs one at a time, or in chunks of 4 and 2, give the same hash."""
+    monkeypatch.setattr(harness, "LOCKSTEP_RUNS", lockstep_runs)
+    test_pipeline_dqn_runs_match_stored_hash(tmp_path, monkeypatch)

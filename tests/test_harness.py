@@ -289,7 +289,7 @@ class TestWinnerPlan:
         setup = prepare(cfg, 1)
         channels, fit = setup.draw(cfg.k_elements)
         scenario = setup.scenario(channels, fit.assignment)
-        (outcome,) = optimize_scenario([scenario], cfg, [setup.registry.rng("agent/test")])
+        (outcome,) = optimize_scenario([(scenario, setup.registry.rng("agent/test"))], cfg)
         assert outcome.feasible
         assert max(len(order) for order in outcome.plan.decoding_order) > 1
         if algorithm == "dqn":
