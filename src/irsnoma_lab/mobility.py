@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -151,6 +152,13 @@ class RecurrentPredictor:
     u is user u's own predictor and one predictor is ``n_users=1``.  Windows
     and targets carry the same leading user axis; ``predictor[u]`` is user
     u's one-user view of the shared weights.
+
+    A forward pass caches its steps gate-major: each step's [x; h] operand
+    is one contiguous (U, B, D+H) slot of a (T+1, U, B, D+H) buffer, each
+    step's activated gates one (4, U, B, H) block (i, f, o, g), so every
+    elementwise op runs on contiguous arrays while each matmul reads the
+    layout a plain concatenation would give it.  These work arrays are kept
+    between calls with the same (U, B, T) and overwritten by the next.
     """
 
     def __init__(
@@ -171,6 +179,7 @@ class RecurrentPredictor:
         self.n_users = n_users
         self.learning_rate = float(learning_rate)
         self.clip_norm = float(clip_norm)
+        self._work_shape = None
         rng = as_rng(seed)
         lim = 1.0 / np.sqrt(hidden_dim + input_dim)
         self.w_gates = np.empty((n_users, 4 * hidden_dim, input_dim + hidden_dim))
@@ -203,27 +212,71 @@ class RecurrentPredictor:
 
     # -- forward ------------------------------------------------------------
 
+    def _work_arrays(self, u: int, b: int, t: int) -> SimpleNamespace:
+        """Work arrays for (U, B, T) batches, kept while that shape repeats.
+
+        Fresh arrays of this size come back from the allocator as new pages,
+        and every call would pay a page fault for each page it touches.
+        """
+        if self._work_shape != (u, b, t):
+            hd, d = self.hidden_dim, self.input_dim
+            self._work_shape = (u, b, t)
+            self._work = SimpleNamespace(
+                xh=np.empty((t + 1, u, b, d + hd)),
+                c=np.empty((t + 1, u, b, hd)),
+                acts=np.empty((t, 4, u, b, hd)),
+                tanh_c=np.empty((t, u, b, hd)),
+                z=np.empty((u, b, 4 * hd)),
+                b_gates=np.empty((4, u, b, hd)),
+                cell=np.empty((u, b, hd)),
+                sig_rest=np.empty((t, 3, u, b, hd)),
+                tanh_c_slope=np.empty((t, u, b, hd)),
+                g_slope=np.empty((t, u, b, hd)),
+                d_sig=np.empty((3, u, b, hd)),
+                dz=np.empty((u, b, 4 * hd)),
+                dh=np.empty((u, b, hd)),
+                dc=np.empty((u, b, hd)),
+                w_term=np.empty((u, 4 * hd, d + hd)),
+                b_term=np.empty((u, 4 * hd)),
+            )
+        return self._work
+
     def _forward_batch(self, windows: np.ndarray):
+        """Outputs (U, B, D), the last hidden state and the gate-major cache.
+
+        ``xh[s]`` is step s's contiguous [x; h] operand and ``xh[t]`` holds the
+        final hidden state; ``c[s]`` is the cell state entering step s,
+        ``acts[s]`` the activated (i, f, o, g) gates, gate first, and
+        ``tanh_c[s]`` the tanh of step s's new cell state.
+        """
         u, b, t, d = windows.shape
         hd = self.hidden_dim
-        h = np.zeros((u, b, hd))
-        c = np.zeros((u, b, hd))
+        ws = self._work_arrays(u, b, t)
+        xh, c, acts, tanh_c = ws.xh, ws.c, ws.acts, ws.tanh_c
+        xh[:t, ..., :d] = windows.transpose(2, 0, 1, 3)
+        xh[0, ..., d:] = 0.0
+        c[0] = 0.0
+        z_gates = ws.z.reshape(u, b, 4, hd).transpose(2, 0, 1, 3)
         w_gates_t = self.w_gates.transpose(0, 2, 1)
-        b_gates = self.b_gates[:, None, :]
-        cache = []
+        # The bias spread over the batch, gate-major: adding a contiguous
+        # operand beats broadcasting it along the strided product.
+        ws.b_gates[...] = self.b_gates.reshape(u, 4, 1, hd).transpose(1, 0, 2, 3)
         for step in range(t):
-            x = windows[:, :, step, :]
-            z = np.concatenate([x, h], axis=2) @ w_gates_t + b_gates
-            gates = _sigmoid(z[..., : 3 * hd])
-            i, f, o = gates[..., :hd], gates[..., hd : 2 * hd], gates[..., 2 * hd :]
-            g = np.tanh(z[..., 3 * hd :])
-            c_new = f * c + i * g
-            tanh_c = np.tanh(c_new)
-            h_new = o * tanh_c
-            cache.append((x, h, c, i, f, o, g, tanh_c))
-            h, c = h_new, c_new
-        y = h @ self.w_out.transpose(0, 2, 1) + self.b_out[:, None, :]
-        return y, h, cache
+            np.matmul(xh[step], w_gates_t, out=ws.z)
+            a = acts[step]
+            np.add(z_gates, ws.b_gates, out=a)
+            _sigmoid(a[:3], out=a[:3])
+            np.tanh(a[3], out=a[3])
+            i, f, o, g = a
+            np.multiply(f, c[step], out=c[step + 1])
+            np.multiply(i, g, out=ws.cell)
+            c[step + 1] += ws.cell
+            np.tanh(c[step + 1], out=tanh_c[step])
+            np.multiply(o, tanh_c[step], out=xh[step + 1, ..., d:])
+        # A contiguous copy: a strided operand can change the matmul's bits.
+        h_last = xh[t, ..., d:].copy()
+        y = h_last @ self.w_out.transpose(0, 2, 1) + self.b_out[:, None, :]
+        return y, h_last, ws
 
     def forward(self, windows) -> np.ndarray:
         """Each user's prediction from its own window: (U, window_len, D) -> (U, D)."""
@@ -241,16 +294,25 @@ class RecurrentPredictor:
     def loss_and_gradients(self, windows, targets):
         """Per-user MSE losses (U,) and their analytic gradients (no update).
 
-        ``windows`` is (U, B, window_len, D) and ``targets`` (U, B, D); user
-        u's loss and gradient slice depend on its own batch alone.
+        ``windows`` is (U, B, window_len, D) and ``targets`` (U, B, D) with
+        B >= 1; user u's loss and gradient slice depend on its own batch alone.
         """
         windows = np.asarray(windows, dtype=float)
         targets = np.asarray(targets, dtype=float)
-        u, b = windows.shape[:2]
-        hd = self.hidden_dim
-        d = self.input_dim
+        u, hd, d = self.n_users, self.hidden_dim, self.input_dim
+        b = windows.shape[1] if windows.ndim == 4 else 0
+        if windows.shape != (u, b, self.window_len, d) or b == 0:
+            raise ValueError(
+                f"windows must be a non-empty (n_users, batch, window_len, input_dim) = "
+                f"({u}, B, {self.window_len}, {d}) array, got {windows.shape}"
+            )
+        if targets.shape != (u, b, d):
+            raise ValueError(
+                f"targets must be (n_users, batch, input_dim) = {(u, b, d)}, "
+                f"got {targets.shape}"
+            )
 
-        y, h_last, cache = self._forward_batch(windows)
+        y, h_last, ws = self._forward_batch(windows)
         err = y - targets
         losses = np.mean((err**2).reshape(u, -1), axis=1)
 
@@ -261,28 +323,37 @@ class RecurrentPredictor:
             "w_gates": np.zeros_like(self.w_gates),
             "b_gates": np.zeros_like(self.b_gates),
         }
-        dh = dy @ self.w_out
-        dc = np.zeros((u, b, hd))
-        for x, h_prev, c_prev, i, f, o, g, tanh_c in reversed(cache):
-            do = dh * tanh_c
-            dc = dc + dh * o * (1.0 - tanh_c**2)
-            di = dc * g
-            dg = dc * i
-            df = dc * c_prev
-            dz = np.concatenate(
-                [
-                    di * i * (1.0 - i),
-                    df * f * (1.0 - f),
-                    do * o * (1.0 - o),
-                    dg * (1.0 - g**2),
-                ],
-                axis=2,
-            )
-            xh = np.concatenate([x, h_prev], axis=2)
-            grads["w_gates"] += dz.transpose(0, 2, 1) @ xh
-            grads["b_gates"] += dz.sum(axis=1)
-            dh = dz @ self.w_gates[:, :, d:]
-            dc = dc * f
+        acts, tanh_c, dz, d_sig, dh, dc = ws.acts, ws.tanh_c, ws.dz, ws.d_sig, ws.dh, ws.dc
+        # Every step's slope factors, one pass each.
+        np.subtract(1.0, acts[:, :3], out=ws.sig_rest)
+        np.square(tanh_c, out=ws.tanh_c_slope)
+        np.subtract(1.0, ws.tanh_c_slope, out=ws.tanh_c_slope)
+        np.square(acts[:, 3], out=ws.g_slope)
+        np.subtract(1.0, ws.g_slope, out=ws.g_slope)
+        # dz is each step's (U, B, 4H) matmul operand; dz_gates is its
+        # gate-major view, written one gate block at a time.
+        t = len(acts)
+        dz_gates = dz.reshape(u, b, 4, hd).transpose(2, 0, 1, 3)
+        w_h = self.w_gates[:, :, d:]
+        np.matmul(dy, self.w_out, out=dh)
+        dc[...] = 0.0
+        for step in reversed(range(t)):
+            i, f, o, g = acts[step]
+            np.multiply(dh, tanh_c[step], out=d_sig[2])
+            np.multiply(dh, o, out=ws.cell)
+            ws.cell *= ws.tanh_c_slope[step]
+            dc += ws.cell
+            np.multiply(dc, g, out=d_sig[0])
+            np.multiply(dc, ws.c[step], out=d_sig[1])
+            d_sig *= acts[step, :3]
+            np.multiply(d_sig, ws.sig_rest[step], out=dz_gates[:3])
+            np.multiply(dc, i, out=ws.cell)
+            np.multiply(ws.cell, ws.g_slope[step], out=dz_gates[3])
+            np.matmul(dz.transpose(0, 2, 1), ws.xh[step], out=ws.w_term)
+            grads["w_gates"] += ws.w_term
+            grads["b_gates"] += dz.sum(axis=1, out=ws.b_term)
+            np.matmul(dz, w_h, out=dh)
+            dc *= f
         return losses, grads
 
     def train_step(self, windows, targets) -> tuple[np.ndarray, int]:
@@ -290,10 +361,9 @@ class RecurrentPredictor:
 
         Each user's gradient is clipped by its own norm.  Returns the
         per-user pre-update losses (U,) and how many users were clipped.
+        Windows must be (n_users, B, window_len, input_dim) and targets
+        (n_users, B, input_dim), with B >= 1.
         """
-        windows = np.asarray(windows, dtype=float)
-        if windows.ndim != 4 or windows.shape[1] == 0:
-            raise ValueError("windows must be a non-empty (users, batch, window, dim) array")
         losses, grads = self.loss_and_gradients(windows, targets)
         norms = np.sqrt(
             sum(np.sum((g**2).reshape(self.n_users, -1), axis=1) for g in grads.values())
@@ -312,10 +382,17 @@ class RecurrentPredictor:
         return losses, int(clipped.sum())
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function; ``exp`` only ever sees a non-positive argument."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function ``exp(min(x, 0)) / (1 + exp(-|x|))``.
+
+    ``exp`` only ever sees a non-positive argument.  ``out`` may be ``x``.
+    """
+    den = np.copysign(x, -1.0)
+    np.exp(den, out=den)
+    den += 1.0
+    num = np.minimum(x, 0.0, out=out)
+    np.exp(num, out=num)
+    return np.divide(num, den, out=num)
 
 
 def sliding_windows(positions: np.ndarray, window_len: int):

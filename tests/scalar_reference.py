@@ -20,8 +20,9 @@ ray cast behind ``ServiceRegion.contains_many``, and the per-pair gain
 difference and correlation of the rough partition's threshold gate.
 
 Algorithm 1's LSTM for one user: 2-D weights, one batch, one gradient
-norm.  ``mobility.RecurrentPredictor`` trains every user at once on a
-leading user axis and must equal this user by user, bit for bit.
+norm, and its own two-branch sigmoid.  ``mobility.RecurrentPredictor``
+trains every user at once on a leading user axis and must equal this user
+by user, bit for bit.
 
 Last, the DQN's Q-network for one run, :class:`QNetReference`: 2-D
 weights, one minibatch, one gradient norm.  ``rl.QApproximator`` trains
@@ -37,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from irsnoma_lab.channel import PhaseConfig, effective_channels_batch
-from irsnoma_lab.mobility import _sigmoid
 from irsnoma_lab.noma import (
     SIC_RATE_TOL,
     ClusterPlan,
@@ -400,6 +400,12 @@ def correlation(a, b) -> float:
 # -- Algorithm 1's LSTM, one user ---------------------------------------------
 
 
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function, both branches evaluated and one picked per element."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def lstm_init(rng, input_dim: int, hidden_dim: int) -> dict:
     """One user's weights: the gate block's draws, then the head's."""
     lim = 1.0 / np.sqrt(hidden_dim + input_dim)
@@ -423,7 +429,7 @@ def lstm_forward_batch(params: dict, windows: np.ndarray):
     for step in range(t):
         x = windows[:, step, :]
         z = np.concatenate([x, h], axis=1) @ params["w_gates"].T + params["b_gates"]
-        gates = _sigmoid(z[:, : 3 * hd])
+        gates = sigmoid(z[:, : 3 * hd])
         i, f, o = gates[:, :hd], gates[:, hd : 2 * hd], gates[:, 2 * hd :]
         g = np.tanh(z[:, 3 * hd :])
         c_new = f * c + i * g

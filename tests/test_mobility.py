@@ -215,6 +215,21 @@ class TestLstmTraining:
                 np.empty((0, 8, 2))[None], np.empty((0, 2))[None]
             )
 
+    def test_malformed_batch_rejected_before_training(self):
+        # Three users, batches of five, windows of three 2-D rows.
+        pred = RecurrentPredictor(hidden_dim=4, window_len=3, n_users=3, seed=10)
+        before = {k: v.copy() for k, v in pred.parameters().items()}
+        windows = np.ones((3, 5, 3, 2))
+        for shape in [(3, 1, 2), (5, 2), (1, 5, 1), (3, 5), (3, 5, 1), (3, 5, 2, 1)]:
+            with pytest.raises(ValueError, match="targets must be"):
+                pred.train_step(windows, np.ones(shape))
+        targets = np.ones((3, 5, 2))
+        for shape in [(5, 3, 2), (1, 5, 3, 2), (3, 5, 4, 2), (3, 5, 3, 1), (3, 5, 3, 2, 1)]:
+            with pytest.raises(ValueError, match="windows must be"):
+                pred.train_step(np.ones(shape), targets)
+        for k, v in pred.parameters().items():
+            assert np.array_equal(v, before[k])
+
 
 class TestLockstepEqualsScalarReference:
     def test_training_is_bit_identical_per_user(self):
@@ -229,42 +244,69 @@ class TestLockstepEqualsScalarReference:
             hidden = int(rng.integers(1, 9))
             window_len = int(rng.integers(1, 7))
             batch = int(rng.integers(1, 18))
-            target_scale = 10.0 ** rng.uniform(-1.0, 1.0, size=(n_users, 1, 1))
-            batches = [
-                (
-                    rng.standard_normal((n_users, batch, window_len, 2)),
-                    rng.standard_normal((n_users, batch, 2)) * target_scale,
-                )
-                for _ in range(20)
-            ]
-            init_rng = np.random.default_rng(case)
-            refs = [lstm_init(init_rng, 2, hidden) for _ in range(n_users)]
-            first_norms = []
-            for ref, w, t in zip(refs, *batches[0]):
-                _, grads = lstm_loss_and_gradients(ref, w, t)
-                first_norms.append(np.sqrt(sum(float(np.sum(g**2)) for g in grads.values())))
-            clip_norm = float(np.median(first_norms))
-            pred = RecurrentPredictor(
-                hidden_dim=hidden, window_len=window_len, learning_rate=0.05,
-                clip_norm=clip_norm, n_users=n_users, seed=case,
-            )
-            self.assert_same_weights(pred, refs)
-            for windows, targets in batches:
-                losses, n_clipped = pred.train_step(windows, targets)
-                want = [
-                    lstm_train_step(ref, w, t, 0.05, clip_norm)
-                    for ref, w, t in zip(refs, windows, targets)
-                ]
-                assert np.array_equal(losses, [loss for loss, _ in want])
-                assert isinstance(n_clipped, int)
-                assert n_clipped == sum(flag for _, flag in want)
-                self.assert_same_weights(pred, refs)
+            for n_clipped in self.check_case(rng, case, n_users, hidden, window_len, batch):
                 key = "none" if n_clipped == 0 else "all" if n_clipped == n_users else "some"
                 counts[key] += 1
-            windows = rng.standard_normal((n_users, window_len, 2))
-            want = [lstm_forward_batch(ref, w[None])[0][0] for ref, w in zip(refs, windows)]
-            assert np.array_equal(pred.forward(windows), want)
         assert min(counts.values()) > 0, counts
+
+    @pytest.mark.parametrize(
+        ("n_users", "hidden", "window_len", "batch"),
+        [
+            pytest.param(10, 16, 8, 16, id="paper-shape"),
+            # One hidden unit over a batch: a strided hidden-state operand
+            # changes the head's gradient bits at this shape.
+            pytest.param(3, 1, 5, 12, id="one-hidden-unit"),
+        ],
+    )
+    def test_fixed_shape_is_bit_identical_per_user(self, n_users, hidden, window_len, batch):
+        rng = np.random.default_rng(2025)
+        self.check_case(rng, 0, n_users, hidden, window_len, batch)
+
+    def check_case(self, rng, case, n_users, hidden, window_len, batch):
+        """Train 20 steps and forward once against the reference; the clip counts."""
+        target_scale = 10.0 ** rng.uniform(-1.0, 1.0, size=(n_users, 1, 1))
+        batches = [
+            (
+                rng.standard_normal((n_users, batch, window_len, 2)),
+                rng.standard_normal((n_users, batch, 2)) * target_scale,
+            )
+            for _ in range(20)
+        ]
+        init_rng = np.random.default_rng(case)
+        refs = [lstm_init(init_rng, 2, hidden) for _ in range(n_users)]
+        first_grads = [
+            lstm_loss_and_gradients(ref, w, t)[1] for ref, w, t in zip(refs, *batches[0])
+        ]
+        first_norms = [
+            np.sqrt(sum(float(np.sum(g**2)) for g in grads.values())) for grads in first_grads
+        ]
+        clip_norm = float(np.median(first_norms))
+        pred = RecurrentPredictor(
+            hidden_dim=hidden, window_len=window_len, learning_rate=0.05,
+            clip_norm=clip_norm, n_users=n_users, seed=case,
+        )
+        self.assert_same_weights(pred, refs)
+        # Gradients bit for bit too: an update can round a last-bit
+        # difference away.
+        _, grads = pred.loss_and_gradients(*batches[0])
+        for name, value in grads.items():
+            assert np.array_equal(value, [g[name] for g in first_grads]), name
+        clip_counts = []
+        for windows, targets in batches:
+            losses, n_clipped = pred.train_step(windows, targets)
+            want = [
+                lstm_train_step(ref, w, t, 0.05, clip_norm)
+                for ref, w, t in zip(refs, windows, targets)
+            ]
+            assert np.array_equal(losses, [loss for loss, _ in want])
+            assert isinstance(n_clipped, int)
+            assert n_clipped == sum(flag for _, flag in want)
+            self.assert_same_weights(pred, refs)
+            clip_counts.append(n_clipped)
+        windows = rng.standard_normal((n_users, window_len, 2))
+        want = [lstm_forward_batch(ref, w[None])[0][0] for ref, w in zip(refs, windows)]
+        assert np.array_equal(pred.forward(windows), want)
+        return clip_counts
 
     @staticmethod
     def assert_same_weights(pred, refs):
