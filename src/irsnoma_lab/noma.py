@@ -267,13 +267,18 @@ class ScenarioStack:
     widest cluster by repeating a member, which never wins the head
     ``argmax``, and SIC pairs to the most pairs by self-pairs (slot 0
     decoding its own signal), whose check repeats the own rate and never
-    fails.
+    fails.  A scenario listed more than once (the same object) is stacked
+    once, and its rows are taken by index.
     """
 
     def __init__(self, scenarios):
-        self.scenarios = scenarios = tuple(scenarios)
-        if not scenarios:
+        self.scenarios = tuple(scenarios)
+        if not self.scenarios:
             raise ValueError("at least one scenario is required")
+        # Each distinct scenario once, and the position of run e's among them.
+        scenarios = list({id(s): s for s in self.scenarios}.values())
+        positions = {id(s): i for i, s in enumerate(scenarios)}
+        index = [positions[id(s)] for s in self.scenarios]
 
         def size(s):
             c = s.channels
@@ -287,27 +292,30 @@ class ScenarioStack:
                     f"{size(first)} vs {size(s)}"
                 )
 
+        def take(rows):  # one row per distinct scenario -> one per run
+            return np.stack(rows)[index]
+
         def stack(name):
-            return np.stack([getattr(s, name) for s in scenarios])
+            return take([getattr(s, name) for s in scenarios])
 
         def pairs(name):
             n_pairs = max(len(s.sic_later) for s in scenarios)
-            return np.stack([
+            return take([
                 np.pad(getattr(s, name), (0, n_pairs - len(s.sic_later))) for s in scenarios
             ])[:, None]
 
         n_users, n_clusters = first.channels.n_users, first.n_clusters
         width = max(len(mem) for s in scenarios for mem in s.members)
-        runs = np.arange(len(scenarios))[:, None, None]
+        runs = np.arange(len(index))[:, None, None]
         self.channels = StackedChannels(
-            np.stack([s.channels.g_matrix for s in scenarios]),
-            np.stack([s.channels.user_channels for s in scenarios]),
-            np.array([s.channels.noise_variance for s in scenarios])[:, None, None],
+            take([s.channels.g_matrix for s in scenarios]),
+            take([s.channels.user_channels for s in scenarios]),
+            take([s.channels.noise_variance for s in scenarios])[:, None, None],
         )
-        self.total_power = np.array([s.total_power for s in scenarios], dtype=float)
+        self.total_power = take([float(s.total_power) for s in scenarios])
         self.interference_model = first.interference_model
         self.alpha_domain = first.alpha_domain
-        self.member_table = np.stack([member_table(s.members, width) for s in scenarios])
+        self.member_table = take([member_table(s.members, width) for s in scenarios])
         # Every run's cluster starts in the runs' rows laid end to end.
         self.cluster_starts = (stack("cluster_starts") + n_users * runs[:, :, 0]).ravel()
         self.qos_floors = stack("qos_floors")

@@ -79,9 +79,7 @@ def zero_forcing(
         cond = sv[:, 0] / sv[:, -1]
     ok = np.isfinite(cond) & (cond <= condition_limit)
     hmat = hmat[ok]
-    w = np.linalg.solve(
-        hmat, np.broadcast_to(np.eye(n_clusters, dtype=complex), hmat.shape)
-    )
+    w = np.linalg.inv(hmat)
     used = (np.abs(w) ** 2).reshape(len(w), n_clusters * n_clusters).sum(axis=1)
     w *= np.sqrt((power[ok] if power.ndim else power) / used)[:, None, None]
     if not np.isfinite(w.view(float)).all():

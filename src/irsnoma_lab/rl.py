@@ -18,8 +18,10 @@ against a periodically synchronized target copy,
 
     y = r + beta * max_a' Q_target(s', a'),    loss = mean (y - Q(s, a))^2
 
-with uniform replay sampling.  The random-phase baseline scores random
-states only.
+with uniform replay sampling.  The target copy changes only at a sync, so
+the replay keeps each slot's max target value and rescores a sampled slot
+only when it is stale: pushed since it was last scored, or scored before
+the latest sync.  The random-phase baseline scores random states only.
 
 Every search runs E runs in lockstep: one environment scores all E states
 of a step in one evaluator call, and the learners carry a leading run axis.
@@ -89,21 +91,24 @@ class ReplayMemory:
     for plain features, or :attr:`NomaPhaseEnv.state_dtype`'s compact
     record.  Every field carries a leading run axis of length ``n_runs``;
     each push stores one transition per run, so all runs hold the same
-    count.
+    count.  ``next_max`` caches each slot's max target value, valid while
+    ``scored_at`` holds the current target sync, and a push marks its slot
+    stale; both are flat and indexed by the rows of :meth:`sample`.
     """
 
     def __init__(self, capacity: int, state_dtype, n_runs: int = 1):
         self.capacity = int(capacity)
-        self.states = np.empty((n_runs, self.capacity), dtype=state_dtype)
+        size = n_runs * self.capacity
+        # States and next states share one array, so one np.take gathers both.
+        records = np.empty((2, n_runs, self.capacity), dtype=state_dtype)
+        self.states, self.next_states = records
         self.actions = np.empty((n_runs, self.capacity), dtype=np.int64)
         self.rewards = np.empty((n_runs, self.capacity))
-        self.next_states = np.empty((n_runs, self.capacity), dtype=state_dtype)
-        # Views with one row per (run, slot), run-major: a minibatch is one
-        # np.take per field, far cheaper on records than fancy indexing.
-        self._rows = [
-            field.reshape(n_runs * self.capacity, *field.shape[2:])
-            for field in (self.states, self.actions, self.rewards, self.next_states)
-        ]
+        self.next_max = np.empty(size)
+        self.scored_at = np.full(size, -1)
+        # Views with one row per (run, slot), run-major, next states after
+        # states: np.take on them is far cheaper on records than fancy indexing.
+        self._records = records.reshape(2 * size, *records.shape[3:])
         self._run_starts = np.arange(n_runs)[:, None] * self.capacity
         self._size = 0
         self._cursor = 0
@@ -115,17 +120,25 @@ class ReplayMemory:
         self.actions[:, i] = actions
         self.rewards[:, i] = rewards
         self.next_states[:, i] = next_states
+        self.scored_at[self._run_starts + i] = -1
         self._cursor = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
     def sample(self, rngs, batch_size: int):
-        """(states, actions, rewards, next_states) of one uniform minibatch per run.
+        """(rows, actions, rewards) of one uniform minibatch per run, each (E, B).
 
-        Run e's picks come from ``rngs[e]``; the fields are (E, B, ...).
+        Run e's picks come from ``rngs[e]``; ``rows`` are their (run, slot)
+        indices, run-major.
         """
         idx = np.stack([rng.integers(0, self._size, size=batch_size) for rng in rngs])
         rows = self._run_starts + idx
-        return tuple(np.take(field, rows, axis=0) for field in self._rows)
+        return rows, np.take(self.actions, rows), np.take(self.rewards, rows)
+
+    def records(self, state_rows, next_rows) -> np.ndarray:
+        """(E, B + W) entries in one gather: the states of ``state_rows`` (E, B),
+        then the next states of ``next_rows`` (E, W)."""
+        rows = np.concatenate([state_rows, next_rows + len(self.next_max)], axis=1)
+        return np.take(self._records, rows, axis=0)
 
     def __len__(self) -> int:
         return self._size
@@ -144,7 +157,8 @@ class QApproximator:
     ``n_actions`` is one action count for every run or one per run.  Run
     e's output layer is drawn at its own count A_e and zero-padded to the
     largest A; its padded outputs stay 0, take no gradient, and
-    :meth:`masked` hides them from every max.
+    :meth:`masked` hides them from every max.  ``syncs`` counts the target
+    syncs, the one at construction included.
     """
 
     def __init__(
@@ -188,6 +202,7 @@ class QApproximator:
                 w[:n] = rng.uniform(-lim, lim, size=(n, fan_in))
             self.weights.append(weights)
             self.biases.append(np.zeros((len(rngs), fan_out)))
+        self.syncs = 0
         self.sync_target()
         self._train_steps = 0
 
@@ -240,24 +255,23 @@ class QApproximator:
             raise ValueError("features contain non-finite values")
         return self._forward(x, self.weights, self.biases)[0]
 
-    def target_values(self, features) -> np.ndarray:
-        return self._forward(features, self.target_weights, self.target_biases)[0]
-
     def sync_target(self):
         self.target_weights = [w.copy() for w in self.weights]
         self.target_biases = [b.copy() for b in self.biases]
+        self.syncs += 1
 
     # -- training ---------------------------------------------------------
 
-    def td_target(self, rewards, next_features) -> np.ndarray:
-        """Minibatch targets ``r + beta * max_a' Q_target(s', a')``, (E, B), in one forward.
+    def target_max(self, features) -> np.ndarray:
+        """``max_a' Q_target(s', a')`` of rows (E, ..., D), (E, ...), in one forward.
 
         Rows go through as stacked one-row products, which round like scoring
-        each transition alone (a plain ``X @ W.T`` does not).
+        each row alone (a plain ``X @ W.T`` does not): a row's value has the
+        same bits whichever rows share the call.
         """
-        rows = np.asarray(next_features, dtype=float)[..., None, :]
-        values = self.masked(self.target_values(rows))
-        return rewards + self.discount * np.max(values, axis=(-2, -1))
+        rows = np.asarray(features, dtype=float)[..., None, :]
+        values = self._forward(rows, self.target_weights, self.target_biases)[0]
+        return np.max(self.masked(values), axis=(-2, -1))
 
     def loss_and_gradients(self, features, actions, targets):
         """Per-run mean squared TD loss (E,) and gradients w.r.t. the online weights.
@@ -296,15 +310,17 @@ class QApproximator:
                 delta = back * (pre_acts[layer - 1] > 0)
         return losses, grads_w, grads_b
 
-    def train_step(self, features, actions, rewards, next_features) -> tuple[np.ndarray, int]:
+    def train_step(self, features, actions, rewards, next_max) -> tuple[np.ndarray, int]:
         """One descent step per run on its replay minibatch; hard-syncs on schedule.
 
-        Each run's gradient is clipped by its own norm.  Returns the per-run
-        losses (E,) and the number of runs whose gradient was clipped.
+        The targets are ``rewards + discount * next_max``, with ``next_max``
+        (E, B) from :meth:`target_max`.  Each run's gradient is clipped by its
+        own norm.  Returns the per-run losses (E,) and the number of runs
+        whose gradient was clipped.
         """
         if not np.shape(actions)[-1]:
             raise ValueError("minibatch must be non-empty")
-        targets = self.td_target(rewards, next_features)
+        targets = rewards + self.discount * next_max
         losses, grads_w, grads_b = self.loss_and_gradients(features, actions, targets)
         # Per run, each layer's squares are summed as one flat row, and the
         # layer sums are added weights first, then biases.  A run's padded
@@ -612,6 +628,7 @@ def train_agent(
         raise ValueError(f"networks of {approx.n_actions} actions for runs of {env.n_actions}")
     capacity = min(REPLAY_CAPACITY, episodes * steps_per_episode)
     memory = ReplayMemory(capacity, env.state_dtype, env.n_runs)
+    run_axis = np.arange(env.n_runs)[:, None]
     # The last next state and its record: the next step starts from it.
     last = [None, None]
 
@@ -619,14 +636,21 @@ def train_agent(
         record = last[1] if state is last[0] else env.pack(state)
         last[:] = next_state, env.pack(next_state)
         memory.push(record, actions, rewards, last[1])
-        if len(memory) >= max(BATCH_SIZE, warmup):
-            states, actions, rewards, next_states = memory.sample(rngs, BATCH_SIZE)
-            # Both halves of the minibatch rebuilt by one features_of call.
-            both = np.empty((2, *states.shape), env.state_dtype)
-            both[0], both[1] = states, next_states
-            features, next_features = env.features_of(both)
-            return approx.train_step(features, actions, rewards, next_features)[0]
-        return None
+        if len(memory) < max(BATCH_SIZE, warmup):
+            return None
+        rows, actions, rewards = memory.sample(rngs, BATCH_SIZE)
+        # Each run's stale picks first, padded with its other picks to the most
+        # stale picks of any run, rebuilt behind the states by one features_of
+        # call.  Padding is rescored too: a row has the same bits in any call.
+        stale = memory.scored_at[rows] != approx.syncs
+        order = np.argsort(~stale, axis=1, kind="stable")[:, : stale.sum(axis=1).max()]
+        rescored = rows[run_axis, order]
+        features = env.features_of(memory.records(rows, rescored))
+        if rescored.size:
+            memory.next_max[rescored] = approx.target_max(features[:, BATCH_SIZE:])
+            memory.scored_at[rescored] = approx.syncs
+        next_max = memory.next_max[rows]
+        return approx.train_step(features[:, :BATCH_SIZE], actions, rewards, next_max)[0]
 
     def greedy(state, runs):
         values = approx.masked(approx.forward(state.features[:, None]))

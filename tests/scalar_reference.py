@@ -27,6 +27,9 @@ by user, bit for bit.
 Last, the DQN's Q-network for one run, :class:`QNetReference`: 2-D
 weights, one minibatch, one gradient norm.  ``rl.QApproximator`` trains
 every run at once on a leading run axis and must equal it run by run.
+:func:`rescoring_train_agent` is ``rl.train_agent`` with no target cache:
+it rescores every minibatch's next states, and the cached learner must
+equal it bit for bit.
 
 The file has no ``test_`` prefix, so pytest imports it only from tests.
 """
@@ -37,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from irsnoma_lab import rl
 from irsnoma_lab.channel import PhaseConfig, effective_channels_batch
 from irsnoma_lab.noma import (
     SIC_RATE_TOL,
@@ -592,3 +596,28 @@ class QNetReference:
         """One descent step on a replay minibatch; returns (loss, clipped?)."""
         targets = self.td_target(rewards, next_features)
         return self.apply(*self.loss_and_gradients(features, actions, targets))
+
+
+def rescoring_train_agent(env, approx, episodes, steps_per_episode, seeds, warmup=rl.WARMUP):
+    """``rl.train_agent`` scoring all ``BATCH_SIZE`` next states of every minibatch anew."""
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    capacity = min(rl.REPLAY_CAPACITY, episodes * steps_per_episode)
+    memory = rl.ReplayMemory(capacity, env.state_dtype, env.n_runs)
+
+    def learn(state, actions, rewards, next_state):
+        memory.push(env.pack(state), actions, rewards, env.pack(next_state))
+        if len(memory) < max(rl.BATCH_SIZE, warmup):
+            return None
+        rows, actions, rewards = memory.sample(rngs, rl.BATCH_SIZE)
+        features = env.features_of(memory.records(rows, rows))
+        next_max = approx.target_max(features[:, rl.BATCH_SIZE :])
+        return approx.train_step(features[:, : rl.BATCH_SIZE], actions, rewards, next_max)[0]
+
+    def greedy(state, runs):
+        values = approx.masked(approx.forward(state.features[:, None]))
+        return np.argmax(values[runs, 0], axis=-1)
+
+    return rl._rollout(
+        env, [approx] * env.n_runs, episodes, steps_per_episode, rngs,
+        epsilon=approx.epsilon, greedy=greedy, learn=learn,
+    )

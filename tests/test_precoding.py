@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irsnoma_lab.precoding import CONDITION_LIMIT, cluster_heads, member_table, zero_forcing
 
@@ -158,6 +160,23 @@ class TestZfPrecoder:
         assert np.array_equal(w, np.stack(expected))
         with pytest.raises(ValueError, match="total_power must be positive"):
             zero_forcing(np.stack(good), singletons(3), [1.0, -1.0, 1.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 39), st.integers(1, 6), st.floats(-6.0, 2.0), st.integers(0, 2**32 - 1)
+    )
+    def test_inverse_equals_solve_against_identity(self, n_phases, m, log_scale, seed):
+        # zero_forcing takes inv(H); solving H W = I runs the same LAPACK
+        # gesv on the same operands, so the two agree byte for byte.
+        rng = np.random.default_rng(seed)
+        h = 10.0**log_scale * (
+            rng.standard_normal((n_phases, m, m)) + 1j * rng.standard_normal((n_phases, m, m))
+        )
+        solved = np.linalg.solve(h, np.broadcast_to(np.eye(m, dtype=complex), h.shape))
+        assert np.linalg.inv(h).tobytes() == solved.tobytes()
+        ok, w = zero_forcing(h, singletons(m), 2.0)
+        used = (np.abs(solved[ok]) ** 2).reshape(int(ok.sum()), m * m).sum(axis=1)
+        assert w.tobytes() == (solved[ok] * np.sqrt(2.0 / used)[:, None, None]).tobytes()
 
 
 class TestClusterChannelMatrix:

@@ -26,6 +26,7 @@ from scalar_reference import (
     reference_actions,
     reference_state,
     reference_step,
+    rescoring_train_agent,
 )
 
 
@@ -182,21 +183,23 @@ class TestPaddedNetwork:
             # Run r's rewards are scaled by 4**r, so its gradients are larger.
             rewards = 4.0 ** np.arange(n_runs)[:, None] * rng.normal(3.0, 4.0, (n_runs, batch))
             values = padded.forward(x)
-            targets = padded.td_target(rewards, x_next)
+            next_max = padded.target_max(x_next)
+            targets = rewards + padded.discount * next_max
             _, grads_w, grads_b = padded.loss_and_gradients(x, actions, targets)
-            losses, n_clipped = padded.train_step(x, actions, rewards, x_next)
+            losses, n_clipped = padded.train_step(x, actions, rewards, next_max)
             clips.append(n_clipped)
             flags = 0
             for run, (net, n) in enumerate(zip(alone, counts)):
                 one = (slice(run, run + 1),)
                 assert values[run, :, :n].tobytes() == net.forward(x[one])[0].tobytes()
                 assert np.isneginf(padded.masked(values)[run, :, n:]).all()
-                assert targets[run].tobytes() == net.td_target(rewards[one], x_next[one])[0].tobytes()
+                own_max = net.target_max(x_next[one])
+                assert next_max[run].tobytes() == own_max[0].tobytes()
                 _, own_w, own_b = net.loss_and_gradients(x[one], actions[one], targets[one])
                 for mine, theirs in zip(grads_w + grads_b, own_w + own_b):
                     assert mine[run, : theirs.shape[1]].tobytes() == theirs[0].tobytes()
                     assert not mine[run, theirs.shape[1] :].any()
-                (loss,), flag = net.train_step(x[one], actions[one], rewards[one], x_next[one])
+                (loss,), flag = net.train_step(x[one], actions[one], rewards[one], own_max)
                 assert losses[run] == loss
                 flags += flag
             assert n_clipped == flags
@@ -215,29 +218,90 @@ class TestPaddedNetwork:
 
 
 class TestTdTarget:
+    """The train step's TD target is ``r + beta * target_max(s')``."""
+
     def test_zero_discount(self):
+        # The target is the reward: the step's loss is the one against 2.5.
         approx = QApproximator(2, 2, discount=0.0, seeds=[0])
-        assert approx.td_target(np.array([[2.5]]), np.zeros((1, 1, 2))).tolist() == [[2.5]]
+        x, action, reward = np.zeros((1, 1, 2)), np.array([[1]]), np.array([[2.5]])
+        want, _, _ = approx.loss_and_gradients(x, action, reward)
+        losses, _ = approx.train_step(x, action, reward, approx.target_max(x))
+        assert losses.tolist() == want.tolist()
 
     def test_compositional(self):
         approx = QApproximator(3, 4, discount=0.7, seeds=[5])
         x = np.random.default_rng(6).standard_normal(3)
-        expected = 0.3 + 0.7 * float(np.max(approx.target_values(x[None, None])))
-        assert approx.td_target(np.array([[0.3]]), x[None, None])[0, 0] == pytest.approx(expected)
+        best = float(np.max(QNetReference.of_run(approx, 0).target_values(x)))
+        assert approx.target_max(x[None, None])[0, 0] == pytest.approx(best)
+        expected = 0.3 + 0.7 * best
+        feats, action = np.ones((1, 1, 3)), np.array([[2]])
+        want, _, _ = approx.loss_and_gradients(feats, action, np.array([[expected]]))
+        losses, _ = approx.train_step(
+            feats, action, np.array([[0.3]]), approx.target_max(x[None, None])
+        )
+        assert losses[0] == pytest.approx(want[0])
 
     def test_target_stale_between_syncs(self):
         approx = QApproximator(3, 3, sync_period=10**9, seeds=[9])
         x = np.random.default_rng(10).standard_normal(3)
-        before = approx.td_target(np.array([[1.0]]), x[None, None])
+        before = approx.target_max(x[None, None])
+        next_features = np.stack(
+            [np.random.default_rng(i + 50).standard_normal(3) for i in range(8)]
+        )[None]
         batch = (
             np.stack([np.random.default_rng(i).standard_normal(3) for i in range(8)])[None],
             (np.arange(8) % 3)[None],
             np.ones((1, 8)),
-            np.stack([np.random.default_rng(i + 50).standard_normal(3) for i in range(8)])[None],
+            approx.target_max(next_features),
         )
+        syncs = approx.syncs
         for _ in range(5):
             approx.train_step(*batch)
-        assert approx.td_target(np.array([[1.0]]), x[None, None]) == before
+        assert approx.target_max(x[None, None]) == before
+        assert approx.syncs == syncs
+
+    def test_syncs_counted(self):
+        approx = QApproximator(3, 3, sync_period=2, seeds=[9])
+        assert approx.syncs == 1
+        batch = (np.ones((1, 2, 3)), np.array([[0, 1]]), np.ones((1, 2)), np.zeros((1, 2)))
+        counts = []
+        for _ in range(5):
+            approx.train_step(*batch)
+            counts.append(approx.syncs)
+        assert counts == [1, 2, 2, 3, 3]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_runs=st.integers(1, 4),
+        rows=st.integers(1, 32),
+        padded=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_row_has_the_same_bits_in_any_call(self, n_runs, rows, padded, seed):
+        # One stacked call over all rows against subsets of them, each scored
+        # alone or padded with other rows to a common width, as the replay
+        # rescores its stale picks.
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(1, 80))
+        counts = rng.integers(2, 80, size=n_runs) if padded else int(rng.integers(2, 80))
+        approx = QApproximator(dim, counts, seeds=rng.integers(0, 2**31, size=n_runs))
+        assert (approx.padded is not None) == (padded and len(set(counts)) > 1)
+        x = rng.standard_normal((n_runs, rows, dim)) * 10.0 ** rng.uniform(-3, 3)
+        full = approx.target_max(x)
+        assert full.shape == (n_runs, rows)
+        keep = rng.random((n_runs, rows)) < rng.uniform()
+        width = max(int(keep.sum(axis=1).max()), 1)
+        order = np.argsort(~keep, axis=1, kind="stable")[:, :width]
+        picks = np.arange(n_runs)[:, None], order
+        stacked = approx.target_max(x[picks])
+        assert stacked.tobytes() == full[picks].tobytes()
+        # A strided view of rows placed behind others, as train_agent passes them.
+        behind = np.concatenate([x, x[picks]], axis=1)[:, rows:]
+        assert approx.target_max(behind).tobytes() == stacked.tobytes()
+        for run in range(n_runs):
+            for row in np.flatnonzero(keep[run]):
+                alone = approx.target_max(x[:, row : row + 1])
+                assert alone[run, 0].tobytes() == full[run, row].tobytes()
 
 
 class TestDqnTraining:
@@ -289,15 +353,17 @@ class TestDqnTraining:
         feats = rng.standard_normal((1, 32, 4))
         actions = rng.integers(0, 3, size=(1, 32))
         rewards = rng.standard_normal((1, 32))
-        (first_loss,), _ = approx.train_step(feats, actions, rewards, feats)
+        next_max = approx.target_max(feats)
+        (first_loss,), _ = approx.train_step(feats, actions, rewards, next_max)
         for _ in range(199):
-            (last,), _ = approx.train_step(feats, actions, rewards, feats)
+            (last,), _ = approx.train_step(feats, actions, rewards, next_max)
         assert last <= first_loss / 10.0
 
     def test_gradient_clipping_flagged(self):
         approx = QApproximator(2, 2, clip_norm=1e-9, seeds=[16])
+        next_max = approx.target_max(np.ones((1, 1, 2)))
         _, clipped = approx.train_step(
-            np.ones((1, 1, 2)), np.array([[0]]), np.array([[100.0]]), np.ones((1, 1, 2))
+            np.ones((1, 1, 2)), np.array([[0]]), np.array([[100.0]]), next_max
         )
         assert clipped == 1
 
@@ -311,23 +377,43 @@ class TestReplayMemory:
         stored = sorted(mem.states[0, :, 0])
         assert stored == [2.0, 3.0, 4.0]
 
+    def test_push_marks_its_slot_stale(self):
+        mem = ReplayMemory(capacity=3, state_dtype=(float, 1), n_runs=2)
+        for i in range(5):
+            mem.scored_at[:] = 7
+            mem.push(np.zeros((2, 1)), [0, 0], [0.0, 0.0], np.zeros((2, 1)))
+            slot = i % 3
+            assert mem.scored_at.tolist() == [
+                -1 if s == slot else 7 for _ in range(2) for s in range(3)
+            ]
+
     def test_seeded_sampling(self):
         mem = ReplayMemory(10, state_dtype=(float, 1))
         for i in range(10):
             mem.push(np.array([[float(i)]]), [0], [0.0], np.array([[0.0]]))
-        a = mem.sample([np.random.default_rng(1)], 4)
-        b = mem.sample([np.random.default_rng(1)], 4)
-        assert list(a[0][0, :, 0]) == list(b[0][0, :, 0])
+        a, _, _ = mem.sample([np.random.default_rng(1)], 4)
+        b, _, _ = mem.sample([np.random.default_rng(1)], 4)
+        assert a.tolist() == b.tolist()
+
+    def test_records_are_states_then_next_states(self):
+        mem = ReplayMemory(10, state_dtype=(float, 1), n_runs=2)
+        for i in range(10):
+            mem.push(np.array([[i], [i + 100.0]]), [0, 0], [0.0, 0.0], -np.array([[i], [i + 100.0]]))
+        state_rows, next_rows = np.array([[1, 2, 2], [13, 10, 19]]), np.array([[4], [15]])
+        got = mem.records(state_rows, next_rows)[..., 0]
+        assert got.tolist() == [[1.0, 2.0, 2.0, -4.0], [103.0, 100.0, 109.0, -105.0]]
 
     def test_each_run_samples_its_own_stream(self):
         mem = ReplayMemory(10, state_dtype=(float, 1), n_runs=2)
         for i in range(10):
             mem.push(np.array([[i], [i + 100.0]]), [i, i], [0.0, 1.0], np.zeros((2, 1)))
-        states, actions, rewards, _ = mem.sample(
+        rows, actions, rewards = mem.sample(
             [np.random.default_rng(1), np.random.default_rng(2)], 4
         )
+        states = mem.records(rows, rows[:, :0])
         for run, seed in enumerate((1, 2)):
             picks = np.random.default_rng(seed).integers(0, 10, size=4)
+            assert rows[run].tolist() == (picks + 10 * run).tolist()
             assert actions[run].tolist() == picks.tolist()
             assert states[run, :, 0].tolist() == (picks + 100.0 * run).tolist()
             assert rewards[run].tolist() == [float(run)] * 4
@@ -344,7 +430,7 @@ class TestReplayMemory:
             mem.push(env.pack(state), [0, 0], [0.0, 0.0], env.pack(state))
         assert env.state_dtype.itemsize < env.feature_dim * 8 / 2
         picks = [np.random.default_rng(5), np.random.default_rng(6)]
-        states, _, _, _ = mem.sample(picks, 12)
+        states = mem.records(mem.sample(picks, 12)[0], np.zeros((2, 0), dtype=int))
         for run, seed in enumerate((5, 6)):
             idx = np.random.default_rng(seed).integers(0, 20, size=12)
             want = np.stack([visited[i].features[run] for i in idx])
@@ -415,7 +501,10 @@ class TestArrayReplayEqualsPerTransitionLoop:
                 reference.push(transition)
             if step + 1 < batch_size:
                 continue
-            losses, n_clipped = arrays.train_step(*memory.sample(rngs_a, batch_size))
+            rows, actions, rewards = memory.sample(rngs_a, batch_size)
+            states, next_states = np.split(memory.records(rows, rows), 2, axis=1)
+            next_max = arrays.target_max(next_states)
+            losses, n_clipped = arrays.train_step(states, actions, rewards, next_max)
             want = [
                 per_transition_train_step(net, reference.sample(rng, batch_size))
                 for net, reference, rng in zip(nets, references, rngs_b)
@@ -674,6 +763,49 @@ class TestAgents:
             train_agent(env, QApproximator(env.feature_dim, env.n_actions[0]), 2, 2, seeds=[3, 4])
         with pytest.raises(ValueError, match="3 seeds for 2 runs"):
             random_search(env, 4, seeds=[1, 2, 3])
+
+
+class TestTargetCache:
+    """``train_agent`` scores each replay slot once per target sync and equals
+    a learner that rescores every minibatch, bit for bit, also when the
+    replay wraps and the target syncs every third step."""
+
+    @pytest.mark.parametrize("n_runs", [1, 4])
+    def test_equals_rescoring_every_minibatch(self, monkeypatch, n_runs):
+        monkeypatch.setattr(rl, "REPLAY_CAPACITY", 50)
+        scenarios = TestLockstepEqualsSingleRuns().scenarios()[:n_runs]
+        seeds = [11, 12, 13, 14][:n_runs]
+        outcomes = []
+        for train in (train_agent, rescoring_train_agent):
+            env = NomaPhaseEnv(scenarios, resolution_bits=2, alpha_step=0.25)
+            approx = QApproximator(
+                env.feature_dim, env.n_actions, hidden=(16, 16), sync_period=3,
+                seeds=[1, 2, 3, 4][:n_runs],
+            )
+            widths, score = [], approx.target_max
+
+            def counted(features, score=score, widths=widths):
+                widths.append(np.shape(features)[1])
+                return score(features)
+
+            approx.target_max = counted
+            results = train(env, approx, 10, 12, seeds, warmup=40)
+            outcomes.append((results, approx, widths))
+        (mine, cached, widths), (want, rescored, all_rows) = outcomes
+        assert all_rows == [rl.BATCH_SIZE] * 81  # 10 x 12 transitions, warmup 40
+        assert max(widths) <= rl.BATCH_SIZE
+        assert sum(widths) < sum(all_rows)
+        assert cached.syncs == rescored.syncs == 1 + 81 // 3
+        for a, b in zip(mine, want):
+            assert np.array_equal(curve_array(a), curve_array(b), equal_nan=True)
+            assert a.best_rate == b.best_rate
+            assert a.best_phase == b.best_phase
+            assert a.best_splits == b.best_splits
+        for stacked, own in zip(
+            cached.weights + cached.biases + cached.target_weights + cached.target_biases,
+            rescored.weights + rescored.biases + rescored.target_weights + rescored.target_biases,
+        ):
+            assert stacked.tobytes() == own.tobytes()
 
 
 class TestLockstepEqualsSingleRuns:
