@@ -18,8 +18,8 @@ from irsnoma_lab.channel import (
 )
 from irsnoma_lab.noma import (
     NetworkScenario,
+    decoding_orders,
     evaluate_batch,
-    gain_ordered_plan,
     oma_tdma_sum_rate,
 )
 
@@ -47,10 +47,10 @@ print("=== balanced power split ===")
 own_gains = grid.own_gains[0]
 print("own-beam gains |h_u . w_m|:", np.array2string(own_gains, precision=3))
 # Each cluster decodes its weakest own-beam gain first.
-plan = gain_ordered_plan(scenario, own_gains, scenario.split_tuples(balanced))
-for m, order in enumerate(plan.decoding_order):
+splits = scenario.split_tuples(balanced)
+for m, order in enumerate(decoding_orders(scenario, own_gains)):
     print(f"cluster {m}: decode order {' > '.join(map(str, order))}, "
-          f"alphas {plan.power_split[m]}")
+          f"alphas {splits[m]}")
 print("sum rate: %.3f bits/s/Hz | SIC and QoS ok: %s"
       % (grid.sum_rate[0, 0], grid.feasible[0, 0]))
 

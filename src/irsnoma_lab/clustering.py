@@ -39,9 +39,8 @@ class DegenerateCsiError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class CsiFeatureSet:
-    """Raw channels, their unit-normalized rows, and the real feature embedding."""
+    """Unit-normalized channel rows and their real feature embedding."""
 
-    raw: np.ndarray
     normalized: np.ndarray
     features: np.ndarray
 
@@ -58,7 +57,7 @@ def normalize_channels(raw) -> CsiFeatureSet:
         raise DegenerateCsiError(f"user {bad} has a zero channel vector")
     normalized = raw / norms[:, None]
     features = np.concatenate([normalized.real, normalized.imag], axis=1)
-    return CsiFeatureSet(raw=raw, normalized=normalized, features=features)
+    return CsiFeatureSet(normalized=normalized, features=features)
 
 
 def _seed_gate(gate: np.ndarray, seeds: np.ndarray, rho1: float, rho2: float):
@@ -115,21 +114,6 @@ class GmmParams:
             "means": self.means.tolist(),
             "variances": self.variances.tolist(),
         }
-
-
-@dataclass(frozen=True, eq=False)
-class Responsibilities:
-    """Posterior component membership per user; rows sum to one."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        r = np.atleast_2d(np.asarray(self.matrix, dtype=float))
-        object.__setattr__(self, "matrix", r)
-
-    @property
-    def hard_assignment(self) -> np.ndarray:
-        return np.argmax(self.matrix, axis=1)
 
 
 def rough_partition(
@@ -244,22 +228,25 @@ def _log_joint(params: GmmParams, x: np.ndarray) -> np.ndarray:
     )
 
 
-def em_e_step(params: GmmParams, features) -> Responsibilities:
-    """Posterior membership of every user under every component (log-space)."""
+def em_e_step(params: GmmParams, features) -> np.ndarray:
+    """(n, M) posterior membership of every user under every component (log-space).
+
+    Rows sum to one.
+    """
     x = np.atleast_2d(np.asarray(features, dtype=float))
     log_joint = _log_joint(params, x)
     log_norm = logsumexp(log_joint, axis=1, keepdims=True)
-    return Responsibilities(matrix=np.exp(log_joint - log_norm))
+    return np.exp(log_joint - log_norm)
 
 
-def em_m_step(resp: Responsibilities, features) -> GmmParams:
-    """Closed-form parameter update given responsibilities.
+def em_m_step(resp: np.ndarray, features) -> GmmParams:
+    """Closed-form parameter update given (n, M) responsibilities.
 
     A component that collected zero total responsibility is re-seeded at the
     point with the lowest maximum responsibility.
     """
     x = np.atleast_2d(np.asarray(features, dtype=float))
-    r = resp.matrix
+    r = np.asarray(resp, dtype=float)
     n, d = x.shape
     m_clusters = r.shape[1]
     totals = r.sum(axis=0)
@@ -301,24 +288,22 @@ class FitResult:
     """Converged (or best-so-far) mixture fit and the derived hard clustering."""
 
     params: GmmParams
-    responsibilities: Responsibilities
+    responsibilities: np.ndarray
     assignment: np.ndarray
     converged: bool
     n_iter: int
     log_likelihood: float
 
     def occupancy(self) -> tuple[int, ...]:
-        counts = np.bincount(
-            self.assignment, minlength=self.responsibilities.matrix.shape[1]
-        )
+        counts = np.bincount(self.assignment, minlength=self.responsibilities.shape[1])
         return tuple(int(c) for c in counts)
 
 
-def _repair_empty_clusters(resp: Responsibilities, assignment: np.ndarray) -> np.ndarray:
+def _repair_empty_clusters(resp: np.ndarray, assignment: np.ndarray) -> np.ndarray:
     """Move the least-confident users into emptied clusters (all non-empty after)."""
     assignment = assignment.copy()
-    m_clusters = resp.matrix.shape[1]
-    confidence = resp.matrix.max(axis=1)
+    m_clusters = resp.shape[1]
+    confidence = resp.max(axis=1)
     for m in range(m_clusters):
         if np.any(assignment == m):
             continue
@@ -368,7 +353,7 @@ def fit(
             converged = True
             break
     resp = em_e_step(params, x)
-    assignment = _repair_empty_clusters(resp, resp.hard_assignment)
+    assignment = _repair_empty_clusters(resp, np.argmax(resp, axis=1))
     return FitResult(
         params=params,
         responsibilities=resp,

@@ -48,7 +48,7 @@ from .noma import (
     ALPHA_DOMAINS,
     INTERFERENCE_MODELS,
     NetworkScenario,
-    gain_ordered_plan,
+    decoding_orders,
     oma_tdma_sum_rate,
 )
 from .oracle import (
@@ -88,9 +88,6 @@ class SeedRegistry:
 
     def rng(self, name: str) -> np.random.Generator:
         return np.random.default_rng(self.seed_sequence(name))
-
-    def seed(self, name: str) -> int:
-        return int(self.seed_sequence(name).generate_state(1)[0])
 
 
 @dataclass(frozen=True)
@@ -286,12 +283,10 @@ def _occupancy_string(sizes) -> str:
     return "-".join(str(int(s)) for s in sizes)
 
 
-def _orders_string(plan) -> str:
-    if plan is None:
+def _orders_string(orders) -> str:
+    if orders is None:
         return ""
-    return "|".join(
-        ">".join(str(u) for u in order) for order in plan.decoding_order
-    )
+    return "|".join(">".join(str(u) for u in order) for order in orders)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +299,7 @@ class SlotOutcome:
     feasible: bool
     phase: object
     splits: object
-    plan: object
+    orders: object
     curve: list | None
 
 
@@ -448,8 +443,8 @@ def optimize_scenario(runs, config: ExperimentConfig) -> list[SlotOutcome]:
     """Run the configured optimizer on (scenario, generator) runs of one size.
 
     The learners step the runs in lockstep, up to ``LOCKSTEP_RUNS`` at a
-    time; the oracle searches each scenario alone.  Each plan's decoding
-    order comes from the own gains the search kept for its winner.
+    time; the oracle searches each scenario alone.  Each winner's decoding
+    orders come from the own gains the search kept for it.
     """
     scenarios, rngs = zip(*runs)
     algorithm = config.algorithm
@@ -466,9 +461,9 @@ def optimize_scenario(runs, config: ExperimentConfig) -> list[SlotOutcome]:
         if best.best_phase is None:
             outcomes.append(SlotOutcome(0.0, False, None, None, None, curve))
             continue
-        plan = gain_ordered_plan(scenario, best.best_gains, best.best_splits)
+        orders = decoding_orders(scenario, best.best_gains)
         outcomes.append(SlotOutcome(
-            best.best_rate, True, best.best_phase, best.best_splits, plan, curve
+            best.best_rate, True, best.best_phase, best.best_splits, orders, curve
         ))
     return outcomes
 
@@ -521,7 +516,7 @@ def cmd_pipeline(config: ExperimentConfig) -> list[tuple]:
                 outcome.sum_rate,
                 int(outcome.feasible),
                 _occupancy_string(fit.occupancy()),
-                _orders_string(outcome.plan),
+                _orders_string(outcome.orders),
             )
         )
         if outcome.curve is not None:

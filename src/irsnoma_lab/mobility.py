@@ -1,11 +1,10 @@
 """User position generation and sequence prediction.
 
 Positions are proposed uniformly over the service region's bounding box and
-accepted by rejection (optionally against a bounded target density), ground
-truth between slots follows a constant-speed walk with Gaussian heading
-perturbation, and future positions are forecast by a single-cell LSTM per
-user (all users' cells stacked on a leading user axis and trained in
-lockstep):
+accepted by rejection, ground truth between slots follows a constant-speed
+walk with Gaussian heading perturbation, and future positions are forecast
+by a single-cell LSTM per user (all users' cells stacked on a leading user
+axis and trained in lockstep):
 
     i = sigmoid(W_i [x; h] + b_i)      f = sigmoid(W_f [x; h] + b_f)
     o = sigmoid(W_o [x; h] + b_o)      g = tanh(W_g [x; h] + b_g)
@@ -38,27 +37,17 @@ class EnvelopeTooLooseError(RuntimeError):
     """Rejection sampling accepted almost nothing; the proposal bound is too loose."""
 
 
-def rejection_sample_positions(
-    region: ServiceRegion,
-    n: int,
-    seed=None,
-    density=None,
-    density_bound: float | None = None,
-) -> np.ndarray:
-    """Sample ``n`` positions by rejection against the region (and a density).
+def rejection_sample_positions(region: ServiceRegion, n: int, seed=None) -> np.ndarray:
+    """Sample ``n`` positions by rejection against the region.
 
     Proposals are uniform over the bounding box; a proposal survives when it
-    lies in the region and, if ``density`` is given, when u < f(x) / bound
-    for u ~ U(0, 1).  The caller guarantees ``density_bound`` dominates the
-    density on the region.  A sustained acceptance rate below 1e-4 raises
+    lies in the region.  A sustained acceptance rate below 1e-4 raises
     :class:`EnvelopeTooLooseError`.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     if n == 0:
         return np.empty((0, 2))
-    if density is not None and not (density_bound and density_bound > 0):
-        raise ValueError("a positive density_bound is required with a density")
     rng = as_rng(seed)
     xmin, ymin, xmax, ymax = region.bounds
 
@@ -70,12 +59,11 @@ def rejection_sample_positions(
         pts = np.column_stack(
             [rng.uniform(xmin, xmax, size=chunk), rng.uniform(ymin, ymax, size=chunk)]
         )
-        u = rng.uniform(size=chunk)
+        # One unused uniform per proposal keeps the random stream, and so
+        # every scenario drawn from it, as it was.
+        rng.uniform(size=chunk)
         proposed += chunk
-        keep = region.contains_many(pts)
-        if density is not None:
-            keep &= u < np.asarray(density(pts), dtype=float) / density_bound
-        good = pts[keep]
+        good = pts[region.contains_many(pts)]
         accepted.append(good)
         taken += good.shape[0]
         if proposed >= ACCEPTANCE_PROBE_BUDGET and taken / proposed < MIN_ACCEPTANCE_RATE:
@@ -173,6 +161,10 @@ class RecurrentPredictor:
     ):
         if min(input_dim, hidden_dim, window_len, n_users) < 1:
             raise ValueError("dimensions, window length and user count must be positive")
+        if learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
+        if clip_norm <= 0:
+            raise ValueError("clip_norm must be positive")
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         self.window_len = window_len

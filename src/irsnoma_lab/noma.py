@@ -47,69 +47,6 @@ def _check_simplex(m: int, alphas: np.ndarray):
         raise ValueError(f"cluster {m}: power coefficients do not sum to 1")
 
 
-@dataclass(frozen=True)
-class ClusterPlan:
-    """User-to-cluster assignment with per-cluster decoding order and power split.
-
-    ``decoding_order[m]`` lists cluster m's users in decode sequence (first
-    decoded first); ``power_split[m][i]`` is the coefficient of the user at
-    position i of that sequence.  Splits are validated onto the unit simplex.
-    """
-
-    assignment: tuple[int, ...]
-    decoding_order: tuple[tuple[int, ...], ...]
-    power_split: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self):
-        assignment = tuple(int(c) for c in self.assignment)
-        order = tuple(tuple(int(u) for u in o) for o in self.decoding_order)
-        split = tuple(tuple(float(a) for a in s) for s in self.power_split)
-        object.__setattr__(self, "assignment", assignment)
-        object.__setattr__(self, "decoding_order", order)
-        object.__setattr__(self, "power_split", split)
-
-        n_clusters = len(order)
-        if len(split) != n_clusters:
-            raise ValueError("power_split and decoding_order cluster counts differ")
-        seen: dict[int, int] = {}
-        for m, members in enumerate(order):
-            if len(split[m]) != len(members):
-                raise ValueError(f"cluster {m}: split size != member count")
-            if len(set(members)) != len(members):
-                raise ValueError(f"cluster {m}: decoding order repeats a user")
-            for u in members:
-                if u in seen:
-                    raise ValueError(f"user {u} appears in clusters {seen[u]} and {m}")
-                seen[u] = m
-            _check_simplex(m, np.asarray(split[m], dtype=float))
-        if len(assignment) != len(seen):
-            raise ValueError(
-                f"assignment covers {len(assignment)} users but decoding orders "
-                f"cover {len(seen)}"
-            )
-        for u, m in seen.items():
-            if not 0 <= u < len(assignment) or assignment[u] != m:
-                raise ValueError(f"user {u} assigned to {assignment[u]}, ordered in {m}")
-
-    @property
-    def n_users(self) -> int:
-        return len(self.assignment)
-
-    @property
-    def n_clusters(self) -> int:
-        return len(self.decoding_order)
-
-    def members(self, m: int) -> tuple[int, ...]:
-        return self.decoding_order[m]
-
-    def cluster_of(self, user: int) -> int:
-        return self.assignment[user]
-
-    def alpha_of(self, user: int) -> float:
-        m = self.assignment[user]
-        return self.power_split[m][self.decoding_order[m].index(user)]
-
-
 def decoding_order_by_gain(members, gains) -> tuple[int, ...]:
     """Members sorted by effective gain ascending (weakest decoded first).
 
@@ -350,13 +287,13 @@ class GridScores:
 
 
 def _split_weights(scenario: NetworkScenario, alphas) -> np.ndarray:
-    """(S, N) SINR weights of the coefficient rows, each cluster checked like a plan."""
+    """(S, N) SINR weights of the coefficient rows, each cluster checked on the unit simplex."""
     alphas = np.asarray(alphas, dtype=float)
     n_users = scenario.channels.n_users
     if alphas.ndim != 2 or alphas.shape[1] != n_users:
         raise ValueError(f"splits must be an (S, {n_users}) array, got {alphas.shape}")
     # One screen over every cluster; only splits that fail it are checked
-    # cluster by cluster, which raises the plan's error.  Half the tolerance
+    # cluster by cluster, which raises that cluster's error.  Half the tolerance
     # covers the rounding by which reduceat's sums can differ from each
     # cluster's own sum (a few ulps).
     starts = scenario.cluster_starts
@@ -500,11 +437,8 @@ def _score(layout, phase_idx, resolution_bits, wts) -> GridScores:
     return GridScores(sum_rate, feasible, gains)
 
 
-def gain_ordered_plan(scenario: NetworkScenario, own_gains, splits) -> ClusterPlan:
-    """The plan :func:`evaluate_batch` scores at a point with these own gains."""
-    order = tuple(
+def decoding_orders(scenario: NetworkScenario, own_gains) -> tuple[tuple[int, ...], ...]:
+    """Each cluster's decoding order :func:`evaluate_batch` scores at these own gains."""
+    return tuple(
         decoding_order_by_gain(members, own_gains) for members in scenario.members
-    )
-    return ClusterPlan(
-        assignment=scenario.assignment, decoding_order=order, power_split=splits
     )

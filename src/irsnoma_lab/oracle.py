@@ -10,11 +10,11 @@ desk-scale.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -101,14 +101,19 @@ def phase_index_block(
     return np.arange(start, stop, dtype=np.int64)[:, None] // place % levels
 
 
-def _compositions(units: int, parts: int) -> Iterator[tuple[int, ...]]:
-    # Lexicographic in the first coordinate, then recursively.
-    if parts == 1:
-        yield (units,)
-        return
-    for first in range(units + 1):
-        for rest in _compositions(units - first, parts - 1):
-            yield (first,) + rest
+def _compositions(units: int, parts: int) -> np.ndarray:
+    """Every way to write ``units`` as ``parts`` ordered non-negative counts.
+
+    Stars and bars: ``parts - 1`` bars among ``units + parts - 1`` slots,
+    taken in lexicographic order, so the rows (the gaps between successive
+    bars) run lexicographically too.  Returns a (C, parts) integer array.
+    """
+    slots = units + parts - 1
+    bars = np.array(list(itertools.combinations(range(slots), parts - 1)), dtype=np.int64)
+    edges = np.column_stack([
+        np.full(len(bars), -1), bars.reshape(len(bars), parts - 1), np.full(len(bars), slots)
+    ])
+    return np.diff(edges, axis=1) - 1
 
 
 def alpha_grid(cluster_sizes, step: float) -> np.ndarray:
@@ -122,7 +127,7 @@ def alpha_grid(cluster_sizes, step: float) -> np.ndarray:
     """
     units = _units_from_step(step)
     per_cluster = [
-        np.array(list(_compositions(units, int(size))), dtype=float) / units
+        _compositions(units, int(size)) / units
         for size in cluster_sizes
     ]
     picks = np.indices([len(grid) for grid in per_cluster])

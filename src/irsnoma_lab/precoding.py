@@ -27,15 +27,14 @@ def member_table(members, width: int = 0) -> np.ndarray:
     return np.array([[*mem, *[mem[0]] * (width - len(mem))] for mem in members], dtype=np.intp)
 
 
-def cluster_heads(h_eff: np.ndarray, members) -> np.ndarray:
+def cluster_heads(h_eff: np.ndarray, table: np.ndarray) -> np.ndarray:
     """(P, M) user index of each cluster's head under each of P phases.
 
-    ``h_eff`` is (P, N, M).  ``members`` is a :func:`member_table`, (M, L)
-    for every phase or (P, M, L) for one table per phase, or the list of
-    each cluster's user indices.  The head has the largest effective-channel
-    norm; ties go to the member listed first, the lowest user index.
+    ``h_eff`` is (P, N, M).  ``table`` is a :func:`member_table`, (M, L)
+    for every phase or (P, M, L) for one table per phase.  The head has the
+    largest effective-channel norm; ties go to the member listed first, the
+    lowest user index.
     """
-    table = members if isinstance(members, np.ndarray) else member_table(members)
     norms = np.linalg.norm(h_eff, axis=-1)
     if table.ndim == 2:
         return table[np.arange(len(table)), np.argmax(norms[:, table], axis=-1)]
@@ -46,14 +45,14 @@ def cluster_heads(h_eff: np.ndarray, members) -> np.ndarray:
 
 def zero_forcing(
     h_eff: np.ndarray,
-    members,
+    table: np.ndarray,
     total_power,
     condition_limit: float = CONDITION_LIMIT,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Zero-forcing precoders for a stack of P effective-channel matrices.
 
-    ``members`` names each cluster's users as :func:`cluster_heads` takes
-    them.  Returns ``(ok, w)``: ``ok`` (P,) marks the phases whose head matrix has
+    ``table`` is a :func:`member_table` as :func:`cluster_heads` takes it.
+    Returns ``(ok, w)``: ``ok`` (P,) marks the phases whose head matrix has
     a finite 2-norm condition number no larger than ``condition_limit``,
     and ``w`` (ok.sum(), M, M) holds their precoders, column m serving
     cluster m.  The unscaled solution W satisfies H W = I; every column is
@@ -65,7 +64,6 @@ def zero_forcing(
     if not (power > 0).all():
         raise ValueError("total_power must be positive")
     n_clusters = h_eff.shape[-1]
-    table = members if isinstance(members, np.ndarray) else member_table(members)
     if table.shape[-2] != n_clusters:
         raise ValueError(
             f"ZF needs one antenna per cluster: {n_clusters} antennas vs "

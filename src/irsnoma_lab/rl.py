@@ -176,6 +176,10 @@ class QApproximator:
             raise ValueError("discount must lie in [0, 1)")
         if learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if sync_period < 1:
+            raise ValueError("sync_period must be at least 1")
+        if clip_norm <= 0:
+            raise ValueError("clip_norm must be positive")
         rngs = [as_rng(seed) for seed in seeds]
         if not rngs:
             raise ValueError("at least one run (one seed) is required")

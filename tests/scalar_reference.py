@@ -9,6 +9,10 @@ precoder from the package (both have their own tests against independent
 formulas) and repeats every later float step in the order the grid
 evaluator must match bit for bit.
 
+The per-pair functions read a :class:`ClusterPlan`: an assignment, each
+cluster's decoding order and its power split, validated on construction.
+The package itself keeps only the orders (``noma.decoding_orders``).
+
 It also keeps the RL environment's step as it was first written: actions
 as (kind, target) pairs dispatched one kind at a time on tuple states,
 scored through ``PhaseConfig`` and per-cluster split tuples from
@@ -44,11 +48,74 @@ from irsnoma_lab import rl
 from irsnoma_lab.channel import PhaseConfig, effective_channels_batch
 from irsnoma_lab.noma import (
     SIC_RATE_TOL,
-    ClusterPlan,
+    _check_simplex,
     decoding_order_by_gain,
     evaluate_batch,
 )
-from irsnoma_lab.precoding import zero_forcing
+from irsnoma_lab.precoding import member_table, zero_forcing
+
+
+@dataclass(frozen=True)
+class ClusterPlan:
+    """User-to-cluster assignment with per-cluster decoding order and power split.
+
+    ``decoding_order[m]`` lists cluster m's users in decode sequence (first
+    decoded first); ``power_split[m][i]`` is the coefficient of the user at
+    position i of that sequence.  Splits are validated onto the unit simplex.
+    """
+
+    assignment: tuple[int, ...]
+    decoding_order: tuple[tuple[int, ...], ...]
+    power_split: tuple[tuple[float, ...], ...]
+
+    def __post_init__(self):
+        assignment = tuple(int(c) for c in self.assignment)
+        order = tuple(tuple(int(u) for u in o) for o in self.decoding_order)
+        split = tuple(tuple(float(a) for a in s) for s in self.power_split)
+        object.__setattr__(self, "assignment", assignment)
+        object.__setattr__(self, "decoding_order", order)
+        object.__setattr__(self, "power_split", split)
+
+        n_clusters = len(order)
+        if len(split) != n_clusters:
+            raise ValueError("power_split and decoding_order cluster counts differ")
+        seen: dict[int, int] = {}
+        for m, members in enumerate(order):
+            if len(split[m]) != len(members):
+                raise ValueError(f"cluster {m}: split size != member count")
+            if len(set(members)) != len(members):
+                raise ValueError(f"cluster {m}: decoding order repeats a user")
+            for u in members:
+                if u in seen:
+                    raise ValueError(f"user {u} appears in clusters {seen[u]} and {m}")
+                seen[u] = m
+            _check_simplex(m, np.asarray(split[m], dtype=float))
+        if len(assignment) != len(seen):
+            raise ValueError(
+                f"assignment covers {len(assignment)} users but decoding orders "
+                f"cover {len(seen)}"
+            )
+        for u, m in seen.items():
+            if not 0 <= u < len(assignment) or assignment[u] != m:
+                raise ValueError(f"user {u} assigned to {assignment[u]}, ordered in {m}")
+
+    @property
+    def n_users(self) -> int:
+        return len(self.assignment)
+
+    @property
+    def n_clusters(self) -> int:
+        return len(self.decoding_order)
+
+    def members(self, m: int) -> tuple[int, ...]:
+        return self.decoding_order[m]
+
+    def cluster_of(self, user: int) -> int:
+        return self.assignment[user]
+
+    def alpha_of(self, user: int) -> float:
+        m = self.assignment[user]
+        return self.power_split[m][self.decoding_order[m].index(user)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,7 +324,7 @@ def reference_point(scenario, phase_indices, resolution_bits: int, splits) -> Re
     )
     assign = np.asarray(scenario.assignment)
     members = [np.flatnonzero(assign == m) for m in range(scenario.n_clusters)]
-    ok, w = zero_forcing(h_eff, members, scenario.total_power)
+    ok, w = zero_forcing(h_eff, member_table(members), scenario.total_power)
     if not ok[0]:
         return ReferencePoint(0.0, False, None, None, None, None, None)
     h_eff, w = h_eff[0], w[0]

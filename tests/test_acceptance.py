@@ -33,9 +33,9 @@ from irsnoma_lab.mobility import (
     persistence_mse,
     run_algorithm1,
 )
-from irsnoma_lab.noma import NetworkScenario, gain_ordered_plan
+from irsnoma_lab.noma import NetworkScenario, decoding_orders
 from irsnoma_lab.oracle import SearchSpace, brute_force_optimum
-from irsnoma_lab.precoding import zero_forcing
+from irsnoma_lab.precoding import member_table, zero_forcing
 from irsnoma_lab.rl import (
     NomaPhaseEnv,
     QApproximator,
@@ -88,7 +88,7 @@ def test_criterion_1_zero_forcing_correctness():
             h = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
             if np.linalg.cond(h) < 1e6:
                 break
-        ok, w = zero_forcing(h[None], [np.array([u]) for u in range(m)], power)
+        ok, w = zero_forcing(h[None], member_table([[u] for u in range(m)]), power)
         assert ok[0]
         prod = h @ w[0]
         scale = np.mean(np.real(np.diag(prod)))
@@ -132,14 +132,14 @@ def test_criterion_2_sic_decoding_chain():
         result = evaluate_point(scenario, phase, splits)
         if result.own_gains is None:
             continue
-        plan = gain_ordered_plan(scenario, result.own_gains, splits)
-        b, a = plan.decoding_order[0]  # weakest decoded first
+        orders = decoding_orders(scenario, result.own_gains)
+        b, a = orders[0]  # weakest decoded first
         # Cross SINRs from the scalar reference on the production channels,
-        # precoder and plan.
+        # precoder and decoding orders.
         ref = reference_point(scenario, phase.indices, phase.resolution_bits, splits)
-        assert ref.plan == plan
+        assert ref.plan.decoding_order == orders
         cross = {
-            (q, p): sinr_cross(0, q, p, ref.h_eff, ref.w, plan, channels.noise_variance)
+            (q, p): sinr_cross(0, q, p, ref.h_eff, ref.w, ref.plan, channels.noise_variance)
             for q, p in ((a, b), (b, b))
         }
         r_ab = np.log2(1.0 + cross[(a, b)])

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from irsnoma_lab.clustering import (
     DegenerateCsiError,
     GmmParams,
-    Responsibilities,
     _seed_gate,
     cluster_users,
     em_e_step,
@@ -194,15 +193,15 @@ class TestEStep:
             weights=[1.0], means=[[0.0, 0.0]], variances=[1.0]
         )
         resp = em_e_step(params, np.random.default_rng(0).standard_normal((7, 2)))
-        assert np.all(resp.matrix == 1.0)
+        assert np.all(resp == 1.0)
 
     def test_equidistant_point_splits_evenly(self):
         params = GmmParams(
             weights=[0.5, 0.5], means=[[-1.0], [1.0]], variances=[0.3, 0.3]
         )
         resp = em_e_step(params, np.array([[0.0]]))
-        assert abs(resp.matrix[0, 0] - 0.5) < 1e-12
-        assert abs(resp.matrix[0, 1] - 0.5) < 1e-12
+        assert abs(resp[0, 0] - 0.5) < 1e-12
+        assert abs(resp[0, 1] - 0.5) < 1e-12
 
     def test_rows_normalized(self):
         rng = np.random.default_rng(13)
@@ -212,24 +211,22 @@ class TestEStep:
             variances=[0.5, 1.0, 2.0],
         )
         resp = em_e_step(params, rng.standard_normal((40, 4)))
-        assert np.max(np.abs(resp.matrix.sum(axis=1) - 1.0)) < 1e-12
-        assert np.all(resp.matrix >= 0.0) and np.all(resp.matrix <= 1.0)
+        assert np.max(np.abs(resp.sum(axis=1) - 1.0)) < 1e-12
+        assert np.all(resp >= 0.0) and np.all(resp <= 1.0)
 
     def test_far_point_no_underflow_error(self):
         params = GmmParams(
             weights=[0.5, 0.5], means=[[0.0], [1.0]], variances=[1e-6, 1e-6]
         )
         resp = em_e_step(params, np.array([[1e6]]))
-        assert np.isfinite(resp.matrix).all()
-        assert resp.matrix.sum() == pytest.approx(1.0)
+        assert np.isfinite(resp).all()
+        assert resp.sum() == pytest.approx(1.0)
 
 
 class TestMStep:
     def test_hard_responsibilities_reduce_to_kmeans(self):
         x = np.array([[0.0], [2.0], [10.0], [12.0]])
-        resp = Responsibilities(
-            np.array([[1, 0], [1, 0], [0, 1], [0, 1]], dtype=float)
-        )
+        resp = np.array([[1, 0], [1, 0], [0, 1], [0, 1]], dtype=float)
         params = em_m_step(resp, x)
         assert params.means[0, 0] == pytest.approx(1.0)
         assert params.means[1, 0] == pytest.approx(11.0)
@@ -237,7 +234,7 @@ class TestMStep:
     def test_uniform_responsibilities_collapse_to_global_mean(self):
         rng = np.random.default_rng(17)
         x = rng.standard_normal((20, 3))
-        resp = Responsibilities(np.full((20, 4), 0.25))
+        resp = np.full((20, 4), 0.25)
         params = em_m_step(resp, x)
         for m in range(4):
             assert np.allclose(params.means[m], x.mean(axis=0))
@@ -256,9 +253,7 @@ class TestMStep:
 
     def test_zero_responsibility_component_reseeded(self):
         x = np.array([[0.0], [1.0], [2.0]])
-        resp = Responsibilities(
-            np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
-        )
+        resp = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
         params = em_m_step(resp, x)
         assert params.weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(params.variances >= 1e-10)
@@ -390,7 +385,7 @@ class TestInvariants:
                 + sq / candidate.variances[None, :]
             )
             return float(
-                np.sum(resp.matrix * (np.log(candidate.weights)[None, :] + log_gauss))
+                np.sum(resp * (np.log(candidate.weights)[None, :] + log_gauss))
             )
 
         best = q_value(new_params)

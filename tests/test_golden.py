@@ -230,7 +230,7 @@ def add_outcomes(digest, outcomes):
     for o in outcomes:
         winner = None
         if o.feasible:
-            winner = (o.phase.indices, o.splits, o.plan.decoding_order)
+            winner = (o.phase.indices, o.splits, o.orders)
         curve = [(p.episode, p.best_reward, p.epsilon, p.loss) for p in o.curve]
         digest.update(repr((o.sum_rate, o.feasible, winner, curve)).encode())
     return digest.hexdigest()

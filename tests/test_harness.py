@@ -111,12 +111,12 @@ class TestSeedRegistry:
     def test_streams_deterministic_and_named(self):
         a = SeedRegistry(7)
         b = SeedRegistry(7)
-        assert a.seed("channel") == b.seed("channel")
-        assert a.rng("x").integers(1 << 30) == b.rng("x").integers(1 << 30)
-        assert a.seed("channel") != a.seed("cluster")
+        assert a.rng("channel").integers(1 << 62) == b.rng("channel").integers(1 << 62)
+        assert a.rng("channel").integers(1 << 62) != a.rng("cluster").integers(1 << 62)
 
     def test_master_changes_all_streams(self):
-        assert SeedRegistry(1).seed("x") != SeedRegistry(2).seed("x")
+        draws = [SeedRegistry(master).rng("x").integers(1 << 62) for master in (1, 2)]
+        assert draws[0] != draws[1]
 
 
 class TestConfig:
@@ -277,13 +277,13 @@ class TestWinnerPlan:
     @pytest.mark.parametrize("algorithm", ["oracle", "random-phase", "dqn", "tabular"])
     def test_decoding_order_matches_reference(self, tmp_path, monkeypatch, algorithm):
         recorded = []
-        build_plan = harness.gain_ordered_plan
+        build_orders = harness.decoding_orders
 
-        def spy(scenario, own_gains, splits):
+        def spy(scenario, own_gains):
             recorded.append(own_gains)
-            return build_plan(scenario, own_gains, splits)
+            return build_orders(scenario, own_gains)
 
-        monkeypatch.setattr(harness, "gain_ordered_plan", spy)
+        monkeypatch.setattr(harness, "decoding_orders", spy)
         budget = dict(episodes=12, steps_per_episode=20) if algorithm == "dqn" else {}
         cfg = small_config(tmp_path, algorithm=algorithm, n_users=6, **budget)
         setup = prepare(cfg, 1)
@@ -291,15 +291,15 @@ class TestWinnerPlan:
         scenario = setup.scenario(channels, fit.assignment)
         (outcome,) = optimize_scenario([(scenario, setup.registry.rng("agent/test"))], cfg)
         assert outcome.feasible
-        assert max(len(order) for order in outcome.plan.decoding_order) > 1
+        assert max(len(order) for order in outcome.orders) > 1
         if algorithm == "dqn":
             assert any(np.isfinite(point.loss) for point in outcome.curve)
         ref = reference_point(
             scenario, outcome.phase.indices, cfg.resolution_bits, outcome.splits
         )
-        assert outcome.plan.decoding_order == ref.plan.decoding_order
-        # The plan is built from the gains the search recorded for its winner,
-        # and they equal a fresh evaluation of that point.
+        assert outcome.orders == ref.plan.decoding_order
+        # The orders are built from the gains the search recorded for its
+        # winner, and those gains equal a fresh evaluation of that point.
         (gains,) = recorded
         fresh = evaluate_point(scenario, outcome.phase, outcome.splits)
         assert np.array_equal(gains, fresh.own_gains)

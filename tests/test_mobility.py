@@ -52,20 +52,15 @@ class TestRejectionSampling:
     def test_zero_count(self):
         assert rejection_sample_positions(BOX, 0, seed=2).shape == (0, 2)
 
-    def test_density_shaping(self):
-        # Density proportional to x being positive: no samples at x < 0.
-        density = lambda pts: (pts[:, 0] > 0).astype(float)
-        pts = rejection_sample_positions(
-            BOX, 2000, seed=3, density=density, density_bound=1.0
-        )
-        assert np.all(pts[:, 0] > 0)
-
     def test_loose_envelope_raises(self):
-        density = lambda pts: (pts[:, 0] > 49.99).astype(float)
+        # The obstacle leaves a 0.001 m strip along x = 50: about one
+        # proposal in 10^5 lands in the region.
+        strip = ServiceRegion(
+            bounds=BOX.bounds,
+            obstacle=np.array([[-51.0, -51.0], [49.999, -51.0], [49.999, 51.0], [-51.0, 51.0]]),
+        )
         with pytest.raises(EnvelopeTooLooseError):
-            rejection_sample_positions(
-                BOX, 50, seed=4, density=density, density_bound=1e3
-            )
+            rejection_sample_positions(strip, 50, seed=4)
 
 
 class TestMotionModel:
@@ -152,7 +147,10 @@ class TestLstmForward:
 
 class TestLstmTraining:
     def test_zero_learning_rate_keeps_parameters(self):
-        pred = RecurrentPredictor(hidden_dim=4, window_len=3, learning_rate=0.0, seed=5)
+        # The constructor rejects a zero rate; set after construction, it
+        # shows that the update is the only step that moves a parameter.
+        pred = RecurrentPredictor(hidden_dim=4, window_len=3, seed=5)
+        pred.learning_rate = 0.0
         before = {k: v.copy() for k, v in pred.parameters().items()}
         loss, _ = pred.train_step(np.ones((1, 3, 2))[None], np.array([[1.0, -1.0]])[None])
         assert loss > 0
@@ -208,6 +206,20 @@ class TestLstmTraining:
         )
         _, clipped = pred.train_step(np.ones((1, 2, 2))[None], np.array([[5.0, 5.0]])[None])
         assert clipped == 1
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            (dict(learning_rate=0.0), "learning_rate"),
+            (dict(learning_rate=-0.05), "learning_rate"),
+            (dict(clip_norm=0.0), "clip_norm"),
+            (dict(clip_norm=-1.0), "clip_norm"),
+            (dict(n_users=0), "user count"),
+        ],
+    )
+    def test_bad_settings_rejected_at_construction(self, setting, message):
+        with pytest.raises(ValueError, match=message):
+            RecurrentPredictor(seed=0, **setting)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from irsnoma_lab.channel import ChannelRealization, PhaseConfig, dbm_to_watts
 from irsnoma_lab.noma import (
-    ClusterPlan,
     _scalar_abs2,
     NetworkScenario,
     ScenarioStack,
@@ -17,6 +16,7 @@ from irsnoma_lab.noma import (
     oma_tdma_sum_rate,
 )
 from scalar_reference import (
+    ClusterPlan,
     alpha_from_units,
     check_sic,
     evaluate,

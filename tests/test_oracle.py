@@ -139,6 +139,20 @@ class TestAlphaEnumeration:
         assert composition_count(2, 3) == 6
         assert len(alpha_grid((3,), 0.5)) == composition_count(2, 3)
 
+    @pytest.mark.parametrize("parts", [1, 2, 3, 4, 5, 6])
+    def test_compositions_equal_the_filtered_product_in_order(self, parts):
+        # itertools.product is lexicographic, so its rows that sum to the
+        # budget are every composition in lexicographic order.
+        for units in range(0, 11 if parts <= 4 else 7):
+            literal = [
+                counts
+                for counts in itertools.product(range(units + 1), repeat=parts)
+                if sum(counts) == units
+            ]
+            rows = oracle._compositions(units, parts)
+            assert rows.shape == (composition_count(units, parts), parts)
+            assert [tuple(row) for row in rows.tolist()] == literal
+
     @pytest.mark.parametrize("sizes", [(1,), (3,), (2, 2), (1, 3, 2)])
     @pytest.mark.parametrize("step", [0.5, 0.25, 0.2, 0.1])
     def test_rows_equal_the_literal_product_in_order(self, sizes, step):

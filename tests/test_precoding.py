@@ -14,13 +14,17 @@ def random_well_conditioned(rng, m, cond_cap=1e6):
 
 
 def singletons(m):
-    """Cluster members when user u alone forms cluster u."""
-    return [np.array([u]) for u in range(m)]
+    """Member table when user u alone forms cluster u."""
+    return member_table([[u] for u in range(m)])
 
 
 def members_of(assignment):
     assign = np.asarray(assignment)
     return [np.flatnonzero(assign == m) for m in range(assign.max() + 1)]
+
+
+def table_of(assignment):
+    return member_table(members_of(assignment))
 
 
 def zf(h, power, condition_limit=CONDITION_LIMIT):
@@ -33,27 +37,26 @@ def zf(h, power, condition_limit=CONDITION_LIMIT):
 class TestRepresentatives:
     def test_single_user_clusters(self):
         h = np.eye(3, dtype=complex)
-        assert cluster_heads(h[None], members_of([0, 1, 2]))[0].tolist() == [0, 1, 2]
+        assert cluster_heads(h[None], table_of([0, 1, 2]))[0].tolist() == [0, 1, 2]
 
     def test_argmax_norm(self):
         h = np.array([[0.1], [0.9], [0.5]], dtype=complex)
-        assert cluster_heads(h[None], members_of([0, 0, 0]))[0].tolist() == [1]
+        assert cluster_heads(h[None], table_of([0, 0, 0]))[0].tolist() == [1]
 
     def test_tie_breaks_to_lowest_index(self):
         h = np.array([[0.5], [0.5], [0.2]], dtype=complex)
-        assert cluster_heads(h[None], members_of([0, 0, 0]))[0].tolist() == [0]
+        assert cluster_heads(h[None], table_of([0, 0, 0]))[0].tolist() == [0]
 
     def test_empty_cluster_rejected(self):
-        h = np.ones((2, 2), dtype=complex)
         members = [np.array([0]), np.array([], dtype=int), np.array([1])]
-        with pytest.raises(ValueError):
-            cluster_heads(h[None], members)  # cluster 1 missing
+        with pytest.raises(ValueError, match="cluster 1 is empty"):
+            member_table(members)
 
     def test_heads_per_phase(self):
         h = np.array(
             [[[0.1], [0.9], [0.5]], [[0.7], [0.2], [0.5]]], dtype=complex
         )
-        assert cluster_heads(h, members_of([0, 0, 1])).tolist() == [[1, 2], [0, 2]]
+        assert cluster_heads(h, table_of([0, 0, 1])).tolist() == [[1, 2], [0, 2]]
 
 
     def test_member_table_pads_with_a_member(self):
@@ -193,7 +196,7 @@ class TestClusterChannelMatrix:
         h_eff = np.array(
             [[1.0, 0.0], [0.0, 2.0], [0.0, 1.0]], dtype=complex
         )
-        ok, w = zero_forcing(h_eff[None], members_of([0, 1, 1]), 1.0)
+        ok, w = zero_forcing(h_eff[None], table_of([0, 1, 1]), 1.0)
         assert ok[0]
         # The heads (users 0 and 1) are zero-forced: H_heads W is a scaled I.
         prod = h_eff[[0, 1]] @ w[0]

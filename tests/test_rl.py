@@ -158,6 +158,21 @@ class TestQApproximator:
             with pytest.raises(ValueError, match=r"rows must be \(2, \.\.\., B, 2\)"):
                 approx.forward(rows)
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            (dict(sync_period=0), "sync_period"),
+            (dict(sync_period=-3), "sync_period"),
+            (dict(clip_norm=0.0), "clip_norm"),
+            (dict(clip_norm=-1.0), "clip_norm"),
+            (dict(learning_rate=0.0), "learning_rate"),
+            (dict(discount=1.0), "discount"),
+        ],
+    )
+    def test_bad_settings_rejected_at_construction(self, setting, message):
+        with pytest.raises(ValueError, match=message):
+            QApproximator(2, 2, seeds=[0], **setting)
+
 
 class TestPaddedNetwork:
     """Runs of different action counts in one network: each run's outputs,
