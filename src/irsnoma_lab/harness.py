@@ -54,6 +54,7 @@ from .noma import (
 from .oracle import (
     CHUNK_POINTS,
     EVALUATION_GUARD,
+    SPLIT_GUARD,
     SearchSpace,
     SearchSpaceTooLargeError,
     _units_from_step,
@@ -179,7 +180,7 @@ class ExperimentConfig:
             self.check_oracle_size(self.k_elements, "k_elements")
 
     def check_oracle_size(self, k_elements: int, field: str) -> None:
-        """Reject an oracle search above the guard under every clustering.
+        """Reject an oracle search above either guard under every clustering.
 
         m - 1 singleton clusters give the fewest splits (a scenario file brings
         its own users: phases only); 2**64 phases alone exceed the guard.
@@ -192,6 +193,11 @@ class ExperimentConfig:
                 f"{field} {k_elements} at resolution_bits {self.resolution_bits} gives "
                 f"2**{exponent} oracle phase configs x {splits} power splits at least, "
                 f"above the guard {EVALUATION_GUARD}"
+            )
+        if splits > SPLIT_GUARD:
+            raise ValueError(
+                f"alpha_step {self.alpha_step} gives {splits} oracle power splits at "
+                f"least, above the guard {SPLIT_GUARD}"
             )
 
     @classmethod

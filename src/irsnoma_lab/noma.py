@@ -20,7 +20,8 @@ flag.
 
 :func:`evaluate_batch` scores a grid of phase configs and power splits on
 one scenario, and :func:`evaluate_points` one point on each of E scenarios
-of one size.  Both run one body.
+of one size.  Both run one body, which reads the cluster layout of a
+:class:`ScenarioStack`: a grid is a one-run stack.
 """
 
 from __future__ import annotations
@@ -81,11 +82,12 @@ def oma_tdma_sum_rate(gains, total_power: float, noise_variance: float) -> float
 class NetworkScenario:
     """Fixed per-slot context: channels, cluster membership, budget, flags.
 
-    Construction also fixes the cluster layout every scorer reads: the
-    members and sizes of each cluster, and the decoding slots, which run
-    through the clusters one after another.  A power split is one (N,)
-    coefficient row over those slots: cluster m's entries are contiguous
-    and in decoding position.  ``qos_floors`` becomes one floor per user.
+    Construction fixes the members, size and first decoding slot of each
+    cluster; the decoding slots run through the clusters one after another.
+    A power split is one (N,) coefficient row over those slots: cluster m's
+    entries are contiguous and in decoding position.  ``qos_floors``
+    becomes one floor per user.  The scorers read the layout of a
+    :class:`ScenarioStack`.
     """
 
     channels: ChannelRealization
@@ -95,25 +97,8 @@ class NetworkScenario:
     interference_model: str = "incoherent"
     alpha_domain: str = "amplitude"
     members: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    member_table: np.ndarray = field(init=False, repr=False)
     cluster_sizes: tuple[int, ...] = field(init=False, repr=False)
     cluster_starts: np.ndarray = field(init=False, repr=False)
-    # user_cluster[u]: u's cluster.  Slot k serves cluster slot_cluster[k],
-    # and cluster m's slots start at cluster_starts[m];
-    # same_cluster[j, k] marks slots j != k of one cluster; other_beams[k]
-    # lists the beams of every other cluster; slot sic_later[i] decodes the
-    # signal of slot sic_earlier[i].
-    user_cluster: np.ndarray = field(init=False, repr=False)
-    slot_cluster: np.ndarray = field(init=False, repr=False)
-    same_cluster: np.ndarray = field(init=False, repr=False)
-    other_beams: np.ndarray = field(init=False, repr=False)
-    sic_later: np.ndarray = field(init=False, repr=False)
-    sic_earlier: np.ndarray = field(init=False, repr=False)
-    # How the scorer indexes the layout: one layout serves every phase.
-    run_index: tuple = field(init=False, repr=False)
-    own_beam_at: tuple = field(init=False, repr=False)
-    sic_later_at: tuple = field(init=False, repr=False)
-    sic_earlier_at: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         assignment = tuple(int(c) for c in self.assignment)
@@ -137,37 +122,19 @@ class NetworkScenario:
             raise ValueError(f"unknown interference model {self.interference_model!r}")
         if self.alpha_domain not in ALPHA_DOMAINS:
             raise ValueError(f"unknown alpha domain {self.alpha_domain!r}")
-        floors = np.array(
-            np.broadcast_to(np.asarray(self.qos_floors, dtype=float), (n_users,))
-        )
+        floors = np.full(n_users, self.qos_floors, dtype=float)
         if (floors < 0).any():
             raise ValueError("SINR floors must be non-negative")
 
         user_cluster = np.array(assignment)
         members = tuple(np.flatnonzero(user_cluster == m) for m in range(n_clusters))
-        slot_cluster = np.sort(user_cluster)
-        slot = np.arange(n_users)
-        same = (slot_cluster[:, None] == slot_cluster) & (slot[:, None] != slot)
-        other = slot_cluster[:, None] != np.arange(n_clusters)
-        later, earlier = np.nonzero(same & (slot[:, None] > slot))
-        every = slice(None)
+        sizes = tuple(len(mem) for mem in members)
         for name, value in (
             ("assignment", assignment),
             ("qos_floors", floors),
             ("members", members),
-            ("member_table", member_table(members)),
-            ("cluster_sizes", tuple(len(mem) for mem in members)),
-            ("cluster_starts", np.searchsorted(slot_cluster, np.arange(n_clusters))),
-            ("user_cluster", user_cluster),
-            ("slot_cluster", slot_cluster),
-            ("same_cluster", same),
-            ("other_beams", np.nonzero(other)[1].reshape(n_users, -1)),
-            ("sic_later", later),
-            ("sic_earlier", earlier),
-            ("run_index", ()),
-            ("own_beam_at", (every, every, user_cluster)),
-            ("sic_later_at", (every, None, later)),
-            ("sic_earlier_at", (Ellipsis, earlier)),
+            ("cluster_sizes", sizes),
+            ("cluster_starts", np.cumsum((0, *sizes[:-1]))),
         ):
             object.__setattr__(self, name, value)
 
@@ -196,26 +163,38 @@ class StackedChannels:
 
 
 class ScenarioStack:
-    """E scenarios that share N, M, K and both flags, scored one point each.
+    """E scenarios that share N, M, K and both flags: the layout every scorer reads.
 
     The scenarios may differ in channels, assignment, occupancy, floors,
-    noise and power.  Every layout array of :class:`NetworkScenario` gets a
-    leading run axis of fixed shape: member tables are padded to the
-    widest cluster by repeating a member, which never wins the head
-    ``argmax``, and SIC pairs to the most pairs by self-pairs (slot 0
-    decoding its own signal), whose check repeats the own rate and never
-    fails.  A scenario listed more than once (the same object) is stacked
-    once, and its rows are taken by index.
+    noise and power.  Every layout array has a leading run axis:
+    ``user_cluster`` (E, N) is each user's cluster; slot k serves cluster
+    ``slot_cluster[e, k]``, and cluster m's slots start at
+    ``cluster_starts[e, m]``; ``same_cluster`` (E, 1, N, N) marks slots
+    j != k of one cluster; ``other_beams`` (E, N, M - 1) lists the beams of
+    every other cluster; slot ``sic_later[e, 0, i]`` decodes the signal of
+    slot ``sic_earlier[e, 0, i]``.  Member tables are padded to the widest
+    cluster by repeating a member, which never wins the head ``argmax``,
+    and SIC pairs to the most pairs by self-pairs (slot 0 decoding its own
+    signal), whose check repeats the own rate and never fails.  A scenario
+    listed more than once (the same object) is stacked once, and its rows
+    are taken by index.
     """
 
     def __init__(self, scenarios):
         self.scenarios = tuple(scenarios)
         if not self.scenarios:
             raise ValueError("at least one scenario is required")
-        # Each distinct scenario once, and the position of run e's among them.
-        scenarios = list({id(s): s for s in self.scenarios}.values())
-        positions = {id(s): i for i, s in enumerate(scenarios)}
-        index = [positions[id(s)] for s in self.scenarios]
+        # Each distinct scenario once; runs that repeat one take its rows by index.
+        distinct = {id(s): s for s in self.scenarios}
+        scenarios = list(distinct.values())
+        index = None
+        if len(scenarios) < len(self.scenarios):
+            position = {key: i for i, key in enumerate(distinct)}
+            index = [position[id(s)] for s in self.scenarios]
+
+        def take(rows):  # one row per distinct scenario -> one per run
+            rows = np.array(rows)
+            return rows if index is None else rows[index]
 
         def size(s):
             c = s.channels
@@ -229,43 +208,54 @@ class ScenarioStack:
                     f"{size(first)} vs {size(s)}"
                 )
 
-        def take(rows):  # one row per distinct scenario -> one per run
-            return np.stack(rows)[index]
-
-        def stack(name):
-            return take([getattr(s, name) for s in scenarios])
-
-        def pairs(name):
-            n_pairs = max(len(s.sic_later) for s in scenarios)
-            return take([
-                np.pad(getattr(s, name), (0, n_pairs - len(s.sic_later))) for s in scenarios
-            ])[:, None]
-
         n_users, n_clusters = first.channels.n_users, first.n_clusters
-        width = max(len(mem) for s in scenarios for mem in s.members)
-        runs = np.arange(len(index))[:, None, None]
+        n_runs = len(self.scenarios)
+        slot = np.arange(n_users)
+        self.user_cluster = take([s.assignment for s in scenarios])
+        self.slot_cluster = np.sort(self.user_cluster, axis=1)
+        self.same_cluster = (
+            (self.slot_cluster[:, :, None] == self.slot_cluster[:, None]) & (slot[:, None] != slot)
+        )[:, None]
+        # Cluster c's slots see the beams 0, ..., c - 1, c + 1, ..., M - 1.
+        beams = np.arange(n_clusters - 1)
+        self.other_beams = beams + (beams >= self.slot_cluster[..., None])
+        # Slot j decodes the signal of every earlier slot i of its cluster.
+        pairs = [
+            [(j, i) for start, n in zip(s.cluster_starts, s.cluster_sizes)
+             for j in range(start + 1, start + n) for i in range(start, j)]
+            for s in scenarios
+        ]
+        n_pairs = max(map(len, pairs))
+        padded = [p + [(0, 0)] * (n_pairs - len(p)) for p in pairs]
+        sic = take(padded).astype(np.intp, copy=False).reshape(n_runs, 1, n_pairs, 2)
+        self.sic_later, self.sic_earlier = sic[..., 0], sic[..., 1]
+        width = max(max(s.cluster_sizes) for s in scenarios)
+        self.member_table = take([member_table(s.members, width) for s in scenarios])
+        self.cluster_starts = take([s.cluster_starts for s in scenarios])
+        self.qos_floors = take([s.qos_floors for s in scenarios])
+        self.total_power = take([float(s.total_power) for s in scenarios])
         self.channels = StackedChannels(
             take([s.channels.g_matrix for s in scenarios]),
             take([s.channels.user_channels for s in scenarios]),
             take([s.channels.noise_variance for s in scenarios])[:, None, None],
         )
-        self.total_power = take([float(s.total_power) for s in scenarios])
         self.interference_model = first.interference_model
         self.alpha_domain = first.alpha_domain
-        self.member_table = take([member_table(s.members, width) for s in scenarios])
-        # Every run's cluster starts in the runs' rows laid end to end.
-        self.cluster_starts = (stack("cluster_starts") + n_users * runs[:, :, 0]).ravel()
-        self.qos_floors = stack("qos_floors")
-        self.user_cluster = stack("user_cluster")
-        self.slot_cluster = stack("slot_cluster")
-        self.same_cluster = stack("same_cluster")[:, None]
-        self.other_beams = stack("other_beams")
-        self.sic_later = pairs("sic_later")
-        # Row e of the scorer's arrays reads run e's layout.
-        self.run_index = (runs[:, :, 0],)
-        self.own_beam_at = (runs, np.arange(n_clusters)[:, None], self.user_cluster[:, None])
-        self.sic_later_at = (runs, self.sic_later)
-        self.sic_earlier_at = (runs, 0, pairs("sic_earlier"))
+        # How the scorer indexes the layout.  Row e of its arrays reads run
+        # e's layout, except in a one-run stack, whose layout serves every
+        # row: the P phase rows of a grid take no per-run gather.
+        if n_runs == 1:
+            every = slice(None)
+            self.run_index = 0
+            self.own_beam_at = (every, every, self.user_cluster[0])
+            self.sic_later_at = (every, None, self.sic_later[0, 0])
+            self.sic_earlier_at = (Ellipsis, self.sic_earlier[0, 0])
+        else:
+            runs = np.arange(n_runs)[:, None, None]
+            self.run_index = runs[:, :, 0]
+            self.own_beam_at = (runs, np.arange(n_clusters)[:, None], self.user_cluster[:, None])
+            self.sic_later_at = (runs, self.sic_later)
+            self.sic_earlier_at = (runs, 0, self.sic_earlier)
 
     def __len__(self) -> int:
         return len(self.scenarios)
@@ -286,22 +276,29 @@ class GridScores:
     own_gains: np.ndarray
 
 
-def _split_weights(scenario: NetworkScenario, alphas) -> np.ndarray:
-    """(S, N) SINR weights of the coefficient rows, each cluster checked on the unit simplex."""
+def _split_weights(stack: ScenarioStack, alphas, rows: str) -> np.ndarray:
+    """SINR weights of the coefficient rows, each cluster checked on the unit simplex.
+
+    ``alphas`` is (S, N) on a one-run stack, every row in its slots, or
+    (E, N), row e in run e's slots; ``rows`` names the first axis in the
+    shape error.
+    """
     alphas = np.asarray(alphas, dtype=float)
-    n_users = scenario.channels.n_users
+    n_users = stack.user_cluster.shape[1]
     if alphas.ndim != 2 or alphas.shape[1] != n_users:
-        raise ValueError(f"splits must be an (S, {n_users}) array, got {alphas.shape}")
-    # One screen over every cluster; only splits that fail it are checked
-    # cluster by cluster, which raises that cluster's error.  Half the tolerance
-    # covers the rounding by which reduceat's sums can differ from each
-    # cluster's own sum (a few ulps).
-    starts = scenario.cluster_starts
-    sums = np.add.reduceat(alphas, starts, axis=1)
-    if (alphas < 0).any() or (np.abs(sums - 1.0) > ALPHA_SUM_TOL / 2).any():
-        for m, (start, size) in enumerate(zip(starts, scenario.cluster_sizes)):
-            _check_simplex(m, alphas[:, start : start + size])
-    return alphas * alphas if scenario.alpha_domain == "amplitude" else alphas
+        raise ValueError(f"splits must be an ({rows}, {n_users}) array, got {alphas.shape}")
+    # One screen over every cluster of every row; only splits that fail it
+    # are checked cluster by cluster, which raises the first failing row's
+    # first failing cluster.  Half the tolerance covers the rounding by which
+    # reduceat's sums can differ from each cluster's own sum (a few ulps).
+    starts = stack.cluster_starts
+    flat = starts + np.arange(0, alphas.size, n_users)[:, None]
+    sums = np.add.reduceat(alphas.ravel(), flat.ravel())
+    if alphas.min(initial=0.0) < 0 or np.abs(sums - 1.0).max(initial=0.0) > ALPHA_SUM_TOL / 2:
+        for row, row_starts in zip(alphas, np.broadcast_to(starts, flat.shape)):
+            for m, part in enumerate(np.split(row, row_starts[1:])):
+                _check_simplex(m, part)
+    return alphas * alphas if stack.alpha_domain == "amplitude" else alphas
 
 
 def _scalar_abs2(z: np.ndarray) -> np.ndarray:
@@ -314,27 +311,25 @@ def _scalar_abs2(z: np.ndarray) -> np.ndarray:
     return np.power(np.abs(z).astype(object), 2).astype(float)
 
 
-def evaluate_batch(
-    scenario: NetworkScenario,
-    phase_idx,
-    alphas,
-    resolution_bits: int,
-) -> GridScores:
+def evaluate_batch(scenario, phase_idx, alphas, resolution_bits: int) -> GridScores:
     """Score the grid ``phase_idx`` (P, K) x ``alphas`` (S, N) coefficient rows.
 
-    Effective channels, cluster heads, the condition check and the ZF solve
-    run once per phase, batched over the P phases.  Each cluster's users
-    are decoded in ascending order of their own-beam gain (weakest first,
-    lower index on ties), so cluster m's i-th entry of a row funds its i-th
-    decoded user; SINRs, SIC and QoS then run for all S splits and all
-    clusters at once over the scenario's decoding slots.  Every point
-    equals the per-pair scalar evaluation bit for bit: each float step
-    repeats its expression and summation order (``h_row @ W`` as a stacked
-    row product, intra-cluster weights added in decoding order,
+    ``scenario`` is a :class:`NetworkScenario` or its one-run
+    :class:`ScenarioStack`; a caller that scores one scenario in chunks
+    stacks it once.  Effective channels, cluster heads, the condition check
+    and the ZF solve run once per phase, batched over the P phases.  Each
+    cluster's users are decoded in ascending order of their own-beam gain
+    (weakest first, lower index on ties), so cluster m's i-th entry of a
+    row funds its i-th decoded user; SINRs, SIC and QoS then run for all S
+    splits and all clusters at once over the scenario's decoding slots.
+    Every point equals the per-pair scalar evaluation bit for bit: each
+    float step repeats its expression and summation order (``h_row @ W`` as
+    a stacked row product, intra-cluster weights added in decoding order,
     inter-cluster power summed over the other beams only, own power squared
     as a numpy scalar).
     """
-    return _score(scenario, phase_idx, resolution_bits, _split_weights(scenario, alphas)[None])
+    stack = scenario if isinstance(scenario, ScenarioStack) else ScenarioStack([scenario])
+    return _score(stack, phase_idx, resolution_bits, _split_weights(stack, alphas, "S")[None])
 
 
 def evaluate_points(scenarios, phase_idx, alphas, resolution_bits: int) -> GridScores:
@@ -346,38 +341,28 @@ def evaluate_points(scenarios, phase_idx, alphas, resolution_bits: int) -> GridS
     :func:`evaluate_batch` on its own scenario, bit for bit.
     """
     stack = scenarios if isinstance(scenarios, ScenarioStack) else ScenarioStack(scenarios)
-    alphas = np.asarray(alphas, dtype=float)
     if not len(stack) == len(phase_idx) == len(alphas):
         raise ValueError(
             f"{len(phase_idx)} phase rows, {len(alphas)} splits and {len(stack)} "
             "scenarios do not pair up"
         )
-    n_users = stack.user_cluster.shape[1]
-    if alphas.shape != (len(stack), n_users):
-        raise ValueError(f"splits must be an (E, {n_users}) array, got {alphas.shape}")
-    sums = np.add.reduceat(alphas.ravel(), stack.cluster_starts)
-    if (alphas < 0).any() or (np.abs(sums - 1.0) > ALPHA_SUM_TOL / 2).any():
-        for scenario, row in zip(stack.scenarios, alphas):
-            _split_weights(scenario, row[None])
-    wts = alphas * alphas if stack.alpha_domain == "amplitude" else alphas
-    grid = _score(stack, phase_idx, resolution_bits, wts[:, None])
+    grid = _score(stack, phase_idx, resolution_bits, _split_weights(stack, alphas, "E")[:, None])
     return GridScores(grid.sum_rate[:, 0], grid.feasible[:, 0], grid.own_gains)
 
 
-def _score(layout, phase_idx, resolution_bits, wts) -> GridScores:
+def _score(stack: ScenarioStack, phase_idx, resolution_bits, wts) -> GridScores:
     """The body of both evaluators.
 
-    ``layout`` is a scenario, whose one layout serves every phase, with
-    ``wts`` (1, S, N); or a :class:`ScenarioStack`, whose run e lays out
-    phase row e, with ``wts`` (E, 1, N).  The scorer reads the layout
-    through its index tuples, so a grid takes no per-run gather.  Every
-    row is scored; rows whose ZF failed are then set to rate 0, infeasible
-    and NaN gains.
+    Phase row p reads run p's layout, or the one run's in a one-run stack;
+    ``wts`` is (1, S, N) for a grid's S splits and (E, 1, N) for one split
+    per run.  The scorer reads the layout through the stack's index tuples,
+    built once per stack.  Every row is scored; rows whose ZF failed are
+    then set to rate 0, infeasible and NaN gains.
     """
-    h_eff = effective_channels_batch(layout.channels, phase_idx, resolution_bits)
+    h_eff = effective_channels_batch(stack.channels, phase_idx, resolution_bits)
     n_phases, n_users, n_clusters = h_eff.shape
     n_splits = wts.shape[1]
-    ok, w = zero_forcing(h_eff, layout.member_table, layout.total_power)
+    ok, w = zero_forcing(h_eff, stack.member_table, stack.total_power)
     if not ok.any():
         return GridScores(
             np.zeros((n_phases, n_splits)),
@@ -389,35 +374,35 @@ def _score(layout, phase_idx, resolution_bits, wts) -> GridScores:
         full = np.zeros((n_phases, n_clusters, n_clusters), dtype=complex)
         full[ok] = w
         w = full
-    own_beams = w[layout.own_beam_at].transpose(0, 2, 1)
+    own_beams = w[stack.own_beam_at].transpose(0, 2, 1)
     gains = np.abs(np.einsum("pum,pum->pu", h_eff, own_beams))
     if not np.isfinite(gains).all():
         raise ValueError("gains must be finite")
 
     # At phase p the user in slot k is order[p, k].
-    assign = layout.user_cluster
+    assign = stack.user_cluster
     order = np.lexsort((gains, np.broadcast_to(assign, gains.shape)))
 
     beams = (h_eff[..., None, :] @ w[:, None])[..., 0, :]  # (P, N, M): h_u . w_g
     rows = np.arange(n_phases)[:, None]
-    own = _scalar_abs2(beams[rows, order, layout.slot_cluster])
-    others = beams[rows[:, :, None], order[:, :, None], layout.other_beams]
-    if layout.interference_model == "incoherent":
+    own = _scalar_abs2(beams[rows, order, stack.slot_cluster])
+    others = beams[rows[:, :, None], order[:, :, None], stack.other_beams]
+    if stack.interference_model == "incoherent":
         inter = np.sum(np.abs(others) ** 2, axis=-1)
     else:
         inter = _scalar_abs2(np.sum(others, axis=-1))
     # The other members' weights, added one by one in decoding order.
-    intra = np.cumsum(wts[..., None] * layout.same_cluster, axis=-2)[..., -1, :]
+    intra = np.cumsum(wts[..., None] * stack.same_cluster, axis=-2)[..., -1, :]
 
     # sinr[p, s, k]: the user in slot k decoding its own signal.
-    noise = layout.channels.noise_variance
+    noise = stack.channels.noise_variance
     own3 = own[:, None, :]
     sinr = (wts * own3) / (own3 * intra + inter[:, None, :] + noise)
     rates = np.log2(1.0 + sinr)
     sic = True
-    if layout.sic_later.size:
+    if stack.sic_later.size:
         # Slot later[i] decoding the signal of slot earlier[i], same cluster.
-        at_later, at_earlier = layout.sic_later_at, layout.sic_earlier_at
+        at_later, at_earlier = stack.sic_later_at, stack.sic_earlier_at
         own_l = own[at_later]
         tau = (wts[at_earlier] * own_l) / (
             own_l * intra[at_earlier] + inter[at_later] + noise
@@ -425,7 +410,7 @@ def _score(layout, phase_idx, resolution_bits, wts) -> GridScores:
         need = rates[at_earlier]
         floor = need - SIC_RATE_TOL * np.maximum(1.0, np.abs(need))
         sic = ~(np.log2(1.0 + tau) < floor).any(axis=-1)
-    floors = layout.qos_floors[(*layout.run_index, order)][:, None, :]
+    floors = stack.qos_floors[stack.run_index, order][:, None, :]
     feasible = sic & (sinr >= floors).all(axis=-1)
     user_rates = np.empty_like(rates)
     user_rates[rows, :, order] = rates.transpose(0, 2, 1)

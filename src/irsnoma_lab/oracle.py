@@ -19,9 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import PhaseConfig
-from .noma import NetworkScenario, evaluate_batch
+from .noma import NetworkScenario, ScenarioStack, evaluate_batch
 
 EVALUATION_GUARD = 10**8
+# alpha_grid holds every split at once, about 250 bytes a row for one
+# 10-user cluster, so the split rows have a guard of their own.
+SPLIT_GUARD = 10**6
 # Grid points (or phases, for one user's gain) scored per chunk.  Working
 # arrays hold one SINR per (point, decoder, target) of a cluster and one
 # effective-channel entry per (phase, user, element), so they stay a few MiB
@@ -30,14 +33,11 @@ CHUNK_POINTS = 1 << 12
 
 
 class SearchSpaceTooLargeError(ValueError):
-    """Enumeration would exceed the evaluation guard."""
+    """Enumeration would exceed the evaluation guard or the split guard."""
 
-    def __init__(self, count: int):
+    def __init__(self, count: int, what: str = "evaluations", guard: int = EVALUATION_GUARD):
         self.count = int(count)
-        super().__init__(
-            f"search space holds {count} evaluations, above the guard "
-            f"{EVALUATION_GUARD}"
-        )
+        super().__init__(f"search space holds {count} {what}, above the guard {guard}")
 
 
 def composition_count(units: int, parts: int) -> int:
@@ -80,7 +80,7 @@ class SearchSpace:
         units = _units_from_step(self.alpha_step)
         count = 1
         for size in self.cluster_sizes:
-            count *= composition_count(units, size) if size > 1 else 1
+            count *= composition_count(units, size)
         return count
 
     @property
@@ -90,6 +90,8 @@ class SearchSpace:
     def check_guard(self):
         if self.total_count > EVALUATION_GUARD:
             raise SearchSpaceTooLargeError(self.total_count)
+        if self.split_count > SPLIT_GUARD:
+            raise SearchSpaceTooLargeError(self.split_count, "power splits", SPLIT_GUARD)
 
 
 def phase_index_block(
@@ -203,6 +205,7 @@ def brute_force_optimum(scenario: NetworkScenario, space: SearchSpace) -> Oracle
     start = time.perf_counter()
     bits = space.resolution_bits
     grid = alpha_grid(space.cluster_sizes, space.alpha_step)
+    stack = ScenarioStack([scenario])
     best_rate = -np.inf
     best_phase = None
     best_splits = None
@@ -211,7 +214,7 @@ def brute_force_optimum(scenario: NetworkScenario, space: SearchSpace) -> Oracle
     chunks = _grid_chunks(space.phase_count, len(grid), CHUNK_POINTS)
     for p0, p1, s0, s1 in chunks:
         phase_idx = phase_index_block(space.k_elements, bits, p0, p1)
-        scores = evaluate_batch(scenario, phase_idx, grid[s0:s1], bits)
+        scores = evaluate_batch(stack, phase_idx, grid[s0:s1], bits)
         feasible += int(np.count_nonzero(scores.feasible))
         rates = np.where(scores.feasible, scores.sum_rate, -np.inf)
         p, s = np.unravel_index(np.argmax(rates), rates.shape)

@@ -4,7 +4,9 @@ Each cluster is served through its head user, the member with the largest
 effective-channel norm.  The precoder inverts the M x M matrix whose row m
 is the effective channel of cluster m's head, so each cluster's beam has
 unit gain on its own head and zero gain on every other cluster's, then
-scales all beams uniformly to spend the total power budget exactly.
+scales all beams uniformly to spend the total power budget exactly.  The
+member tables and budgets broadcast over the stack: one for every phase,
+or one per phase.
 """
 
 from __future__ import annotations
@@ -30,17 +32,16 @@ def member_table(members, width: int = 0) -> np.ndarray:
 def cluster_heads(h_eff: np.ndarray, table: np.ndarray) -> np.ndarray:
     """(P, M) user index of each cluster's head under each of P phases.
 
-    ``h_eff`` is (P, N, M).  ``table`` is a :func:`member_table`, (M, L)
-    for every phase or (P, M, L) for one table per phase.  The head has the
-    largest effective-channel norm; ties go to the member listed first, the
-    lowest user index.
+    ``h_eff`` is (P, N, M).  ``table`` is a :func:`member_table`, (M, L),
+    or a stack of E of them, (E, M, L), which broadcasts over the phases:
+    one table for every phase (E = 1) or one per phase (E = P).  The head
+    has the largest effective-channel norm; ties go to the member listed
+    first, the lowest user index.
     """
     norms = np.linalg.norm(h_eff, axis=-1)
-    if table.ndim == 2:
-        return table[np.arange(len(table)), np.argmax(norms[:, table], axis=-1)]
-    rows = np.arange(len(h_eff))[:, None]
-    best = np.argmax(norms[rows[..., None], table], axis=-1)
-    return table[rows, np.arange(table.shape[1]), best]
+    table = table.reshape(-1, *table.shape[-2:])
+    best = np.argmax(norms[np.arange(len(h_eff))[:, None, None], table], axis=-1)
+    return table[np.arange(len(table))[:, None], np.arange(table.shape[1]), best]
 
 
 def zero_forcing(
@@ -57,10 +58,11 @@ def zero_forcing(
     and ``w`` (ok.sum(), M, M) holds their precoders, column m serving
     cluster m.  The unscaled solution W satisfies H W = I; every column is
     then multiplied by sqrt(P / sum_m ||w_m||^2) so the power constraint
-    holds with equality.  ``total_power`` is one budget P for the stack or
-    one per matrix, (P,); only that final scale reads it.
+    holds with equality.  ``total_power`` is a budget that broadcasts over
+    the matrices, one for all or one per matrix; only that final scale
+    reads it.
     """
-    power = np.asarray(total_power, dtype=float)
+    power = np.full(len(h_eff), total_power, dtype=float)
     if not (power > 0).all():
         raise ValueError("total_power must be positive")
     n_clusters = h_eff.shape[-1]
@@ -79,7 +81,7 @@ def zero_forcing(
     hmat = hmat[ok]
     w = np.linalg.inv(hmat)
     used = (np.abs(w) ** 2).reshape(len(w), n_clusters * n_clusters).sum(axis=1)
-    w *= np.sqrt((power[ok] if power.ndim else power) / used)[:, None, None]
+    w *= np.sqrt(power[ok] / used)[:, None, None]
     if not np.isfinite(w.view(float)).all():
         raise ValueError("precoder contains non-finite entries")
     return ok, w

@@ -455,8 +455,8 @@ def test_criterion_10_pipeline_determinism(tmp_path):
     cfg_b = ExperimentConfig(**base, out_dir=str(tmp_path / "b"))
     cmd_pipeline(cfg_a)
     cmd_pipeline(cfg_b)
-    first = open(tmp_path / "a" / "pipeline.csv", "rb").read()
-    second = open(tmp_path / "b" / "pipeline.csv", "rb").read()
+    first = (tmp_path / "a" / "pipeline.csv").read_bytes()
+    second = (tmp_path / "b" / "pipeline.csv").read_bytes()
     elapsed = time.perf_counter() - started
     ok = first == second and len(first) > 0
     report(

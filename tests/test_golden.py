@@ -160,7 +160,7 @@ GOLDEN = {
 
 
 def _digest(path, name):
-    data = open(path, "rb").read()
+    data = Path(path).read_bytes()
     drop = NONDETERMINISTIC_KEYS.get(name)
     if drop:
         doc = json.loads(data)

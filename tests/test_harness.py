@@ -3,6 +3,7 @@ import json
 import math
 import os
 import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,9 +203,9 @@ class TestGenerate:
     def test_regenerates_bit_identically(self, tmp_path):
         cfg = small_config(tmp_path)
         paths = cmd_generate(cfg)
-        first = {k: open(v, "rb").read() for k, v in paths.items()}
+        first = {k: Path(v).read_bytes() for k, v in paths.items()}
         paths = cmd_generate(cfg)
-        second = {k: open(v, "rb").read() for k, v in paths.items()}
+        second = {k: Path(v).read_bytes() for k, v in paths.items()}
         assert first == second
 
     def test_single_slot_trajectory_is_initial_positions(self, tmp_path):
@@ -240,9 +241,9 @@ class TestPipeline:
             save_curves=True,
         )
         cmd_pipeline(cfg)
-        first = open(os.path.join(cfg.out_dir, "pipeline.csv"), "rb").read()
+        first = Path(cfg.out_dir, "pipeline.csv").read_bytes()
         cmd_pipeline(cfg)
-        second = open(os.path.join(cfg.out_dir, "pipeline.csv"), "rb").read()
+        second = Path(cfg.out_dir, "pipeline.csv").read_bytes()
         assert first == second
         for slot in range(cfg.slots):
             assert has_finite_loss(cfg, f"curve_seed1_slot{slot}.csv")
@@ -472,7 +473,7 @@ class TestClusterAndPredict:
         header, rows = read_csv(os.path.join(cfg.out_dir, "assignment.csv"))
         assert header == ["user", "cluster"]
         assert len(rows) == cfg.n_users
-        doc = json.loads(open(os.path.join(cfg.out_dir, "gmm_params.json")).read())
+        doc = json.loads(Path(cfg.out_dir, "gmm_params.json").read_text())
         assert len(doc["weights"]) == cfg.m_clusters
         assert all(c >= 1 for c in fit.occupancy())
 
@@ -608,13 +609,17 @@ class TestCli:
         monkeypatch.setattr(harness, "run_algorithm1", spy)
         out = tmp_path / "out"
         cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps({**ORACLE_SPLITS_OVERSIZE, "out_dir": str(out)}))
-        assert main(["pipeline", "--config", str(cfg_path)]) == 1
-        # 2 phase configs x C(109, 9) splits = 8,526,843,022,542 evaluations.
-        assert "2**1 oracle phase configs x 4263421511271 power splits" in (
-            capsys.readouterr().err
-        )
-        assert calls == [] and not out.exists()
+        for step, error in (
+            # 2 phase configs x C(109, 9) splits = 8,526,843,022,542 evaluations.
+            (0.01, "2**1 oracle phase configs x 4263421511271 power splits"),
+            # C(29, 9) = 10,015,005 splits: under the evaluation guard, not the split guard.
+            (0.05, "alpha_step 0.05 gives 10015005 oracle power splits"),
+        ):
+            doc = {**ORACLE_SPLITS_OVERSIZE, "alpha_step": step, "out_dir": str(out)}
+            cfg_path.write_text(json.dumps(doc))
+            assert main(["pipeline", "--config", str(cfg_path)]) == 1
+            assert error in capsys.readouterr().err
+            assert calls == [] and not out.exists()
 
     def test_infeasible_oracle_exit_code(self, tmp_path):
         cfg_path = tmp_path / "config.json"

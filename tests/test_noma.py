@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -689,7 +690,7 @@ class TestStackedPoints:
         # Every other run without floors, so some points pass every check.
         scenarios[::2] = [dataclasses.replace(s, qos_floors=0.0) for s in scenarios[::2]]
         assert len({s.cluster_sizes for s in scenarios}) > 2
-        assert len({len(s.sic_later) for s in scenarios}) > 1
+        assert len({sum(math.comb(p, 2) for p in s.cluster_sizes) for s in scenarios}) > 1
         phase_idx = rng.integers(0, 4, (12, 4))
         alphas = np.array([split_row(rng, s) for s in scenarios])
         flags = assert_stack_equals_single_runs(scenarios, phase_idx, alphas, 2)
@@ -707,11 +708,24 @@ class TestScenarioLayout:
         )
         assert [m.tolist() for m in scenario.members] == [[1, 3], [0, 2]]
         assert scenario.cluster_sizes == (2, 2)
-        assert scenario.slot_cluster.tolist() == [0, 0, 1, 1]
-        assert scenario.other_beams.tolist() == [[1], [1], [0], [0]]
-        assert scenario.sic_later.tolist() == [1, 3]
-        assert scenario.sic_earlier.tolist() == [0, 2]
-        assert np.array_equal(scenario.same_cluster, np.kron(np.eye(2), 1 - np.eye(2)))
+        stack = ScenarioStack([scenario])
+        assert stack.slot_cluster.tolist() == [[0, 0, 1, 1]]
+        assert stack.other_beams.tolist() == [[[1], [1], [0], [0]]]
+        assert stack.sic_later.tolist() == [[[1, 3]]]
+        assert stack.sic_earlier.tolist() == [[[0, 2]]]
+        assert np.array_equal(stack.same_cluster, np.kron(np.eye(2), 1 - np.eye(2))[None, None])
+        # A second run of occupancy 3-1: the first run's pairs are padded with
+        # (0, 0) self-pairs and its member rows by repeating their first member.
+        wide = NetworkScenario(channels=base.channels, assignment=(0, 0, 0, 1), total_power=4.0)
+        stack = ScenarioStack([scenario, wide])
+        assert stack.cluster_starts.tolist() == [[0, 2], [0, 3]]
+        assert stack.slot_cluster.tolist() == [[0, 0, 1, 1], [0, 0, 0, 1]]
+        assert stack.other_beams.tolist() == [[[1], [1], [0], [0]], [[1], [1], [1], [0]]]
+        assert stack.sic_later.tolist() == [[[1, 3, 0]], [[1, 2, 2]]]
+        assert stack.sic_earlier.tolist() == [[[0, 2, 0]], [[0, 0, 1]]]
+        assert stack.member_table.tolist() == [
+            [[1, 3, 1], [0, 2, 0]], [[0, 1, 2], [3, 3, 3]]
+        ]
 
     def test_split_row_round_trip(self):
         scenario = random_scenario(np.random.default_rng(4), n_clusters=3)

@@ -114,6 +114,10 @@ class TestPhaseEnumeration:
         with pytest.raises(SearchSpaceTooLargeError) as err:
             SearchSpace(40, 5, (1,)).check_guard()
         assert err.value.count == 32**40
+        # 2 phases x C(29, 9) splits pass the evaluation guard, not the split guard.
+        with pytest.raises(SearchSpaceTooLargeError, match="10015005 power splits") as err:
+            SearchSpace(1, 1, (10,), 0.05).check_guard()
+        assert err.value.count == 10_015_005
 
 
 class TestAlphaEnumeration:

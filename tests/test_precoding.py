@@ -148,9 +148,13 @@ class TestZfPrecoder:
         rng = np.random.default_rng(61)
         good = [random_well_conditioned(rng, 2) for _ in range(2)]
         bad = np.ones((2, 2), dtype=complex)
-        ok, w = zero_forcing(np.stack([good[0], bad, good[1]]), singletons(2), 3.0)
+        h = np.stack([good[0], bad, good[1]])
+        ok, w = zero_forcing(h, singletons(2), 3.0)
         assert ok.tolist() == [True, False, True]
         assert np.array_equal(w, np.stack([zf(good[0], 3.0), zf(good[1], 3.0)]))
+        # A one-run stack's (1, M, L) table and (1,) budget serve every phase.
+        ok_run, w_run = zero_forcing(h, singletons(2)[None], np.array([3.0]))
+        assert np.array_equal(ok_run, ok) and np.array_equal(w_run, w)
 
     def test_power_per_matrix_equals_one_matrix_at_a_time(self):
         rng = np.random.default_rng(62)
