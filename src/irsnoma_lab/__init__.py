@@ -1,6 +1,6 @@
 """Simulation and optimization lab for IRS-aided MISO-NOMA downlink networks.
 
-The package is organized as a numpy/scipy library:
+The package is organized as a numpy library:
 
 - ``channel``    -- scenario geometry, Rician fading, IRS reflection states
 - ``precoding``  -- per-cluster combined channels and zero-forcing beamforming

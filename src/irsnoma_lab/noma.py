@@ -380,8 +380,12 @@ def _score(stack: ScenarioStack, phase_idx, resolution_bits, wts) -> GridScores:
         raise ValueError("gains must be finite")
 
     # At phase p the user in slot k is order[p, k].
+    # lexsort does not broadcast its keys: a one-run grid's (1, N) row is
+    # spread over its phase rows.
     assign = stack.user_cluster
-    order = np.lexsort((gains, np.broadcast_to(assign, gains.shape)))
+    if assign.shape != gains.shape:
+        assign = np.broadcast_to(assign, gains.shape)
+    order = np.lexsort((gains, assign))
 
     beams = (h_eff[..., None, :] @ w[:, None])[..., 0, :]  # (P, N, M): h_u . w_g
     rows = np.arange(n_phases)[:, None]

@@ -13,6 +13,7 @@ from irsnoma_lab.clustering import (
     fit,
     init_gmm,
     log_likelihood,
+    logsumexp,
     normalize_channels,
     rough_partition,
 )
@@ -296,6 +297,39 @@ class TestLogLikelihood:
                 )
             naive += np.log(total)
         assert log_likelihood(params, x) == pytest.approx(naive, abs=1e-9)
+
+
+def logsumexp_input(rng):
+    """An (n, M) array with ties, scattered and whole-row -inf, at one scale."""
+    n, m = int(rng.integers(1, 60)), int(rng.integers(1, 12))
+    scale = 10.0 ** rng.uniform(-3.0, 4.0)
+    a = scale * (rng.standard_normal((n, m)) - rng.uniform(0.0, 1.0))
+    if rng.random() < 0.5:
+        tied = rng.choice(a.ravel(), 3)
+        a = np.where(rng.random(a.shape) < 0.3, tied[rng.integers(0, 3, a.shape)], a)
+    if rng.random() < 0.5:
+        a[rng.random(a.shape) < 0.2] = -np.inf
+    if rng.random() < 0.3:
+        a[rng.integers(0, n)] = -np.inf
+    return a
+
+
+class TestLogsumexp:
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_bytes_equal_scipy(self, keepdims):
+        special = pytest.importorskip("scipy.special")
+        rng = np.random.default_rng(31)
+        for _ in range(2000):
+            a = logsumexp_input(rng)
+            for axis in (0, 1):
+                got = logsumexp(a, axis=axis, keepdims=keepdims)
+                want = special.logsumexp(a, axis=axis, keepdims=keepdims)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), a
+
+    def test_all_minus_inf_row_is_minus_inf(self):
+        a = np.array([[-np.inf, -np.inf], [0.0, 0.0]])
+        assert logsumexp(a, axis=1).tolist() == [-np.inf, np.log(2.0)]
 
 
 class TestFit:

@@ -155,11 +155,12 @@ class TestConfig:
         assert cfg.m_clusters == 5
 
     def test_oracle_split_bound_is_the_fewest_splits_of_any_clustering(self):
-        # Every cluster size vector of n users in m non-empty clusters.
+        # Every cluster size vector of n users in m non-empty clusters: the
+        # gaps between m - 1 cut points chosen from 1 .. n - 1.
         for n in range(1, 9):
             for m in range(1, n + 1):
-                grid = itertools.product(range(1, n + 1), repeat=m)
-                sizes = [c for c in grid if sum(c) == n]
+                cuts = itertools.combinations(range(1, n), m - 1)
+                sizes = [tuple(b - a for a, b in zip((0, *c), (*c, n))) for c in cuts]
                 for units in (1, 2, 5, 10):
                     fewest = min(
                         math.prod(composition_count(units, s) for s in c) for c in sizes

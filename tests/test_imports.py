@@ -1,16 +1,20 @@
-"""The package imports only the standard library, numpy and scipy.
+"""The package imports only the standard library and numpy.
 
-Runtime dependencies stay at numpy + scipy.  This parses every module of
-``src/irsnoma_lab`` and lists each import whose top-level name is none of
-those and not the package itself (relative imports included).
+The runtime dependency is numpy alone; scipy is a test-only reference.  This
+parses every module of ``src/irsnoma_lab`` and lists each import whose
+top-level name is neither of those and not the package itself (relative
+imports included), and checks that importing the CLI loads no scipy.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "irsnoma_lab"
-ALLOWED = set(sys.stdlib_module_names) | {"numpy", "scipy", "irsnoma_lab"}
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "irsnoma_lab"
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "irsnoma_lab"}
 
 
 def imported_roots(tree):
@@ -23,7 +27,7 @@ def imported_roots(tree):
             yield node.lineno, node.module.split(".")[0]
 
 
-def test_package_imports_only_stdlib_numpy_and_scipy():
+def test_package_imports_only_stdlib_and_numpy():
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules, f"no modules under {PACKAGE}"
     outside = [
@@ -32,4 +36,18 @@ def test_package_imports_only_stdlib_numpy_and_scipy():
         for line, root in imported_roots(ast.parse(path.read_text(), str(path)))
         if root not in ALLOWED
     ]
-    assert not outside, "imports outside stdlib, numpy and scipy:\n" + "\n".join(outside)
+    assert not outside, "imports outside stdlib and numpy:\n" + "\n".join(outside)
+
+
+def test_cli_import_loads_no_scipy():
+    # A fresh interpreter: this test session has scipy loaded already.
+    code = "import sys, irsnoma_lab.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
