@@ -18,7 +18,6 @@ from irsnoma_lab.channel import (
 )
 from irsnoma_lab.noma import (
     NetworkScenario,
-    decoding_orders,
     evaluate_batch,
     oma_tdma_sum_rate,
 )
@@ -46,9 +45,10 @@ grid = evaluate_batch(scenario, phase_idx, [balanced, classic], phase.resolution
 print("=== balanced power split ===")
 own_gains = grid.own_gains[0]
 print("own-beam gains |h_u . w_m|:", np.array2string(own_gains, precision=3))
-# Each cluster decodes its weakest own-beam gain first.
+# Each cluster decodes its weakest own-beam gain first: the scorer's order
+# lists the user in each decoding slot, cluster after cluster.
 splits = scenario.split_tuples(balanced)
-for m, order in enumerate(decoding_orders(scenario, own_gains)):
+for m, order in enumerate(scenario.split_tuples(grid.order[0])):
     print(f"cluster {m}: decode order {' > '.join(map(str, order))}, "
           f"alphas {splits[m]}")
 print("sum rate: %.3f bits/s/Hz | SIC and QoS ok: %s"

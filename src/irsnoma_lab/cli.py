@@ -9,12 +9,15 @@ The config is validated before any command starts work or writes output: a
 top level that is not a JSON object, an unknown field, ``resolution_bits``
 or ``m_clusters`` below 1, ``m_clusters > n_users`` without a
 ``scenario_path``, an ``alpha_step`` that does not divide 1, an empty seed
-list, an unknown algorithm, ``interference_model`` or ``alpha_domain``, a
-negative or non-finite ``qos_floor``, powers, element counts or slot counts
-out of range, and, under the oracle, more than 1e8 evaluations (2**(B*K)
-phase configs times the fewest power splits of any clustering, or the phase
-configs alone with a ``scenario_path``) at ``k_elements`` (at the largest of
-``element_counts`` for sweep-elements) are all rejected.
+list or a negative seed, an unknown algorithm, ``interference_model`` or
+``alpha_domain``, a negative or non-finite ``qos_floor``, powers, element
+counts or slot counts out of range, a ``clustering_epsilon`` that is not
+finite and positive, ``window_len < 1``, ``n0 < window_len + 2``,
+``n_max < n0``, a negative ``predictor_train_steps``, and, under the
+oracle, more than 1e8 evaluations (2**(B*K) phase configs times the fewest
+power splits of any clustering, or the phase configs alone with a
+``scenario_path``) at ``k_elements`` (at the largest of ``element_counts``
+for sweep-elements) are all rejected.
 
 A ``dqn`` run of a command that trains an agent (pipeline, sweep-power,
 sweep-elements, compare-oma) whose ``episodes * steps_per_episode`` stays

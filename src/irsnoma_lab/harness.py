@@ -48,7 +48,6 @@ from .noma import (
     ALPHA_DOMAINS,
     INTERFERENCE_MODELS,
     NetworkScenario,
-    decoding_orders,
     oma_tdma_sum_rate,
 )
 from .oracle import (
@@ -138,6 +137,8 @@ class ExperimentConfig:
         )
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds {list(self.seeds)} must be non-negative")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(
                 f"unknown algorithm {self.algorithm!r}; pick one of {ALGORITHMS}"
@@ -155,9 +156,20 @@ class ExperimentConfig:
             "episodes",
             "steps_per_episode",
             "random_samples",
+            "window_len",
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} {getattr(self, name)} must be >= 1")
+        if self.n0 < self.window_len + 2:
+            raise ValueError(f"n0 {self.n0} must be >= window_len + 2 = {self.window_len + 2}")
+        if self.n_max < self.n0:
+            raise ValueError(f"n_max {self.n_max} must be >= n0 {self.n0}")
+        if self.predictor_train_steps < 0:
+            raise ValueError(f"predictor_train_steps {self.predictor_train_steps} must be >= 0")
+        if not (math.isfinite(self.clustering_epsilon) and self.clustering_epsilon > 0):
+            raise ValueError(
+                f"clustering_epsilon {self.clustering_epsilon!r} must be finite and > 0"
+            )
         # A scenario file brings its own user count.
         if not self.scenario_path and self.m_clusters > self.n_users:
             raise ValueError(
@@ -299,16 +311,6 @@ def _orders_string(orders) -> str:
 # Scenario plumbing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class SlotOutcome:
-    sum_rate: float
-    feasible: bool
-    phase: object
-    splits: object
-    orders: object
-    curve: list | None
-
-
 @dataclass(frozen=True)
 class Setup:
     """One seed's stream registry and scenario; each stage reads its own stream."""
@@ -445,33 +447,22 @@ def _search(scenarios, config: ExperimentConfig, rngs) -> list:
     return train_tabular_agent(env, *budget)
 
 
-def optimize_scenario(runs, config: ExperimentConfig) -> list[SlotOutcome]:
+def optimize_scenario(runs, config: ExperimentConfig) -> list:
     """Run the configured optimizer on (scenario, generator) runs of one size.
 
     The learners step the runs in lockstep, up to ``LOCKSTEP_RUNS`` at a
-    time; the oracle searches each scenario alone.  Each winner's decoding
-    orders come from the own gains the search kept for it.
+    time; the oracle searches each scenario alone.  Returns each run's
+    ``TrainResult`` or ``OracleResult``: a run without a feasible point has
+    no ``best_phase`` and rate 0.
     """
     scenarios, rngs = zip(*runs)
-    algorithm = config.algorithm
-    if algorithm == "oracle":
-        bests = [brute_force_optimum(s, _search_space(s, config)) for s in scenarios]
-    else:
-        bests = []
-        for start in range(0, len(scenarios), LOCKSTEP_RUNS):
-            chunk = slice(start, start + LOCKSTEP_RUNS)
-            bests += _search(scenarios[chunk], config, rngs[chunk])
-    outcomes = []
-    for scenario, best in zip(scenarios, bests):
-        curve = best.curve if algorithm in ("dqn", "tabular") else None
-        if best.best_phase is None:
-            outcomes.append(SlotOutcome(0.0, False, None, None, None, curve))
-            continue
-        orders = decoding_orders(scenario, best.best_gains)
-        outcomes.append(SlotOutcome(
-            best.best_rate, True, best.best_phase, best.best_splits, orders, curve
-        ))
-    return outcomes
+    if config.algorithm == "oracle":
+        return [brute_force_optimum(s, _search_space(s, config)) for s in scenarios]
+    bests = []
+    for start in range(0, len(scenarios), LOCKSTEP_RUNS):
+        chunk = slice(start, start + LOCKSTEP_RUNS)
+        bests += _search(scenarios[chunk], config, rngs[chunk])
+    return bests
 
 
 # ---------------------------------------------------------------------------
@@ -512,30 +503,27 @@ def cmd_pipeline(config: ExperimentConfig) -> list[tuple]:
             )
             slots.append((seed, slot, fit))
             runs += setup.runs(channels, fit.assignment, [f"slot{slot}"])
-    rows = []
-    curves = {}
-    for (seed, slot, fit), outcome in zip(slots, optimize_scenario(runs, config)):
-        rows.append(
-            (
-                seed,
-                slot,
-                outcome.sum_rate,
-                int(outcome.feasible),
-                _occupancy_string(fit.occupancy()),
-                _orders_string(outcome.orders),
-            )
+    bests = optimize_scenario(runs, config)
+    rows = [
+        (
+            seed,
+            slot,
+            best.best_rate,
+            int(best.best_phase is not None),
+            _occupancy_string(fit.occupancy()),
+            _orders_string(best.best_orders),
         )
-        if outcome.curve is not None:
-            curves[(seed, slot)] = outcome.curve
+        for (seed, slot, fit), best in zip(slots, bests)
+    ]
     header = ["seed", "slot", "sum_rate", "feasible", "occupancy", "decoding_orders"]
     _emit(config, "pipeline.csv", header, rows)
-    if config.save_curves:
-        for (seed, slot), curve in curves.items():
+    if config.save_curves and config.algorithm in ("dqn", "tabular"):
+        for (seed, slot, _), best in zip(slots, bests):
             _emit(
                 config,
                 f"curves/curve_seed{seed}_slot{slot}.csv",
                 ["episode", "best_reward", "epsilon", "loss"],
-                [(p.episode, p.best_reward, p.epsilon, p.loss) for p in curve],
+                [(p.episode, p.best_reward, p.epsilon, p.loss) for p in best.curve],
             )
     return rows
 
@@ -553,8 +541,8 @@ def cmd_sweep_power(config: ExperimentConfig) -> list[tuple]:
     runs = [run for seed in config.seeds for run in _power_runs(config, seed)[1]]
     keys = [(seed, power) for seed in config.seeds for power in config.powers_dbm]
     rows = [
-        (power, config.algorithm, seed, outcome.sum_rate)
-        for (seed, power), outcome in zip(keys, optimize_scenario(runs, config))
+        (power, config.algorithm, seed, best.best_rate)
+        for (seed, power), best in zip(keys, optimize_scenario(runs, config))
     ]
     header = ["power_dbm", "algorithm", "seed", "sum_rate"]
     return _emit_sweep(config, "sweep_power", header, rows)
@@ -577,9 +565,9 @@ def cmd_sweep_elements(config: ExperimentConfig) -> list[tuple]:
             runs += setup.runs(channels, setup.cluster(channels).assignment, [f"k{k}"])
         per_k.append(optimize_scenario(runs, config))
     rows = [
-        (k, config.power_dbm, seed, outcomes[i].sum_rate)
+        (k, config.power_dbm, seed, bests[i].best_rate)
         for i, seed in enumerate(config.seeds)
-        for k, outcomes in zip(config.element_counts, per_k)
+        for k, bests in zip(config.element_counts, per_k)
     ]
     header = ["k_elements", "power_dbm", "seed", "sum_rate"]
     return _emit_sweep(config, "sweep_elements", header, rows)
@@ -639,11 +627,11 @@ def cmd_compare_oma(config: ExperimentConfig) -> list[tuple]:
         ]
         prepared.append((channels, gains))
         runs += seed_runs
-    outcomes = optimize_scenario(runs, config)
+    bests = optimize_scenario(runs, config)
     rows = []
     for i, power in enumerate(powers):
         for j, (channels, gains) in enumerate(prepared):
-            noma_rate = outcomes[j * len(powers) + i].sum_rate
+            noma_rate = bests[j * len(powers) + i].best_rate
             oma_rate = oma_tdma_sum_rate(
                 gains, dbm_to_watts(power), channels.noise_variance
             )

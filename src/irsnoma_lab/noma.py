@@ -48,18 +48,6 @@ def _check_simplex(m: int, alphas: np.ndarray):
         raise ValueError(f"cluster {m}: power coefficients do not sum to 1")
 
 
-def decoding_order_by_gain(members, gains) -> tuple[int, ...]:
-    """Members sorted by effective gain ascending (weakest decoded first).
-
-    Ties break toward the lower user index.
-    """
-    members = [int(u) for u in members]
-    gains = np.asarray(gains, dtype=float)
-    if not np.all(np.isfinite(gains)):
-        raise ValueError("gains must be finite")
-    return tuple(sorted(members, key=lambda u: (gains[u], u)))
-
-
 def oma_tdma_sum_rate(gains, total_power: float, noise_variance: float) -> float:
     """TDMA baseline: each user gets a 1/n time share at full power.
 
@@ -142,10 +130,11 @@ class NetworkScenario:
     def n_clusters(self) -> int:
         return len(self.members)
 
-    def split_tuples(self, row) -> tuple[tuple[float, ...], ...]:
-        """Per-cluster split tuples of an (N,) coefficient row."""
-        parts = np.split(np.asarray(row, dtype=float), self.cluster_starts[1:])
-        return tuple(tuple(float(a) for a in part) for part in parts)
+    def split_tuples(self, row) -> tuple[tuple, ...]:
+        """Per-cluster tuples of an (N,) row in decoding slots: a split's
+        coefficients or a decoding order's users, as Python scalars."""
+        parts = np.split(np.asarray(row), self.cluster_starts[1:])
+        return tuple(tuple(part.tolist()) for part in parts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,14 +255,16 @@ class GridScores:
     """Scores of every (phase, split) point of a grid, or of E paired points.
 
     ``sum_rate`` and ``feasible`` are (P, S) for a grid and (E,) for paired
-    points; ``own_gains`` is (P, N) or (E, N).  A phase whose combined
-    channel is ill-conditioned scores rate 0 and is infeasible at every
-    split, and its own gains are NaN.
+    points; ``own_gains`` is (P, N) or (E, N), and so is ``order``: at
+    row p the user in decoding slot k is ``order[p, k]``.  A phase whose
+    combined channel is ill-conditioned scores rate 0 and is infeasible at
+    every split, and its own gains are NaN.
     """
 
     sum_rate: np.ndarray
     feasible: np.ndarray
     own_gains: np.ndarray
+    order: np.ndarray
 
 
 def _split_weights(stack: ScenarioStack, alphas, rows: str) -> np.ndarray:
@@ -347,7 +338,7 @@ def evaluate_points(scenarios, phase_idx, alphas, resolution_bits: int) -> GridS
             "scenarios do not pair up"
         )
     grid = _score(stack, phase_idx, resolution_bits, _split_weights(stack, alphas, "E")[:, None])
-    return GridScores(grid.sum_rate[:, 0], grid.feasible[:, 0], grid.own_gains)
+    return GridScores(grid.sum_rate[:, 0], grid.feasible[:, 0], grid.own_gains, grid.order)
 
 
 def _score(stack: ScenarioStack, phase_idx, resolution_bits, wts) -> GridScores:
@@ -360,15 +351,8 @@ def _score(stack: ScenarioStack, phase_idx, resolution_bits, wts) -> GridScores:
     then set to rate 0, infeasible and NaN gains.
     """
     h_eff = effective_channels_batch(stack.channels, phase_idx, resolution_bits)
-    n_phases, n_users, n_clusters = h_eff.shape
-    n_splits = wts.shape[1]
+    n_phases, _, n_clusters = h_eff.shape
     ok, w = zero_forcing(h_eff, stack.member_table, stack.total_power)
-    if not ok.any():
-        return GridScores(
-            np.zeros((n_phases, n_splits)),
-            np.zeros((n_phases, n_splits), dtype=bool),
-            np.full((n_phases, n_users), np.nan),
-        )
     if not ok.all():
         # Zero beams on the failed rows, so they score without error.
         full = np.zeros((n_phases, n_clusters, n_clusters), dtype=complex)
@@ -423,11 +407,4 @@ def _score(stack: ScenarioStack, phase_idx, resolution_bits, wts) -> GridScores:
         sum_rate[~ok] = 0.0
         feasible[~ok] = False
         gains[~ok] = np.nan
-    return GridScores(sum_rate, feasible, gains)
-
-
-def decoding_orders(scenario: NetworkScenario, own_gains) -> tuple[tuple[int, ...], ...]:
-    """Each cluster's decoding order :func:`evaluate_batch` scores at these own gains."""
-    return tuple(
-        decoding_order_by_gain(members, own_gains) for members in scenario.members
-    )
+    return GridScores(sum_rate, feasible, gains, order)

@@ -14,7 +14,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -141,7 +141,8 @@ def alpha_grid(cluster_sizes, step: float) -> np.ndarray:
 class OracleResult:
     """Feasible maximizer of the exhaustive search (or the no-result marker).
 
-    ``best_gains`` holds the maximizer's own gains; the JSON leaves them out.
+    ``best_orders`` holds each cluster's decoding order at the maximizer;
+    the JSON leaves them out.
     """
 
     best_phase: PhaseConfig | None
@@ -150,7 +151,7 @@ class OracleResult:
     feasible_count: int
     evaluated_count: int
     wall_time_s: float
-    best_gains: np.ndarray | None = field(compare=False)
+    best_orders: tuple[tuple[int, ...], ...] | None
 
     def to_json(self) -> str:
         doc = {
@@ -209,7 +210,7 @@ def brute_force_optimum(scenario: NetworkScenario, space: SearchSpace) -> Oracle
     best_rate = -np.inf
     best_phase = None
     best_splits = None
-    best_gains = None
+    best_orders = None
     feasible = 0
     chunks = _grid_chunks(space.phase_count, len(grid), CHUNK_POINTS)
     for p0, p1, s0, s1 in chunks:
@@ -222,7 +223,7 @@ def brute_force_optimum(scenario: NetworkScenario, space: SearchSpace) -> Oracle
             best_rate = float(rates[p, s])
             best_phase = PhaseConfig(tuple(phase_idx[p]), bits)
             best_splits = scenario.split_tuples(grid[s0 + s])
-            best_gains = scores.own_gains[p].copy()
+            best_orders = scenario.split_tuples(scores.order[p])
     return OracleResult(
         best_phase=best_phase,
         best_splits=best_splits,
@@ -230,5 +231,5 @@ def brute_force_optimum(scenario: NetworkScenario, space: SearchSpace) -> Oracle
         feasible_count=feasible,
         evaluated_count=space.phase_count * len(grid),
         wall_time_s=time.perf_counter() - start,
-        best_gains=best_gains,
+        best_orders=best_orders,
     )

@@ -516,7 +516,7 @@ class CurvePoint:
 
 @dataclass(frozen=True, eq=False)
 class TrainResult:
-    """One run's best feasible configuration (with its own gains) and its learner.
+    """One run's best feasible configuration (with its decoding orders) and its learner.
 
     ``learner`` is the run's Q-table, or the stacked network of every run.
     """
@@ -525,17 +525,18 @@ class TrainResult:
     best_phase: PhaseConfig | None
     best_splits: tuple | None
     best_rate: float
-    best_gains: np.ndarray | None
+    best_orders: tuple | None
     curve: list
 
 
-def _result(env, run, learner, rate, phases, units, gains, curve) -> TrainResult:
-    """Run ``run``'s TrainResult; its winner's ``PhaseConfig`` and split tuples built here."""
+def _result(env, run, learner, rate, phases, units, order, curve) -> TrainResult:
+    """Run ``run``'s TrainResult; its winner's ``PhaseConfig`` and tuples built here."""
     if rate == -np.inf:
         return TrainResult(learner, None, None, 0.0, None, curve)
+    scenario = env.scenarios[run]
     phase = PhaseConfig(phases, env.resolution_bits)
-    splits = env.scenarios[run].split_tuples(units / env.units_total)
-    return TrainResult(learner, phase, splits, float(rate), gains, curve)
+    splits = scenario.split_tuples(units / env.units_total)
+    return TrainResult(learner, phase, splits, float(rate), scenario.split_tuples(order), curve)
 
 
 def _rollout(
@@ -555,7 +556,7 @@ def _rollout(
     best_rate = np.full(n_runs, -np.inf)
     best_phases = np.zeros((n_runs, env.k_elements), dtype=np.int64)
     best_units = np.zeros((n_runs, n_users), dtype=np.int64)
-    best_gains = np.zeros((n_runs, n_users))
+    best_orders = np.zeros((n_runs, n_users), dtype=np.intp)
 
     def keep_best(state, scores):
         better = scores.feasible & (scores.sum_rate > best_rate)
@@ -564,7 +565,7 @@ def _rollout(
         best_rate[better] = scores.sum_rate[better]
         best_phases[better] = state.phases[better]
         best_units[better] = state.units[better]
-        best_gains[better] = scores.own_gains[better]
+        best_orders[better] = scores.order[better]
 
     curves = [[] for _ in range(n_runs)]
     for episode in range(episodes):
@@ -594,7 +595,7 @@ def _rollout(
             curve.append(CurvePoint(episode, float(best_rate[run]), eps, float(means[run])))
     return [
         _result(env, run, learners[run], best_rate[run], best_phases[run], best_units[run],
-                best_gains[run], curves[run])
+                best_orders[run], curves[run])
         for run in range(n_runs)
     ]
 
@@ -721,6 +722,6 @@ def random_search(env: NomaPhaseEnv, samples: int, seeds=(None,)) -> list[TrainR
         curve = [CurvePoint(i, float(r), 1.0, float("nan")) for i, r in enumerate(running)]
         i = run * samples + int(np.argmax(run_rates))
         results.append(_result(
-            env, run, None, running[-1], phases[i], units[i], scores.own_gains[i], curve
+            env, run, None, running[-1], phases[i], units[i], scores.order[i], curve
         ))
     return results

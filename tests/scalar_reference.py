@@ -11,7 +11,8 @@ evaluator must match bit for bit.
 
 The per-pair functions read a :class:`ClusterPlan`: an assignment, each
 cluster's decoding order and its power split, validated on construction.
-The package itself keeps only the orders (``noma.decoding_orders``).
+The orders come from :func:`decoding_order_by_gain`, a Python sort; the
+package keeps only the scorer's own ``lexsort`` (``GridScores.order``).
 
 It also keeps the RL environment's step as it was first written: actions
 as (kind, target) pairs dispatched one kind at a time on tuple states,
@@ -46,13 +47,20 @@ import numpy as np
 
 from irsnoma_lab import rl
 from irsnoma_lab.channel import PhaseConfig, effective_channels_batch
-from irsnoma_lab.noma import (
-    SIC_RATE_TOL,
-    _check_simplex,
-    decoding_order_by_gain,
-    evaluate_batch,
-)
+from irsnoma_lab.noma import SIC_RATE_TOL, _check_simplex, evaluate_batch
 from irsnoma_lab.precoding import member_table, zero_forcing
+
+
+def decoding_order_by_gain(members, gains) -> tuple[int, ...]:
+    """Members sorted by effective gain ascending (weakest decoded first).
+
+    Ties break toward the lower user index.
+    """
+    members = [int(u) for u in members]
+    gains = np.asarray(gains, dtype=float)
+    if not np.all(np.isfinite(gains)):
+        raise ValueError("gains must be finite")
+    return tuple(sorted(members, key=lambda u: (gains[u], u)))
 
 
 @dataclass(frozen=True)
@@ -122,13 +130,14 @@ class ClusterPlan:
 class ConfigurationResult:
     """Outcome of evaluating one (phase config, power split) point.
 
-    ``own_gains`` is None when the phase's combined channel is
-    ill-conditioned.
+    ``own_gains`` and the scorer's per-cluster decoding ``orders`` are None
+    when the phase's combined channel is ill-conditioned.
     """
 
     sum_rate: float
     feasible: bool
     own_gains: np.ndarray | None
+    orders: tuple[tuple[int, ...], ...] | None
 
 
 def evaluate_point(scenario, phase: PhaseConfig, splits) -> ConfigurationResult:
@@ -137,10 +146,12 @@ def evaluate_point(scenario, phase: PhaseConfig, splits) -> ConfigurationResult:
     phase_idx = np.array([phase.indices])
     grid = evaluate_batch(scenario, phase_idx, alphas, phase.resolution_bits)
     gains = grid.own_gains[0]
+    failed = np.isnan(gains[0])
     return ConfigurationResult(
         sum_rate=float(grid.sum_rate[0, 0]),
         feasible=bool(grid.feasible[0, 0]),
-        own_gains=None if np.isnan(gains[0]) else gains,
+        own_gains=None if failed else gains,
+        orders=None if failed else scenario.split_tuples(grid.order[0]),
     )
 
 

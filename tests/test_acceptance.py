@@ -33,7 +33,7 @@ from irsnoma_lab.mobility import (
     persistence_mse,
     run_algorithm1,
 )
-from irsnoma_lab.noma import NetworkScenario, decoding_orders
+from irsnoma_lab.noma import NetworkScenario
 from irsnoma_lab.oracle import SearchSpace, brute_force_optimum
 from irsnoma_lab.precoding import member_table, zero_forcing
 from irsnoma_lab.rl import (
@@ -130,9 +130,9 @@ def test_criterion_2_sic_decoding_chain():
         split = float(rng.uniform(0.05, 0.95))
         splits = ((split, 1.0 - split), (1.0,))
         result = evaluate_point(scenario, phase, splits)
-        if result.own_gains is None:
+        if result.orders is None:
             continue
-        orders = decoding_orders(scenario, result.own_gains)
+        orders = result.orders  # the scorer's own orders
         b, a = orders[0]  # weakest decoded first
         # Cross SINRs from the scalar reference on the production channels,
         # precoder and decoding orders.

@@ -209,30 +209,29 @@ SWEEP_POWER_DQN_SHA256 = (
 
 
 def run_recorded(monkeypatch, command, config, names):
-    """Run ``command``; return a digest fed the named outputs, and every outcome."""
-    outcomes = []
+    """Run ``command``; return a digest fed the named outputs, and every search result."""
+    results = []
+    optimize = harness.optimize_scenario
 
-    class RecordedOutcome(harness.SlotOutcome):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            outcomes.append(self)
+    def recorded(runs, config):
+        results.extend(optimize(runs, config))
+        return results[-len(runs):]
 
-    monkeypatch.setattr(harness, "SlotOutcome", RecordedOutcome)
+    monkeypatch.setattr(harness, "optimize_scenario", recorded)
     command(config)
     digest = hashlib.sha256()
     for name in names:
         digest.update((Path(config.out_dir) / name).read_bytes())
-    return digest, outcomes
+    return digest, results
 
 
-def add_outcomes(digest, outcomes):
+def add_outcomes(digest, results):
     """Add every run's rate, winner, decoding orders and curve to ``digest``."""
-    for o in outcomes:
-        winner = None
-        if o.feasible:
-            winner = (o.phase.indices, o.splits, o.orders)
-        curve = [(p.episode, p.best_reward, p.epsilon, p.loss) for p in o.curve]
-        digest.update(repr((o.sum_rate, o.feasible, winner, curve)).encode())
+    for r in results:
+        feasible = r.best_phase is not None
+        winner = (r.best_phase.indices, r.best_splits, r.best_orders) if feasible else None
+        curve = [(p.episode, p.best_reward, p.epsilon, p.loss) for p in r.curve]
+        digest.update(repr((r.best_rate, feasible, winner, curve)).encode())
     return digest.hexdigest()
 
 
@@ -244,7 +243,7 @@ def test_sweep_power_dqn_runs_match_stored_hash(tmp_path, monkeypatch):
         ("sweep_power.csv", "sweep_power_mean.csv"),
     )
     assert len(outcomes) == 8
-    assert [o.feasible for o in outcomes] == [False] * 5 + [True] * 3
+    assert [r.best_phase is not None for r in outcomes] == [False] * 5 + [True] * 3
     assert add_outcomes(digest, outcomes) == SWEEP_POWER_DQN_SHA256
 
 

@@ -31,7 +31,7 @@ from irsnoma_lab.harness import (
     write_csv,
 )
 from irsnoma_lab.oracle import composition_count
-from scalar_reference import evaluate_point, reference_point
+from scalar_reference import reference_point
 
 SMALL = dict(
     algorithm="random-phase",
@@ -277,34 +277,21 @@ class TestPipeline:
 
 class TestWinnerPlan:
     @pytest.mark.parametrize("algorithm", ["oracle", "random-phase", "dqn", "tabular"])
-    def test_decoding_order_matches_reference(self, tmp_path, monkeypatch, algorithm):
-        recorded = []
-        build_orders = harness.decoding_orders
-
-        def spy(scenario, own_gains):
-            recorded.append(own_gains)
-            return build_orders(scenario, own_gains)
-
-        monkeypatch.setattr(harness, "decoding_orders", spy)
+    def test_decoding_order_matches_reference(self, tmp_path, algorithm):
         budget = dict(episodes=12, steps_per_episode=20) if algorithm == "dqn" else {}
         cfg = small_config(tmp_path, algorithm=algorithm, n_users=6, **budget)
         setup = prepare(cfg, 1)
         channels, fit = setup.draw(cfg.k_elements)
         scenario = setup.scenario(channels, fit.assignment)
-        (outcome,) = optimize_scenario([(scenario, setup.registry.rng("agent/test"))], cfg)
-        assert outcome.feasible
-        assert max(len(order) for order in outcome.orders) > 1
+        (best,) = optimize_scenario([(scenario, setup.registry.rng("agent/test"))], cfg)
+        assert best.best_phase is not None
+        assert max(len(order) for order in best.best_orders) > 1
         if algorithm == "dqn":
-            assert any(np.isfinite(point.loss) for point in outcome.curve)
+            assert any(np.isfinite(point.loss) for point in best.curve)
         ref = reference_point(
-            scenario, outcome.phase.indices, cfg.resolution_bits, outcome.splits
+            scenario, best.best_phase.indices, cfg.resolution_bits, best.best_splits
         )
-        assert outcome.orders == ref.plan.decoding_order
-        # The orders are built from the gains the search recorded for its
-        # winner, and those gains equal a fresh evaluation of that point.
-        (gains,) = recorded
-        fresh = evaluate_point(scenario, outcome.phase, outcome.splits)
-        assert np.array_equal(gains, fresh.own_gains)
+        assert best.best_orders == ref.plan.decoding_order
 
 
 class TestSweeps:
@@ -621,6 +608,34 @@ class TestCli:
             assert main(["pipeline", "--config", str(cfg_path)]) == 1
             assert error in capsys.readouterr().err
             assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("seeds", [0, -1]),
+        ("clustering_epsilon", 0.0),
+        ("clustering_epsilon", -1e-15),
+        ("clustering_epsilon", float("nan")),
+        ("clustering_epsilon", float("inf")),
+        ("window_len", 0),
+        ("n0", 9),
+        ("n_max", 15),
+        ("predictor_train_steps", -1),
+    ])
+    def test_bad_pipeline_value_fails_before_training(
+        self, tmp_path, capsys, monkeypatch, field, value
+    ):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            raise RuntimeError("Algorithm 1 started")
+
+        monkeypatch.setattr(harness, "run_algorithm1", spy)
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({field: value, "out_dir": str(out)}))
+        assert main(["pipeline", "--config", str(cfg_path)]) == 1
+        assert f"error: {field} " in capsys.readouterr().err
+        assert calls == [] and not out.exists()
 
     def test_infeasible_oracle_exit_code(self, tmp_path):
         cfg_path = tmp_path / "config.json"

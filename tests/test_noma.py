@@ -11,7 +11,6 @@ from irsnoma_lab.noma import (
     _scalar_abs2,
     NetworkScenario,
     ScenarioStack,
-    decoding_order_by_gain,
     evaluate_batch,
     evaluate_points,
     oma_tdma_sum_rate,
@@ -20,6 +19,7 @@ from scalar_reference import (
     ClusterPlan,
     alpha_from_units,
     check_sic,
+    decoding_order_by_gain,
     evaluate,
     evaluate_point,
     qos_check,
@@ -178,15 +178,49 @@ class TestSinr:
             last = tau
 
 
+def scored_orders(scenario, phase_idx, bits):
+    """Each cluster's decoding order as the scorer sorts it, per phase row."""
+    first = np.concatenate([np.eye(1, size)[0] for size in scenario.cluster_sizes])
+    grid = evaluate_batch(scenario, phase_idx, [first], bits)
+    assert not np.isnan(grid.own_gains).any()
+    return [scenario.split_tuples(row) for row in grid.order]
+
+
+def one_cluster_orders(amplitudes):
+    """The scorer's order for one cluster on a one-element surface, whose
+    users' own gains scale with ``amplitudes``."""
+    channels = ChannelRealization(
+        g_matrix=[[1.0]], user_channels=np.array(amplitudes)[:, None], noise_variance=0.1
+    )
+    scenario = NetworkScenario(channels, (0,) * len(amplitudes), total_power=1.0)
+    ((order,),) = scored_orders(scenario, [[0]], 1)
+    return order
+
+
 class TestDecodingOrder:
     def test_sorted_ascending(self):
-        assert decoding_order_by_gain([0, 1], [0.2, 0.9]) == (0, 1)
+        assert one_cluster_orders([0.2, 0.9]) == (0, 1)
 
     def test_tie_by_index(self):
-        assert decoding_order_by_gain([1, 0], [0.5, 0.5]) == (0, 1)
+        assert one_cluster_orders([0.5, 0.5]) == (0, 1)
 
     def test_three_users(self):
-        assert decoding_order_by_gain([0, 1, 2], [0.5, 0.1, 0.3]) == (1, 2, 0)
+        assert one_cluster_orders([0.5, 0.1, 0.3]) == (1, 2, 0)
+
+    def test_identical_channel_rows_decode_the_lower_index_first(self):
+        # Users 1 and 3 share cluster 1 and one channel row, so their own
+        # gains tie exactly at every phase.
+        rng = np.random.default_rng(9)
+        scenario = random_scenario(rng, users_per_cluster=2, k_elements=3)
+        h = scenario.channels.user_channels.copy()
+        h[3] = h[1]
+        scenario = NetworkScenario(
+            dataclasses.replace(scenario.channels, user_channels=h), (0, 1, 0, 1), 4.0
+        )
+        phase_idx = rng.integers(0, 4, size=(6, 3))
+        gains = evaluate_batch(scenario, phase_idx, [[1.0, 0.0, 1.0, 0.0]], 2).own_gains
+        assert np.array_equal(gains[:, 1], gains[:, 3])
+        assert all(orders[1] == (1, 3) for orders in scored_orders(scenario, phase_idx, 2))
 
 
 class TestChecks:
@@ -437,6 +471,11 @@ def flat_row(split):
     return [a for part in split for a in part]
 
 
+def sorted_orders(scenario, gains):
+    """Each cluster's decoding order by the scalar reference's Python sort."""
+    return tuple(decoding_order_by_gain(members, gains) for members in scenario.members)
+
+
 def assert_grid_equals_reference(instance):
     """Every grid point equals the scalar reference, and the 1 x 1 entry agrees."""
     scenario, phase_idx, bits, splits = instance
@@ -458,6 +497,8 @@ def assert_grid_equals_reference(instance):
                 assert grid.sum_rate[p, s] == ref.sum_rate
                 assert np.array_equal(grid.own_gains[p], ref.own_gains)
                 assert np.array_equal(point.own_gains, ref.own_gains)
+                orders = sorted_orders(scenario, grid.own_gains[p])
+                assert scenario.split_tuples(grid.order[p]) == point.orders == orders
 
 
 class TestEvaluateBatch:
@@ -543,6 +584,8 @@ def assert_points_equal_reference(instance):
             assert scores.sum_rate[e] == ref.sum_rate
             assert np.array_equal(scores.own_gains[e], ref.own_gains)
             assert np.array_equal(point.own_gains, ref.own_gains)
+            orders = sorted_orders(scenario, scores.own_gains[e])
+            assert scenario.split_tuples(scores.order[e]) == point.orders == orders
         flags.append((ref.report is None, ref.feasible))
     return flags
 
@@ -592,6 +635,7 @@ def assert_stack_equals_single_runs(scenarios, phase_idx, alphas, bits):
             assert scores.sum_rate[e] == theirs.sum_rate.ravel()[0]
             assert scores.feasible[e] == theirs.feasible.ravel()[0]
             assert scores.own_gains[e].tobytes() == theirs.own_gains[0].tobytes()
+            assert scores.order[e].tobytes() == theirs.order[0].tobytes()
         flags.append((bool(np.isnan(scores.own_gains[e]).all()), bool(scores.feasible[e])))
     return flags
 

@@ -760,7 +760,7 @@ class TestAgents:
         assert result.best_splits == tuple(
             alpha_from_units(units) for units in cluster_tuples(env, state.units[0])
         )
-        assert np.array_equal(result.best_gains, scored.own_gains[0])
+        assert result.best_orders == env.scenarios[0].split_tuples(scored.order[0])
         assert len(result.curve) == 15
 
     def test_tabular_agent_runs(self):
@@ -890,9 +890,7 @@ class TestLockstepEqualsSingleRuns:
             assert mine.best_rate == alone.best_rate
             assert mine.best_phase == alone.best_phase
             assert mine.best_splits == alone.best_splits
-            assert (mine.best_gains is None) == (alone.best_gains is None)
-            if mine.best_gains is not None:
-                assert np.array_equal(mine.best_gains, alone.best_gains)
+            assert mine.best_orders == alone.best_orders
             if algorithm == "dqn":
                 for stacked, own in zip(
                     approx.weights + approx.biases + approx.target_weights + approx.target_biases,
