@@ -10,9 +10,10 @@ top level that is not a JSON object, an unknown field, ``resolution_bits``
 or ``m_clusters`` below 1, ``m_clusters > n_users`` without a
 ``scenario_path``, an ``alpha_step`` that does not divide 1, an empty seed
 list or a negative seed, an unknown algorithm, ``interference_model`` or
-``alpha_domain``, a negative or non-finite ``qos_floor``, powers, element
-counts or slot counts out of range, a ``clustering_epsilon`` that is not
-finite and positive, ``window_len < 1``, ``n0 < window_len + 2``,
+``alpha_domain``, a negative or non-finite ``qos_floor``, ``speed`` or
+``heading_noise_std``, powers, element counts or slot counts out of range,
+a ``clustering_epsilon`` that is not finite and positive,
+``window_len < 1``, ``n0 < window_len + 2``,
 ``n_max < n0``, a negative ``predictor_train_steps``, and, under the
 oracle, more than 1e8 evaluations (2**(B*K) phase configs times the fewest
 power splits of any clustering, or the phase configs alone with a
@@ -32,6 +33,7 @@ feasible pipeline slot, or no feasible oracle configuration).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 # ``main`` dispatches through these module bindings at call time.
@@ -107,6 +109,9 @@ COMMANDS = {
 }
 
 
+# Built on the first ``main`` call, not at import, and reused after that:
+# ``COMMANDS`` and ``ALGORITHMS`` are constants, so the tree never changes.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="irsnoma",

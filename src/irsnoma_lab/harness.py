@@ -186,8 +186,10 @@ class ExperimentConfig:
                 f"unknown alpha_domain {self.alpha_domain!r}; "
                 f"pick one of {ALPHA_DOMAINS}"
             )
-        if not (math.isfinite(self.qos_floor) and self.qos_floor >= 0):
-            raise ValueError(f"qos_floor {self.qos_floor!r} must be finite and >= 0")
+        for name in ("qos_floor", "speed", "heading_noise_std"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} {value!r} must be finite and >= 0")
         if self.algorithm == "oracle":
             self.check_oracle_size(self.k_elements, "k_elements")
 

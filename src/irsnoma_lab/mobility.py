@@ -17,6 +17,7 @@ through time on mean-squared error with plain gradient descent.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -79,6 +80,14 @@ class ConstantVelocityModel:
 
     speed: float = 1.5
     heading_noise_std: float = 0.05
+
+    def __post_init__(self):
+        # A non-finite step is never inside the region: every slot would
+        # spend all its heading redraws and leave the user standing.
+        for name in ("speed", "heading_noise_std"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} {value!r} must be finite and >= 0")
 
     def simulate(
         self, region: ServiceRegion, start, n_steps: int, seed=None

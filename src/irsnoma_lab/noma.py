@@ -307,8 +307,10 @@ def evaluate_batch(scenario, phase_idx, alphas, resolution_bits: int) -> GridSco
 
     ``scenario`` is a :class:`NetworkScenario` or its one-run
     :class:`ScenarioStack`; a caller that scores one scenario in chunks
-    stacks it once.  Effective channels, cluster heads, the condition check
-    and the ZF solve run once per phase, batched over the P phases.  Each
+    stacks it once.  Effective channels, cluster heads, the ZF solve and the
+    condition check run once per phase, batched over the P phases; the
+    check reads a bound off the inverse and takes an SVD only for phases
+    near the limit (:func:`~irsnoma_lab.precoding.zero_forcing`).  Each
     cluster's users are decoded in ascending order of their own-beam gain
     (weakest first, lower index on ties), so cluster m's i-th entry of a
     row funds its i-th decoded user; SINRs, SIC and QoS then run for all S

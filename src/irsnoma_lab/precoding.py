@@ -44,6 +44,22 @@ def cluster_heads(h_eff: np.ndarray, table: np.ndarray) -> np.ndarray:
     return table[np.arange(len(table))[:, None], np.arange(table.shape[1]), best]
 
 
+def _squared_norms(a: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix of a (P, M, M) stack."""
+    return (np.abs(a) ** 2).reshape(len(a), a.shape[1] * a.shape[2]).sum(axis=1)
+
+
+def _condition_ok(hmat: np.ndarray, condition_limit: float) -> np.ndarray:
+    """Whether each matrix's 2-norm condition number is finite and within the limit.
+
+    ``np.linalg.cond``'s ratio, read off the singular values directly.
+    """
+    sv = np.linalg.svd(hmat, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cond = sv[:, 0] / sv[:, -1]
+    return np.isfinite(cond) & (cond <= condition_limit)
+
+
 def zero_forcing(
     h_eff: np.ndarray,
     table: np.ndarray,
@@ -61,6 +77,13 @@ def zero_forcing(
     holds with equality.  ``total_power`` is a budget that broadcasts over
     the matrices, one for all or one per matrix; only that final scale
     reads it.
+
+    The condition check reads the inverse first: cond_2(H) <= ||H||_F
+    ||H^-1||_F, so a matrix whose bound is finite and at most half the
+    limit passes without an SVD.  Only the others are decided by the
+    singular-value ratio, as is every matrix of a stack in which one is
+    exactly singular (``inv`` raises).  Both routes mark the same
+    matrices and give the same bits.
     """
     power = np.full(len(h_eff), total_power, dtype=float)
     if not (power > 0).all():
@@ -73,14 +96,25 @@ def zero_forcing(
         )
     heads = cluster_heads(h_eff, table)
     hmat = h_eff[np.arange(len(h_eff))[:, None], heads]
-    # np.linalg.cond's 2-norm ratio, read off the singular values directly.
-    sv = np.linalg.svd(hmat, compute_uv=False)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        cond = sv[:, 0] / sv[:, -1]
-    ok = np.isfinite(cond) & (cond <= condition_limit)
-    hmat = hmat[ok]
-    w = np.linalg.inv(hmat)
-    used = (np.abs(w) ** 2).reshape(len(w), n_clusters * n_clusters).sum(axis=1)
+    try:
+        # ``inv`` and the row sums work matrix by matrix, so the rows kept
+        # below have the bits of the same calls on the kept matrices alone.
+        w = np.linalg.inv(hmat)
+    except np.linalg.LinAlgError:
+        ok = _condition_ok(hmat, condition_limit)
+        w = np.linalg.inv(hmat[ok])
+        used = _squared_norms(w)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            used = _squared_norms(w)
+            bound = np.sqrt(_squared_norms(hmat) * used)
+        # Half the limit leaves room for the rounding of both ``inv`` and
+        # the SVD, so no matrix passed here could fail the exact test.
+        ok = np.isfinite(bound) & (bound <= condition_limit / 2)
+        near = ~ok
+        if near.any():
+            ok[near] = _condition_ok(hmat[near], condition_limit)
+        w, used = w[ok], used[ok]
     w *= np.sqrt(power[ok] / used)[:, None, None]
     if not np.isfinite(w.view(float)).all():
         raise ValueError("precoder contains non-finite entries")

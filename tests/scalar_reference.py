@@ -4,10 +4,13 @@
 splits with array operations.  This module re-derives a single point the
 literal way: own-beam gains, the gain-sorted decoding order, every
 same-cluster cross SINR through :func:`sinr_cross`, then the SIC and QoS
-checks, one pair at a time.  It takes the effective channels and the ZF
-precoder from the package (both have their own tests against independent
-formulas) and repeats every later float step in the order the grid
-evaluator must match bit for bit.
+checks, one pair at a time.  It takes the effective channels and the
+cluster heads from the package (both have their own tests against
+independent formulas).  The ZF precoder is :func:`zero_forcing_reference`:
+an SVD condition test on every head matrix, then ``inv`` of those that
+pass, which the package's inverse-first check must match bit for bit.
+Every later float step repeats the order the grid evaluator must match
+bit for bit.
 
 The per-pair functions read a :class:`ClusterPlan`: an assignment, each
 cluster's decoding order and its power split, validated on construction.
@@ -48,7 +51,7 @@ import numpy as np
 from irsnoma_lab import rl
 from irsnoma_lab.channel import PhaseConfig, effective_channels_batch
 from irsnoma_lab.noma import SIC_RATE_TOL, _check_simplex, evaluate_batch
-from irsnoma_lab.precoding import member_table, zero_forcing
+from irsnoma_lab.precoding import CONDITION_LIMIT, cluster_heads, member_table
 
 
 def decoding_order_by_gain(members, gains) -> tuple[int, ...]:
@@ -328,6 +331,28 @@ class ReferencePoint:
     report: RateReport | None
 
 
+def zero_forcing_reference(h_eff, table, total_power, condition_limit=CONDITION_LIMIT):
+    """``precoding.zero_forcing`` decided by the SVD ratio of every head matrix.
+
+    Each matrix's 2-norm condition number, the ratio of its extreme
+    singular values, must be finite and at most ``condition_limit``; only
+    the matrices that pass are inverted, and each inverse is scaled to
+    spend its budget exactly.  Returns ``(ok, w)`` as ``zero_forcing`` does.
+    """
+    power = np.full(len(h_eff), total_power, dtype=float)
+    heads = cluster_heads(h_eff, table)
+    hmat = h_eff[np.arange(len(h_eff))[:, None], heads]
+    sv = np.linalg.svd(hmat, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cond = sv[:, 0] / sv[:, -1]
+    ok = np.isfinite(cond) & (cond <= condition_limit)
+    w = np.linalg.inv(hmat[ok])
+    m = h_eff.shape[-1]
+    used = (np.abs(w) ** 2).reshape(len(w), m * m).sum(axis=1)
+    w *= np.sqrt(power[ok] / used)[:, None, None]
+    return ok, w
+
+
 def reference_point(scenario, phase_indices, resolution_bits: int, splits) -> ReferencePoint:
     """Score the point (``phase_indices``, ``splits``) pair by pair."""
     h_eff = effective_channels_batch(
@@ -335,7 +360,7 @@ def reference_point(scenario, phase_indices, resolution_bits: int, splits) -> Re
     )
     assign = np.asarray(scenario.assignment)
     members = [np.flatnonzero(assign == m) for m in range(scenario.n_clusters)]
-    ok, w = zero_forcing(h_eff, member_table(members), scenario.total_power)
+    ok, w = zero_forcing_reference(h_eff, member_table(members), scenario.total_power)
     if not ok[0]:
         return ReferencePoint(0.0, False, None, None, None, None, None)
     h_eff, w = h_eff[0], w[0]

@@ -1,8 +1,11 @@
+import argparse
 import itertools
 import json
 import math
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +78,31 @@ ORACLE_SPLITS_OVERSIZE = dict(
     resolution_bits=1,
     alpha_step=0.01,
 )
+
+
+# The benchmark's oma-oracle shape on one seed: three exhaustive searches.
+OMA_ORACLE = dict(
+    algorithm="oracle",
+    seeds=(3,),
+    n_users=2,
+    m_clusters=1,
+    k_elements=4,
+    resolution_bits=2,
+    alpha_step=0.1,
+    powers_dbm=(20.0, 40.0, 60.0),
+)
+
+
+def run_cli(*argv, **env):
+    """``irsnoma *argv`` in a fresh interpreter on this package's source tree."""
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "irsnoma_lab.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src, **env},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
 
 
 def oracle_1u_config(tmp_path, **overrides):
@@ -619,6 +647,12 @@ class TestCli:
         ("n0", 9),
         ("n_max", 15),
         ("predictor_train_steps", -1),
+        ("speed", float("nan")),
+        ("speed", float("inf")),
+        ("speed", -1.5),
+        ("heading_noise_std", float("nan")),
+        ("heading_noise_std", float("inf")),
+        ("heading_noise_std", -0.05),
     ])
     def test_bad_pipeline_value_fails_before_training(
         self, tmp_path, capsys, monkeypatch, field, value
@@ -636,6 +670,54 @@ class TestCli:
         assert main(["pipeline", "--config", str(cfg_path)]) == 1
         assert f"error: {field} " in capsys.readouterr().err
         assert calls == [] and not out.exists()
+
+    def test_calls_share_one_parser(self, tmp_path, monkeypatch):
+        parsers = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def spy(parser, *args, **kwargs):
+            parsers.append(parser)
+            return parse_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        for _ in range(2):
+            assert main(["pipeline", "--config", str(tmp_path / "missing.json")]) == 1
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
+
+    @pytest.mark.parametrize("failure", ["argparse", "validation"])
+    def test_call_after_a_failed_one_writes_what_a_fresh_process_writes(
+        self, tmp_path, failure
+    ):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(OMA_ORACLE))
+        if failure == "argparse":
+            with pytest.raises(SystemExit) as exit_info:
+                main(["compare-oma", "--seed", "not-a-seed"])
+            assert exit_info.value.code == 2
+        else:
+            bad_path = tmp_path / "bad.json"
+            bad_path.write_text(json.dumps({**OMA_ORACLE, "speed": float("nan")}))
+            assert main(["compare-oma", "--config", str(bad_path)]) == 1
+        assert main(["compare-oma", "--config", str(cfg_path), "--out", str(tmp_path / "in")]) == 0
+        fresh = run_cli("compare-oma", "--config", str(cfg_path), "--out", str(tmp_path / "fresh"))
+        assert fresh.returncode == 0, fresh.stderr
+        names = sorted(os.listdir(tmp_path / "in"))
+        assert names and names == sorted(os.listdir(tmp_path / "fresh"))
+        for name in names:
+            assert (tmp_path / "in" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["compare-oma", "--help"]])
+    def test_help_text_equals_a_fresh_process(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 0
+            texts.append(capsys.readouterr().out)
+        fresh = run_cli(*argv, COLUMNS="80")
+        assert fresh.returncode == 0, fresh.stderr
+        assert texts == [fresh.stdout] * 2
 
     def test_infeasible_oracle_exit_code(self, tmp_path):
         cfg_path = tmp_path / "config.json"

@@ -3,7 +3,8 @@
 The runtime dependency is numpy alone; scipy is a test-only reference.  This
 parses every module of ``src/irsnoma_lab`` and lists each import whose
 top-level name is neither of those and not the package itself (relative
-imports included), and checks that importing the CLI loads no scipy.
+imports included), and checks that importing the CLI loads no scipy and
+builds no argument parser.
 """
 
 import ast
@@ -40,8 +41,12 @@ def test_package_imports_only_stdlib_and_numpy():
 
 
 def test_cli_import_loads_no_scipy():
-    # A fresh interpreter: this test session has scipy loaded already.
-    code = "import sys, irsnoma_lab.cli; print('scipy' in sys.modules)"
+    # A fresh interpreter: this test session has scipy loaded already.  The
+    # import builds no parser either; the first ``main`` call does.
+    code = (
+        "import sys, irsnoma_lab.cli as cli; "
+        "print('scipy' in sys.modules, cli.build_parser.cache_info().currsize)"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
@@ -50,4 +55,4 @@ def test_cli_import_loads_no_scipy():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False 0"

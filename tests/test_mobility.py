@@ -80,6 +80,22 @@ class TestMotionModel:
         with pytest.raises(ValueError):
             ConstantVelocityModel().simulate(BOX, [100.0, 0.0], 5, seed=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("speed", float("nan")),
+        ("speed", float("inf")),
+        ("speed", -1.0),
+        ("heading_noise_std", float("nan")),
+        ("heading_noise_std", float("inf")),
+        ("heading_noise_std", -0.05),
+    ])
+    def test_bad_settings_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} .* must be finite and >= 0"):
+            ConstantVelocityModel(**{field: value})
+
+    def test_standing_still_allowed(self):
+        path = ConstantVelocityModel(0.0, 0.0).simulate(BOX, [1.0, 2.0], 3, seed=0)
+        assert np.array_equal(path, np.tile([1.0, 2.0], (4, 1)))
+
 
 class TestLstmForward:
     def test_dead_network_outputs_bias(self):

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irsnoma_lab import precoding
 from irsnoma_lab.precoding import CONDITION_LIMIT, cluster_heads, member_table, zero_forcing
+from scalar_reference import zero_forcing_reference
 
 
 def random_well_conditioned(rng, m, cond_cap=1e6):
@@ -205,3 +207,122 @@ class TestClusterChannelMatrix:
         # The heads (users 0 and 1) are zero-forced: H_heads W is a scaled I.
         prod = h_eff[[0, 1]] @ w[0]
         assert np.max(np.abs(prod / prod[0, 0] - np.eye(2))) < 1e-12
+
+
+def conditioned(rng, m, cond, scale=1.0):
+    """U diag(s) V^H with singular values from ``scale`` down to ``scale / cond``."""
+    def unitary():
+        return np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0]
+
+    return scale * (unitary() * np.geomspace(1.0, 1.0 / cond, m)) @ unitary().conj().T
+
+
+def random_assignment(rng, n_users, n_clusters):
+    assign = np.concatenate([
+        np.arange(n_clusters), rng.integers(0, n_clusters, n_users - n_clusters)
+    ])
+    rng.shuffle(assign)
+    return assign
+
+
+class TestZeroForcingEqualsSvdReference:
+    """The inverse-first check marks and returns what the SVD ratio does, bit for bit."""
+
+    # 0.9999 puts the bound of an M = 5 matrix above the limit while its
+    # condition number stays below: only the SVD passes it.
+    FACTORS = (0.3, 0.5, 0.99, 0.9999, 1.01, 2.0)
+
+    @staticmethod
+    def assert_same(h_eff, table, power, condition_limit=CONDITION_LIMIT):
+        ok, w = zero_forcing(h_eff, table, power, condition_limit)
+        ok_ref, w_ref = zero_forcing_reference(h_eff, table, power, condition_limit)
+        assert np.array_equal(ok, ok_ref)
+        assert np.array_equal(w, w_ref) and w.tobytes() == w_ref.tobytes()
+        return ok
+
+    def near_limit_stack(self, rng, m, condition_limit=CONDITION_LIMIT):
+        """One matrix per factor of the limit, at scales from 1e-3 to 1e3."""
+        return np.stack([
+            conditioned(rng, m, f * condition_limit, 10.0 ** rng.uniform(-3, 3))
+            for f in self.FACTORS
+        ])
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_random_stacks(self, m):
+        rng = np.random.default_rng(300 + m)
+        for _ in range(60):
+            n_users = m + int(rng.integers(0, 4))
+            n_phases = int(rng.integers(1, 40))
+            scale = 10.0 ** rng.uniform(-6, 2)
+            h = scale * (
+                rng.standard_normal((n_phases, n_users, m))
+                + 1j * rng.standard_normal((n_phases, n_users, m))
+            )
+            table = member_table(members_of(random_assignment(rng, n_users, m)))
+            self.assert_same(h, table, rng.uniform(0.1, 1e4, n_phases))
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_condition_numbers_around_the_limit(self, m):
+        rng = np.random.default_rng(400 + m)
+        passes = []
+        for _ in range(40):
+            passes.append(self.assert_same(self.near_limit_stack(rng, m), singletons(m), 2.0))
+        # Below the limit passes, above it fails, on either route.
+        assert np.array_equal(np.all(passes, axis=0), [True] * 4 + [False] * 2)
+        assert not np.any(passes, axis=0)[4:].any()
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_singular_and_zero_matrices(self, m):
+        rng = np.random.default_rng(500 + m)
+        good = random_well_conditioned(rng, m)
+        # An all-zero matrix and, from M = 2, one row repeated M times.
+        row = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        bad = [np.zeros((m, m), dtype=complex), *[np.tile(row, (m, 1))][: m - 1]]
+        for stack in ([bad[0]], [good, bad[0]], [bad[-1], good], [good, *bad, good]):
+            h = np.stack(stack)
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.inv(np.stack([s for s in stack if s is not good]))
+            ok = self.assert_same(h, singletons(m), 3.0)
+            assert ok.tolist() == [s is good for s in stack]
+
+    def test_mixed_stacks(self):
+        rng = np.random.default_rng(600)
+        for _ in range(40):
+            m = int(rng.integers(2, 6))
+            parts = [
+                self.near_limit_stack(rng, m),
+                np.stack([random_well_conditioned(rng, m) for _ in range(int(rng.integers(1, 6)))]),
+                np.ones((int(rng.integers(0, 3)), m, m), dtype=complex),
+                np.zeros((int(rng.integers(0, 2)), m, m), dtype=complex),
+            ]
+            h = np.concatenate(parts)
+            h = h[rng.permutation(len(h))]
+            self.assert_same(h, singletons(m), rng.uniform(0.1, 10.0, len(h)))
+
+    @pytest.mark.parametrize("condition_limit", [1.5, 10.0, 1e4, 1e12])
+    def test_other_condition_limits(self, condition_limit):
+        rng = np.random.default_rng(700)
+        for m in (2, 3, 5):
+            h = np.concatenate([
+                self.near_limit_stack(rng, m, condition_limit),
+                rng.standard_normal((30, m, m)) + 1j * rng.standard_normal((30, m, m)),
+            ])
+            self.assert_same(h, singletons(m), 1.0, condition_limit)
+
+    def test_svd_runs_only_near_the_limit(self, monkeypatch):
+        seen = []
+        svd_test = precoding._condition_ok
+
+        def spy(hmat, condition_limit):
+            seen.append(len(hmat))
+            return svd_test(hmat, condition_limit)
+
+        monkeypatch.setattr(precoding, "_condition_ok", spy)
+        rng = np.random.default_rng(800)
+        good = np.stack([conditioned(rng, 3, 10.0) for _ in range(50)])
+        zero_forcing(good, singletons(3), 1.0)
+        assert seen == []
+        zero_forcing(np.concatenate([good, self.near_limit_stack(rng, 3)]), singletons(3), 1.0)
+        assert seen == [5]  # 0.3x the limit passes on the bound alone
+        zero_forcing(np.concatenate([good, np.zeros((1, 3, 3), dtype=complex)]), singletons(3), 1.0)
+        assert seen == [5, 51]  # ``inv`` raised: the whole stack
