@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -57,6 +58,7 @@ from .oracle import (
     SearchSpace,
     SearchSpaceTooLargeError,
     _units_from_step,
+    brute_force_optima,
     brute_force_optimum,
     composition_count,
     phase_index_block,
@@ -453,14 +455,18 @@ def optimize_scenario(runs, config: ExperimentConfig) -> list:
     """Run the configured optimizer on (scenario, generator) runs of one size.
 
     The learners step the runs in lockstep, up to ``LOCKSTEP_RUNS`` at a
-    time; the oracle searches each scenario alone.  Returns each run's
-    ``TrainResult`` or ``OracleResult``: a run without a feasible point has
-    no ``best_phase`` and rate 0.
+    time; the oracle searches consecutive runs of one channel draw (a
+    seed's powers) in one pass.  Returns each run's ``TrainResult`` or
+    ``OracleResult``: a run without a feasible point has no ``best_phase``
+    and rate 0.
     """
     scenarios, rngs = zip(*runs)
-    if config.algorithm == "oracle":
-        return [brute_force_optimum(s, _search_space(s, config)) for s in scenarios]
     bests = []
+    if config.algorithm == "oracle":
+        for _, draw in itertools.groupby(scenarios, key=lambda s: id(s.channels)):
+            draw = list(draw)
+            bests += brute_force_optima(draw, _search_space(draw[0], config))
+        return bests
     for start in range(0, len(scenarios), LOCKSTEP_RUNS):
         chunk = slice(start, start + LOCKSTEP_RUNS)
         bests += _search(scenarios[chunk], config, rngs[chunk])

@@ -19,9 +19,10 @@ the "power" domain (num proportional to a_p, not a_p^2) is available as a
 flag.
 
 :func:`evaluate_batch` scores a grid of phase configs and power splits on
-one scenario, and :func:`evaluate_points` one point on each of E scenarios
-of one size.  Both run one body, which reads the cluster layout of a
-:class:`ScenarioStack`: a grid is a one-run stack.
+one scenario, :func:`evaluate_powers` the same grid at several power
+budgets from one precode, and :func:`evaluate_points` one point on each of
+E scenarios of one size.  All run one body, which reads the cluster layout
+of a :class:`ScenarioStack`: a grid is a one-run stack.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelRealization, effective_channels_batch
-from .precoding import member_table, zero_forcing
+from .precoding import member_table, scale_to_power, zf_inverse
 
 ALPHA_SUM_TOL = 1e-12
 SIC_RATE_TOL = 1e-12
@@ -140,7 +141,7 @@ class NetworkScenario:
 @dataclass(frozen=True, eq=False)
 class StackedChannels:
     """The channels of E scenarios on a leading run axis: ``g_matrix`` (E, K, M),
-    ``user_channels`` (E, N, K) and ``noise_variance`` (E, 1, 1)."""
+    ``user_channels`` (E, N, K) and ``noise_variance`` (E, 1)."""
 
     g_matrix: np.ndarray
     user_channels: np.ndarray
@@ -164,9 +165,11 @@ class ScenarioStack:
     slot ``sic_earlier[e, 0, i]``.  Member tables are padded to the widest
     cluster by repeating a member, which never wins the head ``argmax``,
     and SIC pairs to the most pairs by self-pairs (slot 0 decoding its own
-    signal), whose check repeats the own rate and never fails.  A scenario
-    listed more than once (the same object) is stacked once, and its rows
-    are taken by index.
+    signal), whose check repeats the own rate and never fails.  The scorer
+    reads the slot-major copies ``slot_beam`` (N, E), ``other_slot_beams``
+    (N, E, M - 1) and ``same_slots`` (N, N, E, 1).  A scenario listed more
+    than once (the same object) is stacked once, and its rows are taken by
+    index.
     """
 
     def __init__(self, scenarios):
@@ -226,10 +229,15 @@ class ScenarioStack:
         self.channels = StackedChannels(
             take([s.channels.g_matrix for s in scenarios]),
             take([s.channels.user_channels for s in scenarios]),
-            take([s.channels.noise_variance for s in scenarios])[:, None, None],
+            take([s.channels.noise_variance for s in scenarios])[:, None],
         )
         self.interference_model = first.interference_model
         self.alpha_domain = first.alpha_domain
+        # The scorer's planes are slot-major, (N, rows, splits): slot k's
+        # beam, other beams and same-cluster slots, one column per run.
+        self.slot_beam = np.ascontiguousarray(self.slot_cluster.T)
+        self.other_slot_beams = np.ascontiguousarray(self.other_beams.transpose(1, 0, 2))
+        self.same_slots = np.ascontiguousarray(self.same_cluster.transpose(2, 3, 0, 1))
         # How the scorer indexes the layout.  Row e of its arrays reads run
         # e's layout, except in a one-run stack, whose layout serves every
         # row: the P phase rows of a grid take no per-run gather.
@@ -237,14 +245,15 @@ class ScenarioStack:
             every = slice(None)
             self.run_index = 0
             self.own_beam_at = (every, every, self.user_cluster[0])
-            self.sic_later_at = (every, None, self.sic_later[0, 0])
-            self.sic_earlier_at = (Ellipsis, self.sic_earlier[0, 0])
+            self.sic_later_at = (self.sic_later[0, 0],)
+            self.sic_earlier_at = (self.sic_earlier[0, 0],)
         else:
-            runs = np.arange(n_runs)[:, None, None]
-            self.run_index = runs[:, :, 0]
-            self.own_beam_at = (runs, np.arange(n_clusters)[:, None], self.user_cluster[:, None])
-            self.sic_later_at = (runs, self.sic_later)
-            self.sic_earlier_at = (runs, 0, self.sic_earlier)
+            runs = np.arange(n_runs)
+            self.run_index = runs
+            self.own_beam_at = (runs[:, None, None], np.arange(n_clusters)[:, None],
+                                self.user_cluster[:, None])
+            self.sic_later_at = (np.ascontiguousarray(self.sic_later[:, 0].T), runs)
+            self.sic_earlier_at = (np.ascontiguousarray(self.sic_earlier[:, 0].T), runs)
 
     def __len__(self) -> int:
         return len(self.scenarios)
@@ -307,22 +316,39 @@ def evaluate_batch(scenario, phase_idx, alphas, resolution_bits: int) -> GridSco
 
     ``scenario`` is a :class:`NetworkScenario` or its one-run
     :class:`ScenarioStack`; a caller that scores one scenario in chunks
-    stacks it once.  Effective channels, cluster heads, the ZF solve and the
+    stacks it once.  This is :func:`evaluate_powers` at the scenario's own
+    budget.  Effective channels, cluster heads, the ZF inverse and the
     condition check run once per phase, batched over the P phases; the
     check reads a bound off the inverse and takes an SVD only for phases
-    near the limit (:func:`~irsnoma_lab.precoding.zero_forcing`).  Each
+    near the limit (:func:`~irsnoma_lab.precoding.zf_inverse`).  Each
     cluster's users are decoded in ascending order of their own-beam gain
     (weakest first, lower index on ties), so cluster m's i-th entry of a
     row funds its i-th decoded user; SINRs, SIC and QoS then run for all S
-    splits and all clusters at once over the scenario's decoding slots.
+    splits and all clusters at once on slot-major (N, P, S) planes.
     Every point equals the per-pair scalar evaluation bit for bit: each
     float step repeats its expression and summation order (``h_row @ W`` as
     a stacked row product, intra-cluster weights added in decoding order,
     inter-cluster power summed over the other beams only, own power squared
-    as a numpy scalar).
+    as a numpy scalar, the rates summed over users in user order).
     """
     stack = scenario if isinstance(scenario, ScenarioStack) else ScenarioStack([scenario])
-    return _score(stack, phase_idx, resolution_bits, _split_weights(stack, alphas, "S")[None])
+    (scores,) = evaluate_powers(stack, phase_idx, alphas, resolution_bits, stack.total_power)
+    return scores
+
+
+def evaluate_powers(stack: ScenarioStack, phase_idx, alphas, resolution_bits: int, powers):
+    """Score one grid at each budget of ``powers``: one :class:`GridScores` each, in turn.
+
+    ``stack`` is a one-run :class:`ScenarioStack`, and the grid is
+    :func:`evaluate_batch`'s.  The grid is precoded once, since only the
+    final ZF scale reads a budget; each budget then scales a copy of the
+    inverse and scores the grid, which equals :func:`evaluate_batch` on the
+    scenario with that ``total_power``, bit for bit.  The scores of one
+    budget are yielded before the next is scored, so working memory does
+    not grow with the number of budgets.
+    """
+    wts = _split_weights(stack, alphas, "S").T[:, None]
+    return _score(stack, phase_idx, resolution_bits, wts, powers)
 
 
 def evaluate_points(scenarios, phase_idx, alphas, resolution_bits: int) -> GridScores:
@@ -339,74 +365,82 @@ def evaluate_points(scenarios, phase_idx, alphas, resolution_bits: int) -> GridS
             f"{len(phase_idx)} phase rows, {len(alphas)} splits and {len(stack)} "
             "scenarios do not pair up"
         )
-    grid = _score(stack, phase_idx, resolution_bits, _split_weights(stack, alphas, "E")[:, None])
+    wts = _split_weights(stack, alphas, "E").T[..., None]
+    (grid,) = _score(stack, phase_idx, resolution_bits, wts, (stack.total_power,))
     return GridScores(grid.sum_rate[:, 0], grid.feasible[:, 0], grid.own_gains, grid.order)
 
 
-def _score(stack: ScenarioStack, phase_idx, resolution_bits, wts) -> GridScores:
-    """The body of both evaluators.
+def _score(stack: ScenarioStack, phase_idx, resolution_bits, wts, powers):
+    """The body of every evaluator: precode once, then score each budget in ``powers``.
 
     Phase row p reads run p's layout, or the one run's in a one-run stack;
-    ``wts`` is (1, S, N) for a grid's S splits and (E, 1, N) for one split
-    per run.  The scorer reads the layout through the stack's index tuples,
-    built once per stack.  Every row is scored; rows whose ZF failed are
-    then set to rate 0, infeasible and NaN gains.
+    ``wts`` is slot-major, (N, 1, S) for a grid's S splits and (N, E, 1)
+    for one split per run.  A budget broadcasts over the phase rows.  The
+    precode (effective channels, cluster heads, the unscaled ZF inverse,
+    its condition check and the intra-cluster weights) reads no budget; per
+    budget, a scaled copy of the inverse gives the gains, the decoding
+    order and the (N, P, S) SINR, SIC and QoS planes.  The scorer reads the
+    layout through the stack's index tuples, built once per stack.  Every
+    row is scored; rows whose ZF failed are then set to rate 0, infeasible
+    and NaN gains.
     """
     h_eff = effective_channels_batch(stack.channels, phase_idx, resolution_bits)
-    n_phases, _, n_clusters = h_eff.shape
-    ok, w = zero_forcing(h_eff, stack.member_table, stack.total_power)
-    if not ok.all():
-        # Zero beams on the failed rows, so they score without error.
-        full = np.zeros((n_phases, n_clusters, n_clusters), dtype=complex)
-        full[ok] = w
-        w = full
-    own_beams = w[stack.own_beam_at].transpose(0, 2, 1)
-    gains = np.abs(np.einsum("pum,pum->pu", h_eff, own_beams))
-    if not np.isfinite(gains).all():
-        raise ValueError("gains must be finite")
-
-    # At phase p the user in slot k is order[p, k].
+    n_phases, n_users, _ = h_eff.shape
+    ok, w_unit, used = zf_inverse(h_eff, stack.member_table)
+    failed = None if ok.all() else ~ok
     # lexsort does not broadcast its keys: a one-run grid's (1, N) row is
     # spread over its phase rows.
     assign = stack.user_cluster
-    if assign.shape != gains.shape:
-        assign = np.broadcast_to(assign, gains.shape)
-    order = np.lexsort((gains, assign))
-
-    beams = (h_eff[..., None, :] @ w[:, None])[..., 0, :]  # (P, N, M): h_u . w_g
-    rows = np.arange(n_phases)[:, None]
-    own = _scalar_abs2(beams[rows, order, stack.slot_cluster])
-    others = beams[rows[:, :, None], order[:, :, None], stack.other_beams]
-    if stack.interference_model == "incoherent":
-        inter = np.sum(np.abs(others) ** 2, axis=-1)
-    else:
-        inter = _scalar_abs2(np.sum(others, axis=-1))
+    if len(assign) != n_phases:
+        assign = np.broadcast_to(assign, (n_phases, n_users))
     # The other members' weights, added one by one in decoding order.
-    intra = np.cumsum(wts[..., None] * stack.same_cluster, axis=-2)[..., -1, :]
-
-    # sinr[p, s, k]: the user in slot k decoding its own signal.
+    intra = np.cumsum(wts[:, None] * stack.same_slots, axis=0)[-1]
     noise = stack.channels.noise_variance
-    own3 = own[:, None, :]
-    sinr = (wts * own3) / (own3 * intra + inter[:, None, :] + noise)
-    rates = np.log2(1.0 + sinr)
-    sic = True
-    if stack.sic_later.size:
-        # Slot later[i] decoding the signal of slot earlier[i], same cluster.
-        at_later, at_earlier = stack.sic_later_at, stack.sic_earlier_at
-        own_l = own[at_later]
-        tau = (wts[at_earlier] * own_l) / (
-            own_l * intra[at_earlier] + inter[at_later] + noise
-        )
-        need = rates[at_earlier]
-        floor = need - SIC_RATE_TOL * np.maximum(1.0, np.abs(need))
-        sic = ~(np.log2(1.0 + tau) < floor).any(axis=-1)
-    floors = stack.qos_floors[stack.run_index, order][:, None, :]
-    feasible = sic & (sinr >= floors).all(axis=-1)
-    user_rates = np.empty_like(rates)
-    user_rates[rows, :, order] = rates.transpose(0, 2, 1)
-    sum_rate = np.sum(user_rates, axis=-1)
-    if not ok.all():
-        sum_rate[~ok] = 0.0
-        feasible[~ok] = False
-        gains[~ok] = np.nan
-    return GridScores(sum_rate, feasible, gains, order)
+    rows = np.arange(n_phases)
+    column = rows[:, None]
+    at_later, at_earlier = stack.sic_later_at, stack.sic_earlier_at
+
+    def score(power) -> GridScores:
+        w = scale_to_power(w_unit, used, power)
+        own_beams = w[stack.own_beam_at].transpose(0, 2, 1)
+        gains = np.abs(np.einsum("pum,pum->pu", h_eff, own_beams))
+        if not np.isfinite(gains).all():
+            raise ValueError("gains must be finite")
+        # At phase p the user in slot k is order[p, k].
+        order = np.lexsort((gains, assign))
+        # Gathered through a C-ordered index, every plane comes out C-ordered.
+        slot_user = np.ascontiguousarray(order.T)
+
+        beams = (h_eff[..., None, :] @ w[:, None])[..., 0, :]  # (P, N, M): h_u . w_g
+        own = _scalar_abs2(beams[rows, slot_user, stack.slot_beam])[..., None]
+        others = beams[column, slot_user[..., None], stack.other_slot_beams]
+        if stack.interference_model == "incoherent":
+            inter = np.sum(np.abs(others) ** 2, axis=-1)[..., None]
+        else:
+            inter = _scalar_abs2(np.sum(others, axis=-1))[..., None]
+
+        # sinr[k, p, s]: the user in slot k decoding its own signal.
+        sinr = (wts * own) / (own * intra + inter + noise)
+        rates = np.log2(1.0 + sinr)
+        feasible = (sinr >= stack.qos_floors[stack.run_index, slot_user][..., None]).all(axis=0)
+        if stack.sic_later.size:
+            # Slot later[i] decoding the signal of slot earlier[i], same cluster.
+            own_l = own[at_later]
+            tau = (wts[at_earlier] * own_l) / (
+                own_l * intra[at_earlier] + inter[at_later] + noise
+            )
+            need = rates[at_earlier]
+            floor = need - SIC_RATE_TOL * np.maximum(1.0, np.abs(need))
+            feasible &= ~(np.log2(1.0 + tau) < floor).any(axis=0)
+        user_rates = np.empty((*rates.shape[1:], n_users))
+        user_rates[column, :, order] = rates.transpose(1, 0, 2)
+        sum_rate = np.sum(user_rates, axis=-1)
+        if failed is not None:
+            sum_rate[failed] = 0.0
+            feasible[failed] = False
+            gains[failed] = np.nan
+        return GridScores(sum_rate, feasible, gains, order)
+
+    # A budget's temporaries are freed before the next budget is scored.
+    for power in powers:
+        yield score(power)

@@ -4,7 +4,8 @@ Each cluster is served through its head user, the member with the largest
 effective-channel norm.  The precoder inverts the M x M matrix whose row m
 is the effective channel of cluster m's head, so each cluster's beam has
 unit gain on its own head and zero gain on every other cluster's, then
-scales all beams uniformly to spend the total power budget exactly.  The
+scales all beams uniformly to spend the total power budget exactly.  Only
+that scale reads the budget, so one inverse serves every budget.  The
 member tables and budgets broadcast over the stack: one for every phase,
 or one per phase.
 """
@@ -60,23 +61,19 @@ def _condition_ok(hmat: np.ndarray, condition_limit: float) -> np.ndarray:
     return np.isfinite(cond) & (cond <= condition_limit)
 
 
-def zero_forcing(
-    h_eff: np.ndarray,
-    table: np.ndarray,
-    total_power,
-    condition_limit: float = CONDITION_LIMIT,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-forcing precoders for a stack of P effective-channel matrices.
+def zf_inverse(
+    h_eff: np.ndarray, table: np.ndarray, condition_limit: float = CONDITION_LIMIT
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unscaled zero-forcing solutions for a stack of P effective-channel matrices.
 
     ``table`` is a :func:`member_table` as :func:`cluster_heads` takes it.
-    Returns ``(ok, w)``: ``ok`` (P,) marks the phases whose head matrix has
-    a finite 2-norm condition number no larger than ``condition_limit``,
-    and ``w`` (ok.sum(), M, M) holds their precoders, column m serving
-    cluster m.  The unscaled solution W satisfies H W = I; every column is
-    then multiplied by sqrt(P / sum_m ||w_m||^2) so the power constraint
-    holds with equality.  ``total_power`` is a budget that broadcasts over
-    the matrices, one for all or one per matrix; only that final scale
-    reads it.
+    Returns ``(ok, w, used)``: ``ok`` (P,) marks the phases whose head
+    matrix has a finite 2-norm condition number no larger than
+    ``condition_limit``; ``w`` (P, M, M) holds the solution W of H W = I
+    of each of them, column m serving cluster m, and zeros on the other
+    phases; ``used`` (P,) is sum_m ||w_m||^2 of each passing W, and 1
+    elsewhere.  Nothing here reads a power budget, so one inverse serves
+    every budget (:func:`scale_to_power`).
 
     The condition check reads the inverse first: cond_2(H) <= ||H||_F
     ||H^-1||_F, so a matrix whose bound is finite and at most half the
@@ -85,9 +82,6 @@ def zero_forcing(
     exactly singular (``inv`` raises).  Both routes mark the same
     matrices and give the same bits.
     """
-    power = np.full(len(h_eff), total_power, dtype=float)
-    if not (power > 0).all():
-        raise ValueError("total_power must be positive")
     n_clusters = h_eff.shape[-1]
     if table.shape[-2] != n_clusters:
         raise ValueError(
@@ -102,20 +96,57 @@ def zero_forcing(
         w = np.linalg.inv(hmat)
     except np.linalg.LinAlgError:
         ok = _condition_ok(hmat, condition_limit)
-        w = np.linalg.inv(hmat[ok])
+        kept = np.linalg.inv(hmat[ok])
+        w = np.zeros_like(hmat)
+        used = np.ones(len(hmat))
+        w[ok] = kept
+        used[ok] = _squared_norms(kept)
+        return ok, w, used
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         used = _squared_norms(w)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            used = _squared_norms(w)
-            bound = np.sqrt(_squared_norms(hmat) * used)
-        # Half the limit leaves room for the rounding of both ``inv`` and
-        # the SVD, so no matrix passed here could fail the exact test.
-        ok = np.isfinite(bound) & (bound <= condition_limit / 2)
-        near = ~ok
-        if near.any():
-            ok[near] = _condition_ok(hmat[near], condition_limit)
-        w, used = w[ok], used[ok]
-    w *= np.sqrt(power[ok] / used)[:, None, None]
+        bound = np.sqrt(_squared_norms(hmat) * used)
+    # Half the limit leaves room for the rounding of both ``inv`` and
+    # the SVD, so no matrix passed here could fail the exact test.
+    ok = np.isfinite(bound) & (bound <= condition_limit / 2)
+    near = ~ok
+    if near.any():
+        ok[near] = _condition_ok(hmat[near], condition_limit)
+        failed = ~ok
+        w[failed] = 0.0
+        used[failed] = 1.0
+    return ok, w, used
+
+
+def scale_to_power(w: np.ndarray, used: np.ndarray, total_power) -> np.ndarray:
+    """A copy of the :func:`zf_inverse` stack ``w`` that spends ``total_power``.
+
+    Every column of matrix p is multiplied by sqrt(P / used[p]), so the
+    power constraint holds with equality; ``total_power`` broadcasts over
+    the matrices, one budget for all or one per matrix.  ``w`` itself is
+    left as it is.
+    """
+    w = w * np.sqrt(total_power / used)[:, None, None]
     if not np.isfinite(w.view(float)).all():
         raise ValueError("precoder contains non-finite entries")
-    return ok, w
+    return w
+
+
+def zero_forcing(
+    h_eff: np.ndarray,
+    table: np.ndarray,
+    total_power,
+    condition_limit: float = CONDITION_LIMIT,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-forcing precoders for a stack of P effective-channel matrices.
+
+    Returns ``(ok, w)``: ``ok`` (P,) as :func:`zf_inverse` marks it, and
+    ``w`` (ok.sum(), M, M) the precoders of those phases, each inverse
+    scaled by :func:`scale_to_power`.  ``total_power`` is a positive budget
+    that broadcasts over the matrices, one for all or one per matrix.
+    """
+    power = np.full(len(h_eff), total_power, dtype=float)
+    if not (power > 0).all():
+        raise ValueError("total_power must be positive")
+    ok, w, used = zf_inverse(h_eff, table, condition_limit)
+    w = scale_to_power(w, used, power)
+    return ok, w if ok.all() else w[ok]

@@ -23,6 +23,10 @@ scored through ``PhaseConfig`` and per-cluster split tuples from
 :func:`alpha_from_units`.  The environment's action table must reproduce
 it bit for bit.
 
+:func:`one_power_optimum` searches one scenario at its own power alone;
+the oracle's one pass over all the powers of a channel draw must equal it
+scenario by scenario.
+
 Two more scalar forms serve as references for array code: the one-point
 ray cast behind ``ServiceRegion.contains_many``, and the per-pair gain
 difference and correlation of the rough partition's threshold gate.
@@ -44,13 +48,14 @@ The file has no ``test_`` prefix, so pytest imports it only from tests.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from irsnoma_lab import rl
+from irsnoma_lab import oracle, rl
 from irsnoma_lab.channel import PhaseConfig, effective_channels_batch
-from irsnoma_lab.noma import SIC_RATE_TOL, _check_simplex, evaluate_batch
+from irsnoma_lab.noma import SIC_RATE_TOL, ScenarioStack, _check_simplex, evaluate_batch
 from irsnoma_lab.precoding import CONDITION_LIMIT, cluster_heads, member_table
 
 
@@ -389,6 +394,52 @@ def reference_point(scenario, phase_indices, resolution_bits: int, splits) -> Re
         own_gains=gains,
         plan=plan,
         report=report,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive search of one scenario
+# ---------------------------------------------------------------------------
+
+def one_power_optimum(scenario, space) -> oracle.OracleResult:
+    """The exhaustive search of one scenario alone, one power per search.
+
+    It builds the split grid and the one-run stack for this scenario,
+    scores every chunk through ``evaluate_batch`` at the scenario's own
+    budget and keeps one running best: a chunk's first maximum replaces it
+    only on a strict improvement.  ``oracle.brute_force_optima`` must give
+    each scenario of a draw these fields, bit for bit.
+    """
+    space.check_guard()
+    start = time.perf_counter()
+    bits = space.resolution_bits
+    grid = oracle.alpha_grid(space.cluster_sizes, space.alpha_step)
+    stack = ScenarioStack([scenario])
+    best_rate = -np.inf
+    best_phase = None
+    best_splits = None
+    best_orders = None
+    feasible = 0
+    chunks = oracle._grid_chunks(space.phase_count, len(grid), oracle.CHUNK_POINTS)
+    for p0, p1, s0, s1 in chunks:
+        phase_idx = oracle.phase_index_block(space.k_elements, bits, p0, p1)
+        scores = evaluate_batch(stack, phase_idx, grid[s0:s1], bits)
+        feasible += int(np.count_nonzero(scores.feasible))
+        rates = np.where(scores.feasible, scores.sum_rate, -np.inf)
+        p, s = np.unravel_index(np.argmax(rates), rates.shape)
+        if rates[p, s] > best_rate:
+            best_rate = float(rates[p, s])
+            best_phase = PhaseConfig(tuple(phase_idx[p]), bits)
+            best_splits = scenario.split_tuples(grid[s0 + s])
+            best_orders = scenario.split_tuples(scores.order[p])
+    return oracle.OracleResult(
+        best_phase=best_phase,
+        best_splits=best_splits,
+        best_rate=float(best_rate) if feasible else 0.0,
+        feasible_count=feasible,
+        evaluated_count=space.phase_count * len(grid),
+        wall_time_s=time.perf_counter() - start,
+        best_orders=best_orders,
     )
 
 

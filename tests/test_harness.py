@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irsnoma_lab import harness
+from irsnoma_lab import harness, noma, oracle
 from irsnoma_lab.channel import ChannelRealization, load_scenario
 from irsnoma_lab.cli import main
 from irsnoma_lab.harness import (
@@ -480,6 +480,46 @@ class TestCompareOma:
         assert noma > oma
         for row in rows:
             assert row[1] >= row[2] - 1e-9  # per-seed dominance under oracle
+
+
+class TestOraclePassPerDraw:
+    @pytest.mark.parametrize("n_powers", [1, 3, 8])
+    @pytest.mark.parametrize("command", [cmd_compare_oma, cmd_sweep_power])
+    def test_one_grid_one_stack_one_precode_per_chunk(
+        self, tmp_path, monkeypatch, command, n_powers
+    ):
+        # 16 phases x 3 splits in chunks of 6 points: 8 chunks of 2 phases.
+        monkeypatch.setattr(oracle, "CHUNK_POINTS", 6)
+        calls = {"alpha_grid": 0, "ScenarioStack": 0, "zf_inverse": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        class CountedStack(noma.ScenarioStack):
+            def __init__(self, scenarios):
+                calls["ScenarioStack"] += 1
+                super().__init__(scenarios)
+
+        monkeypatch.setattr(oracle, "alpha_grid", counted("alpha_grid", oracle.alpha_grid))
+        monkeypatch.setattr(oracle, "ScenarioStack", CountedStack)
+        monkeypatch.setattr(noma, "zf_inverse", counted("zf_inverse", noma.zf_inverse))
+        cfg = ExperimentConfig(
+            algorithm="oracle",
+            out_dir=str(tmp_path / "out"),
+            seeds=(3,),
+            n_users=2,
+            m_clusters=1,
+            k_elements=2,
+            resolution_bits=2,
+            alpha_step=0.5,
+            powers_dbm=tuple(20.0 + 10.0 * i for i in range(n_powers)),
+        )
+        rows = command(cfg)
+        assert len(rows) == n_powers
+        assert calls == {"alpha_grid": 1, "ScenarioStack": 1, "zf_inverse": 8}
 
 
 class TestClusterAndPredict:

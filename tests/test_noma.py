@@ -15,6 +15,7 @@ from irsnoma_lab.noma import (
     evaluate_points,
     oma_tdma_sum_rate,
 )
+from irsnoma_lab.oracle import alpha_grid, phase_index_block
 from scalar_reference import (
     ClusterPlan,
     alpha_from_units,
@@ -511,6 +512,34 @@ class TestEvaluateBatch:
     @given(paper_scale_instances())
     def test_equals_reference_at_paper_scale(self, instance):
         assert_grid_equals_reference(instance)
+
+    @pytest.mark.parametrize(
+        "n_clusters, users_per_cluster", [(3, 3), (5, 2)], ids=["9-users", "10-users"]
+    )
+    def test_user_sum_on_a_full_grid(self, n_clusters, users_per_cluster):
+        # numpy's last-axis sum adds up to 7 terms left to right and regroups
+        # longer rows, so a grid of 9 or 10 users tells the user-order sum
+        # from a reordered one; the grid is at least the oracle's 256 x 11
+        # points.
+        rng = np.random.default_rng(10 * n_clusters + users_per_cluster)
+        scenario = random_scenario(rng, n_clusters, users_per_cluster, k_elements=5)
+        phase_idx = phase_index_block(5, 1, 0, 16)
+        splits = [scenario.split_tuples(row) for row in alpha_grid(scenario.cluster_sizes, 0.5)]
+        assert len(phase_idx) * len(splits) >= 256 * 11
+        grid = evaluate_batch(scenario, phase_idx, [flat_row(split) for split in splits], 1)
+        regrouped = 0
+        for p, row in enumerate(phase_idx):
+            for s, split in enumerate(splits):
+                ref = reference_point(scenario, row, 1, split)
+                assert grid.feasible[p, s] == ref.feasible
+                assert grid.sum_rate[p, s].tobytes() == np.float64(ref.sum_rate).tobytes()
+                # Adding the users' rates left to right gives other bits than
+                # numpy's sum at some points: the case tells the two apart.
+                total = 0.0
+                for rate in ref.report.rates:
+                    total += rate
+                regrouped += total != ref.sum_rate
+        assert regrouped
 
     def test_own_power_rounds_like_a_numpy_scalar(self):
         # libm pow(x, 2) and the array square x * x differ in rare last bits.

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -12,11 +13,12 @@ from irsnoma_lab.oracle import (
     SearchSpace,
     SearchSpaceTooLargeError,
     alpha_grid,
+    brute_force_optima,
     brute_force_optimum,
     composition_count,
     phase_index_block,
 )
-from scalar_reference import evaluate_point
+from scalar_reference import evaluate_point, one_power_optimum
 
 # Chunk sizes that put chunk boundaries inside phases, between phases, and
 # (at the default) nowhere on small grids.
@@ -324,3 +326,162 @@ class TestBatchedSearchEqualsLiteralLoop:
             patch.setattr(oracle, "CHUNK_POINTS", chunk)
             result = brute_force_optimum(scenario, space)
         assert result_fields(result) == literal_optimum(scenario, space)
+
+
+def every_field(result):
+    """Every OracleResult field except the wall time; the rate by its bits."""
+    fields = {
+        f.name: getattr(result, f.name)
+        for f in dataclasses.fields(result)
+        if f.name != "wall_time_s"
+    }
+    fields["best_rate"] = float(fields["best_rate"]).hex()
+    return fields
+
+
+def at_powers(scenario, powers_dbm):
+    """The scenario once per power: one channel draw's runs."""
+    return [
+        dataclasses.replace(scenario, total_power=dbm_to_watts(p)) for p in powers_dbm
+    ]
+
+
+POWER_COUNTS = pytest.mark.parametrize("n_powers", [1, 3, 8])
+
+
+def power_grid(n_powers):
+    return [20.0 + 10.0 * i for i in range(n_powers)]
+
+
+def near_parallel_heads():
+    """Two one-user clusters whose effective channels are parallel at half the phases.
+
+    With the surface rows (1, 0), (0, 1), (1, 1) and conj(h) rows (1, 1, 1)
+    and (1, 0, 0), the head matrix has determinant -c0 (c1 + c2), which
+    vanishes up to rounding wherever element 2 is flipped against element 1.
+    """
+    g = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], dtype=complex)
+    h = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]], dtype=complex)
+    channels = ChannelRealization(
+        g_matrix=g,
+        user_channels=np.conj(h) * [[0.7 - 0.2j], [1.3 + 0.4j]],
+        noise_variance=0.05,
+    )
+    return NetworkScenario(channels=channels, assignment=(0, 1), total_power=1.0)
+
+
+class TestOnePassEqualsOnePowerSearches:
+    """One pass over a draw's powers equals one search per power, field for field."""
+
+    @staticmethod
+    def assert_pass_equals_searches(scenarios, space):
+        results = brute_force_optima(scenarios, space)
+        assert len(results) == len(scenarios)
+        for scenario, result in zip(scenarios, results):
+            assert every_field(result) == every_field(one_power_optimum(scenario, space))
+        return results
+
+    @POWER_COUNTS
+    @pytest.mark.parametrize(
+        "chunk", [3, 40, oracle.CHUNK_POINTS], ids=["split-runs", "phase-blocks", "default"]
+    )
+    @pytest.mark.parametrize(
+        "flags",
+        [{}, {"interference_model": "coherent"}, {"alpha_domain": "power"},
+         {"qos_floors": 0.05, "interference_model": "coherent", "alpha_domain": "power"}],
+        ids=["default", "coherent", "power-domain", "floors-coherent-power"],
+    )
+    def test_random_draw(self, n_powers, chunk, flags, monkeypatch):
+        # 25 splits per phase: a chunk of 3 splits a phase's runs, one of 40
+        # holds one phase, the default holds all 16.
+        monkeypatch.setattr(oracle, "CHUNK_POINTS", chunk)
+        base = make_scenario(np.random.default_rng(31), 2, 2, k_elements=4)
+        base = dataclasses.replace(base, **flags)
+        space = SearchSpace(4, 1, base.cluster_sizes, alpha_step=0.25)
+        results = self.assert_pass_equals_searches(at_powers(base, power_grid(n_powers)), space)
+        assert all(r.feasible_count > 0 for r in results)
+
+    @POWER_COUNTS
+    @CHUNKS
+    def test_zf_rejected_phases(self, n_powers, chunk, monkeypatch):
+        monkeypatch.setattr(oracle, "CHUNK_POINTS", chunk)
+        base = near_parallel_heads()
+        space = SearchSpace(3, 1, base.cluster_sizes, alpha_step=0.5)
+        results = self.assert_pass_equals_searches(at_powers(base, power_grid(n_powers)), space)
+        # One split per phase, feasible exactly where ZF passes: half the phases.
+        assert all(r.feasible_count == 4 and r.evaluated_count == 8 for r in results)
+
+    @POWER_COUNTS
+    def test_unreachable_floor(self, n_powers):
+        base = make_scenario(np.random.default_rng(32), 2, 2, k_elements=2)
+        base = dataclasses.replace(base, qos_floors=1e12)
+        space = SearchSpace(2, 1, base.cluster_sizes, alpha_step=0.5)
+        results = self.assert_pass_equals_searches(at_powers(base, power_grid(n_powers)), space)
+        for r in results:
+            assert r.feasible_count == 0 and r.best_rate == 0.0
+            assert r.best_phase is r.best_splits is r.best_orders is None
+
+    @POWER_COUNTS
+    @CHUNKS
+    def test_ties_keep_the_first_point(self, n_powers, chunk, monkeypatch):
+        # Element 1 reflects nothing, so phases (n, 0) and (n, 1) tie exactly.
+        monkeypatch.setattr(oracle, "CHUNK_POINTS", chunk)
+        channels = ChannelRealization(
+            g_matrix=np.array([[1.0 + 0.5j], [2.0 - 1.0j]]),
+            user_channels=np.array([[1.0 - 2.0j, 0.0], [0.5 + 0.5j, 0.0]]),
+            noise_variance=1.0,
+        )
+        base = NetworkScenario(channels=channels, assignment=(0, 0), total_power=1.0)
+        space = SearchSpace(2, 1, (2,), 0.5)
+        results = self.assert_pass_equals_searches(at_powers(base, power_grid(n_powers)), space)
+        assert all(r.best_phase.indices[1] == 0 for r in results)
+
+    def test_a_single_scenario_is_the_one_power_search(self):
+        scenario = make_scenario(np.random.default_rng(33), 2, 1, k_elements=2)
+        space = SearchSpace(2, 2, (1, 1), alpha_step=0.5)
+        assert every_field(brute_force_optimum(scenario, space)) == every_field(
+            one_power_optimum(scenario, space)
+        )
+
+
+class TestOnePassRejectsOtherDraws:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("channels", make_scenario(np.random.default_rng(41), 2, 2, 2).channels),
+            ("assignment", (0, 1, 0, 1)),
+            ("qos_floors", 0.5),
+            ("interference_model", "coherent"),
+            ("alpha_domain", "power"),
+        ],
+    )
+    def test_names_the_field(self, field, value):
+        base = make_scenario(np.random.default_rng(40), 2, 2, k_elements=2)
+        other = dataclasses.replace(base, total_power=2.0, **{field: value})
+        space = SearchSpace(2, 1, base.cluster_sizes, alpha_step=0.5)
+        with pytest.raises(ValueError, match=f"scenario 2 differs from scenario 0 in {field}:"):
+            brute_force_optima([base, base, other], space)
+
+    def test_equal_channels_in_another_object_share_the_pass(self):
+        base = make_scenario(np.random.default_rng(42), 2, 2, k_elements=2)
+        c = base.channels
+        copy = ChannelRealization(
+            g_matrix=c.g_matrix.copy(), user_channels=c.user_channels.copy(),
+            noise_variance=c.noise_variance,
+        )
+        other = dataclasses.replace(base, channels=copy, total_power=3.0)
+        space = SearchSpace(2, 1, base.cluster_sizes, alpha_step=0.5)
+        results = brute_force_optima([base, other], space)
+        assert every_field(results[1]) == every_field(one_power_optimum(other, space))
+
+    def test_needs_a_scenario(self):
+        with pytest.raises(ValueError, match="at least one scenario"):
+            brute_force_optima([], SearchSpace(2, 1, (1,), 0.5))
+
+    def test_keeps_the_space_checks(self):
+        base = make_scenario(np.random.default_rng(43), 2, 2, k_elements=2)
+        draw = at_powers(base, [20.0, 30.0])
+        with pytest.raises(ValueError, match="cluster sizes"):
+            brute_force_optima(draw, SearchSpace(2, 1, (4,), 0.5))
+        with pytest.raises(ValueError, match="element count"):
+            brute_force_optima(draw, SearchSpace(3, 1, base.cluster_sizes, 0.5))
