@@ -10,6 +10,7 @@ point grid.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -276,10 +277,22 @@ class PhaseConfig:
         )
 
 
+@functools.cache
+def phase_coefficients(resolution_bits: int) -> np.ndarray:
+    """The read-only table of the 2**B coefficients e^{j*2*pi*n/2**B}, n = 0, ..., 2**B - 1.
+
+    Built once per B; every caller indexes it, so the coefficients have
+    one definition.
+    """
+    levels = 1 << resolution_bits
+    table = np.exp(1j * (TWO_PI * np.arange(levels, dtype=float) / levels))
+    table.flags.writeable = False
+    return table
+
+
 def reflection_coefficients(phase: PhaseConfig) -> np.ndarray:
     """Unit-modulus reflection coefficients e^{j*theta_k}, theta_k = 2*pi*n_k/2**B."""
-    theta = TWO_PI * np.asarray(phase.indices, dtype=float) / phase.n_levels
-    return np.exp(1j * theta)
+    return phase_coefficients(phase.resolution_bits)[np.asarray(phase.indices, dtype=np.intp)]
 
 
 def effective_channels_batch(
@@ -302,7 +315,7 @@ def effective_channels_batch(
         )
     if idx.size and (idx.min() < 0 or idx.max() >= levels):
         raise ValueError(f"phase index out of range [0, {levels - 1}]")
-    coeffs = np.exp(1j * (TWO_PI * idx.astype(float) / levels))
+    coeffs = phase_coefficients(resolution_bits)[idx]
     h = channels.user_channels
     if users is not None:
         h = h[..., np.asarray(users, dtype=int), :]

@@ -8,12 +8,12 @@ object of :class:`~irsnoma_lab.harness.ExperimentConfig` fields), --seed,
 The config is validated before any command starts work or writes output: a
 top level that is not a JSON object, an unknown field, ``resolution_bits``
 or ``m_clusters`` below 1, ``m_clusters > n_users`` without a
-``scenario_path``, an ``alpha_step`` that does not divide 1, an empty seed
-list or a negative seed, an unknown algorithm, ``interference_model`` or
-``alpha_domain``, a negative or non-finite ``qos_floor``, ``speed`` or
-``heading_noise_std``, powers, element counts or slot counts out of range,
-a ``clustering_epsilon`` that is not finite and positive,
-``window_len < 1``, ``n0 < window_len + 2``,
+``scenario_path``, an ``alpha_step`` that does not divide 1, an empty
+``seeds``, ``powers_dbm`` or ``element_counts`` list, a negative seed, an
+unknown algorithm, ``interference_model`` or ``alpha_domain``, a negative
+or non-finite ``qos_floor``, ``speed`` or ``heading_noise_std``, powers,
+element counts or slot counts out of range, a ``clustering_epsilon`` that
+is not finite and positive, ``window_len < 1``, ``n0 < window_len + 2``,
 ``n_max < n0``, a negative ``predictor_train_steps``, and, under the
 oracle, more than 1e8 evaluations (2**(B*K) phase configs times the fewest
 power splits of any clustering, or the phase configs alone with a

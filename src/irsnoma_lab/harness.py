@@ -35,6 +35,7 @@ from .channel import (
     default_region,
     effective_channels_batch,
     load_scenario,
+    phase_coefficients,
     sample_channels,
     scenario_to_json,
 )
@@ -139,6 +140,9 @@ class ExperimentConfig:
         )
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        for name in ("powers_dbm", "element_counts"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must list at least one value")
         if min(self.seeds) < 0:
             raise ValueError(f"seeds {list(self.seeds)} must be non-negative")
         if self.algorithm not in ALGORITHMS:
@@ -602,8 +606,7 @@ def best_single_user_gain(channels, user: int, resolution_bits: int) -> float:
 
 def aligned_single_user_gain(channels, user: int, resolution_bits: int) -> float:
     """Coordinate-ascent phase alignment for one user (large surfaces)."""
-    levels = 1 << resolution_bits
-    grid = np.exp(2j * np.pi * np.arange(levels) / levels)
+    grid = phase_coefficients(resolution_bits)
     k = channels.k_elements
     coeffs = np.ones(k, dtype=complex)
     terms = np.conj(channels.user_channels[user])[:, None] * channels.g_matrix

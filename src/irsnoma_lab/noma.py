@@ -306,9 +306,25 @@ def _scalar_abs2(z: np.ndarray) -> np.ndarray:
 
     A numpy scalar's ``** 2`` calls libm ``pow``, which differs from the
     array square (``x * x``) in rare last bits; Python floats call ``pow``
-    too.
+    too, and so does ``float_power``'s float64 loop, entry by entry.  A
+    finite entry whose square overflows raises, as the scalar power does.
     """
-    return np.power(np.abs(z).astype(object), 2).astype(float)
+    with np.errstate(over="raise"):
+        return np.float_power(np.abs(z), 2.0)
+
+
+def _plane_sum(planes: np.ndarray) -> np.ndarray:
+    """Sum the (N, rows, splits) ``planes`` over N, with the bits of numpy's
+    last-axis sum of the same N terms.
+
+    A last-axis sum adds fewer than 8 terms left to right, as a first-axis
+    sum does in one pass over the planes, where the last-axis sum makes one
+    inner-loop call per point.  From 8 terms numpy's pairwise sum regroups
+    them, so the planes are summed as a user-last copy.
+    """
+    if len(planes) < 8:
+        return np.sum(planes, axis=0)
+    return np.sum(planes.transpose(1, 2, 0).copy(), axis=-1)
 
 
 def evaluate_batch(scenario, phase_idx, alphas, resolution_bits: int) -> GridScores:
@@ -329,7 +345,8 @@ def evaluate_batch(scenario, phase_idx, alphas, resolution_bits: int) -> GridSco
     float step repeats its expression and summation order (``h_row @ W`` as
     a stacked row product, intra-cluster weights added in decoding order,
     inter-cluster power summed over the other beams only, own power squared
-    as a numpy scalar, the rates summed over users in user order).
+    as a numpy scalar, the rates summed over users in user order, grouped
+    as numpy's last-axis sum groups them).
     """
     stack = scenario if isinstance(scenario, ScenarioStack) else ScenarioStack([scenario])
     (scores,) = evaluate_powers(stack, phase_idx, alphas, resolution_bits, stack.total_power)
@@ -379,7 +396,9 @@ def _score(stack: ScenarioStack, phase_idx, resolution_bits, wts, powers):
     precode (effective channels, cluster heads, the unscaled ZF inverse,
     its condition check and the intra-cluster weights) reads no budget; per
     budget, a scaled copy of the inverse gives the gains, the decoding
-    order and the (N, P, S) SINR, SIC and QoS planes.  The scorer reads the
+    order and the (N, P, S) SINR, SIC and QoS planes.  The rates are
+    scattered to user-major planes and summed over them with the bits of a
+    last-axis ``np.sum`` (:func:`_plane_sum`).  The scorer reads the
     layout through the stack's index tuples, built once per stack.  Every
     row is scored; rows whose ZF failed are then set to rate 0, infeasible
     and NaN gains.
@@ -432,9 +451,9 @@ def _score(stack: ScenarioStack, phase_idx, resolution_bits, wts, powers):
             need = rates[at_earlier]
             floor = need - SIC_RATE_TOL * np.maximum(1.0, np.abs(need))
             feasible &= ~(np.log2(1.0 + tau) < floor).any(axis=0)
-        user_rates = np.empty((*rates.shape[1:], n_users))
-        user_rates[column, :, order] = rates.transpose(1, 0, 2)
-        sum_rate = np.sum(user_rates, axis=-1)
+        user_rates = np.empty_like(rates)
+        user_rates[slot_user, rows] = rates
+        sum_rate = _plane_sum(user_rates)
         if failed is not None:
             sum_rate[failed] = 0.0
             feasible[failed] = False

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irsnoma_lab.channel import (
+    TWO_PI,
     ChannelRealization,
     DegenerateGeometryError,
     PhaseConfig,
@@ -15,6 +16,7 @@ from irsnoma_lab.channel import (
     default_region,
     effective_channels_batch,
     load_scenario,
+    phase_coefficients,
     reflection_coefficients,
     sample_channels,
     scenario_to_json,
@@ -62,6 +64,22 @@ class TestReflectionCoefficients:
     def test_quarter_turn_at_five_bits(self):
         coeffs = reflection_coefficients(PhaseConfig((8,), resolution_bits=5))
         assert coeffs[0] == pytest.approx(1.0j)
+
+    @pytest.mark.parametrize("bits", range(1, 9))
+    def test_table_is_the_exp_of_each_phase(self, bits):
+        levels = 1 << bits
+        table = phase_coefficients(bits)
+        theta = TWO_PI * np.arange(levels, dtype=float) / levels
+        assert table.tobytes() == np.exp(1j * theta).tobytes()
+        # Entry by entry, and on the index rows effective channels index it with.
+        for n in range(levels):
+            assert table[n].tobytes() == np.exp(1j * theta[n]).tobytes()
+        idx = np.random.default_rng(bits).integers(0, levels, size=(64, 9))
+        assert table[idx].tobytes() == np.exp(1j * (TWO_PI * idx.astype(float) / levels)).tobytes()
+        phase = PhaseConfig(tuple(idx[0]), bits)
+        assert reflection_coefficients(phase).tobytes() == table[idx[0]].tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
 
     def test_index_out_of_range_rejected(self):
         with pytest.raises(ValueError):

@@ -159,6 +159,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(seeds=())
 
+    @pytest.mark.parametrize("name", ["powers_dbm", "element_counts"])
+    def test_sweep_lists_must_not_be_empty(self, name):
+        with pytest.raises(ValueError, match=f"{name} must list at least one value"):
+            ExperimentConfig(**{name: ()})
+
     def test_algorithm_whitelist(self):
         with pytest.raises(ValueError):
             ExperimentConfig(algorithm="genetic")
@@ -588,6 +593,9 @@ class TestCli:
                 "random_samples",
                 "sweep-power",
             ),
+            ({**SMALL, "powers_dbm": []}, "powers_dbm", "sweep-power"),
+            ({**SMALL, "powers_dbm": []}, "powers_dbm", "compare-oma"),
+            ({**SMALL, "element_counts": []}, "element_counts", "sweep-elements"),
         ],
         ids=[
             "top-level-array",
@@ -604,6 +612,9 @@ class TestCli:
             "no-episodes",
             "no-steps-per-episode",
             "negative-random-samples",
+            "no-powers-sweep-power",
+            "no-powers-compare-oma",
+            "no-element-counts",
         ],
     )
     def test_invalid_config_exits_before_any_output(

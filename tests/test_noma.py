@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from irsnoma_lab.channel import ChannelRealization, PhaseConfig, dbm_to_watts
 from irsnoma_lab.noma import (
+    _plane_sum,
     _scalar_abs2,
     NetworkScenario,
     ScenarioStack,
@@ -542,11 +543,42 @@ class TestEvaluateBatch:
         assert regrouped
 
     def test_own_power_rounds_like_a_numpy_scalar(self):
-        # libm pow(x, 2) and the array square x * x differ in rare last bits.
+        # libm pow(x, 2) and the array square x * x differ in rare last bits;
+        # the magnitudes span 1e-150 to 1e150, so every square is normal.
         rng = np.random.default_rng(17)
-        z = rng.standard_normal(50_000) + 1j * rng.standard_normal(50_000)
-        expected = [float(np.abs(v) ** 2) for v in z]
+        magnitude = 10.0 ** rng.uniform(-150.0, 150.0, 50_000)
+        z = magnitude * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, magnitude.size))
+        expected = [float(v) ** 2 for v in np.abs(z)]
         assert np.array_equal(_scalar_abs2(z), expected)
+        assert not np.array_equal(np.abs(z) * np.abs(z), expected)
+
+    def test_own_power_overflow_raises(self):
+        # A finite magnitude whose square overflows fails, as float(x) ** 2 does.
+        with pytest.raises(OverflowError):
+            float(np.abs(1e200 + 1e200j)) ** 2
+        with pytest.raises(FloatingPointError, match="overflow"):
+            _scalar_abs2(np.array([1.0 + 0j, 1e200 + 1e200j]))
+
+    @pytest.mark.parametrize("n_terms", [*range(1, 141), 256, 300])
+    def test_plane_sum_rounds_like_a_last_axis_sum(self, n_terms):
+        # Below 8 terms the first-axis sum must add as numpy's pairwise sum
+        # does, so a numpy that regroups fewer terms fails here; the larger
+        # N cross the 7/8 and 128/129 edges and the recursive split.
+        # Magnitudes span 1e-5 to 1e5, both signs, with +0.0, -0.0 and NaN
+        # entries.
+        rng = np.random.default_rng(n_terms)
+        planes = rng.choice([-1.0, 1.0], (n_terms, 6, 5)) * 10.0 ** rng.uniform(
+            -5.0, 5.0, (n_terms, 6, 5)
+        )
+        pick = rng.random(planes.shape)
+        planes[pick < 0.05] = 0.0
+        planes[pick > 0.98] = np.nan
+        planes[:, 0, 0] = -0.0
+        planes[:, 0, 1] = np.where(np.arange(n_terms) % 2, 0.0, -0.0)
+        # One element per plane too: a first-axis sum then runs as one row.
+        for part in (planes, planes[:, 1:2, 2:3]):
+            last_axis = np.ascontiguousarray(np.moveaxis(part, 0, -1))
+            assert _plane_sum(part).tobytes() == np.sum(last_axis, axis=-1).tobytes()
 
     def test_rejects_a_split_off_the_simplex(self):
         scenario = random_scenario(np.random.default_rng(3))
