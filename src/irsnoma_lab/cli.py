@@ -6,8 +6,9 @@ object of :class:`~irsnoma_lab.harness.ExperimentConfig` fields), --seed,
 --out, and --algorithm; flags override the config file.
 
 The config is validated before any command starts work or writes output: a
-top level that is not a JSON object, an unknown field, ``resolution_bits``
-or ``m_clusters`` below 1, ``m_clusters > n_users`` without a
+top level that is not a JSON object, an unknown field, a float, bool or
+string in an integer field or list, ``resolution_bits`` outside [1, 16],
+``m_clusters`` below 1, ``m_clusters > n_users`` without a
 ``scenario_path``, an ``alpha_step`` that does not divide 1, an empty
 ``seeds``, ``powers_dbm`` or ``element_counts`` list, a negative seed, an
 unknown algorithm, ``interference_model`` or ``alpha_domain``, a negative

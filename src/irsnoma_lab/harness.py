@@ -23,7 +23,7 @@ import math
 import os
 import tempfile
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -78,6 +78,8 @@ ALGORITHMS = ("dqn", "tabular", "random-phase", "oracle")
 # command's runs step in chunks of this size with the same outputs; the
 # cap bounds the memory of many seeds (20 seeds x 5 pipeline slots).
 LOCKSTEP_RUNS = 16
+# Every evaluator call indexes the 2**B phase table; 16 bits make it 1 MiB.
+MAX_RESOLUTION_BITS = 16
 
 
 class SeedRegistry:
@@ -91,6 +93,13 @@ class SeedRegistry:
 
     def rng(self, name: str) -> np.random.Generator:
         return np.random.default_rng(self.seed_sequence(name))
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a float, a bool or a string is rejected, naming ``name``."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name}: {value!r} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -131,12 +140,14 @@ class ExperimentConfig:
     save_curves: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int":
+                object.__setattr__(self, f.name, _integer(f.name, value))
+            elif f.type == "tuple[int, ...]":
+                object.__setattr__(self, f.name, tuple(_integer(f.name, v) for v in value))
         object.__setattr__(
             self, "powers_dbm", tuple(float(p) for p in self.powers_dbm)
-        )
-        object.__setattr__(
-            self, "element_counts", tuple(int(k) for k in self.element_counts)
         )
         if not self.seeds:
             raise ValueError("at least one seed is required")
@@ -157,7 +168,6 @@ class ExperimentConfig:
         if self.slots < 1:
             raise ValueError("slot count must be >= 1")
         for name in (
-            "resolution_bits",
             "m_clusters",
             "episodes",
             "steps_per_episode",
@@ -166,6 +176,9 @@ class ExperimentConfig:
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} {getattr(self, name)} must be >= 1")
+        bits = self.resolution_bits
+        if not 1 <= bits <= MAX_RESOLUTION_BITS:
+            raise ValueError(f"resolution_bits {bits} must be in [1, {MAX_RESOLUTION_BITS}]")
         if self.n0 < self.window_len + 2:
             raise ValueError(f"n0 {self.n0} must be >= window_len + 2 = {self.window_len + 2}")
         if self.n_max < self.n0:
@@ -460,16 +473,17 @@ def optimize_scenario(runs, config: ExperimentConfig) -> list:
 
     The learners step the runs in lockstep, up to ``LOCKSTEP_RUNS`` at a
     time; the oracle searches consecutive runs of one channel draw (a
-    seed's powers) in one pass.  Returns each run's ``TrainResult`` or
-    ``OracleResult``: a run without a feasible point has no ``best_phase``
-    and rate 0.
+    seed's powers, which differ only in power) in one pass.  Returns each
+    run's ``TrainResult`` or ``OracleResult``: a run without a feasible
+    point has no ``best_phase`` and rate 0.
     """
     scenarios, rngs = zip(*runs)
     bests = []
     if config.algorithm == "oracle":
         for _, draw in itertools.groupby(scenarios, key=lambda s: id(s.channels)):
             draw = list(draw)
-            bests += brute_force_optima(draw, _search_space(draw[0], config))
+            powers = [s.total_power for s in draw]
+            bests += brute_force_optima(draw[0], _search_space(draw[0], config), powers)
         return bests
     for start in range(0, len(scenarios), LOCKSTEP_RUNS):
         chunk = slice(start, start + LOCKSTEP_RUNS)

@@ -156,20 +156,19 @@ class ScenarioStack:
     """E scenarios that share N, M, K and both flags: the layout every scorer reads.
 
     The scenarios may differ in channels, assignment, occupancy, floors,
-    noise and power.  Every layout array has a leading run axis:
-    ``user_cluster`` (E, N) is each user's cluster; slot k serves cluster
-    ``slot_cluster[e, k]``, and cluster m's slots start at
-    ``cluster_starts[e, m]``; ``same_cluster`` (E, 1, N, N) marks slots
-    j != k of one cluster; ``other_beams`` (E, N, M - 1) lists the beams of
-    every other cluster; slot ``sic_later[e, 0, i]`` decodes the signal of
-    slot ``sic_earlier[e, 0, i]``.  Member tables are padded to the widest
-    cluster by repeating a member, which never wins the head ``argmax``,
-    and SIC pairs to the most pairs by self-pairs (slot 0 decoding its own
-    signal), whose check repeats the own rate and never fails.  The scorer
-    reads the slot-major copies ``slot_beam`` (N, E), ``other_slot_beams``
-    (N, E, M - 1) and ``same_slots`` (N, N, E, 1).  A scenario listed more
-    than once (the same object) is stacked once, and its rows are taken by
-    index.
+    noise and power.  ``user_cluster`` (E, N) is each user's cluster, and
+    cluster m's slots start at ``cluster_starts[e, m]``.  The scorer's
+    planes are slot-major, (N, rows, splits), and so is the layout it reads,
+    one column per run: slot k serves cluster ``slot_beam[k, e]`` (N, E);
+    ``same_slots`` (N, N, E, 1) marks slots j != k of one cluster;
+    ``other_slot_beams`` (N, E, M - 1) lists the beams of every other
+    cluster; through ``sic_later_at`` and ``sic_earlier_at``, slot
+    later[i, e] decodes the signal of slot earlier[i, e].  Member tables
+    are padded to the widest cluster by repeating a member, which never
+    wins the head ``argmax``, and SIC pairs to the most pairs by self-pairs
+    (slot 0 decoding its own signal), whose check repeats the own rate and
+    never fails.  A scenario listed more than once (the same object) is
+    stacked once, and its rows are taken by index.
     """
 
     def __init__(self, scenarios):
@@ -204,13 +203,13 @@ class ScenarioStack:
         n_runs = len(self.scenarios)
         slot = np.arange(n_users)
         self.user_cluster = take([s.assignment for s in scenarios])
-        self.slot_cluster = np.sort(self.user_cluster, axis=1)
-        self.same_cluster = (
-            (self.slot_cluster[:, :, None] == self.slot_cluster[:, None]) & (slot[:, None] != slot)
-        )[:, None]
+        self.slot_beam = np.ascontiguousarray(np.sort(self.user_cluster, axis=1).T)
+        self.same_slots = (
+            (self.slot_beam[:, None] == self.slot_beam) & (slot[:, None] != slot)[..., None]
+        )[..., None]
         # Cluster c's slots see the beams 0, ..., c - 1, c + 1, ..., M - 1.
         beams = np.arange(n_clusters - 1)
-        self.other_beams = beams + (beams >= self.slot_cluster[..., None])
+        self.other_slot_beams = beams + (beams >= self.slot_beam[..., None])
         # Slot j decodes the signal of every earlier slot i of its cluster.
         pairs = [
             [(j, i) for start, n in zip(s.cluster_starts, s.cluster_sizes)
@@ -219,8 +218,8 @@ class ScenarioStack:
         ]
         n_pairs = max(map(len, pairs))
         padded = [p + [(0, 0)] * (n_pairs - len(p)) for p in pairs]
-        sic = take(padded).astype(np.intp, copy=False).reshape(n_runs, 1, n_pairs, 2)
-        self.sic_later, self.sic_earlier = sic[..., 0], sic[..., 1]
+        sic = take(padded).astype(np.intp, copy=False).reshape(n_runs, n_pairs, 2)
+        later, earlier = np.ascontiguousarray(sic.T)  # (pairs, E) each
         width = max(max(s.cluster_sizes) for s in scenarios)
         self.member_table = take([member_table(s.members, width) for s in scenarios])
         self.cluster_starts = take([s.cluster_starts for s in scenarios])
@@ -233,11 +232,6 @@ class ScenarioStack:
         )
         self.interference_model = first.interference_model
         self.alpha_domain = first.alpha_domain
-        # The scorer's planes are slot-major, (N, rows, splits): slot k's
-        # beam, other beams and same-cluster slots, one column per run.
-        self.slot_beam = np.ascontiguousarray(self.slot_cluster.T)
-        self.other_slot_beams = np.ascontiguousarray(self.other_beams.transpose(1, 0, 2))
-        self.same_slots = np.ascontiguousarray(self.same_cluster.transpose(2, 3, 0, 1))
         # How the scorer indexes the layout.  Row e of its arrays reads run
         # e's layout, except in a one-run stack, whose layout serves every
         # row: the P phase rows of a grid take no per-run gather.
@@ -245,15 +239,15 @@ class ScenarioStack:
             every = slice(None)
             self.run_index = 0
             self.own_beam_at = (every, every, self.user_cluster[0])
-            self.sic_later_at = (self.sic_later[0, 0],)
-            self.sic_earlier_at = (self.sic_earlier[0, 0],)
+            self.sic_later_at = (later[:, 0],)
+            self.sic_earlier_at = (earlier[:, 0],)
         else:
             runs = np.arange(n_runs)
             self.run_index = runs
             self.own_beam_at = (runs[:, None, None], np.arange(n_clusters)[:, None],
                                 self.user_cluster[:, None])
-            self.sic_later_at = (np.ascontiguousarray(self.sic_later[:, 0].T), runs)
-            self.sic_earlier_at = (np.ascontiguousarray(self.sic_earlier[:, 0].T), runs)
+            self.sic_later_at = (later, runs)
+            self.sic_earlier_at = (earlier, runs)
 
     def __len__(self) -> int:
         return len(self.scenarios)
@@ -442,7 +436,7 @@ def _score(stack: ScenarioStack, phase_idx, resolution_bits, wts, powers):
         sinr = (wts * own) / (own * intra + inter + noise)
         rates = np.log2(1.0 + sinr)
         feasible = (sinr >= stack.qos_floors[stack.run_index, slot_user][..., None]).all(axis=0)
-        if stack.sic_later.size:
+        if len(at_later[0]):
             # Slot later[i] decoding the signal of slot earlier[i], same cluster.
             own_l = own[at_later]
             tau = (wts[at_earlier] * own_l) / (

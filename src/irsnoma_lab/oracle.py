@@ -3,8 +3,8 @@
 Enumerates every discrete reflection state (2**B choices per element) and
 every per-cluster power split on a fixed step grid, scores the points in
 bounded chunks with the grid evaluator the learners also score through,
-and returns the feasible maximizer.  One pass serves every scenario of a
-channel draw: each chunk is precoded once and scored at each power.
+and returns the feasible maximizer.  One pass serves one scenario at
+several power budgets: each chunk is precoded once and scored at each power.
 Intended for small instances; a hard evaluation-count guard keeps runs
 desk-scale.
 """
@@ -187,71 +187,47 @@ def _grid_chunks(n_phases: int, n_splits: int, size: int):
                 yield p, p + 1, s, min(s + size, n_splits)
 
 
-def _first_difference(a: NetworkScenario, b: NetworkScenario) -> str | None:
-    """The first field other than ``total_power`` in which two scenarios differ."""
-    ca, cb = a.channels, b.channels
-    same = {
-        "channels": ca is cb or (
-            ca.noise_variance == cb.noise_variance
-            and np.array_equal(ca.g_matrix, cb.g_matrix)
-            and np.array_equal(ca.user_channels, cb.user_channels)
-        ),
-        "assignment": a.assignment == b.assignment,
-        "qos_floors": np.array_equal(a.qos_floors, b.qos_floors),
-        "interference_model": a.interference_model == b.interference_model,
-        "alpha_domain": a.alpha_domain == b.alpha_domain,
-    }
-    return next((name for name, equal in same.items() if not equal), None)
+def brute_force_optima(
+    scenario: NetworkScenario, space: SearchSpace, powers
+) -> list[OracleResult]:
+    """The exhaustive search of ``scenario`` at each budget of ``powers``, in one pass.
 
-
-def brute_force_optima(scenarios, space: SearchSpace) -> list[OracleResult]:
-    """The exhaustive search of every scenario of one channel draw, in one pass.
-
-    The R scenarios may differ only in ``total_power``: they share the
-    channels, the assignment, the floors and both flags, so they share the
-    split grid, the layout stack and, chunk by chunk, the precode (effective
+    Only the final ZF scale reads a budget, so the budgets share the split
+    grid, the layout stack and, chunk by chunk, the precode (effective
     channels, heads, the unscaled ZF inverse and its condition check).
     Each chunk of at most ``CHUNK_POINTS`` points is precoded once and then
     scored at each power in turn (:func:`~irsnoma_lab.noma.evaluate_powers`),
-    so working memory does not grow with R.  Chunks run phase-major,
-    split-minor; a chunk's first maximum replaces a scenario's running one
-    only on a strict improvement, so ties resolve to the lexicographically
-    first point and reruns are bit-identical.  Result r equals the search of
-    scenario r alone; each result's ``wall_time_s`` is the whole pass.
+    so working memory does not grow with the number of powers.  Chunks run
+    phase-major, split-minor; a chunk's first maximum replaces a power's
+    running one only on a strict improvement, so ties resolve to the
+    lexicographically first point and reruns are bit-identical.  Result r
+    equals the search of ``scenario`` with ``total_power`` ``powers[r]``
+    alone; each result's ``wall_time_s`` is the whole pass.
     """
-    scenarios = tuple(scenarios)
-    if not scenarios:
-        raise ValueError("at least one scenario is required")
-    first = scenarios[0]
-    for i, scenario in enumerate(scenarios[1:], 1):
-        name = _first_difference(first, scenario)
-        if name is not None:
-            raise ValueError(
-                f"scenario {i} differs from scenario 0 in {name}: one pass serves "
-                "scenarios that differ only in total_power"
-            )
-    if space.cluster_sizes != first.cluster_sizes:
+    powers = list(powers)
+    if not powers or not all(p > 0 for p in powers):
+        raise ValueError(f"powers {powers} must be a non-empty list of positive budgets")
+    if space.cluster_sizes != scenario.cluster_sizes:
         raise ValueError(
             f"search space cluster sizes {space.cluster_sizes} do not match the "
-            f"scenario's {first.cluster_sizes}"
+            f"scenario's {scenario.cluster_sizes}"
         )
-    if space.k_elements != first.channels.k_elements:
+    if space.k_elements != scenario.channels.k_elements:
         raise ValueError("search space element count does not match the channels")
     space.check_guard()
 
     start = time.perf_counter()
     bits = space.resolution_bits
     grid = alpha_grid(space.cluster_sizes, space.alpha_step)
-    stack = ScenarioStack([first])
-    powers = [s.total_power for s in scenarios]
-    best_rate = [-np.inf] * len(scenarios)
-    best = [(None, None, None)] * len(scenarios)  # (phase, splits, orders)
-    feasible = [0] * len(scenarios)
+    stack = ScenarioStack([scenario])
+    best_rate = [-np.inf] * len(powers)
+    best = [(None, None, None)] * len(powers)  # (phase, splits, orders)
+    feasible = [0] * len(powers)
     chunks = _grid_chunks(space.phase_count, len(grid), CHUNK_POINTS)
     for p0, p1, s0, s1 in chunks:
         phase_idx = phase_index_block(space.k_elements, bits, p0, p1)
         scored = evaluate_powers(stack, phase_idx, grid[s0:s1], bits, powers)
-        for r in range(len(scenarios)):
+        for r in range(len(powers)):
             scores = next(scored)
             feasible[r] += int(np.count_nonzero(scores.feasible))
             rates = np.where(scores.feasible, scores.sum_rate, -np.inf)
@@ -260,8 +236,8 @@ def brute_force_optima(scenarios, space: SearchSpace) -> list[OracleResult]:
                 best_rate[r] = float(rates[p, s])
                 best[r] = (
                     PhaseConfig(tuple(phase_idx[p]), bits),
-                    first.split_tuples(grid[s0 + s]),
-                    first.split_tuples(scores.order[p]),
+                    scenario.split_tuples(grid[s0 + s]),
+                    scenario.split_tuples(scores.order[p]),
                 )
             # Dropped before the next power is scored: one power's scores at a time.
             del scores, rates
@@ -283,7 +259,7 @@ def brute_force_optima(scenarios, space: SearchSpace) -> list[OracleResult]:
 def brute_force_optimum(scenario: NetworkScenario, space: SearchSpace) -> OracleResult:
     """Evaluate every (phase, split) pair and keep the feasible maximizer.
 
-    The one-scenario pass of :func:`brute_force_optima`.
+    The one-power pass of :func:`brute_force_optima`.
     """
-    (result,) = brute_force_optima([scenario], space)
+    (result,) = brute_force_optima(scenario, space, [scenario.total_power])
     return result

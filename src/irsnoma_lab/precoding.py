@@ -130,23 +130,3 @@ def scale_to_power(w: np.ndarray, used: np.ndarray, total_power) -> np.ndarray:
         raise ValueError("precoder contains non-finite entries")
     return w
 
-
-def zero_forcing(
-    h_eff: np.ndarray,
-    table: np.ndarray,
-    total_power,
-    condition_limit: float = CONDITION_LIMIT,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-forcing precoders for a stack of P effective-channel matrices.
-
-    Returns ``(ok, w)``: ``ok`` (P,) as :func:`zf_inverse` marks it, and
-    ``w`` (ok.sum(), M, M) the precoders of those phases, each inverse
-    scaled by :func:`scale_to_power`.  ``total_power`` is a positive budget
-    that broadcasts over the matrices, one for all or one per matrix.
-    """
-    power = np.full(len(h_eff), total_power, dtype=float)
-    if not (power > 0).all():
-        raise ValueError("total_power must be positive")
-    ok, w, used = zf_inverse(h_eff, table, condition_limit)
-    w = scale_to_power(w, used, power)
-    return ok, w if ok.all() else w[ok]

@@ -337,12 +337,15 @@ class ReferencePoint:
 
 
 def zero_forcing_reference(h_eff, table, total_power, condition_limit=CONDITION_LIMIT):
-    """``precoding.zero_forcing`` decided by the SVD ratio of every head matrix.
+    """``precoding.zf_inverse`` and ``scale_to_power``, decided by the SVD
+    ratio of every head matrix.
 
     Each matrix's 2-norm condition number, the ratio of its extreme
     singular values, must be finite and at most ``condition_limit``; only
     the matrices that pass are inverted, and each inverse is scaled to
-    spend its budget exactly.  Returns ``(ok, w)`` as ``zero_forcing`` does.
+    spend its budget exactly.  Returns ``(ok, w)``: ``ok`` as
+    ``zf_inverse`` marks it, and ``w`` the scaled precoders of the passing
+    matrices alone.
     """
     power = np.full(len(h_eff), total_power, dtype=float)
     heads = cluster_heads(h_eff, table)
@@ -408,7 +411,8 @@ def one_power_optimum(scenario, space) -> oracle.OracleResult:
     scores every chunk through ``evaluate_batch`` at the scenario's own
     budget and keeps one running best: a chunk's first maximum replaces it
     only on a strict improvement.  ``oracle.brute_force_optima`` must give
-    each scenario of a draw these fields, bit for bit.
+    these fields at each of its powers, bit for bit, for the scenario with
+    that ``total_power``.
     """
     space.check_guard()
     start = time.perf_counter()

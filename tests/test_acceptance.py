@@ -35,7 +35,7 @@ from irsnoma_lab.mobility import (
 )
 from irsnoma_lab.noma import NetworkScenario
 from irsnoma_lab.oracle import SearchSpace, brute_force_optimum
-from irsnoma_lab.precoding import member_table, zero_forcing
+from irsnoma_lab.precoding import member_table, scale_to_power, zf_inverse
 from irsnoma_lab.rl import (
     NomaPhaseEnv,
     QApproximator,
@@ -88,8 +88,9 @@ def test_criterion_1_zero_forcing_correctness():
             h = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
             if np.linalg.cond(h) < 1e6:
                 break
-        ok, w = zero_forcing(h[None], member_table([[u] for u in range(m)]), power)
+        ok, w, used = zf_inverse(h[None], member_table([[u] for u in range(m)]))
         assert ok[0]
+        w = scale_to_power(w, used, power)
         prod = h @ w[0]
         scale = np.mean(np.real(np.diag(prod)))
         worst_residual = max(

@@ -200,6 +200,26 @@ class TestConfig:
                     )
                     assert fewest == composition_count(units, n - m + 1)
 
+    @pytest.mark.parametrize("name", [
+        "seeds", "element_counts", "n_users", "m_clusters", "k_elements",
+        "resolution_bits", "slots", "episodes", "steps_per_episode", "random_samples",
+        "n0", "n_max", "window_len", "predictor_train_steps",
+    ])
+    def test_integer_fields_take_only_integers(self, name):
+        default = getattr(ExperimentConfig(), name)
+        listed = isinstance(default, tuple)
+        for bad in (2.0, True, "2"):
+            with pytest.raises(ValueError, match=f"^{name}: {bad!r} is not an integer$"):
+                ExperimentConfig(**{name: (bad,) if listed else bad})
+        # numpy integers are integers.
+        value = tuple(map(np.int64, default)) if listed else np.int64(default)
+        assert getattr(ExperimentConfig(**{name: value}), name) == default
+
+    def test_resolution_bits_at_most_16(self):
+        assert ExperimentConfig(resolution_bits=16).resolution_bits == 16
+        with pytest.raises(ValueError, match=r"resolution_bits 17 must be in \[1, 16\]"):
+            ExperimentConfig(resolution_bits=17)
+
     def test_scenario_file_keeps_the_phase_only_oracle_check(self):
         doc = dict(ORACLE_SPLITS_OVERSIZE, scenario_path="s.json")
         assert ExperimentConfig(**doc).alpha_step == 0.01
@@ -488,12 +508,14 @@ class TestCompareOma:
 
 
 class TestOraclePassPerDraw:
+    @pytest.mark.parametrize("seeds", [(3,), (3, 4)], ids=["one-seed", "two-seeds"])
     @pytest.mark.parametrize("n_powers", [1, 3, 8])
     @pytest.mark.parametrize("command", [cmd_compare_oma, cmd_sweep_power])
     def test_one_grid_one_stack_one_precode_per_chunk(
-        self, tmp_path, monkeypatch, command, n_powers
+        self, tmp_path, monkeypatch, command, n_powers, seeds
     ):
-        # 16 phases x 3 splits in chunks of 6 points: 8 chunks of 2 phases.
+        # 16 phases x 3 splits in chunks of 6 points: 8 chunks of 2 phases,
+        # one pass per seed's channel draw.
         monkeypatch.setattr(oracle, "CHUNK_POINTS", 6)
         calls = {"alpha_grid": 0, "ScenarioStack": 0, "zf_inverse": 0}
 
@@ -514,7 +536,7 @@ class TestOraclePassPerDraw:
         cfg = ExperimentConfig(
             algorithm="oracle",
             out_dir=str(tmp_path / "out"),
-            seeds=(3,),
+            seeds=seeds,
             n_users=2,
             m_clusters=1,
             k_elements=2,
@@ -523,8 +545,11 @@ class TestOraclePassPerDraw:
             powers_dbm=tuple(20.0 + 10.0 * i for i in range(n_powers)),
         )
         rows = command(cfg)
-        assert len(rows) == n_powers
-        assert calls == {"alpha_grid": 1, "ScenarioStack": 1, "zf_inverse": 8}
+        n_seeds = len(seeds)
+        assert len(rows) == n_seeds * n_powers
+        assert calls == {
+            "alpha_grid": n_seeds, "ScenarioStack": n_seeds, "zf_inverse": 8 * n_seeds
+        }
 
 
 class TestClusterAndPredict:
@@ -562,6 +587,7 @@ class TestCli:
             ([SMALL], "JSON object", "pipeline"),
             ({**SMALL, "alpha_step": 0.3}, "alpha_step", "pipeline"),
             ({**SMALL, "resolution_bits": 0}, "resolution_bits", "pipeline"),
+            ({**SMALL, "resolution_bits": 17}, "resolution_bits", "sweep-power"),
             ({**SMALL, "m_clusters": 0}, "m_clusters", "pipeline"),
             ({**SMALL, "m_clusters": 5}, "m_clusters", "pipeline"),
             (
@@ -601,6 +627,7 @@ class TestCli:
             "top-level-array",
             "alpha-step",
             "resolution-bits",
+            "resolution-bits-above-16",
             "no-clusters",
             "more-clusters-than-users",
             "interference-model",
@@ -628,6 +655,32 @@ class TestCli:
         assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value, command", [
+        ("seeds", [1.5], "pipeline"),
+        ("element_counts", [4.5], "sweep-elements"),
+        ("n_users", 4.0, "pipeline"),
+        ("m_clusters", True, "pipeline"),
+        ("k_elements", "4", "pipeline"),
+        ("resolution_bits", 2.0, "sweep-power"),
+        ("slots", 2.0, "pipeline"),
+        ("episodes", 6.0, "sweep-power"),
+        ("steps_per_episode", 6.0, "sweep-power"),
+        ("random_samples", 20.0, "sweep-power"),
+        ("n0", 12.0, "pipeline"),
+        ("n_max", 24.0, "pipeline"),
+        ("window_len", 8.0, "pipeline"),
+        ("predictor_train_steps", 25.0, "pipeline"),
+    ])
+    def test_non_integer_field_exits_before_any_output(
+        self, tmp_path, capsys, field, value, command
+    ):
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**SMALL, field: value, "out_dir": str(out)}))
+        assert main([command, "--config", str(cfg_path)]) == 1
+        assert f"error: {field}: " in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("steps, warns", [(19, True), (20, False)])

@@ -813,24 +813,39 @@ class TestScenarioLayout:
         )
         assert [m.tolist() for m in scenario.members] == [[1, 3], [0, 2]]
         assert scenario.cluster_sizes == (2, 2)
+        # The layout is slot-major: slot k of run e is row k, column e.
         stack = ScenarioStack([scenario])
-        assert stack.slot_cluster.tolist() == [[0, 0, 1, 1]]
-        assert stack.other_beams.tolist() == [[[1], [1], [0], [0]]]
-        assert stack.sic_later.tolist() == [[[1, 3]]]
-        assert stack.sic_earlier.tolist() == [[[0, 2]]]
-        assert np.array_equal(stack.same_cluster, np.kron(np.eye(2), 1 - np.eye(2))[None, None])
+        self.assert_c_contiguous(stack)
+        assert stack.slot_beam.tolist() == [[0], [0], [1], [1]]
+        assert stack.other_slot_beams.tolist() == [[[1]], [[1]], [[0]], [[0]]]
+        assert [a.tolist() for a in stack.sic_later_at] == [[1, 3]]
+        assert [a.tolist() for a in stack.sic_earlier_at] == [[0, 2]]
+        same = np.kron(np.eye(2), 1 - np.eye(2))
+        assert np.array_equal(stack.same_slots, same[:, :, None, None])
         # A second run of occupancy 3-1: the first run's pairs are padded with
         # (0, 0) self-pairs and its member rows by repeating their first member.
         wide = NetworkScenario(channels=base.channels, assignment=(0, 0, 0, 1), total_power=4.0)
         stack = ScenarioStack([scenario, wide])
+        self.assert_c_contiguous(stack)
         assert stack.cluster_starts.tolist() == [[0, 2], [0, 3]]
-        assert stack.slot_cluster.tolist() == [[0, 0, 1, 1], [0, 0, 0, 1]]
-        assert stack.other_beams.tolist() == [[[1], [1], [0], [0]], [[1], [1], [1], [0]]]
-        assert stack.sic_later.tolist() == [[[1, 3, 0]], [[1, 2, 2]]]
-        assert stack.sic_earlier.tolist() == [[[0, 2, 0]], [[0, 0, 1]]]
+        assert stack.slot_beam.tolist() == [[0, 0], [0, 0], [1, 0], [1, 1]]
+        assert stack.other_slot_beams.tolist() == [
+            [[1], [1]], [[1], [1]], [[0], [1]], [[0], [0]]
+        ]
+        assert [a.tolist() for a in stack.sic_later_at] == [[[1, 1], [3, 2], [0, 2]], [0, 1]]
+        assert [a.tolist() for a in stack.sic_earlier_at] == [[[0, 0], [2, 0], [0, 1]], [0, 1]]
+        wide_same = np.pad(1 - np.eye(3), (0, 1))
+        assert np.array_equal(stack.same_slots, np.stack([same, wide_same], axis=-1)[..., None])
         assert stack.member_table.tolist() == [
             [[1, 3, 1], [0, 2, 0]], [[0, 1, 2], [3, 3, 3]]
         ]
+
+    @staticmethod
+    def assert_c_contiguous(stack):
+        # A strided operand can change the bits of the scorer's reductions.
+        arrays = (stack.slot_beam, stack.other_slot_beams, stack.same_slots,
+                  *stack.sic_later_at, *stack.sic_earlier_at)
+        assert all(a.flags.c_contiguous for a in arrays)
 
     def test_split_row_round_trip(self):
         scenario = random_scenario(np.random.default_rng(4), n_clusters=3)

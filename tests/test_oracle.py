@@ -375,7 +375,10 @@ class TestOnePassEqualsOnePowerSearches:
 
     @staticmethod
     def assert_pass_equals_searches(scenarios, space):
-        results = brute_force_optima(scenarios, space)
+        # The pass reads ``powers``, not its scenario's own budget, so the
+        # last run's scenario serves every power.
+        powers = [s.total_power for s in scenarios]
+        results = brute_force_optima(scenarios[-1], space, powers)
         assert len(results) == len(scenarios)
         for scenario, result in zip(scenarios, results):
             assert every_field(result) == every_field(one_power_optimum(scenario, space))
@@ -444,44 +447,20 @@ class TestOnePassEqualsOnePowerSearches:
         )
 
 
-class TestOnePassRejectsOtherDraws:
+class TestOnePassChecksItsInputs:
     @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("channels", make_scenario(np.random.default_rng(41), 2, 2, 2).channels),
-            ("assignment", (0, 1, 0, 1)),
-            ("qos_floors", 0.5),
-            ("interference_model", "coherent"),
-            ("alpha_domain", "power"),
-        ],
+        "powers", [[], [1.0, 0.0], [1.0, -2.0]], ids=["none", "zero", "negative"]
     )
-    def test_names_the_field(self, field, value):
-        base = make_scenario(np.random.default_rng(40), 2, 2, k_elements=2)
-        other = dataclasses.replace(base, total_power=2.0, **{field: value})
+    def test_needs_positive_powers(self, powers):
+        base = make_scenario(np.random.default_rng(44), 2, 2, k_elements=2)
         space = SearchSpace(2, 1, base.cluster_sizes, alpha_step=0.5)
-        with pytest.raises(ValueError, match=f"scenario 2 differs from scenario 0 in {field}:"):
-            brute_force_optima([base, base, other], space)
-
-    def test_equal_channels_in_another_object_share_the_pass(self):
-        base = make_scenario(np.random.default_rng(42), 2, 2, k_elements=2)
-        c = base.channels
-        copy = ChannelRealization(
-            g_matrix=c.g_matrix.copy(), user_channels=c.user_channels.copy(),
-            noise_variance=c.noise_variance,
-        )
-        other = dataclasses.replace(base, channels=copy, total_power=3.0)
-        space = SearchSpace(2, 1, base.cluster_sizes, alpha_step=0.5)
-        results = brute_force_optima([base, other], space)
-        assert every_field(results[1]) == every_field(one_power_optimum(other, space))
-
-    def test_needs_a_scenario(self):
-        with pytest.raises(ValueError, match="at least one scenario"):
-            brute_force_optima([], SearchSpace(2, 1, (1,), 0.5))
+        with pytest.raises(ValueError, match="non-empty list of positive budgets"):
+            brute_force_optima(base, space, powers)
 
     def test_keeps_the_space_checks(self):
         base = make_scenario(np.random.default_rng(43), 2, 2, k_elements=2)
-        draw = at_powers(base, [20.0, 30.0])
+        powers = [dbm_to_watts(20.0), dbm_to_watts(30.0)]
         with pytest.raises(ValueError, match="cluster sizes"):
-            brute_force_optima(draw, SearchSpace(2, 1, (4,), 0.5))
+            brute_force_optima(base, SearchSpace(2, 1, (4,), 0.5), powers)
         with pytest.raises(ValueError, match="element count"):
-            brute_force_optima(draw, SearchSpace(3, 1, base.cluster_sizes, 0.5))
+            brute_force_optima(base, SearchSpace(3, 1, base.cluster_sizes, 0.5), powers)

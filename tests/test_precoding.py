@@ -4,7 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irsnoma_lab import precoding
-from irsnoma_lab.precoding import CONDITION_LIMIT, cluster_heads, member_table, zero_forcing
+from irsnoma_lab.channel import ChannelRealization
+from irsnoma_lab.noma import NetworkScenario
+from irsnoma_lab.precoding import (
+    CONDITION_LIMIT,
+    cluster_heads,
+    member_table,
+    scale_to_power,
+    zf_inverse,
+)
 from scalar_reference import zero_forcing_reference
 
 
@@ -31,9 +39,9 @@ def table_of(assignment):
 
 def zf(h, power, condition_limit=CONDITION_LIMIT):
     """Precoder for one square channel matrix with one user per cluster."""
-    ok, w = zero_forcing(h[None], singletons(len(h)), power, condition_limit)
+    ok, w, used = zf_inverse(h[None], singletons(len(h)), condition_limit)
     assert ok.shape == (1,)
-    return w[0] if ok[0] else None
+    return scale_to_power(w, used, power)[0] if ok[0] else None
 
 
 class TestRepresentatives:
@@ -143,19 +151,26 @@ class TestZfPrecoder:
         assert zf(h, 1.0) is None
 
     def test_invalid_power(self):
-        with pytest.raises(ValueError):
-            zf(np.eye(2, dtype=complex), 0.0)
+        # A budget reaches the precoder through a scenario, which rejects a
+        # non-positive one.
+        channels = ChannelRealization(np.eye(2, dtype=complex), np.eye(2, dtype=complex), 1.0)
+        for power in (0.0, -1.0):
+            with pytest.raises(ValueError, match="total_power must be positive"):
+                NetworkScenario(channels=channels, assignment=(0, 1), total_power=power)
 
     def test_stack_keeps_only_conditioned_phases(self):
         rng = np.random.default_rng(61)
         good = [random_well_conditioned(rng, 2) for _ in range(2)]
         bad = np.ones((2, 2), dtype=complex)
         h = np.stack([good[0], bad, good[1]])
-        ok, w = zero_forcing(h, singletons(2), 3.0)
+        ok, w, used = zf_inverse(h, singletons(2))
         assert ok.tolist() == [True, False, True]
-        assert np.array_equal(w, np.stack([zf(good[0], 3.0), zf(good[1], 3.0)]))
+        assert not w[1].any() and used[1] == 1.0
+        w = scale_to_power(w, used, 3.0)
+        assert np.array_equal(w[ok], np.stack([zf(good[0], 3.0), zf(good[1], 3.0)]))
         # A one-run stack's (1, M, L) table and (1,) budget serve every phase.
-        ok_run, w_run = zero_forcing(h, singletons(2)[None], np.array([3.0]))
+        ok_run, w_run, used_run = zf_inverse(h, singletons(2)[None])
+        w_run = scale_to_power(w_run, used_run, np.array([3.0]))
         assert np.array_equal(ok_run, ok) and np.array_equal(w_run, w)
 
     def test_power_per_matrix_equals_one_matrix_at_a_time(self):
@@ -163,19 +178,18 @@ class TestZfPrecoder:
         good = [random_well_conditioned(rng, 3) for _ in range(3)]
         bad = np.ones((3, 3), dtype=complex)
         powers = [0.5, 7.0, 1e-3, 2e4]
-        ok, w = zero_forcing(np.stack([good[0], bad, *good[1:]]), singletons(3), powers)
+        ok, w, used = zf_inverse(np.stack([good[0], bad, *good[1:]]), singletons(3))
         assert ok.tolist() == [True, False, True, True]
+        w = scale_to_power(w, used, np.array(powers))
         expected = [zf(h, p) for h, p in zip(good, powers[:1] + powers[2:])]
-        assert np.array_equal(w, np.stack(expected))
-        with pytest.raises(ValueError, match="total_power must be positive"):
-            zero_forcing(np.stack(good), singletons(3), [1.0, -1.0, 1.0])
+        assert np.array_equal(w[ok], np.stack(expected))
 
     @settings(max_examples=300, deadline=None)
     @given(
         st.integers(1, 39), st.integers(1, 6), st.floats(-6.0, 2.0), st.integers(0, 2**32 - 1)
     )
     def test_inverse_equals_solve_against_identity(self, n_phases, m, log_scale, seed):
-        # zero_forcing takes inv(H); solving H W = I runs the same LAPACK
+        # zf_inverse takes inv(H); solving H W = I runs the same LAPACK
         # gesv on the same operands, so the two agree byte for byte.
         rng = np.random.default_rng(seed)
         h = 10.0**log_scale * (
@@ -183,7 +197,8 @@ class TestZfPrecoder:
         )
         solved = np.linalg.solve(h, np.broadcast_to(np.eye(m, dtype=complex), h.shape))
         assert np.linalg.inv(h).tobytes() == solved.tobytes()
-        ok, w = zero_forcing(h, singletons(m), 2.0)
+        ok, w, used = zf_inverse(h, singletons(m))
+        w = scale_to_power(w, used, 2.0)[ok]
         used = (np.abs(solved[ok]) ** 2).reshape(int(ok.sum()), m * m).sum(axis=1)
         assert w.tobytes() == (solved[ok] * np.sqrt(2.0 / used)[:, None, None]).tobytes()
 
@@ -196,14 +211,15 @@ class TestClusterChannelMatrix:
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            zero_forcing(np.ones((1, 2, 3), dtype=complex), singletons(2), 1.0)
+            zf_inverse(np.ones((1, 2, 3), dtype=complex), singletons(2))
 
     def test_builds_from_representatives(self):
         h_eff = np.array(
             [[1.0, 0.0], [0.0, 2.0], [0.0, 1.0]], dtype=complex
         )
-        ok, w = zero_forcing(h_eff[None], table_of([0, 1, 1]), 1.0)
+        ok, w, used = zf_inverse(h_eff[None], table_of([0, 1, 1]))
         assert ok[0]
+        w = scale_to_power(w, used, 1.0)
         # The heads (users 0 and 1) are zero-forced: H_heads W is a scaled I.
         prod = h_eff[[0, 1]] @ w[0]
         assert np.max(np.abs(prod / prod[0, 0] - np.eye(2))) < 1e-12
@@ -234,7 +250,8 @@ class TestZeroForcingEqualsSvdReference:
 
     @staticmethod
     def assert_same(h_eff, table, power, condition_limit=CONDITION_LIMIT):
-        ok, w = zero_forcing(h_eff, table, power, condition_limit)
+        ok, w, used = zf_inverse(h_eff, table, condition_limit)
+        w = scale_to_power(w, used, power)[ok]
         ok_ref, w_ref = zero_forcing_reference(h_eff, table, power, condition_limit)
         assert np.array_equal(ok, ok_ref)
         assert np.array_equal(w, w_ref) and w.tobytes() == w_ref.tobytes()
@@ -320,9 +337,9 @@ class TestZeroForcingEqualsSvdReference:
         monkeypatch.setattr(precoding, "_condition_ok", spy)
         rng = np.random.default_rng(800)
         good = np.stack([conditioned(rng, 3, 10.0) for _ in range(50)])
-        zero_forcing(good, singletons(3), 1.0)
+        zf_inverse(good, singletons(3))
         assert seen == []
-        zero_forcing(np.concatenate([good, self.near_limit_stack(rng, 3)]), singletons(3), 1.0)
+        zf_inverse(np.concatenate([good, self.near_limit_stack(rng, 3)]), singletons(3))
         assert seen == [5]  # 0.3x the limit passes on the bound alone
-        zero_forcing(np.concatenate([good, np.zeros((1, 3, 3), dtype=complex)]), singletons(3), 1.0)
+        zf_inverse(np.concatenate([good, np.zeros((1, 3, 3), dtype=complex)]), singletons(3))
         assert seen == [5, 51]  # ``inv`` raised: the whole stack
