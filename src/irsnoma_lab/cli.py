@@ -7,7 +7,9 @@ object of :class:`~irsnoma_lab.harness.ExperimentConfig` fields), --seed,
 
 The config is validated before any command starts work or writes output: a
 top level that is not a JSON object, an unknown field, a float, bool or
-string in an integer field or list, ``resolution_bits`` outside [1, 16],
+string in an integer field or list, a bool or string in a float field or
+in ``powers_dbm``, a ``save_curves`` that is not a bool,
+``resolution_bits`` outside [1, 16],
 ``m_clusters`` below 1, ``m_clusters > n_users`` without a
 ``scenario_path``, an ``alpha_step`` that does not divide 1, an empty
 ``seeds``, ``powers_dbm`` or ``element_counts`` list, a negative seed, an

@@ -102,6 +102,13 @@ def _integer(name: str, value) -> int:
     raise ValueError(f"{name}: {value!r} is not an integer")
 
 
+def _number(name: str, value):
+    """``value`` if an int, a float or a numpy real; a bool or a string is rejected."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{name}: {value!r} is not a number")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one experiment family, validated on creation."""
@@ -146,9 +153,12 @@ class ExperimentConfig:
                 object.__setattr__(self, f.name, _integer(f.name, value))
             elif f.type == "tuple[int, ...]":
                 object.__setattr__(self, f.name, tuple(_integer(f.name, v) for v in value))
-        object.__setattr__(
-            self, "powers_dbm", tuple(float(p) for p in self.powers_dbm)
-        )
+            elif f.type == "float":
+                _number(f.name, value)
+            elif f.type == "tuple[float, ...]":
+                object.__setattr__(self, f.name, tuple(float(_number(f.name, v)) for v in value))
+            elif f.type == "bool" and not isinstance(value, bool):
+                raise ValueError(f"{f.name}: {value!r} is not a bool")
         if not self.seeds:
             raise ValueError("at least one seed is required")
         for name in ("powers_dbm", "element_counts"):

@@ -378,8 +378,14 @@ class RecurrentPredictor:
             }
         for name, grad in grads.items():
             getattr(self, name)[...] -= self.learning_rate * grad
-        if not all(np.all(np.isfinite(v)) for v in self.parameters().values()):
-            raise FloatingPointError("predictor parameters became non-finite")
+        params = self.parameters().values()
+        if not all(np.all(np.isfinite(v)) for v in params):
+            finite = np.all(
+                [np.isfinite(v.reshape(self.n_users, -1)).all(axis=1) for v in params], axis=0
+            )
+            raise FloatingPointError(
+                f"predictor parameters of users {np.flatnonzero(~finite).tolist()} became non-finite"
+            )
         return losses, int(clipped.sum())
 
 

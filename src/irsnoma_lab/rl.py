@@ -216,11 +216,12 @@ class QApproximator:
 
     # -- forward passes -------------------------------------------------
 
-    def _forward(self, x: np.ndarray, weights, biases):
+    def _forward(self, x: np.ndarray, weights, biases) -> list:
         """Rows ``x`` (E, ..., B, D): run e's rows through run e's layers.
 
         Axes between the run axis and the rows broadcast against the
         weights, so an (E, B, 1, D) input is B one-row products per run.
+        Returns every layer's activations, ``x`` first and the outputs last.
         """
         x = np.asarray(x, dtype=float)
         n_runs, _, input_dim = weights[0].shape
@@ -228,10 +229,9 @@ class QApproximator:
             raise ValueError(f"rows must be ({n_runs}, ..., B, {input_dim}), got {x.shape}")
         # The run axis, then a broadcast axis per axis of x between runs and rows.
         lead = (slice(None),) + (None,) * (x.ndim - 3)
-        a = x
-        pre_acts = []
-        acts = [a]
+        acts = [x]
         for layer, (w, b) in enumerate(zip(weights, biases)):
+            a = acts[-1]
             if layer == len(weights) - 1 and self.padded is not None:
                 # Each run's real outputs as a product of their own width: BLAS
                 # rounds a column differently inside a wider matrix.
@@ -239,11 +239,13 @@ class QApproximator:
                 for z_e, a_e, w_e, b_e, n in zip(z, a, w, b, self.n_actions):
                     z_e[..., :n] = a_e @ w_e[:n].T + b_e[:n]
             else:
-                z = a @ w.transpose(0, 2, 1)[lead] + b[lead + (None,)]
-            pre_acts.append(z)
-            a = np.maximum(z, 0.0) if layer < len(weights) - 1 else z
-            acts.append(a)
-        return a, pre_acts, acts
+                z = a @ w.transpose(0, 2, 1)[lead]
+                z += b[lead + (None,)]
+            if layer < len(weights) - 1:
+                # ReLU in place: > 0 exactly where z was, all the backward mask reads.
+                np.maximum(z, 0.0, out=z)
+            acts.append(z)
+        return acts
 
     def masked(self, values: np.ndarray) -> np.ndarray:
         """Action values (E, ..., A) with each run's padded actions at -inf."""
@@ -257,7 +259,7 @@ class QApproximator:
         x = np.asarray(features, dtype=float)
         if not np.all(np.isfinite(x)):
             raise ValueError("features contain non-finite values")
-        return self._forward(x, self.weights, self.biases)[0]
+        return self._forward(x, self.weights, self.biases)[-1]
 
     def sync_target(self):
         self.target_weights = [w.copy() for w in self.weights]
@@ -274,7 +276,7 @@ class QApproximator:
         same bits whichever rows share the call.
         """
         rows = np.asarray(features, dtype=float)[..., None, :]
-        values = self._forward(rows, self.target_weights, self.target_biases)[0]
+        values = self._forward(rows, self.target_weights, self.target_biases)[-1]
         return np.max(self.masked(values), axis=(-2, -1))
 
     def loss_and_gradients(self, features, actions, targets):
@@ -287,9 +289,10 @@ class QApproximator:
         n_runs, batch = x.shape[:2]
         picks = (np.arange(n_runs)[:, None], np.arange(batch), actions)
 
-        out, pre_acts, acts = self._forward(x, self.weights, self.biases)
+        acts = self._forward(x, self.weights, self.biases)
+        out = acts[-1]
         err = out[picks] - targets
-        losses = np.mean(err**2, axis=-1)
+        losses = np.add.reduce(err**2, axis=-1) / batch
 
         d_out = np.zeros_like(out)
         d_out[picks] = 2.0 * err / batch
@@ -299,7 +302,7 @@ class QApproximator:
         out = len(self.weights) - 1
         for layer in range(out, -1, -1):
             w = self.weights[layer]
-            grads_b[layer] = delta.sum(axis=1)
+            grads_b[layer] = np.add.reduce(delta, axis=1)
             if layer == out and self.padded is not None:
                 # Per run at its own width, as in the forward pass.
                 grads_w[layer] = np.zeros_like(w)
@@ -311,7 +314,8 @@ class QApproximator:
                 grads_w[layer] = delta.transpose(0, 2, 1) @ acts[layer]
                 back = delta @ w if layer > 0 else None
             if layer > 0:
-                delta = back * (pre_acts[layer - 1] > 0)
+                back *= acts[layer] > 0
+                delta = back
         return losses, grads_w, grads_b
 
     def train_step(self, features, actions, rewards, next_max) -> tuple[np.ndarray, int]:
@@ -339,10 +343,13 @@ class QApproximator:
         grads = grads_w + grads_b
         if clipped.any():
             scale = np.divide(self.clip_norm, norm, out=np.ones_like(norm), where=clipped)
-            grads = [g * scale.reshape(-1, *[1] * (g.ndim - 1)) for g in grads]
+            for g in grads:
+                g *= scale.reshape(-1, *[1] * (g.ndim - 1))
         params = self.weights + self.biases
         for param, grad in zip(params, grads):
-            param -= self.learning_rate * grad
+            # The same product as ``learning_rate * grad``, made in place.
+            grad *= self.learning_rate
+            param -= grad
         if not all(np.isfinite(p).all() for p in params):
             finite = np.all([np.isfinite(p.reshape(len(p), -1)).all(axis=1) for p in params], axis=0)
             raise FloatingPointError(
@@ -356,7 +363,7 @@ class QApproximator:
     def _square_sums(self, grad: np.ndarray, output: bool) -> np.ndarray:
         """(E,) sums of each run's squared gradient entries, output rows up to A_e."""
         if self.padded is None or not output:
-            return (grad**2).reshape(len(grad), -1).sum(axis=1)
+            return np.square(grad).reshape(len(grad), -1).sum(axis=1)
         return np.array([(g[:a] ** 2).sum() for g, a in zip(grad, self.n_actions)])
 
     @staticmethod
@@ -548,7 +555,7 @@ def _rollout(
     runs)`` returns the greedy actions of the listed runs, and
     ``learn(state, actions, rewards, next_state)`` returns the per-run
     losses or None.  Run e draws only from ``rngs[e]``: per step
-    ``uniform``, then ``integers`` over its own A_e actions when exploring,
+    ``random``, then ``integers`` over its own A_e actions when exploring,
     then what ``learn`` draws for it.  Each curve's best reward is a
     running maximum.
     """
@@ -577,7 +584,7 @@ def _rollout(
             actions = np.empty(n_runs, dtype=np.int64)
             greedy_runs = []
             for run, rng in enumerate(rngs):
-                if rng.uniform() < eps:
+                if rng.random() < eps:
                     actions[run] = rng.integers(env.n_actions[run])
                 else:
                     greedy_runs.append(run)

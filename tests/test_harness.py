@@ -215,6 +215,30 @@ class TestConfig:
         value = tuple(map(np.int64, default)) if listed else np.int64(default)
         assert getattr(ExperimentConfig(**{name: value}), name) == default
 
+    @pytest.mark.parametrize("name", [
+        "power_dbm", "alpha_step", "qos_floor", "powers_dbm", "clustering_epsilon",
+        "speed", "heading_noise_std",
+    ])
+    def test_float_fields_take_only_numbers(self, name):
+        default = getattr(ExperimentConfig(), name)
+        listed = isinstance(default, tuple)
+        for bad in (True, "2"):
+            with pytest.raises(ValueError, match=f"^{name}: {bad!r} is not a number$"):
+                ExperimentConfig(**{name: (bad,) if listed else bad})
+        # numpy reals are numbers.
+        value = tuple(map(np.float64, default)) if listed else np.float64(default)
+        assert getattr(ExperimentConfig(**{name: value}), name) == default
+
+    def test_float_fields_take_ints(self):
+        cfg = ExperimentConfig(power_dbm=60, qos_floor=np.int64(0), powers_dbm=(20, np.int64(30)))
+        assert (cfg.power_dbm, cfg.qos_floor, cfg.powers_dbm) == (60, 0, (20.0, 30.0))
+
+    def test_save_curves_takes_only_a_bool(self):
+        assert ExperimentConfig(save_curves=False).save_curves is False
+        for bad in ("no", 0, None, np.True_):
+            with pytest.raises(ValueError, match=f"^save_curves: {bad!r} is not a bool$"):
+                ExperimentConfig(save_curves=bad)
+
     def test_resolution_bits_at_most_16(self):
         assert ExperimentConfig(resolution_bits=16).resolution_bits == 16
         with pytest.raises(ValueError, match=r"resolution_bits 17 must be in \[1, 16\]"):
@@ -672,6 +696,15 @@ class TestCli:
         ("n_max", 24.0, "pipeline"),
         ("window_len", 8.0, "pipeline"),
         ("predictor_train_steps", 25.0, "pipeline"),
+        # Float fields take no bool or string, and save_curves only a bool.
+        ("power_dbm", "60", "sweep-elements"),
+        ("alpha_step", True, "sweep-power"),
+        ("qos_floor", True, "sweep-power"),
+        ("powers_dbm", ["60"], "sweep-power"),
+        ("clustering_epsilon", True, "pipeline"),
+        ("speed", True, "pipeline"),
+        ("heading_noise_std", "0.05", "pipeline"),
+        ("save_curves", "no", "sweep-power"),
     ])
     def test_non_integer_field_exits_before_any_output(
         self, tmp_path, capsys, field, value, command

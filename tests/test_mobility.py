@@ -243,6 +243,19 @@ class TestLstmTraining:
                 np.empty((0, 8, 2))[None], np.empty((0, 2))[None]
             )
 
+    def test_non_finite_parameters_name_their_users(self):
+        # One infinite target of user 2 spoils only user 2's parameters.
+        pred = RecurrentPredictor(hidden_dim=4, window_len=3, n_users=4, seed=12)
+        rng = np.random.default_rng(13)
+        windows, targets = rng.standard_normal((4, 5, 3, 2)), rng.standard_normal((4, 5, 2))
+        targets[2, 1, 0] = np.inf
+        with np.errstate(all="ignore"), pytest.raises(
+            FloatingPointError, match=r"^predictor parameters of users \[2\] became non-finite$"
+        ):
+            pred.train_step(windows, targets)
+        for v in pred.parameters().values():
+            assert np.isfinite(np.delete(v, 2, axis=0)).all()
+
     def test_malformed_batch_rejected_before_training(self):
         # Three users, batches of five, windows of three 2-D rows.
         pred = RecurrentPredictor(hidden_dim=4, window_len=3, n_users=3, seed=10)

@@ -382,6 +382,21 @@ class TestDqnTraining:
         )
         assert clipped == 1
 
+    def test_non_finite_weights_name_their_runs(self):
+        # One infinite reward of run 1 spoils only run 1's network.
+        approx = QApproximator(4, 3, seeds=[1, 2, 3])
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((3, 8, 4))
+        actions = rng.integers(0, 3, size=(3, 8))
+        rewards = rng.normal(size=(3, 8))
+        rewards[1, 5] = np.inf
+        with np.errstate(all="ignore"), pytest.raises(
+            FloatingPointError, match=r"^network weights of runs \[1\] became non-finite$"
+        ):
+            approx.train_step(x, actions, rewards, approx.target_max(x))
+        for p in approx.weights + approx.biases:
+            assert np.isfinite(p[[0, 2]]).all()
+
 
 class TestReplayMemory:
     def test_ring_overwrite(self):
@@ -483,20 +498,27 @@ def per_transition_train_step(net: QNetReference, batch):
 
 class TestArrayReplayEqualsPerTransitionLoop:
     """The stacked replay and train step equal, run by run, a list replay and
-    the one-run network stepped one transition at a time."""
+    the one-run network stepped one transition at a time.  Runs of different
+    action counts are padded: each run's reference is cut to its own output
+    rows, and the padded rows stay zero."""
 
     @pytest.mark.parametrize(
-        "batch_size, capacity, pushes, clip_norm, n_runs",
-        [(1, 500, 120, 1e6, 1), (32, 500, 120, 1e6, 1), (1, 10, 120, 1e6, 1),
-         (32, 50, 200, 1e6, 1), (32, 50, 200, 0.5, 1), (32, 50, 200, 60.0, 3)],
+        "batch_size, capacity, pushes, clip_norm, n_runs, n_actions",
+        [(1, 500, 120, 1e6, 1, 51), (32, 500, 120, 1e6, 1, 51), (1, 10, 120, 1e6, 1, 51),
+         (32, 50, 200, 1e6, 1, 51), (32, 50, 200, 0.5, 1, 51), (32, 50, 200, 60.0, 3, 51),
+         (32, 50, 200, 60.0, 3, (51, 37, 44))],
         ids=["batch1", "batch32", "batch1-wraps", "batch32-wraps", "batch32-clipped",
-             "three-runs-some-clip"],
+             "three-runs-some-clip", "three-runs-padded-some-clip"],
     )
-    def test_bit_identical(self, batch_size, capacity, pushes, clip_norm, n_runs):
-        dim, n_actions = 75, 51  # the feature and action counts at paper scale
+    def test_bit_identical(self, batch_size, capacity, pushes, clip_norm, n_runs, n_actions):
+        dim = 75  # the feature count at paper scale, with 51 actions
         seeds = [31 + run for run in range(n_runs)]
         arrays = QApproximator(dim, n_actions, sync_period=7, clip_norm=clip_norm, seeds=seeds)
+        counts = arrays.n_actions.tolist()
         nets = [QNetReference.of_run(arrays, run) for run in range(n_runs)]
+        for net, n in zip(nets, counts):
+            for params in (net.weights, net.biases, net.target_weights, net.target_biases):
+                params[-1] = params[-1][:n]
         memory = ReplayMemory(capacity, (float, dim), n_runs)
         references = [ListReplay(capacity) for _ in range(n_runs)]
         rngs_a = [np.random.default_rng(40 + run) for run in range(n_runs)]
@@ -506,7 +528,7 @@ class TestArrayReplayEqualsPerTransitionLoop:
         for step in range(pushes):
             # Run r's rewards are scaled by 4**r, so its gradients are larger.
             transitions = [
-                (data.uniform(size=dim), int(data.integers(n_actions)),
+                (data.uniform(size=dim), int(data.integers(counts[run])),
                  4.0**run * (float(data.normal(3.0, 4.0)) - (5.0 if step % 3 else 0.0)),
                  data.uniform(size=dim))
                 for run in range(n_runs)
@@ -532,7 +554,8 @@ class TestArrayReplayEqualsPerTransitionLoop:
                     arrays.weights + arrays.biases + arrays.target_weights + arrays.target_biases,
                     net.weights + net.biases + net.target_weights + net.target_biases,
                 ):
-                    assert np.array_equal(mine[run], theirs)
+                    assert np.array_equal(mine[run, : len(theirs)], theirs)
+                    assert not mine[run, len(theirs) :].any()
         assert len(memory) == min(capacity, pushes)
         assert (max(clips) > 0) == (clip_norm < 100.0)
         if n_runs > 1:
