@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +51,9 @@ class ServiceRegion:
     obstacle: np.ndarray | None = None
 
     def __post_init__(self):
+        for name, value in zip(("xmin", "ymin", "xmax", "ymax"), self.bounds):
+            if not math.isfinite(value):
+                raise ValueError(f"region bound {name} {value!r} is not finite")
         xmin, ymin, xmax, ymax = self.bounds
         if not (xmax > xmin and ymax > ymin):
             raise ValueError(f"empty region bounds {self.bounds}")
@@ -57,7 +61,11 @@ class ServiceRegion:
             poly = np.asarray(self.obstacle, dtype=float)
             if poly.ndim != 2 or poly.shape[0] < 3 or poly.shape[1] != 2:
                 raise ValueError("obstacle polygon needs at least 3 (x, y) vertices")
+            if not np.isfinite(poly).all():
+                i = int(np.flatnonzero(~np.isfinite(poly).all(axis=1))[0])
+                raise ValueError(f"obstacle vertex {i} {poly[i].tolist()} is not finite")
             object.__setattr__(self, "obstacle", poly)
+            object.__setattr__(self, "_edges", _crossing_edges(poly))
 
     def contains(self, point) -> bool:
         """True if ``point`` lies inside the bounds and outside the obstacle."""
@@ -74,22 +82,37 @@ class ServiceRegion:
             & (pts[:, 1] <= ymax)
         )
         if self.obstacle is not None:
-            ok &= ~_points_in_polygon(pts[:, 0], pts[:, 1], self.obstacle)
+            ok &= ~_points_in_polygon(pts[:, 0], pts[:, 1], self._edges)
         return ok
 
 
-def _points_in_polygon(x: np.ndarray, y: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    # Ray casting, edge by edge over all points at once; boundary points
-    # count as inside (conservatively excluded from the service region).
-    inside = np.zeros(x.shape, dtype=bool)
-    x0, y0 = poly[-1]
-    for x1, y1 in poly:
-        hit = (min(y0, y1) < y) & (y <= max(y0, y1)) & (x <= max(x0, x1))
+def _crossing_edges(poly: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The polygon's non-flat edges (x0, y0) -> (x1, y1) as (E, 1) columns.
+
+    In order: y0, x0, x1 - x0, y1 - y0, min(y0, y1), max(y0, y1),
+    max(x0, x1) and whether the edge is vertical.  A flat edge (y0 == y1)
+    never crosses the ray cast's half-open y range and is left out.
+    """
+    rows = []
+    x0, y0 = poly[-1].tolist()
+    for x1, y1 in poly.tolist():
         if y0 != y1:
-            x_cross = (y - y0) * (x1 - x0) / (y1 - y0) + x0
-            inside ^= hit & ((x0 == x1) | (x <= x_cross))
+            rows.append((y0, x0, x1 - x0, y1 - y0, min(y0, y1), max(y0, y1), max(x0, x1), x0 == x1))
         x0, y0 = x1, y1
-    return inside
+    cols = np.array(rows, dtype=float).reshape(-1, 8).T[:, :, None]
+    return (*cols[:7], cols[7] != 0.0)
+
+
+def _points_in_polygon(x: np.ndarray, y: np.ndarray, edges) -> np.ndarray:
+    # Ray casting against every edge at once: (E, 1) edges by (n,) points,
+    # the crossings XOR-reduced over the edges.  Boundary points count as
+    # inside (conservatively excluded from the service region).  A vertical
+    # edge's crossing is x0 unless y - y0 overflows, so only then does its
+    # own rule decide anything.
+    y0, x0, dx, dy, y_lo, y_hi, x_hi, vertical = edges
+    hit = (y_lo < y) & (y <= y_hi) & (x <= x_hi)
+    hit &= vertical | (x <= (y - y0) * dx / dy + x0)
+    return np.logical_xor.reduce(hit, axis=0)
 
 
 def default_region() -> ServiceRegion:

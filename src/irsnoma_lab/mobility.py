@@ -154,8 +154,10 @@ class RecurrentPredictor:
     is one contiguous (U, B, D+H) slot of a (T+1, U, B, D+H) buffer, each
     step's activated gates one (4, U, B, H) block (i, f, o, g), so every
     elementwise op runs on contiguous arrays while each matmul reads the
-    layout a plain concatenation would give it.  These work arrays are kept
-    between calls with the same (U, B, T) and overwritten by the next.
+    layout a plain concatenation would give it.  The gate sigmoid's
+    ``exp(-|z|)`` goes to a (3, U, B, H) scratch block.  These work arrays
+    are kept between calls with the same (U, B, T) and overwritten by the
+    next.  ``train_step`` scales and applies each gradient in place.
     """
 
     def __init__(
@@ -229,6 +231,7 @@ class RecurrentPredictor:
                 tanh_c=np.empty((t, u, b, hd)),
                 z=np.empty((u, b, 4 * hd)),
                 b_gates=np.empty((4, u, b, hd)),
+                sig_exp=np.empty((3, u, b, hd)),
                 cell=np.empty((u, b, hd)),
                 sig_rest=np.empty((t, 3, u, b, hd)),
                 tanh_c_slope=np.empty((t, u, b, hd)),
@@ -266,7 +269,7 @@ class RecurrentPredictor:
             np.matmul(xh[step], w_gates_t, out=ws.z)
             a = acts[step]
             np.add(z_gates, ws.b_gates, out=a)
-            _sigmoid(a[:3], out=a[:3])
+            _sigmoid(a[:3], out=a[:3], scratch=ws.sig_exp)
             np.tanh(a[3], out=a[3])
             i, f, o, g = a
             np.multiply(f, c[step], out=c[step + 1])
@@ -315,15 +318,17 @@ class RecurrentPredictor:
 
         y, h_last, ws = self._forward_batch(windows)
         err = y - targets
-        losses = np.mean((err**2).reshape(u, -1), axis=1)
+        # np.mean's sum and division, without its wrapper.
+        losses = np.add.reduce(np.square(err).reshape(u, -1), axis=1) / (b * d)
 
         dy = 2.0 * err / (b * d)
         grads = {
             "w_out": dy.transpose(0, 2, 1) @ h_last,
-            "b_out": dy.sum(axis=1),
-            "w_gates": np.zeros_like(self.w_gates),
-            "b_gates": np.zeros_like(self.b_gates),
+            "b_out": np.add.reduce(dy, axis=1),
+            "w_gates": np.zeros(self.w_gates.shape),
+            "b_gates": np.zeros(self.b_gates.shape),
         }
+        grad_w, grad_b = grads["w_gates"], grads["b_gates"]
         acts, tanh_c, dz, d_sig, dh, dc = ws.acts, ws.tanh_c, ws.dz, ws.d_sig, ws.dh, ws.dc
         # Every step's slope factors, one pass each.
         np.subtract(1.0, acts[:, :3], out=ws.sig_rest)
@@ -351,10 +356,12 @@ class RecurrentPredictor:
             np.multiply(dc, i, out=ws.cell)
             np.multiply(ws.cell, ws.g_slope[step], out=dz_gates[3])
             np.matmul(dz.transpose(0, 2, 1), ws.xh[step], out=ws.w_term)
-            grads["w_gates"] += ws.w_term
-            grads["b_gates"] += dz.sum(axis=1, out=ws.b_term)
-            np.matmul(dz, w_h, out=dh)
-            dc *= f
+            grad_w += ws.w_term
+            grad_b += np.add.reduce(dz, axis=1, out=ws.b_term)
+            # Step 0's hidden and cell gradients would feed nothing.
+            if step:
+                np.matmul(dz, w_h, out=dh)
+                dc *= f
         return losses, grads
 
     def train_step(self, windows, targets) -> tuple[np.ndarray, int]:
@@ -366,22 +373,25 @@ class RecurrentPredictor:
         (n_users, B, input_dim), with B >= 1.
         """
         losses, grads = self.loss_and_gradients(windows, targets)
+        u = self.n_users
+        # Summed in the order w_out, b_out, w_gates, b_gates.
         norms = np.sqrt(
-            sum(np.sum((g**2).reshape(self.n_users, -1), axis=1) for g in grads.values())
+            sum(np.add.reduce(np.square(g).reshape(u, -1), axis=1) for g in grads.values())
         )
         clipped = norms > self.clip_norm
         if clipped.any():
-            scale = np.ones(self.n_users)
+            scale = np.ones(u)
             scale[clipped] = self.clip_norm / norms[clipped]
-            grads = {
-                k: g * scale.reshape((-1,) + (1,) * (g.ndim - 1)) for k, g in grads.items()
-            }
+            for g in grads.values():
+                g *= scale.reshape((-1,) + (1,) * (g.ndim - 1))
         for name, grad in grads.items():
-            getattr(self, name)[...] -= self.learning_rate * grad
+            grad *= self.learning_rate
+            param = getattr(self, name)
+            param -= grad
         params = self.parameters().values()
-        if not all(np.all(np.isfinite(v)) for v in params):
+        if not all(np.isfinite(v).all() for v in params):
             finite = np.all(
-                [np.isfinite(v.reshape(self.n_users, -1)).all(axis=1) for v in params], axis=0
+                [np.isfinite(v.reshape(u, -1)).all(axis=1) for v in params], axis=0
             )
             raise FloatingPointError(
                 f"predictor parameters of users {np.flatnonzero(~finite).tolist()} became non-finite"
@@ -389,17 +399,24 @@ class RecurrentPredictor:
         return losses, int(clipped.sum())
 
 
-def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Logistic function ``exp(min(x, 0)) / (1 + exp(-|x|))``.
+def _sigmoid(
+    x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """Logistic function ``exp(min(x, 0)) / (1 + exp(-|x|))`` with one ``exp``.
 
-    ``exp`` only ever sees a non-positive argument.  ``out`` may be ``x``.
+    ``e = exp(-|x|)`` is the only ``exp`` call: it is ``exp(min(x, 0))``
+    where x <= 0 and at most 1 where x > 0, so the numerator is
+    ``max(e, x > 0)``.  ``exp`` only ever sees a non-positive argument.
+    ``out`` may be ``x``; ``scratch``, an array of x's shape, receives
+    ``e`` and is overwritten.
     """
-    den = np.copysign(x, -1.0)
-    np.exp(den, out=den)
-    den += 1.0
-    num = np.minimum(x, 0.0, out=out)
-    np.exp(num, out=num)
-    return np.divide(num, den, out=num)
+    e = np.abs(x, out=scratch)
+    np.negative(e, out=e)
+    num = np.greater(x, 0.0, out=np.empty_like(x) if out is None else out)
+    np.exp(e, out=e)
+    np.maximum(e, num, out=num)
+    e += 1.0
+    return np.divide(num, e, out=num)
 
 
 def sliding_windows(positions: np.ndarray, window_len: int):
@@ -503,7 +520,9 @@ def _draw_minibatches(rng, n_users: int, n_pairs: int, steps: int):
     for u in range(n_users):
         for step in range(steps):
             picks[u, step] = rng.integers(0, n_pairs, size=size)
-            angles[u, step] = rng.uniform(0.0, TWO_PI)
+            # The same draw and value as rng.uniform(0.0, TWO_PI), at a
+            # third of its cost.
+            angles[u, step] = TWO_PI * rng.random()
     return picks, angles
 
 

@@ -27,14 +27,18 @@ it bit for bit.
 the oracle's one pass over all the powers of a channel draw must equal it
 scenario by scenario.
 
-Two more scalar forms serve as references for array code: the one-point
-ray cast behind ``ServiceRegion.contains_many``, and the per-pair gain
-difference and correlation of the rough partition's threshold gate.
+Two more scalar forms serve as references for array code: the one-point,
+edge-by-edge ray cast that ``ServiceRegion.contains_many`` runs against
+all edges at once, and the per-pair gain difference and correlation of
+the rough partition's threshold gate.
 
 Algorithm 1's LSTM for one user: 2-D weights, one batch, one gradient
 norm, and its own two-branch sigmoid.  ``mobility.RecurrentPredictor``
 trains every user at once on a leading user axis and must equal this user
-by user, bit for bit.
+by user, bit for bit.  :func:`draw_minibatches` draws Algorithm 1's
+minibatch picks and angles with ``Generator.uniform`` for each angle, as
+the package first did; ``mobility._draw_minibatches`` must leave the same
+picks, angles and generator state.
 
 Last, the DQN's Q-network for one run, :class:`QNetReference`: 2-D
 weights, one minibatch, one gradient norm.  ``rl.QApproximator`` trains
@@ -53,8 +57,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from irsnoma_lab import oracle, rl
-from irsnoma_lab.channel import PhaseConfig, effective_channels_batch
+from irsnoma_lab import mobility, oracle, rl
+from irsnoma_lab.channel import TWO_PI, PhaseConfig, effective_channels_batch
 from irsnoma_lab.noma import SIC_RATE_TOL, ScenarioStack, _check_simplex, evaluate_batch
 from irsnoma_lab.precoding import CONDITION_LIMIT, cluster_heads, member_table
 
@@ -657,6 +661,21 @@ def lstm_train_step(params: dict, windows, targets, learning_rate: float, clip_n
     for name, grad in grads.items():
         params[name][...] -= learning_rate * grad
     return loss, bool(clipped)
+
+
+def draw_minibatches(rng, n_users: int, n_pairs: int, steps: int):
+    """Minibatch picks (U, steps, batch) and angles (U, steps), one call per draw.
+
+    User-major, each step's ``integers`` before its ``uniform``.
+    """
+    size = min(mobility.PREDICTOR_BATCH_SIZE, n_pairs)
+    picks = np.empty((n_users, steps, size), dtype=np.int64)
+    angles = np.empty((n_users, steps))
+    for u in range(n_users):
+        for step in range(steps):
+            picks[u, step] = rng.integers(0, n_pairs, size=size)
+            angles[u, step] = rng.uniform(0.0, TWO_PI)
+    return picks, angles
 
 
 # -- The DQN's Q-network, one run ----------------------------------------------

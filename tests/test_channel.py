@@ -12,6 +12,7 @@ from irsnoma_lab.channel import (
     PhaseConfig,
     RicianConfig,
     ScenarioGeometry,
+    ServiceRegion,
     dbm_to_watts,
     default_region,
     effective_channels_batch,
@@ -253,20 +254,51 @@ class TestGeometryAndRegion:
             )
 
     def test_contains_many_matches_scalar(self):
-        region = default_region()
+        obstacles = {
+            "default": default_region().obstacle,
+            # Concave, with flat and vertical edges and a reflex corner.
+            "l_shape": np.array(
+                [[-20.0, -20.0], [20.0, -20.0], [20.0, -5.0], [0.0, -5.0],
+                 [0.0, 20.0], [-20.0, 20.0]]
+            ),
+            "triangle": np.array([[-30.0, -10.0], [25.0, -25.0], [5.0, 35.0]]),
+            # Every edge flat: no edge can cross a ray, so no point is inside.
+            "all_flat": np.array([[-10.0, 5.0], [10.0, 5.0], [30.0, 5.0]]),
+        }
         rng = np.random.default_rng(5)
-        pts = rng.uniform(-60, 60, size=(200, 2))
-        # Every obstacle vertex, and points on every edge (the horizontal
-        # edges too), where the ray test's boundary rules decide.
-        poly = region.obstacle
-        ends = np.roll(poly, -1, axis=0)
-        t = np.linspace(0.0, 1.0, 11)[:, None, None]
-        edge_pts = (poly + t * (ends - poly)).reshape(-1, 2)
-        pts = np.concatenate([pts, poly, edge_pts])
-        many = region.contains_many(pts)
-        scalar = np.array([region_contains(region, p) for p in pts])
-        assert np.array_equal(many, scalar)
-        assert np.array_equal([region.contains(p) for p in pts], scalar)
+        for name, poly in obstacles.items():
+            region = ServiceRegion(obstacle=poly)
+            # Every vertex, points on every edge (the flat edges too), and
+            # points on each edge's extension, flat edges' included, where
+            # the ray test's boundary rules decide; lattice points land on
+            # vertex rows and columns.
+            ends = np.roll(poly, -1, axis=0)
+            t = np.concatenate([np.linspace(0.0, 1.0, 11), [-1.0, -0.5, 1.5, 2.0]])
+            edge_pts = (poly + t[:, None, None] * (ends - poly)).reshape(-1, 2)
+            lattice = rng.integers(-40, 41, size=(300, 2)).astype(float)
+            pts = np.concatenate([rng.uniform(-60, 60, size=(200, 2)), poly, edge_pts, lattice])
+            many = region.contains_many(pts)
+            scalar = np.array([region_contains(region, p) for p in pts])
+            assert np.array_equal(many, scalar), name
+            assert np.array_equal([region.contains(p) for p in pts], scalar), name
+        # The all-flat obstacle excludes nothing, its own vertices included.
+        flat = ServiceRegion(obstacle=obstacles["all_flat"])
+        assert np.array_equal(flat.contains_many(pts), np.abs(pts).max(axis=1) <= 50.0)
+
+    @pytest.mark.parametrize("index, value", [(0, np.nan), (1, -np.inf), (2, np.inf), (3, np.nan)])
+    def test_non_finite_bound_rejected(self, index, value):
+        bounds = [-50.0, -50.0, 50.0, 50.0]
+        bounds[index] = value
+        name = ("xmin", "ymin", "xmax", "ymax")[index]
+        with pytest.raises(ValueError, match=f"region bound {name} .* is not finite"):
+            ServiceRegion(bounds=tuple(bounds))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_obstacle_vertex_rejected(self, value):
+        poly = default_region().obstacle.copy()
+        poly[2, 1] = value
+        with pytest.raises(ValueError, match="obstacle vertex 2 .* is not finite"):
+            ServiceRegion(obstacle=poly)
 
     def test_irs_defaults_to_origin(self):
         geom = ScenarioGeometry(bs_position=[0, -60, 10], user_positions=[[5.0, 5.0]])

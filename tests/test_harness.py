@@ -605,6 +605,29 @@ class TestCli:
     def test_validation_error_exit_code(self, tmp_path):
         assert main(["pipeline", "--config", str(tmp_path / "missing.json")]) == 1
 
+    @pytest.mark.parametrize("region, message", [
+        ({"bounds": [-50, -50, 50, 50],
+          "obstacle": [[-15, -50], [15, -50], [15, float("nan")], [-15, -35]]},
+         "obstacle vertex 2 [15.0, nan] is not finite"),
+        ({"bounds": [-50, float("-inf"), 50, 50]}, "region bound ymin -inf is not finite"),
+    ])
+    def test_non_finite_scenario_region_exits_1(self, tmp_path, capsys, region, message):
+        scenario = {
+            "bs_position": [0.0, -60.0, 10.0],
+            "users": [[10.0, 5.0], [20.0, -8.0]],
+            "region": region,
+        }
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(scenario))
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(
+            {**SMALL, "scenario_path": str(scenario_path), "out_dir": str(out)}
+        ))
+        assert main(["pipeline", "--config", str(cfg_path)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "doc, field, command",
         [

@@ -10,6 +10,7 @@ from irsnoma_lab.mobility import (
     EnvelopeTooLooseError,
     PositionScaler,
     RecurrentPredictor,
+    _draw_minibatches,
     _sigmoid,
     displacement_pairs,
     one_step_mse,
@@ -19,6 +20,7 @@ from irsnoma_lab.mobility import (
     sliding_windows,
 )
 from scalar_reference import (
+    draw_minibatches,
     lstm_forward_batch,
     lstm_init,
     lstm_loss_and_gradients,
@@ -370,14 +372,47 @@ class TestSigmoid:
         tiny = np.finfo(float).smallest_subnormal
         edges = np.array(
             [0.0, -0.0, 745.0, -745.0, np.inf, -np.inf, np.nan,
-             tiny, -tiny, 1e3 * tiny, -1e3 * tiny, 709.8, -709.8, 36.8, -36.8]
+             tiny, -tiny, 1e3 * tiny, -1e3 * tiny, 709.8, -709.8, 36.8, -36.8,
+             708.4, -708.4, 745.1, -745.1, 746.0, -746.0, 1e-300, -1e-300]
         )
-        assert np.array_equal(_sigmoid(edges), masked_sigmoid(edges), equal_nan=True)
+        got, want = _sigmoid(edges), masked_sigmoid(edges)
+        assert np.array_equal(got, want, equal_nan=True)
+        finite = ~np.isnan(edges)
+        assert got[finite].tobytes() == want[finite].tobytes()
         rng = np.random.default_rng(41)
         for i in range(200):
             shape = (int(rng.integers(1, 20)), int(rng.integers(1, 50)))
             x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 2.5)
-            assert np.array_equal(_sigmoid(x), masked_sigmoid(x)), i
+            assert _sigmoid(x).tobytes() == masked_sigmoid(x).tobytes(), i
+
+    def test_in_place_on_a_gate_major_slice(self):
+        # As the forward pass calls it: out=x on the (3, U, B, H) sigmoid
+        # gates of a (4, U, B, H) block, with a scratch block for exp.
+        rng = np.random.default_rng(43)
+        for i in range(50):
+            u, b, hd = (int(n) for n in rng.integers(1, 12, size=3))
+            block = rng.standard_normal((4, u, b, hd)) * 10.0 ** rng.uniform(-3, 2.9)
+            want = masked_sigmoid(block[:3].copy())
+            candidate = block[3].copy()
+            x = block[:3]
+            assert _sigmoid(x, out=x, scratch=np.empty(x.shape)) is x
+            assert block[:3].tobytes() == want.tobytes(), i
+            assert block[3].tobytes() == candidate.tobytes(), i
+
+
+class TestMinibatchDraws:
+    @pytest.mark.parametrize("n_pairs", [1, 7, 23])
+    def test_equal_one_uniform_per_angle(self, n_pairs):
+        rng, ref_rng = np.random.default_rng(47), np.random.default_rng(47)
+        picks, angles = _draw_minibatches(rng, 3, n_pairs, 40)
+        want_picks, want_angles = draw_minibatches(ref_rng, 3, n_pairs, 40)
+        assert picks.dtype == want_picks.dtype
+        assert np.array_equal(picks, want_picks)
+        assert angles.tobytes() == want_angles.tobytes()
+        assert rng.random() == ref_rng.random()
+        # At one pair, integers(0, 1) draws nothing: only the angles move
+        # the stream.
+        assert n_pairs > 1 or not picks.any()
 
 
 class TestAlgorithm1:
