@@ -5,23 +5,10 @@ oracle, cluster, predict.  Every subcommand accepts --config <path> (a JSON
 object of :class:`~irsnoma_lab.harness.ExperimentConfig` fields), --seed,
 --out, and --algorithm; flags override the config file.
 
-The config is validated before any command starts work or writes output: a
-top level that is not a JSON object, an unknown field, a float, bool or
-string in an integer field or list, a bool or string in a float field or
-in ``powers_dbm``, a ``save_curves`` that is not a bool,
-``resolution_bits`` outside [1, 16],
-``m_clusters`` below 1, ``m_clusters > n_users`` without a
-``scenario_path``, an ``alpha_step`` that does not divide 1, an empty
-``seeds``, ``powers_dbm`` or ``element_counts`` list, a negative seed, an
-unknown algorithm, ``interference_model`` or ``alpha_domain``, a negative
-or non-finite ``qos_floor``, ``speed`` or ``heading_noise_std``, powers,
-element counts or slot counts out of range, a ``clustering_epsilon`` that
-is not finite and positive, ``window_len < 1``, ``n0 < window_len + 2``,
-``n_max < n0``, a negative ``predictor_train_steps``, and, under the
-oracle, more than 1e8 evaluations (2**(B*K) phase configs times the fewest
-power splits of any clustering, or the phase configs alone with a
-``scenario_path``) at ``k_elements`` (at the largest of ``element_counts``
-for sweep-elements) are all rejected.
+The config is validated before any command starts work or writes output:
+each ``ExperimentConfig`` field declares its rule beside its default, the rules
+across fields follow in ``__post_init__``, and ``prepare`` checks a scenario
+file's user count as it loads it.
 
 A ``dqn`` run of a command that trains an agent (pipeline, sweep-power,
 sweep-elements, compare-oma) whose ``episodes * steps_per_episode`` stays

@@ -23,7 +23,7 @@ import math
 import os
 import tempfile
 import zlib
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -95,130 +95,113 @@ class SeedRegistry:
         return np.random.default_rng(self.seed_sequence(name))
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int; a float, a bool or a string is rejected, naming ``name``."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    raise ValueError(f"{name}: {value!r} is not an integer")
+def _kind(name: str, kind: str, value):
+    """``value`` as a field of annotation ``kind`` holds it, or a ValueError naming ``name``.
 
-
-def _number(name: str, value):
-    """``value`` if an int, a float or a numpy real; a bool or a string is rejected."""
-    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+    An int is an int or numpy integer, a float any finite real, never a
+    bool; a list is a non-empty list or tuple, each entry of its kind.
+    """
+    if kind.startswith("tuple["):
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{name}: {value!r} is not a list")
+        if not value:
+            raise ValueError(f"{name} must list at least one value")
+        entry = kind[len("tuple["):-len(", ...]")]
+        value = tuple(_kind(name, entry, v) for v in value)
+        return tuple(map(float, value)) if entry == "float" else value
+    if kind == "str | None" and value is None:
         return value
-    raise ValueError(f"{name}: {value!r} is not a number")
+    types, noun = {
+        "int": ((int, np.integer), "an integer"),
+        "float": ((int, float, np.integer, np.floating), "a number"),
+        "bool": (bool, "a bool"),
+        "str": (str, "a string"),
+        "str | None": (str, "a string"),
+    }[kind]
+    if not isinstance(value, types) or (isinstance(value, bool) and kind != "bool"):
+        raise ValueError(f"{name}: {value!r} is not {noun}")
+    if kind == "float" and not math.isfinite(value):
+        raise ValueError(f"{name} {value} must be finite")
+    return int(value) if kind == "int" else value
+
+
+def _rule(default, **rule):
+    """A field's default and its rule: ``min`` and ``max`` (inclusive),
+    ``above`` (exclusive) or ``choices``; a list's rule holds for each entry."""
+    return field(default=default, metadata=rule)
+
+
+def _check_rule(name: str, value, rule) -> None:
+    low, high = rule.get("min"), rule.get("max")
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"{name} {value} must be in [{low}, {high}]")
+    if low is not None and not value >= low:
+        raise ValueError(f"{name} {value} must be >= {low}")
+    if "above" in rule and not value > rule["above"]:
+        raise ValueError(f"{name} {value} must be > {rule['above']}")
+    if "choices" in rule and value not in rule["choices"]:
+        raise ValueError(f"unknown {name} {value!r}; pick one of {rule['choices']}")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative description of one experiment family, validated on creation."""
+    """Declarative description of one experiment family, validated on creation.
+
+    Each field declares its rule beside its default; ``__post_init__``
+    checks every field's kind and rule, then the rules across fields.
+    """
 
     scenario_path: str | None = None
     out_dir: str = "results"
-    algorithm: str = "dqn"
-    seeds: tuple[int, ...] = (0,)
+    algorithm: str = _rule("dqn", choices=ALGORITHMS)
+    seeds: tuple[int, ...] = _rule((0,), min=0)
 
     n_users: int = 10
-    m_clusters: int = 5
-    k_elements: int = 25
-    resolution_bits: int = 5
-    power_dbm: float = 60.0
+    m_clusters: int = _rule(5, min=1)
+    k_elements: int = _rule(25, min=1)
+    resolution_bits: int = _rule(5, min=1, max=MAX_RESOLUTION_BITS)
+    power_dbm: float = _rule(60.0, min=0, max=120)
     alpha_step: float = 0.1
-    qos_floor: float = 0.0
-    interference_model: str = "incoherent"
-    alpha_domain: str = "amplitude"
+    qos_floor: float = _rule(0.0, min=0)
+    interference_model: str = _rule("incoherent", choices=INTERFERENCE_MODELS)
+    alpha_domain: str = _rule("amplitude", choices=ALPHA_DOMAINS)
 
-    powers_dbm: tuple[float, ...] = (20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0)
-    element_counts: tuple[int, ...] = (5, 10, 15, 20, 25)
+    powers_dbm: tuple[float, ...] = _rule(
+        (20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0), min=0, max=120
+    )
+    element_counts: tuple[int, ...] = _rule((5, 10, 15, 20, 25), min=1)
 
-    slots: int = 5
-    clustering_epsilon: float = 1e-15
+    slots: int = _rule(5, min=1)
+    clustering_epsilon: float = _rule(1e-15, above=0)
 
-    episodes: int = 30
-    steps_per_episode: int = 20
-    random_samples: int = 60
+    episodes: int = _rule(30, min=1)
+    steps_per_episode: int = _rule(20, min=1)
+    random_samples: int = _rule(60, min=1)
 
     n0: int = 16
     n_max: int = 64
-    window_len: int = 8
-    speed: float = 1.5
-    heading_noise_std: float = 0.05
-    predictor_train_steps: int = 600
+    window_len: int = _rule(8, min=1)
+    speed: float = _rule(1.5, min=0)
+    heading_noise_std: float = _rule(0.05, min=0)
+    predictor_train_steps: int = _rule(600, min=0)
     save_curves: bool = True
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int":
-                object.__setattr__(self, f.name, _integer(f.name, value))
-            elif f.type == "tuple[int, ...]":
-                object.__setattr__(self, f.name, tuple(_integer(f.name, v) for v in value))
-            elif f.type == "float":
-                _number(f.name, value)
-            elif f.type == "tuple[float, ...]":
-                object.__setattr__(self, f.name, tuple(float(_number(f.name, v)) for v in value))
-            elif f.type == "bool" and not isinstance(value, bool):
-                raise ValueError(f"{f.name}: {value!r} is not a bool")
-        if not self.seeds:
-            raise ValueError("at least one seed is required")
-        for name in ("powers_dbm", "element_counts"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} must list at least one value")
-        if min(self.seeds) < 0:
-            raise ValueError(f"seeds {list(self.seeds)} must be non-negative")
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(
-                f"unknown algorithm {self.algorithm!r}; pick one of {ALGORITHMS}"
-            )
-        for p in (*self.powers_dbm, self.power_dbm):
-            if not 0.0 <= p <= 120.0:
-                raise ValueError(f"power {p} dBm outside the sane range [0, 120]")
-        if any(k < 1 for k in self.element_counts) or self.k_elements < 1:
-            raise ValueError("element counts must be >= 1")
-        if self.slots < 1:
-            raise ValueError("slot count must be >= 1")
-        for name in (
-            "m_clusters",
-            "episodes",
-            "steps_per_episode",
-            "random_samples",
-            "window_len",
-        ):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} {getattr(self, name)} must be >= 1")
-        bits = self.resolution_bits
-        if not 1 <= bits <= MAX_RESOLUTION_BITS:
-            raise ValueError(f"resolution_bits {bits} must be in [1, {MAX_RESOLUTION_BITS}]")
+            value = _kind(f.name, f.type, getattr(self, f.name))
+            for entry in value if isinstance(value, tuple) else (value,):
+                _check_rule(f.name, entry, f.metadata)
+            object.__setattr__(self, f.name, value)
         if self.n0 < self.window_len + 2:
             raise ValueError(f"n0 {self.n0} must be >= window_len + 2 = {self.window_len + 2}")
         if self.n_max < self.n0:
             raise ValueError(f"n_max {self.n_max} must be >= n0 {self.n0}")
-        if self.predictor_train_steps < 0:
-            raise ValueError(f"predictor_train_steps {self.predictor_train_steps} must be >= 0")
-        if not (math.isfinite(self.clustering_epsilon) and self.clustering_epsilon > 0):
-            raise ValueError(
-                f"clustering_epsilon {self.clustering_epsilon!r} must be finite and > 0"
-            )
-        # A scenario file brings its own user count.
+        # A scenario file brings its own user count; ``prepare`` checks it.
         if not self.scenario_path and self.m_clusters > self.n_users:
             raise ValueError(
                 f"m_clusters {self.m_clusters} exceeds n_users {self.n_users}"
             )
         _units_from_step(self.alpha_step)
-        if self.interference_model not in INTERFERENCE_MODELS:
-            raise ValueError(
-                f"unknown interference_model {self.interference_model!r}; "
-                f"pick one of {INTERFERENCE_MODELS}"
-            )
-        if self.alpha_domain not in ALPHA_DOMAINS:
-            raise ValueError(
-                f"unknown alpha_domain {self.alpha_domain!r}; "
-                f"pick one of {ALPHA_DOMAINS}"
-            )
-        for name in ("qos_floor", "speed", "heading_noise_std"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} {value!r} must be finite and >= 0")
         if self.algorithm == "oracle":
             self.check_oracle_size(self.k_elements, "k_elements")
 
@@ -440,6 +423,11 @@ def prepare(config: ExperimentConfig, seed: int) -> Setup:
     registry = SeedRegistry(seed)
     if config.scenario_path:
         geometry, rician, _ = load_scenario(config.scenario_path)
+        if config.m_clusters > geometry.n_users:
+            raise ValueError(
+                f"m_clusters {config.m_clusters} exceeds the {geometry.n_users} "
+                f"users of {config.scenario_path}"
+            )
         return Setup(config, registry, geometry, rician)
     region = default_region()
     positions = rejection_sample_positions(

@@ -47,7 +47,10 @@ def composition_count(units: int, parts: int) -> int:
 
 
 def _units_from_step(step: float) -> int:
-    """Grid units in a unit power budget; rejects a step that does not divide 1."""
+    """Grid units in a unit power budget; rejects a step that does not divide 1,
+    or one at or below 2**-63, whose units overflow the env's int64 ``multinomial``."""
+    if 0 < step <= 2.0**-63:
+        raise ValueError(f"alpha_step {step!r} gives more power units than an int64 holds")
     units = round(1.0 / step) if step > 0 else 0
     if units < 1 or abs(units * step - 1.0) > 1e-9:
         raise ValueError(f"alpha_step {step!r} does not divide 1")

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import itertools
 import json
 import math
@@ -243,6 +244,20 @@ class TestConfig:
         assert ExperimentConfig(resolution_bits=16).resolution_bits == 16
         with pytest.raises(ValueError, match=r"resolution_bits 17 must be in \[1, 16\]"):
             ExperimentConfig(resolution_bits=17)
+
+    @pytest.mark.parametrize("step", [1e-19, 1e-30, 5e-324])
+    def test_alpha_step_above_the_int64_unit_count_rejected(self, step):
+        # 1e-18 gives 10**18 units, which multinomial still draws.
+        assert ExperimentConfig(alpha_step=1e-18).alpha_step == 1e-18
+        with pytest.raises(ValueError, match=f"^alpha_step {step!r} gives more power units"):
+            ExperimentConfig(alpha_step=step)
+
+    def test_every_field_checks_its_kind(self):
+        # A field whose annotation the rule loop does not check would take these.
+        for f in dataclasses.fields(ExperimentConfig):
+            for bad in (object(), [object()]):
+                with pytest.raises(ValueError, match=f"^{f.name}: "):
+                    ExperimentConfig(**{f.name: bad})
 
     def test_scenario_file_keeps_the_phase_only_oracle_check(self):
         doc = dict(ORACLE_SPLITS_OVERSIZE, scenario_path="s.json")
@@ -628,6 +643,28 @@ class TestCli:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_scenario_file_with_fewer_users_than_clusters_exits_1(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("Algorithm 1 started")
+
+        monkeypatch.setattr(harness, "run_algorithm1", unreachable)
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps({
+            "bs_position": [0.0, -60.0, 10.0],
+            "users": [[10.0, 5.0], [20.0, -8.0]],
+        }))
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({
+            **SMALL, "m_clusters": 3, "scenario_path": str(scenario_path), "out_dir": str(out)
+        }))
+        assert main(["pipeline", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: m_clusters 3 exceeds the 2 users of {scenario_path}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "doc, field, command",
         [
@@ -669,6 +706,7 @@ class TestCli:
             ({**SMALL, "powers_dbm": []}, "powers_dbm", "sweep-power"),
             ({**SMALL, "powers_dbm": []}, "powers_dbm", "compare-oma"),
             ({**SMALL, "element_counts": []}, "element_counts", "sweep-elements"),
+            ({**SMALL, "algorithm": "dqn", "alpha_step": 1e-19}, "alpha_step", "sweep-power"),
         ],
         ids=[
             "top-level-array",
@@ -689,6 +727,7 @@ class TestCli:
             "no-powers-sweep-power",
             "no-powers-compare-oma",
             "no-element-counts",
+            "alpha-step-above-int64-units",
         ],
     )
     def test_invalid_config_exits_before_any_output(
@@ -728,6 +767,12 @@ class TestCli:
         ("speed", True, "pipeline"),
         ("heading_noise_std", "0.05", "pipeline"),
         ("save_curves", "no", "sweep-power"),
+        # String fields take only a string, and list fields only a list.
+        ("scenario_path", 3, "pipeline"),
+        ("scenario_path", True, "pipeline"),
+        ("algorithm", 1, "sweep-power"),
+        ("seeds", 5, "pipeline"),
+        ("seeds", "12", "pipeline"),
     ])
     def test_non_integer_field_exits_before_any_output(
         self, tmp_path, capsys, field, value, command
