@@ -10,7 +10,7 @@ import numpy as np
 
 from irsnoma_lab.channel import RicianConfig, ScenarioGeometry, dbm_to_watts, sample_channels
 from irsnoma_lab.noma import NetworkScenario
-from irsnoma_lab.oracle import SearchSpace, brute_force_optimum
+from irsnoma_lab.oracle import brute_force_optima
 from irsnoma_lab.rl import NomaPhaseEnv, QApproximator, train_agent
 
 geometry = ScenarioGeometry(
@@ -23,9 +23,10 @@ scenario = NetworkScenario(
 )
 
 print("=== exhaustive search ===")
-space = SearchSpace(k_elements=4, resolution_bits=2, cluster_sizes=(2, 2), alpha_step=0.1)
-print("space:", space.phase_count, "phase states x", space.split_count, "splits")
-oracle = brute_force_optimum(scenario, space)
+(oracle,) = brute_force_optima(
+    scenario, resolution_bits=2, alpha_step=0.1, powers=[scenario.total_power]
+)
+print("space:", oracle.evaluated_count, "(phase state, split) points")
 print("optimum: %.4f bits/s/Hz at phases %s, splits %s (%.1fs)"
       % (oracle.best_rate, oracle.best_phase.indices,
          tuple(tuple(round(a, 2) for a in s) for s in oracle.best_splits),

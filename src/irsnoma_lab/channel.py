@@ -125,12 +125,14 @@ def default_region() -> ServiceRegion:
     )
 
 
-def _as_position3(p) -> np.ndarray:
+def _as_position3(p, name: str) -> np.ndarray:
     v = np.asarray(p, dtype=float).ravel()
     if v.size == 2:
         v = np.array([v[0], v[1], 0.0])
     if v.size != 3:
-        raise ValueError(f"position must be a 2- or 3-vector, got shape {v.shape}")
+        raise ValueError(f"{name} must be a 2- or 3-vector, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} {v.tolist()} is not finite")
     return v
 
 
@@ -149,11 +151,12 @@ class ScenarioGeometry:
     region: ServiceRegion = field(default_factory=default_region)
 
     def __post_init__(self):
-        object.__setattr__(self, "bs_position", _as_position3(self.bs_position))
-        object.__setattr__(self, "irs_position", _as_position3(self.irs_position))
-        users = np.asarray(
-            [_as_position3(u) for u in np.atleast_2d(self.user_positions)]
-        )
+        for name in ("bs_position", "irs_position"):
+            object.__setattr__(self, name, _as_position3(getattr(self, name), name))
+        users = np.asarray([
+            _as_position3(u, f"user {i}")
+            for i, u in enumerate(np.atleast_2d(self.user_positions))
+        ])
         if users.shape[0] < 1:
             raise ValueError("at least one user is required")
         object.__setattr__(self, "user_positions", users)
@@ -196,8 +199,12 @@ class RicianConfig:
     def __post_init__(self):
         if not np.isfinite(self.k_factor) or self.k_factor < 0:
             raise ValueError(f"k_factor must be finite and >= 0, got {self.k_factor}")
-        if self.path_loss_exponent_g <= 0 or self.path_loss_exponent_h <= 0:
-            raise ValueError("path-loss exponents must be positive")
+        for name in ("path_loss_exponent_g", "path_loss_exponent_h"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if not math.isfinite(self.reference_loss_db):
+            raise ValueError(f"reference_loss_db must be finite, got {self.reference_loss_db}")
         if self.noise_variance <= 0:
             raise ValueError("noise power must convert to a positive variance")
 
@@ -287,10 +294,6 @@ class PhaseConfig:
     @property
     def n_levels(self) -> int:
         return 1 << self.resolution_bits
-
-    @property
-    def k_elements(self) -> int:
-        return len(self.indices)
 
     def shifted(self, delta: int) -> "PhaseConfig":
         """All indices incremented by ``delta`` modulo the level count."""

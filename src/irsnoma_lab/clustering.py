@@ -90,11 +90,11 @@ class GmmParams:
         w = np.asarray(self.weights, dtype=float)
         mu = np.atleast_2d(np.asarray(self.means, dtype=float))
         var = np.asarray(self.variances, dtype=float)
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError(f"mixture weights sum to {w.sum()!r}, not 1")
+        if not abs(w.sum() - 1.0) <= 1e-12:
+            raise ValueError(f"mixture weights sum to {float(w.sum())!r}, not 1")
         if np.any(w < 0):
             raise ValueError("mixture weights must be non-negative")
-        if np.any(var < VARIANCE_FLOOR):
+        if not np.all(var >= VARIANCE_FLOOR):
             raise ValueError(f"variances must be >= {VARIANCE_FLOOR}")
         if not (w.shape[0] == mu.shape[0] == var.shape[0]):
             raise ValueError("component counts disagree across parameters")
@@ -177,13 +177,8 @@ def rough_partition(
         if np.array_equal(new_assignment, assignment):
             break
         assignment = new_assignment
-    for m in range(m_clusters):
-        if np.any(assignment == m):
-            continue
-        counts = np.bincount(assignment, minlength=m_clusters)
-        movable = np.flatnonzero(counts[assignment] >= 2)
-        dist_to_own = np.linalg.norm(x[movable] - centers[assignment[movable]], axis=1)
-        assignment[movable[int(np.argmax(dist_to_own))]] = m
+    dist_to_own = np.linalg.norm(x - centers[assignment], axis=1)
+    assignment = _repair_empty_clusters(-dist_to_own, assignment, m_clusters)
     for m in range(m_clusters):
         centers[m] = x[assignment == m].mean(axis=0)
     return assignment, centers
@@ -318,11 +313,11 @@ class FitResult:
         return tuple(int(c) for c in counts)
 
 
-def _repair_empty_clusters(resp: np.ndarray, assignment: np.ndarray) -> np.ndarray:
-    """Move the least-confident users into emptied clusters (all non-empty after)."""
+def _repair_empty_clusters(
+    score: np.ndarray, assignment: np.ndarray, m_clusters: int
+) -> np.ndarray:
+    """Fill each empty cluster with the lowest-scoring user whose cluster holds another."""
     assignment = assignment.copy()
-    m_clusters = resp.shape[1]
-    confidence = resp.max(axis=1)
     for m in range(m_clusters):
         if np.any(assignment == m):
             continue
@@ -330,7 +325,7 @@ def _repair_empty_clusters(resp: np.ndarray, assignment: np.ndarray) -> np.ndarr
         movable = np.flatnonzero(counts[assignment] >= 2)
         if movable.size == 0:
             raise ValueError("not enough users to fill every cluster")
-        mover = movable[int(np.argmin(confidence[movable]))]
+        mover = movable[int(np.argmin(score[movable]))]
         assignment[mover] = m
     return assignment
 
@@ -372,7 +367,7 @@ def fit(
             converged = True
             break
     resp = em_e_step(params, x)
-    assignment = _repair_empty_clusters(resp, np.argmax(resp, axis=1))
+    assignment = _repair_empty_clusters(resp.max(axis=1), np.argmax(resp, axis=1), m_clusters)
     return FitResult(
         params=params,
         responsibilities=resp,

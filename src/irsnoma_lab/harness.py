@@ -56,11 +56,9 @@ from .oracle import (
     CHUNK_POINTS,
     EVALUATION_GUARD,
     SPLIT_GUARD,
-    SearchSpace,
     SearchSpaceTooLargeError,
     _units_from_step,
     brute_force_optima,
-    brute_force_optimum,
     composition_count,
     phase_index_block,
 )
@@ -441,15 +439,6 @@ def prepare(config: ExperimentConfig, seed: int) -> Setup:
     return Setup(config, registry, geometry, RicianConfig())
 
 
-def _search_space(scenario: NetworkScenario, config: ExperimentConfig) -> SearchSpace:
-    return SearchSpace(
-        k_elements=scenario.channels.k_elements,
-        resolution_bits=config.resolution_bits,
-        cluster_sizes=scenario.cluster_sizes,
-        alpha_step=config.alpha_step,
-    )
-
-
 def _search(scenarios, config: ExperimentConfig, rngs) -> list:
     """One lockstep search of the configured learner over these runs."""
     env = NomaPhaseEnv(
@@ -481,7 +470,9 @@ def optimize_scenario(runs, config: ExperimentConfig) -> list:
         for _, draw in itertools.groupby(scenarios, key=lambda s: id(s.channels)):
             draw = list(draw)
             powers = [s.total_power for s in draw]
-            bests += brute_force_optima(draw[0], _search_space(draw[0], config), powers)
+            bests += brute_force_optima(
+                draw[0], config.resolution_bits, config.alpha_step, powers
+            )
         return bests
     for start in range(0, len(scenarios), LOCKSTEP_RUNS):
         chunk = slice(start, start + LOCKSTEP_RUNS)
@@ -671,7 +662,9 @@ def cmd_oracle(config: ExperimentConfig):
     setup = prepare(config, config.seeds[0])
     channels, fit = setup.draw(config.k_elements)
     scenario = setup.scenario(channels, fit.assignment)
-    result = brute_force_optimum(scenario, _search_space(scenario, config))
+    (result,) = brute_force_optima(
+        scenario, config.resolution_bits, config.alpha_step, [scenario.total_power]
+    )
     _atomic_write(_out(config, "oracle.json"), result.to_json())
     return result
 

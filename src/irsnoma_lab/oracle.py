@@ -191,10 +191,12 @@ def _grid_chunks(n_phases: int, n_splits: int, size: int):
 
 
 def brute_force_optima(
-    scenario: NetworkScenario, space: SearchSpace, powers
+    scenario: NetworkScenario, resolution_bits: int, alpha_step: float, powers
 ) -> list[OracleResult]:
     """The exhaustive search of ``scenario`` at each budget of ``powers``, in one pass.
 
+    The search space is every ``resolution_bits`` phase state of the
+    scenario's elements and every ``alpha_step`` split of its clusters.
     Only the final ZF scale reads a budget, so the budgets share the split
     grid, the layout stack and, chunk by chunk, the precode (effective
     channels, heads, the unscaled ZF inverse and its condition check).
@@ -210,26 +212,21 @@ def brute_force_optima(
     powers = list(powers)
     if not powers or not all(p > 0 for p in powers):
         raise ValueError(f"powers {powers} must be a non-empty list of positive budgets")
-    if space.cluster_sizes != scenario.cluster_sizes:
-        raise ValueError(
-            f"search space cluster sizes {space.cluster_sizes} do not match the "
-            f"scenario's {scenario.cluster_sizes}"
-        )
-    if space.k_elements != scenario.channels.k_elements:
-        raise ValueError("search space element count does not match the channels")
+    space = SearchSpace(
+        scenario.channels.k_elements, resolution_bits, scenario.cluster_sizes, alpha_step
+    )
     space.check_guard()
 
     start = time.perf_counter()
-    bits = space.resolution_bits
-    grid = alpha_grid(space.cluster_sizes, space.alpha_step)
+    grid = alpha_grid(space.cluster_sizes, alpha_step)
     stack = ScenarioStack([scenario])
     best_rate = [-np.inf] * len(powers)
     best = [(None, None, None)] * len(powers)  # (phase, splits, orders)
     feasible = [0] * len(powers)
     chunks = _grid_chunks(space.phase_count, len(grid), CHUNK_POINTS)
     for p0, p1, s0, s1 in chunks:
-        phase_idx = phase_index_block(space.k_elements, bits, p0, p1)
-        scored = evaluate_powers(stack, phase_idx, grid[s0:s1], bits, powers)
+        phase_idx = phase_index_block(space.k_elements, resolution_bits, p0, p1)
+        scored = evaluate_powers(stack, phase_idx, grid[s0:s1], resolution_bits, powers)
         for r in range(len(powers)):
             scores = next(scored)
             feasible[r] += int(np.count_nonzero(scores.feasible))
@@ -238,7 +235,7 @@ def brute_force_optima(
             if rates[p, s] > best_rate[r]:
                 best_rate[r] = float(rates[p, s])
                 best[r] = (
-                    PhaseConfig(tuple(phase_idx[p]), bits),
+                    PhaseConfig(tuple(phase_idx[p]), resolution_bits),
                     scenario.split_tuples(grid[s0 + s]),
                     scenario.split_tuples(scores.order[p]),
                 )
@@ -257,12 +254,3 @@ def brute_force_optima(
         )
         for rate, (phase, splits, orders), count in zip(best_rate, best, feasible)
     ]
-
-
-def brute_force_optimum(scenario: NetworkScenario, space: SearchSpace) -> OracleResult:
-    """Evaluate every (phase, split) pair and keep the feasible maximizer.
-
-    The one-power pass of :func:`brute_force_optima`.
-    """
-    (result,) = brute_force_optima(scenario, space, [scenario.total_power])
-    return result

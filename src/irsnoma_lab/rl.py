@@ -411,7 +411,7 @@ class NomaPhaseEnv:
     ``INFEASIBLE_PENALTY`` whenever the SIC or QoS check fails.
     """
 
-    def __init__(self, scenarios, resolution_bits: int, alpha_step: float = 0.05):
+    def __init__(self, scenarios, resolution_bits: int, alpha_step: float):
         self.stack = ScenarioStack(scenarios)
         self.scenarios = self.stack.scenarios
         self.resolution_bits = int(resolution_bits)

@@ -408,16 +408,19 @@ def reference_point(scenario, phase_indices, resolution_bits: int, splits) -> Re
 # Exhaustive search of one scenario
 # ---------------------------------------------------------------------------
 
-def one_power_optimum(scenario, space) -> oracle.OracleResult:
+def one_power_optimum(scenario, resolution_bits, alpha_step) -> oracle.OracleResult:
     """The exhaustive search of one scenario alone, one power per search.
 
-    It builds the split grid and the one-run stack for this scenario,
-    scores every chunk through ``evaluate_batch`` at the scenario's own
-    budget and keeps one running best: a chunk's first maximum replaces it
-    only on a strict improvement.  ``oracle.brute_force_optima`` must give
+    It builds the search space, the split grid and the one-run stack for
+    this scenario, scores every chunk through ``evaluate_batch`` at the
+    scenario's own budget and keeps one running best: a chunk's first
+    maximum replaces it only on a strict improvement.  ``oracle.brute_force_optima`` must give
     these fields at each of its powers, bit for bit, for the scenario with
     that ``total_power``.
     """
+    space = oracle.SearchSpace(
+        scenario.channels.k_elements, resolution_bits, scenario.cluster_sizes, alpha_step
+    )
     space.check_guard()
     start = time.perf_counter()
     bits = space.resolution_bits

@@ -34,7 +34,7 @@ from irsnoma_lab.mobility import (
     run_algorithm1,
 )
 from irsnoma_lab.noma import NetworkScenario
-from irsnoma_lab.oracle import SearchSpace, brute_force_optimum
+from irsnoma_lab.oracle import brute_force_optima
 from irsnoma_lab.precoding import member_table, scale_to_power, zf_inverse
 from irsnoma_lab.rl import (
     NomaPhaseEnv,
@@ -304,9 +304,7 @@ def test_criterion_5_tabular_q_fixed_point():
 def test_criterion_6_dqn_vs_oracle():
     started = time.perf_counter()
     scenario = pinned_scenario()
-    oracle = brute_force_optimum(
-        scenario, SearchSpace(4, 2, (2, 2), alpha_step=0.1)
-    )
+    (oracle,) = brute_force_optima(scenario, 2, 0.1, [scenario.total_power])
     assert oracle.best_rate == pytest.approx(PINNED_ORACLE_RATE, abs=1e-9)
     env = NomaPhaseEnv([scenario], resolution_bits=2, alpha_step=0.1)
     approx = QApproximator(env.feature_dim, env.n_actions, seeds=[1])

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -300,9 +301,45 @@ class TestGeometryAndRegion:
         with pytest.raises(ValueError, match="obstacle vertex 2 .* is not finite"):
             ServiceRegion(obstacle=poly)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("coordinate", [0, 2])
+    @pytest.mark.parametrize("name", ["bs_position", "irs_position", "user 1"])
+    def test_non_finite_position_rejected(self, name, coordinate, value):
+        positions = {
+            "bs_position": [0.0, -60.0, 10.0],
+            "irs_position": [0.0, 0.0, 0.0],
+            "user 1": [20.0, -8.0, 0.0],
+        }
+        positions[name][coordinate] = value
+        with pytest.raises(ValueError, match=f"^{name} .* is not finite$"):
+            ScenarioGeometry(
+                bs_position=positions["bs_position"],
+                user_positions=[[10.0, 5.0, 0.0], positions["user 1"]],
+                irs_position=positions["irs_position"],
+            )
+
     def test_irs_defaults_to_origin(self):
         geom = ScenarioGeometry(bs_position=[0, -60, 10], user_positions=[[5.0, 5.0]])
         assert np.array_equal(geom.irs_position, np.zeros(3))
+
+
+class TestRicianConfig:
+    @pytest.mark.parametrize("name, value", [
+        ("path_loss_exponent_g", np.nan),
+        ("path_loss_exponent_g", 0.0),
+        ("path_loss_exponent_h", np.inf),
+        ("path_loss_exponent_h", -1.0),
+    ])
+    def test_exponent_must_be_finite_and_positive(self, name, value):
+        message = f"{name} must be finite and > 0, got {value}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RicianConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_reference_loss_must_be_finite(self, value):
+        message = f"reference_loss_db must be finite, got {value}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RicianConfig(reference_loss_db=value)
 
 
 class TestRealization:

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irsnoma_lab import clustering
 from irsnoma_lab.clustering import (
     DegenerateCsiError,
     GmmParams,
+    _repair_empty_clusters,
     _seed_gate,
     cluster_users,
     em_e_step,
@@ -118,6 +120,19 @@ class TestSeedGateEqualsScalarReference:
         assert np.array_equal(qualifies, (ref_gain_diff < rho1) & (ref_corr > rho2))
 
 
+# Seeds 30 and 60 draw the first two and three rows as the rough partition's
+# seeds.  Those sit at the origin, as does cluster 0's mean, so the first
+# Lloyd round ties every user to cluster 0 and empties the other clusters.
+EMPTIED = {
+    "two-clusters": (
+        [[0, 0], [0, 0], [1, 0], [-1, 0], [2, 0], [-2, 0]], 2, 30, [0, 0, 0, 0, 1, 0],
+    ),
+    "three-clusters": (
+        [[0, 0]] * 3 + [[1, 0], [-1, 0], [2, 0], [-2, 0]], 3, 60, [0, 0, 0, 0, 0, 1, 2],
+    ),
+}
+
+
 class TestRoughPartition:
     def test_each_user_own_cluster_when_counts_match(self):
         rng = np.random.default_rng(3)
@@ -166,6 +181,52 @@ class TestRoughPartition:
     def test_too_few_users_rejected(self):
         with pytest.raises(ValueError):
             rough_partition(np.ones((2, 3)), 3, seed=0)
+
+    @pytest.mark.parametrize(
+        "rounds", [1, 2, 100], ids=["repair-after-lloyd", "reseed-in-round-2", "default"]
+    )
+    @pytest.mark.parametrize("case", sorted(EMPTIED))
+    def test_emptied_cluster_takes_the_user_farthest_from_its_center(
+        self, case, rounds, monkeypatch
+    ):
+        # One Lloyd round leaves the repair after the loop to fill the
+        # emptied clusters; a second round re-seeds them inside the loop.
+        # Both move the farthest users first, the first of a tie first.
+        rows, m_clusters, seed, expected = EMPTIED[case]
+        monkeypatch.setattr(clustering, "LLOYD_MAX_ROUNDS", rounds)
+        x = np.array(rows, dtype=float)
+        assignment, centers = rough_partition(x, m_clusters, seed=seed)
+        assert assignment.tolist() == expected
+        for m in range(m_clusters):
+            assert np.array_equal(centers[m], x[assignment == m].mean(axis=0))
+
+
+class TestRepairEmptyClusters:
+    def test_least_confident_movable_user_fills_the_empty_cluster(self):
+        resp = np.array([
+            [0.9, 0.1, 0.0], [0.6, 0.4, 0.0], [0.45, 0.55, 0.0], [0.7, 0.3, 0.0],
+        ])
+        assignment = np.argmax(resp, axis=1)
+        # User 2 is the least confident but alone in cluster 1, so user 1 moves.
+        repaired = _repair_empty_clusters(resp.max(axis=1), assignment, 3)
+        assert repaired.tolist() == [0, 2, 1, 0]
+        assert assignment.tolist() == [0, 0, 1, 0]
+
+    def test_no_movable_user_rejected(self):
+        with pytest.raises(ValueError, match="not enough users to fill every cluster"):
+            _repair_empty_clusters(np.zeros(2), np.array([0, 1]), 3)
+
+
+class TestGmmParams:
+    @pytest.mark.parametrize("weights, variances, message", [
+        ([0.5, 0.6], [1.0, 1.0], "mixture weights sum to 1.1, not 1"),
+        ([np.nan, 0.5], [1.0, 1.0], "mixture weights sum to nan, not 1"),
+        ([0.5, 0.5], [1e-11, 1.0], "variances must be >= 1e-10"),
+        ([0.5, 0.5], [np.nan, 1.0], "variances must be >= 1e-10"),
+    ], ids=["weight-sum", "nan-weight", "small-variance", "nan-variance"])
+    def test_rejected(self, weights, variances, message):
+        with pytest.raises(ValueError, match=message):
+            GmmParams(weights=weights, means=np.zeros((2, 3)), variances=variances)
 
 
 class TestInitGmm:

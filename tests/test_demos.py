@@ -1,6 +1,8 @@
-"""Every script under ``demos/`` runs to completion from a clean directory."""
+"""Every script under ``demos/`` and every ``python`` block of README.md runs
+to completion from a clean directory."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,17 +11,32 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(
+    r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(encoding="utf-8"), re.M | re.S
+)
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
-def test_demo_runs(demo, tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run(
-        [sys.executable, str(demo)],
-        cwd=tmp_path,
-        env=env,
+def run_python(args, cwd):
+    """``python *args`` in ``cwd`` with this package's source tree on the path."""
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True,
         text=True,
         timeout=600,
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    proc = run_python([str(demo)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "block", README_BLOCKS, ids=[f"block{i}" for i in range(len(README_BLOCKS))]
+)
+def test_readme_python_block_runs(block, tmp_path):
+    proc = run_python(["-c", block], tmp_path)
     assert proc.returncode == 0, proc.stderr

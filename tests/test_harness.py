@@ -665,6 +665,75 @@ class TestCli:
         assert f"error: m_clusters 3 exceeds the 2 users of {scenario_path}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value, message, command", [
+        ("path_loss_exponent_g", float("nan"),
+         "path_loss_exponent_g must be finite and > 0, got nan", "sweep-power"),
+        ("path_loss_exponent_h", float("inf"),
+         "path_loss_exponent_h must be finite and > 0, got inf", "cluster"),
+        ("reference_loss_db", float("nan"),
+         "reference_loss_db must be finite, got nan", "cluster"),
+        ("reference_loss_db", float("-inf"),
+         "reference_loss_db must be finite, got -inf", "pipeline"),
+        ("bs_position", [0.0, float("nan"), 10.0],
+         "bs_position [0.0, nan, 10.0] is not finite", "sweep-power"),
+        ("irs_position", [0.0, 0.0, float("inf")],
+         "irs_position [0.0, 0.0, inf] is not finite", "pipeline"),
+        ("users", [[10.0, 5.0, 0.0], [20.0, -8.0, float("-inf")]],
+         "user 1 [20.0, -8.0, -inf] is not finite", "cluster"),
+    ])
+    def test_non_finite_scenario_field_exits_1(
+        self, tmp_path, capsys, monkeypatch, key, value, message, command
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("sample_channels", "cluster_users", "run_algorithm1"):
+            monkeypatch.setattr(harness, name, unreachable)
+        scenario = {"bs_position": [0.0, -60.0, 10.0], "users": [[10.0, 5.0], [20.0, -8.0]]}
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps({**scenario, key: value}))
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(
+            {**SMALL, "scenario_path": str(scenario_path), "out_dir": str(out)}
+        ))
+        assert main([command, "--config", str(cfg_path)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, algorithm, seed", [
+        ("sweep-power", "random-phase", 7),
+        ("cluster", "random-phase", 7),
+        ("pipeline", "dqn", 3),
+    ])
+    def test_generated_scenario_file_reproduces_the_synthesized_run(
+        self, tmp_path, command, algorithm, seed
+    ):
+        # ``generate`` writes the seed's scenario; a run that loads it must
+        # write what the run that synthesizes it writes, byte for byte.
+        doc = {**SMALL, "algorithm": algorithm, "seeds": [seed]}
+        synthesized = tmp_path / "synthesized.json"
+        synthesized.write_text(json.dumps(doc))
+        assert main(["generate", "--config", str(synthesized), "--out", str(tmp_path / "gen")]) == 0
+        loaded = tmp_path / "loaded.json"
+        scenario_path = str(tmp_path / "gen" / "scenario.json")
+        loaded.write_text(json.dumps({**doc, "scenario_path": scenario_path}))
+        outputs = []
+        for cfg_path in (synthesized, loaded):
+            out = tmp_path / cfg_path.stem
+            assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+            outputs.append({
+                str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()
+            })
+        assert outputs[0] and outputs[0] == outputs[1]
+
+    def test_generate_without_a_config_uses_the_defaults(self, tmp_path):
+        assert main(["generate", "--out", str(tmp_path / "cli")]) == 0
+        paths = cmd_generate(ExperimentConfig(out_dir=str(tmp_path / "lib")))
+        for path in paths.values():
+            name = Path(path).name
+            assert (tmp_path / "cli" / name).read_bytes() == Path(path).read_bytes()
+
     @pytest.mark.parametrize(
         "doc, field, command",
         [

@@ -14,7 +14,6 @@ from irsnoma_lab.oracle import (
     SearchSpaceTooLargeError,
     alpha_grid,
     brute_force_optima,
-    brute_force_optimum,
     composition_count,
     phase_index_block,
 )
@@ -65,12 +64,20 @@ def literal_splits(cluster_sizes, step):
     return list(itertools.product(*per_cluster))
 
 
-def literal_optimum(scenario, space):
+def search(scenario, resolution_bits, alpha_step):
+    """The one-power pass at the scenario's own budget."""
+    (result,) = brute_force_optima(
+        scenario, resolution_bits, alpha_step, [scenario.total_power]
+    )
+    return result
+
+
+def literal_optimum(scenario, resolution_bits, alpha_step):
     """The exhaustive search as a plain loop over single points."""
     best_rate, best_phase, best_splits = -np.inf, None, None
     feasible = evaluated = 0
-    for phase in all_phases(space.k_elements, space.resolution_bits):
-        for splits in literal_splits(space.cluster_sizes, space.alpha_step):
+    for phase in all_phases(scenario.channels.k_elements, resolution_bits):
+        for splits in literal_splits(scenario.cluster_sizes, alpha_step):
             evaluated += 1
             point = evaluate_point(scenario, phase, splits)
             if point.feasible:
@@ -187,8 +194,7 @@ class TestBruteForce:
     def test_single_user_one_bit_is_two_point_max(self):
         rng = np.random.default_rng(3)
         scenario = make_scenario(rng, k_elements=1)
-        space = SearchSpace(1, 1, (1,), alpha_step=0.5)
-        result = brute_force_optimum(scenario, space)
+        result = search(scenario, 1, 0.5)
         rates = [
             evaluate_point(scenario, PhaseConfig((n,), 1), ((1.0,),)).sum_rate
             for n in (0, 1)
@@ -208,7 +214,7 @@ class TestBruteForce:
         scenario = NetworkScenario(
             channels=channels, assignment=(0,), total_power=1.0
         )
-        result = brute_force_optimum(scenario, SearchSpace(2, 1, (1,), 0.5))
+        result = search(scenario, 1, 0.5)
         # Zero cascaded channel makes the combined matrix singular, so no
         # point is feasible and that is reported explicitly.
         assert result.feasible_count == 0
@@ -226,12 +232,10 @@ class TestBruteForce:
         )
         scenario = NetworkScenario(channels=channels, assignment=(0,), total_power=1.0)
         monkeypatch.setattr(oracle, "CHUNK_POINTS", chunk)
-        result = brute_force_optimum(scenario, SearchSpace(2, 1, (1,), 0.5))
+        result = search(scenario, 1, 0.5)
         assert result.feasible_count == 4
         assert result.best_phase.indices[1] == 0
-        assert result_fields(result) == literal_optimum(
-            scenario, SearchSpace(2, 1, (1,), 0.5)
-        )
+        assert result_fields(result) == literal_optimum(scenario, 1, 0.5)
 
     def test_zero_user_channel_ties_at_zero_rate(self):
         channels = ChannelRealization(
@@ -244,7 +248,7 @@ class TestBruteForce:
         scenario = NetworkScenario(
             channels=channels, assignment=(0, 0), total_power=1.0
         )
-        result = brute_force_optimum(scenario, SearchSpace(2, 1, (2,), 0.5))
+        result = search(scenario, 1, 0.5)
         # User 1 sees a zero channel: all its splits rate the same, so the
         # tie-break keeps the lexicographically first maximizer.
         assert result.feasible_count > 0
@@ -254,11 +258,10 @@ class TestBruteForce:
     def test_deterministic_reruns(self, chunk, monkeypatch):
         rng = np.random.default_rng(10)
         scenario = make_scenario(rng, n_clusters=2, users_per_cluster=1, k_elements=2)
-        space = SearchSpace(2, 2, (1, 1), alpha_step=0.5)
-        default = brute_force_optimum(scenario, space)
+        default = search(scenario, 2, 0.5)
         monkeypatch.setattr(oracle, "CHUNK_POINTS", chunk)
-        a = brute_force_optimum(scenario, space)
-        b = brute_force_optimum(scenario, space)
+        a = search(scenario, 2, 0.5)
+        b = search(scenario, 2, 0.5)
         assert a.best_phase == b.best_phase
         assert a.best_rate == b.best_rate
         assert a.best_splits == b.best_splits
@@ -267,8 +270,7 @@ class TestBruteForce:
     def test_dominates_every_enumerated_point(self):
         rng = np.random.default_rng(21)
         scenario = make_scenario(rng, n_clusters=2, users_per_cluster=2, k_elements=2)
-        space = SearchSpace(2, 1, (2, 2), alpha_step=0.5)
-        result = brute_force_optimum(scenario, space)
+        result = search(scenario, 1, 0.5)
         for phase in all_phases(2, 1):
             for splits in literal_splits((2, 2), 0.5):
                 point = evaluate_point(scenario, phase, splits)
@@ -278,17 +280,9 @@ class TestBruteForce:
     def test_json_export(self):
         rng = np.random.default_rng(4)
         scenario = make_scenario(rng, k_elements=2)
-        result = brute_force_optimum(scenario, SearchSpace(2, 1, (1,), 0.5))
+        result = search(scenario, 1, 0.5)
         doc = result.to_json()
         assert '"sum_rate"' in doc and '"wall_time_s"' in doc
-
-    def test_mismatched_space_rejected(self):
-        rng = np.random.default_rng(5)
-        scenario = make_scenario(rng, k_elements=2)
-        with pytest.raises(ValueError):
-            brute_force_optimum(scenario, SearchSpace(2, 1, (2,), 0.5))
-        with pytest.raises(ValueError):
-            brute_force_optimum(scenario, SearchSpace(3, 1, (1,), 0.5))
 
 
 class TestBatchedSearchEqualsLiteralLoop:
@@ -319,13 +313,10 @@ class TestBatchedSearchEqualsLiteralLoop:
             interference_model=model,
             alpha_domain=domain,
         )
-        space = SearchSpace(
-            k_elements, 1, scenario.cluster_sizes, alpha_step=0.25
-        )
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oracle, "CHUNK_POINTS", chunk)
-            result = brute_force_optimum(scenario, space)
-        assert result_fields(result) == literal_optimum(scenario, space)
+            result = search(scenario, 1, 0.25)
+        assert result_fields(result) == literal_optimum(scenario, 1, 0.25)
 
 
 def every_field(result):
@@ -374,14 +365,15 @@ class TestOnePassEqualsOnePowerSearches:
     """One pass over a draw's powers equals one search per power, field for field."""
 
     @staticmethod
-    def assert_pass_equals_searches(scenarios, space):
+    def assert_pass_equals_searches(scenarios, resolution_bits, alpha_step):
         # The pass reads ``powers``, not its scenario's own budget, so the
         # last run's scenario serves every power.
         powers = [s.total_power for s in scenarios]
-        results = brute_force_optima(scenarios[-1], space, powers)
+        results = brute_force_optima(scenarios[-1], resolution_bits, alpha_step, powers)
         assert len(results) == len(scenarios)
         for scenario, result in zip(scenarios, results):
-            assert every_field(result) == every_field(one_power_optimum(scenario, space))
+            reference = one_power_optimum(scenario, resolution_bits, alpha_step)
+            assert every_field(result) == every_field(reference)
         return results
 
     @POWER_COUNTS
@@ -400,8 +392,8 @@ class TestOnePassEqualsOnePowerSearches:
         monkeypatch.setattr(oracle, "CHUNK_POINTS", chunk)
         base = make_scenario(np.random.default_rng(31), 2, 2, k_elements=4)
         base = dataclasses.replace(base, **flags)
-        space = SearchSpace(4, 1, base.cluster_sizes, alpha_step=0.25)
-        results = self.assert_pass_equals_searches(at_powers(base, power_grid(n_powers)), space)
+        runs = at_powers(base, power_grid(n_powers))
+        results = self.assert_pass_equals_searches(runs, 1, 0.25)
         assert all(r.feasible_count > 0 for r in results)
 
     @POWER_COUNTS
@@ -409,8 +401,8 @@ class TestOnePassEqualsOnePowerSearches:
     def test_zf_rejected_phases(self, n_powers, chunk, monkeypatch):
         monkeypatch.setattr(oracle, "CHUNK_POINTS", chunk)
         base = near_parallel_heads()
-        space = SearchSpace(3, 1, base.cluster_sizes, alpha_step=0.5)
-        results = self.assert_pass_equals_searches(at_powers(base, power_grid(n_powers)), space)
+        runs = at_powers(base, power_grid(n_powers))
+        results = self.assert_pass_equals_searches(runs, 1, 0.5)
         # One split per phase, feasible exactly where ZF passes: half the phases.
         assert all(r.feasible_count == 4 and r.evaluated_count == 8 for r in results)
 
@@ -418,8 +410,8 @@ class TestOnePassEqualsOnePowerSearches:
     def test_unreachable_floor(self, n_powers):
         base = make_scenario(np.random.default_rng(32), 2, 2, k_elements=2)
         base = dataclasses.replace(base, qos_floors=1e12)
-        space = SearchSpace(2, 1, base.cluster_sizes, alpha_step=0.5)
-        results = self.assert_pass_equals_searches(at_powers(base, power_grid(n_powers)), space)
+        runs = at_powers(base, power_grid(n_powers))
+        results = self.assert_pass_equals_searches(runs, 1, 0.5)
         for r in results:
             assert r.feasible_count == 0 and r.best_rate == 0.0
             assert r.best_phase is r.best_splits is r.best_orders is None
@@ -435,15 +427,14 @@ class TestOnePassEqualsOnePowerSearches:
             noise_variance=1.0,
         )
         base = NetworkScenario(channels=channels, assignment=(0, 0), total_power=1.0)
-        space = SearchSpace(2, 1, (2,), 0.5)
-        results = self.assert_pass_equals_searches(at_powers(base, power_grid(n_powers)), space)
+        runs = at_powers(base, power_grid(n_powers))
+        results = self.assert_pass_equals_searches(runs, 1, 0.5)
         assert all(r.best_phase.indices[1] == 0 for r in results)
 
     def test_a_single_scenario_is_the_one_power_search(self):
         scenario = make_scenario(np.random.default_rng(33), 2, 1, k_elements=2)
-        space = SearchSpace(2, 2, (1, 1), alpha_step=0.5)
-        assert every_field(brute_force_optimum(scenario, space)) == every_field(
-            one_power_optimum(scenario, space)
+        assert every_field(search(scenario, 2, 0.5)) == every_field(
+            one_power_optimum(scenario, 2, 0.5)
         )
 
 
@@ -453,14 +444,14 @@ class TestOnePassChecksItsInputs:
     )
     def test_needs_positive_powers(self, powers):
         base = make_scenario(np.random.default_rng(44), 2, 2, k_elements=2)
-        space = SearchSpace(2, 1, base.cluster_sizes, alpha_step=0.5)
         with pytest.raises(ValueError, match="non-empty list of positive budgets"):
-            brute_force_optima(base, space, powers)
+            brute_force_optima(base, 1, 0.5, powers)
 
-    def test_keeps_the_space_checks(self):
-        base = make_scenario(np.random.default_rng(43), 2, 2, k_elements=2)
-        powers = [dbm_to_watts(20.0), dbm_to_watts(30.0)]
-        with pytest.raises(ValueError, match="cluster sizes"):
-            brute_force_optima(base, SearchSpace(2, 1, (4,), 0.5), powers)
-        with pytest.raises(ValueError, match="element count"):
-            brute_force_optima(base, SearchSpace(3, 1, base.cluster_sizes, 0.5), powers)
+    def test_reads_its_space_from_the_scenario(self):
+        # Three elements, two clusters of two: 2**3 phases x 3 x 3 splits.
+        base = make_scenario(np.random.default_rng(45), 2, 2, k_elements=3)
+        (result,) = brute_force_optima(base, 1, 0.5, [1.0])
+        assert result.evaluated_count == SearchSpace(3, 1, (2, 2), 0.5).total_count == 72
+        wide = make_scenario(np.random.default_rng(46), k_elements=25)
+        with pytest.raises(SearchSpaceTooLargeError):
+            brute_force_optima(wide, 5, 0.5, [1.0])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from irsnoma_lab import rl
 from irsnoma_lab.channel import ChannelRealization
 from irsnoma_lab.noma import NetworkScenario
-from irsnoma_lab.oracle import SearchSpace, brute_force_optimum
+from irsnoma_lab.oracle import brute_force_optima
 from irsnoma_lab.rl import (
     INFEASIBLE_PENALTY,
     NomaPhaseEnv,
@@ -623,9 +623,7 @@ class TestEnvironment:
         for _ in range(env.levels - 1):
             state, (reward,), _ = env.step(state, [1])
             best = max(best, reward)
-        oracle = brute_force_optimum(
-            scenario, SearchSpace(1, 3, (1,), alpha_step=0.5)
-        )
+        (oracle,) = brute_force_optima(scenario, 3, 0.5, [scenario.total_power])
         assert best == pytest.approx(oracle.best_rate)
 
     def test_feature_vector_layout(self):
@@ -648,7 +646,7 @@ class TestEnvironment:
             dataclasses.replace(base, assignment=(0, 1, 1, 1), total_power=3.0),
             dataclasses.replace(base, qos_floors=[0.1, 0.0, 0.2, 0.0]),
             tiny_scenario(seed=6, n_clusters=2, users_per_cluster=2),
-        ], resolution_bits=1)
+        ], resolution_bits=1, alpha_step=0.05)
         assert env.n_actions.tolist() == [9, 11, 9, 9]
         for other in (
             tiny_scenario(n_clusters=2, users_per_cluster=2, k_elements=3),
@@ -658,9 +656,9 @@ class TestEnvironment:
             dataclasses.replace(base, alpha_domain="power"),
         ):
             with pytest.raises(ValueError, match="must share users, clusters, elements and flags"):
-                NomaPhaseEnv([base, other], resolution_bits=1)
+                NomaPhaseEnv([base, other], resolution_bits=1, alpha_step=0.05)
         with pytest.raises(ValueError, match="at least one scenario"):
-            NomaPhaseEnv([], resolution_bits=1)
+            NomaPhaseEnv([], resolution_bits=1, alpha_step=0.05)
 
 
 def cluster_tuples(env, units, run=0):
@@ -765,9 +763,7 @@ class TestAgents:
         (result,) = train_agent(
             env, approx, episodes=150, steps_per_episode=10, seeds=[23]
         )
-        oracle = brute_force_optimum(
-            scenario, SearchSpace(2, 2, (2,), alpha_step=0.1)
-        )
+        (oracle,) = brute_force_optima(scenario, 2, 0.1, [scenario.total_power])
         assert result.best_rate >= 0.9 * oracle.best_rate
         assert result.best_rate <= oracle.best_rate + 1e-12
 
@@ -793,7 +789,9 @@ class TestAgents:
         assert len(result.curve) == 20
 
     def test_one_seed_per_run(self):
-        env = NomaPhaseEnv(at_powers(tiny_scenario(), [1.0, 2.0]), resolution_bits=1)
+        env = NomaPhaseEnv(
+            at_powers(tiny_scenario(), [1.0, 2.0]), resolution_bits=1, alpha_step=0.05
+        )
         approx = QApproximator(env.feature_dim, env.n_actions, seeds=[1, 2])
         with pytest.raises(ValueError, match="1 seeds for 2 runs"):
             train_agent(env, approx, 2, 2, seeds=[3])
