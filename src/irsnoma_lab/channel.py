@@ -115,14 +115,16 @@ def _points_in_polygon(x: np.ndarray, y: np.ndarray, edges) -> np.ndarray:
     return np.logical_xor.reduce(hit, axis=0)
 
 
+@functools.lru_cache(maxsize=1)
 def default_region() -> ServiceRegion:
-    """100 m x 100 m box with a rectangular obstacle screening the BS side."""
-    return ServiceRegion(
+    """100 m x 100 m box with a rectangular obstacle screening the BS side, built once."""
+    region = ServiceRegion(
         bounds=(-50.0, -50.0, 50.0, 50.0),
-        obstacle=np.array(
-            [[-15.0, -50.0], [15.0, -50.0], [15.0, -35.0], [-15.0, -35.0]]
-        ),
+        obstacle=np.array([[-15.0, -50.0], [15.0, -50.0], [15.0, -35.0], [-15.0, -35.0]]),
     )
+    for array in (region.obstacle, *region._edges):
+        array.flags.writeable = False
+    return region
 
 
 def _as_position3(p, name: str) -> np.ndarray:
@@ -153,10 +155,11 @@ class ScenarioGeometry:
     def __post_init__(self):
         for name in ("bs_position", "irs_position"):
             object.__setattr__(self, name, _as_position3(getattr(self, name), name))
-        users = np.asarray([
-            _as_position3(u, f"user {i}")
-            for i, u in enumerate(np.atleast_2d(self.user_positions))
-        ])
+        try:
+            rows = np.atleast_2d(self.user_positions)
+        except ValueError:  # ragged: 2-D and 3-D rows mixed, each checked on its own
+            rows = self.user_positions
+        users = np.asarray([_as_position3(u, f"user {i}") for i, u in enumerate(rows)])
         if users.shape[0] < 1:
             raise ValueError("at least one user is required")
         object.__setattr__(self, "user_positions", users)
@@ -351,6 +354,14 @@ def effective_channels_batch(
     return (h * coeffs[:, None, :]) @ channels.g_matrix
 
 
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of every last-axis row, bit for bit: that norm takes one BLAS
+    dot per real and imaginary part, as a stacked (1, K) @ (K, 1) product does."""
+    rows = rows[..., None, :]
+    re, im = rows.real, rows.imag
+    return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
+
+
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
@@ -447,6 +458,13 @@ def scenario_to_json(
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _finite(key: str, value) -> float:
+    """A scenario file's number as a float, or a ValueError that names ``key``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{key}: {value!r} is not a finite number")
+    return float(value)
+
+
 def load_scenario(path) -> tuple[ScenarioGeometry, RicianConfig, int]:
     """Load (geometry, fading config, seed) from a UTF-8 JSON document.
 
@@ -462,19 +480,12 @@ def load_scenario(path) -> tuple[ScenarioGeometry, RicianConfig, int]:
         irs_position=doc.get("irs_position", np.zeros(3)),
         region=_region_from_json(doc.get("region")),
     )
-    defaults = RicianConfig()
+    fading = {key: float(doc[key]) for key in (
+        "path_loss_exponent_g", "path_loss_exponent_h", "reference_loss_db") if key in doc}
+    if "noise_dbm" in doc:
+        fading["noise_power_dbm"] = _finite("noise_dbm", doc["noise_dbm"])
     k_db = doc.get("k_factor_db")
-    cfg = RicianConfig(
-        k_factor=10.0 ** (float(k_db) / 10.0) if k_db is not None else defaults.k_factor,
-        path_loss_exponent_g=float(
-            doc.get("path_loss_exponent_g", defaults.path_loss_exponent_g)
-        ),
-        path_loss_exponent_h=float(
-            doc.get("path_loss_exponent_h", defaults.path_loss_exponent_h)
-        ),
-        reference_loss_db=float(
-            doc.get("reference_loss_db", defaults.reference_loss_db)
-        ),
-        noise_power_dbm=float(doc.get("noise_dbm", defaults.noise_power_dbm)),
-    )
-    return geometry, cfg, int(doc.get("seed", 0))
+    if k_db is not None:  # -inf dB is a factor of 0, as scenario_to_json writes Rayleigh fading
+        k_db = k_db if k_db == -math.inf else _finite("k_factor_db", k_db)
+        fading["k_factor"] = 10.0 ** (k_db / 10.0)
+    return geometry, RicianConfig(**fading), int(doc.get("seed", 0))

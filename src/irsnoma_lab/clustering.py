@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import as_rng
+from .channel import as_rng, row_norms
 
 VARIANCE_FLOOR = 1e-10
 DEFAULT_EPSILON = 1e-15
@@ -66,13 +66,12 @@ def _seed_gate(gate: np.ndarray, seeds: np.ndarray, rho1: float, rho2: float):
     the norm of the difference of elementwise magnitudes, ``corr`` the
     magnitude of the normalized inner product (0 where a norm is 0), and a
     row qualifies for a seed when ``gain_diff < rho1`` and ``corr > rho2``.
-    Each pair reduces as 1-D ``np.linalg.norm`` and ``np.vdot`` do: one BLAS
-    dot per pair (a stacked (1, K) @ (K, 1) product), one norm per row.
+    Each reduces as 1-D ``np.linalg.norm`` and ``np.vdot`` do (see
+    :func:`~irsnoma_lab.channel.row_norms`).
     """
-    diff = (np.abs(gate)[:, None] - np.abs(gate[seeds]))[..., None, :]
-    gain_diff = np.sqrt(diff @ diff.swapaxes(-1, -2))[..., 0, 0]
+    gain_diff = row_norms(np.abs(gate)[:, None] - np.abs(gate[seeds]))
     inner = np.abs(np.conj(gate)[:, None, None] @ gate[seeds][..., None])[..., 0, 0]
-    norm = np.array([np.linalg.norm(row) for row in gate])
+    norm = row_norms(gate)
     denom = np.multiply.outer(norm, norm[seeds])
     corr = np.divide(inner, denom, out=np.zeros(denom.shape), where=denom != 0.0)
     return (gain_diff < rho1) & (corr > rho2), gain_diff, corr
@@ -146,20 +145,13 @@ def rough_partition(
     rng = as_rng(seed)
 
     seeds = np.sort(rng.choice(n, size=m_clusters, replace=False))
+    if m_clusters == 1:  # all in cluster 0, no gate or Lloyd round; a C-order mean as below
+        return np.zeros(n, dtype=int), np.ascontiguousarray(x).mean(axis=0, keepdims=True)
     centers = x[seeds].copy()
-    assignment = np.full(n, -1, dtype=int)
-    for m, s in enumerate(seeds):
-        assignment[s] = m
-
     qualifies, _, _ = _seed_gate(gate, seeds, rho1, rho2)
-    for u in range(n):
-        if assignment[u] >= 0:
-            continue
-        candidates = np.flatnonzero(qualifies[u])
-        if not candidates.size:
-            candidates = np.arange(m_clusters)
-        dists = [np.linalg.norm(x[u] - centers[m]) for m in candidates]
-        assignment[u] = candidates[int(np.argmin(dists))]
+    elsewhere = qualifies.any(axis=1)[:, None] & ~qualifies
+    assignment = np.argmin(np.where(elsewhere, np.inf, row_norms(x[:, None] - centers)), axis=1)
+    assignment[seeds] = np.arange(m_clusters)
 
     for _ in range(LLOYD_MAX_ROUNDS):
         for m in range(m_clusters):
@@ -247,10 +239,14 @@ def em_e_step(params: GmmParams, features) -> np.ndarray:
 
     Rows sum to one.
     """
-    x = np.atleast_2d(np.asarray(features, dtype=float))
+    return _posterior(params, np.atleast_2d(np.asarray(features, dtype=float)))[0]
+
+
+def _posterior(params: GmmParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Responsibilities and the (n, 1) per-user log-likelihoods, from one log-joint."""
     log_joint = _log_joint(params, x)
     log_norm = logsumexp(log_joint, axis=1, keepdims=True)
-    return np.exp(log_joint - log_norm)
+    return np.exp(log_joint - log_norm), log_norm
 
 
 def em_m_step(resp: np.ndarray, features) -> GmmParams:
@@ -366,7 +362,7 @@ def fit(
         if distance < epsilon:
             converged = True
             break
-    resp = em_e_step(params, x)
+    resp, log_norm = _posterior(params, x)
     assignment = _repair_empty_clusters(resp.max(axis=1), np.argmax(resp, axis=1), m_clusters)
     return FitResult(
         params=params,
@@ -374,7 +370,7 @@ def fit(
         assignment=assignment,
         converged=converged,
         n_iter=iterations,
-        log_likelihood=log_likelihood(params, x),
+        log_likelihood=float(np.sum(log_norm[:, 0])),  # = log_likelihood(params, x)
     )
 
 

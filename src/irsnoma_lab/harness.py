@@ -36,6 +36,7 @@ from .channel import (
     effective_channels_batch,
     load_scenario,
     phase_coefficients,
+    row_norms,
     sample_channels,
     scenario_to_json,
 )
@@ -86,11 +87,8 @@ class SeedRegistry:
     def __init__(self, master: int):
         self.master = int(master)
 
-    def seed_sequence(self, name: str) -> np.random.SeedSequence:
-        return np.random.SeedSequence([self.master, zlib.crc32(name.encode())])
-
     def rng(self, name: str) -> np.random.Generator:
-        return np.random.default_rng(self.seed_sequence(name))
+        return np.random.default_rng([self.master, zlib.crc32(name.encode())])
 
 
 def _kind(name: str, kind: str, value):
@@ -370,12 +368,14 @@ class Setup:
     def runs(self, channels, assignment, streams, powers_dbm=None) -> list:
         """One (scenario, generator) run per stream, run i on ``agent/{streams[i]}``.
 
-        Run i spends ``powers_dbm[i]`` (the configured power by default).
+        Run i spends ``powers_dbm[i]`` (the configured power by default).  The
+        oracle draws nothing, so its runs get no generator (``None``).
         """
         if powers_dbm is None:
             powers_dbm = [None] * len(streams)
         return [
-            (self.scenario(channels, assignment, power), self.registry.rng(f"agent/{stream}"))
+            (self.scenario(channels, assignment, power),
+             None if self.config.algorithm == "oracle" else self.registry.rng(f"agent/{stream}"))
             for stream, power in zip(streams, powers_dbm)
         ]
 
@@ -600,10 +600,7 @@ def best_single_user_gain(channels, user: int, resolution_bits: int) -> float:
             k, resolution_bits, start, min(start + CHUNK_POINTS, count)
         )
         h = effective_channels_batch(channels, phase_idx, resolution_bits, [user])
-        # np.linalg.norm of a complex row: one BLAS dot per real/imaginary part.
-        re, im = h.real, h.imag
-        norms = np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))
-        best = float(np.fmax.reduce(norms.ravel(), initial=best))
+        best = float(np.fmax.reduce(row_norms(h).ravel(), initial=best))
     return best
 
 

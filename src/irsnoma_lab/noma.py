@@ -134,8 +134,8 @@ class NetworkScenario:
     def split_tuples(self, row) -> tuple[tuple, ...]:
         """Per-cluster tuples of an (N,) row in decoding slots: a split's
         coefficients or a decoding order's users, as Python scalars."""
-        parts = np.split(np.asarray(row), self.cluster_starts[1:])
-        return tuple(tuple(part.tolist()) for part in parts)
+        values, starts = np.asarray(row).tolist(), self.cluster_starts.tolist()
+        return tuple(tuple(values[a:b]) for a, b in zip(starts, [*starts[1:], len(values)]))
 
 
 @dataclass(frozen=True, eq=False)

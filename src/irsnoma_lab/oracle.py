@@ -11,6 +11,7 @@ desk-scale.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -98,13 +99,16 @@ class SearchSpace:
             raise SearchSpaceTooLargeError(self.split_count, "power splits", SPLIT_GUARD)
 
 
+@functools.lru_cache(maxsize=1)
 def phase_index_block(
     k_elements: int, resolution_bits: int, start: int, stop: int
 ) -> np.ndarray:
-    """Rows ``start:stop`` of the lexicographic phase enumeration as a (P, K) array."""
+    """Rows ``start:stop`` of the lexicographic phase enumeration as a read-only (P, K) array."""
     levels = 1 << resolution_bits
     place = levels ** np.arange(k_elements - 1, -1, -1, dtype=np.int64)
-    return np.arange(start, stop, dtype=np.int64)[:, None] // place % levels
+    block = np.arange(start, stop, dtype=np.int64)[:, None] // place % levels
+    block.flags.writeable = False
+    return block
 
 
 def _compositions(units: int, parts: int) -> np.ndarray:
@@ -122,14 +126,15 @@ def _compositions(units: int, parts: int) -> np.ndarray:
     return np.diff(edges, axis=1) - 1
 
 
-def alpha_grid(cluster_sizes, step: float) -> np.ndarray:
-    """Every split on the step grid as one (S, N) coefficient row each.
+@functools.lru_cache(maxsize=1)
+def alpha_grid(cluster_sizes: tuple[int, ...], step: float) -> np.ndarray:
+    """Every split on the step grid as one read-only (S, N) coefficient row each.
 
     Rows run through the cross product of the per-cluster simplex grids in
     lexicographic order, the first cluster slowest; within a cluster the
     unit compositions run lexicographically too (see :func:`_compositions`).
     A single-user cluster has the one coefficient 1.0.  The oracle breaks
-    ties toward the earlier row.
+    ties toward the earlier row.  The last grid is kept for the next search.
     """
     units = _units_from_step(step)
     per_cluster = [
@@ -138,7 +143,9 @@ def alpha_grid(cluster_sizes, step: float) -> np.ndarray:
     ]
     picks = np.indices([len(grid) for grid in per_cluster])
     picks = picks.reshape(len(per_cluster), -1)
-    return np.concatenate([grid[pick] for grid, pick in zip(per_cluster, picks)], axis=1)
+    grid = np.concatenate([grid[pick] for grid, pick in zip(per_cluster, picks)], axis=1)
+    grid.flags.writeable = False
+    return grid
 
 
 @dataclass(frozen=True)
@@ -223,19 +230,18 @@ def brute_force_optima(
     best_rate = [-np.inf] * len(powers)
     best = [(None, None, None)] * len(powers)  # (phase, splits, orders)
     feasible = [0] * len(powers)
-    chunks = _grid_chunks(space.phase_count, len(grid), CHUNK_POINTS)
-    for p0, p1, s0, s1 in chunks:
+    for p0, p1, s0, s1 in _grid_chunks(space.phase_count, len(grid), CHUNK_POINTS):
         phase_idx = phase_index_block(space.k_elements, resolution_bits, p0, p1)
         scored = evaluate_powers(stack, phase_idx, grid[s0:s1], resolution_bits, powers)
         for r in range(len(powers)):
             scores = next(scored)
             feasible[r] += int(np.count_nonzero(scores.feasible))
             rates = np.where(scores.feasible, scores.sum_rate, -np.inf)
-            p, s = np.unravel_index(np.argmax(rates), rates.shape)
+            p, s = divmod(int(rates.argmax()), s1 - s0)
             if rates[p, s] > best_rate[r]:
                 best_rate[r] = float(rates[p, s])
                 best[r] = (
-                    PhaseConfig(tuple(phase_idx[p]), resolution_bits),
+                    PhaseConfig(phase_idx[p].tolist(), resolution_bits),
                     scenario.split_tuples(grid[s0 + s]),
                     scenario.split_tuples(scores.order[p]),
                 )

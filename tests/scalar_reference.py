@@ -30,7 +30,8 @@ scenario by scenario.
 Two more scalar forms serve as references for array code: the one-point,
 edge-by-edge ray cast that ``ServiceRegion.contains_many`` runs against
 all edges at once, and the per-pair gain difference and correlation of
-the rough partition's threshold gate.
+the rough partition's threshold gate.  :func:`rough_partition` runs that
+gate and the first pass one user and one seed at a time.
 
 Algorithm 1's LSTM for one user: 2-D weights, one batch, one gradient
 norm, and its own two-branch sigmoid.  ``mobility.RecurrentPredictor``
@@ -57,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from irsnoma_lab import mobility, oracle, rl
+from irsnoma_lab import clustering, mobility, oracle, rl
 from irsnoma_lab.channel import TWO_PI, PhaseConfig, effective_channels_batch
 from irsnoma_lab.noma import SIC_RATE_TOL, ScenarioStack, _check_simplex, evaluate_batch
 from irsnoma_lab.precoding import CONDITION_LIMIT, cluster_heads, member_table
@@ -564,6 +565,53 @@ def correlation(a, b) -> float:
     if denom == 0.0:
         return 0.0
     return float(np.abs(np.vdot(a, b)) / denom)
+
+
+def rough_partition(features, m_clusters: int, rho1: float, rho2: float, seed, gate_vectors=None):
+    """The rough partition one user and one seed at a time.
+
+    The threshold gate is the scalar pair forms above, and each user's
+    first-pass distances are one ``np.linalg.norm`` per candidate seed; the
+    Lloyd rounds follow ``clustering.rough_partition``.
+    """
+    x = np.atleast_2d(np.asarray(features, dtype=float))
+    n = x.shape[0]
+    gate = x if gate_vectors is None else np.atleast_2d(np.asarray(gate_vectors))
+    seeds = np.sort(np.random.default_rng(seed).choice(n, size=m_clusters, replace=False))
+    centers = x[seeds].copy()
+    assignment = np.full(n, -1, dtype=int)
+    for m, s in enumerate(seeds):
+        assignment[s] = m
+    for u in range(n):
+        if assignment[u] >= 0:
+            continue
+        candidates = [
+            m for m, s in enumerate(seeds)
+            if gain_difference(gate[u], gate[s]) < rho1 and correlation(gate[u], gate[s]) > rho2
+        ] or list(range(m_clusters))
+        dists = [np.linalg.norm(x[u] - centers[m]) for m in candidates]
+        assignment[u] = candidates[int(np.argmin(dists))]
+    for _ in range(clustering.LLOYD_MAX_ROUNDS):
+        for m in range(m_clusters):
+            members = np.flatnonzero(assignment == m)
+            if members.size:
+                centers[m] = x[members].mean(axis=0)
+            else:
+                dist_to_own = np.linalg.norm(x - centers[assignment], axis=1)
+                farthest = int(np.argmax(dist_to_own))
+                centers[m] = x[farthest]
+                assignment[farthest] = m
+        new_assignment = np.argmin(
+            np.linalg.norm(x[:, None, :] - centers[None, :, :], axis=2), axis=1
+        )
+        if np.array_equal(new_assignment, assignment):
+            break
+        assignment = new_assignment
+    dist_to_own = np.linalg.norm(x - centers[assignment], axis=1)
+    assignment = clustering._repair_empty_clusters(-dist_to_own, assignment, m_clusters)
+    for m in range(m_clusters):
+        centers[m] = x[assignment == m].mean(axis=0)
+    return assignment, centers
 
 
 # -- Algorithm 1's LSTM, one user ---------------------------------------------

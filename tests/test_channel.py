@@ -405,3 +405,53 @@ class TestScenarioJson:
             "seed",
         ):
             assert key in doc
+
+    def test_users_may_mix_2d_and_3d_rows(self, tmp_path):
+        doc = json.loads(scenario_to_json(small_geometry(3), RicianConfig(), 7))
+        doc["users"] = [[10.0, 5.0], [20.0, -8.0, 1.5], [35.0, 30.0]]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        geometry, _, _ = load_scenario(path)
+        assert geometry.user_positions.tolist() == [
+            [10.0, 5.0, 0.0], [20.0, -8.0, 1.5], [35.0, 30.0, 0.0]
+        ]
+
+    def test_mixed_rows_still_name_a_bad_user(self):
+        with pytest.raises(ValueError, match="^user 1 must be a 2- or 3-vector"):
+            ScenarioGeometry(bs_position=[0, -60, 10], user_positions=[[5.0, 5.0], [1.0]])
+
+    # A null k_factor_db keeps the default factor and -Infinity is a factor of 0,
+    # as before; a null or -Infinity noise_dbm is rejected.
+    @pytest.mark.parametrize("key, value", [
+        (key, value)
+        for key in ("noise_dbm", "k_factor_db")
+        for value in (True, False, "3", float("nan"), float("inf"), [3.0])
+    ] + [("noise_dbm", None), ("noise_dbm", float("-inf"))])
+    def test_number_keys_reject_non_numbers(self, tmp_path, key, value):
+        doc = json.loads(scenario_to_json(small_geometry(), RicianConfig(), 7))
+        doc[key] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{key}: .* is not a finite number$"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("key, value, expected", [
+        ("noise_dbm", -75, ("noise_power_dbm", -75.0)),
+        ("k_factor_db", 10, ("k_factor", 10.0)),
+        ("k_factor_db", 0.0, ("k_factor", 1.0)),
+        ("k_factor_db", float("-inf"), ("k_factor", 0.0)),
+    ])
+    def test_number_keys_take_ints_and_floats(self, tmp_path, key, value, expected):
+        doc = json.loads(scenario_to_json(small_geometry(), RicianConfig(), 7))
+        doc[key] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        _, cfg, _ = load_scenario(path)
+        name, want = expected
+        assert getattr(cfg, name) == want
+
+    def test_rayleigh_roundtrip(self, tmp_path):
+        # scenario_to_json writes a k_factor of 0 as -Infinity dB.
+        path = tmp_path / "scenario.json"
+        path.write_text(scenario_to_json(small_geometry(), RicianConfig(k_factor=0.0), 7))
+        assert load_scenario(path)[1].k_factor == 0.0

@@ -19,6 +19,7 @@ from irsnoma_lab.clustering import (
     normalize_channels,
     rough_partition,
 )
+import scalar_reference
 from scalar_reference import correlation, gain_difference
 
 
@@ -118,6 +119,37 @@ class TestSeedGateEqualsScalarReference:
         rho2 = data.draw(st.sampled_from(ref_corr.ravel().tolist()))
         qualifies, _, _ = _seed_gate(gate, seeds, rho1, rho2)
         assert np.array_equal(qualifies, (ref_gain_diff < rho1) & (ref_corr > rho2))
+
+
+@st.composite
+def partition_instances(draw):
+    """(features, M, seed, gate rows or None): unit-normalized CSI with its
+    complex gate rows, or plain real features gated on themselves, with
+    duplicate rows sometimes, so that the gate and ties come into play."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    if n > 1 and draw(st.booleans()):
+        raw[draw(st.integers(1, n - 1))] = raw[0]
+    m = draw(st.integers(1, n))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        csi = normalize_channels(raw)
+        return csi.features, m, seed, csi.normalized
+    return raw.real, m, seed, None
+
+
+class TestRoughPartitionEqualsScalarReference:
+    @settings(max_examples=300, deadline=None)
+    @given(partition_instances(), st.sampled_from([(0.3, 0.7), (2.0, 0.0), (0.0, 2.0), (1.0, 0.3)]))
+    def test_assignment_and_centers_bit_identical(self, instance, thresholds):
+        features, m, seed, gate = instance
+        rho1, rho2 = thresholds
+        got = rough_partition(features, m, rho1=rho1, rho2=rho2, seed=seed, gate_vectors=gate)
+        want = scalar_reference.rough_partition(features, m, rho1, rho2, seed, gate)
+        assert np.array_equal(got[0], want[0])
+        assert got[1].tobytes() == want[1].tobytes()
 
 
 # Seeds 30 and 60 draw the first two and three rows as the rough partition's
@@ -430,6 +462,21 @@ class TestFit:
     def test_epsilon_validation(self):
         with pytest.raises(ValueError):
             fit(np.ones((4, 1)), 2, epsilon=0.0)
+
+
+class TestFitLogLikelihood:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 12), st.data())
+    def test_equals_the_log_likelihood_of_the_fitted_params(self, n, data):
+        # fit reads the final E-step's normalizers instead of a second
+        # log-joint; the value must be log_likelihood's, bit for bit.
+        m = data.draw(st.integers(1, n))
+        k = data.draw(st.integers(1, 6))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = normalize_channels(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
+        result = fit(x.features, m, seed=rng, gate_vectors=x.normalized)
+        reference = log_likelihood(result.params, x.features)
+        assert np.float64(result.log_likelihood).tobytes() == np.float64(reference).tobytes()
 
 
 class TestInvariants:

@@ -591,6 +591,44 @@ class TestOraclePassPerDraw:
         }
 
 
+class TestAgentStreams:
+    @pytest.mark.parametrize("algorithm", harness.ALGORITHMS)
+    @pytest.mark.parametrize("command", [cmd_compare_oma, cmd_sweep_power])
+    def test_one_agent_stream_per_learner_run_and_none_for_the_oracle(
+        self, tmp_path, monkeypatch, command, algorithm
+    ):
+        derived = []
+        rng = SeedRegistry.rng
+
+        def spy(registry, name):
+            derived.append((registry.master, name))
+            return rng(registry, name)
+
+        monkeypatch.setattr(SeedRegistry, "rng", spy)
+        seeds, powers = (3, 4), (20.0, 40.0)
+        command(ExperimentConfig(
+            algorithm=algorithm,
+            out_dir=str(tmp_path / "out"),
+            seeds=seeds,
+            n_users=2,
+            m_clusters=1,
+            k_elements=2,
+            resolution_bits=1,
+            alpha_step=0.5,
+            powers_dbm=powers,
+            episodes=1,
+            steps_per_episode=2,
+            random_samples=2,
+        ))
+        agent = [(seed, name) for seed, name in derived if name.startswith("agent/")]
+        learner = [(seed, f"agent/power{power}") for seed in seeds for power in powers]
+        assert agent == ([] if algorithm == "oracle" else learner)
+        # The scenario, channel and cluster streams do not depend on the optimizer.
+        assert [entry for entry in derived if entry not in agent] == [
+            (seed, name) for seed in seeds for name in ("scenario", "channel", "cluster")
+        ]
+
+
 class TestClusterAndPredict:
     def test_cluster_outputs(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -680,6 +718,10 @@ class TestCli:
          "irs_position [0.0, 0.0, inf] is not finite", "pipeline"),
         ("users", [[10.0, 5.0, 0.0], [20.0, -8.0, float("-inf")]],
          "user 1 [20.0, -8.0, -inf] is not finite", "cluster"),
+        ("noise_dbm", float("nan"), "noise_dbm: nan is not a finite number", "cluster"),
+        ("noise_dbm", True, "noise_dbm: True is not a finite number", "sweep-power"),
+        ("k_factor_db", "3", "k_factor_db: '3' is not a finite number", "pipeline"),
+        ("k_factor_db", float("inf"), "k_factor_db: inf is not a finite number", "cluster"),
     ])
     def test_non_finite_scenario_field_exits_1(
         self, tmp_path, capsys, monkeypatch, key, value, message, command
@@ -700,6 +742,21 @@ class TestCli:
         assert main([command, "--config", str(cfg_path)]) == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_scenario_file_mixing_2d_and_3d_users_runs(self, tmp_path):
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps({
+            "bs_position": [0.0, -60.0, 10.0],
+            "users": [[10.0, 5.0], [20.0, -8.0, 1.5], [35.0, 30.0], [-25.0, 12.0, 2.0]],
+        }))
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(
+            {**SMALL, "scenario_path": str(scenario_path), "out_dir": str(out)}
+        ))
+        assert main(["cluster", "--config", str(cfg_path)]) == 0
+        _, rows = read_csv(out / "assignment.csv")
+        assert len(rows) == 4
 
     @pytest.mark.parametrize("command, algorithm, seed", [
         ("sweep-power", "random-phase", 7),

@@ -4,7 +4,7 @@ The runtime dependency is numpy alone; scipy is a test-only reference.  This
 parses every module of ``src/irsnoma_lab`` and lists each import whose
 top-level name is neither of those and not the package itself (relative
 imports included), and checks that importing the CLI loads no scipy and
-builds no argument parser.
+builds no argument parser and no cached constant.
 """
 
 import ast
@@ -56,3 +56,25 @@ def test_cli_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False 0"
+
+
+def test_cli_import_builds_no_cached_constant():
+    # The constants cached on first use (the default region, the split grid,
+    # the phase block and the phase table) stay unbuilt until a command runs.
+    caches = [
+        "channel.default_region", "channel.phase_coefficients",
+        "oracle.alpha_grid", "oracle.phase_index_block",
+    ]
+    code = (
+        "import irsnoma_lab.cli; from irsnoma_lab import channel, oracle; "
+        f"print([eval(name).cache_info().currsize for name in {caches!r}])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str([0] * len(caches))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irsnoma_lab import oracle
-from irsnoma_lab.channel import ChannelRealization, PhaseConfig, dbm_to_watts
+from irsnoma_lab.channel import ChannelRealization, PhaseConfig, dbm_to_watts, default_region
 from irsnoma_lab.noma import NetworkScenario
 from irsnoma_lab.oracle import (
     SearchSpace,
@@ -455,3 +455,41 @@ class TestOnePassChecksItsInputs:
         wide = make_scenario(np.random.default_rng(46), k_elements=25)
         with pytest.raises(SearchSpaceTooLargeError):
             brute_force_optima(wide, 5, 0.5, [1.0])
+
+
+class TestCachedConstants:
+    """The split grid, the phase block and the default region are built once
+    per argument set and kept one at a time, read-only."""
+
+    def test_repeated_calls_return_one_read_only_object(self):
+        cached = [
+            (lambda: alpha_grid((2,), 0.1), lambda a: [a]),
+            (lambda: phase_index_block(4, 2, 0, 256), lambda a: [a]),
+            (default_region, lambda r: [r.obstacle, *r._edges]),
+        ]
+        for build, arrays_of in cached:
+            first = build()
+            assert build() is first
+            for array in arrays_of(first):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0
+
+    def test_a_cache_holds_one_entry(self):
+        grid = alpha_grid((2,), 0.5)
+        alpha_grid((3,), 0.5)
+        assert alpha_grid.cache_info().currsize == 1
+        again = alpha_grid((2,), 0.5)
+        assert again is not grid and np.array_equal(again, grid)
+
+    def test_a_multi_chunk_search_holds_one_phase_block(self):
+        # 4**7 phases of one split: four chunks of CHUNK_POINTS phases.
+        scenario = make_scenario(np.random.default_rng(47), k_elements=7)
+        phase_index_block.cache_clear()
+        (result,) = brute_force_optima(scenario, 2, 0.5, [1.0])
+        assert result.evaluated_count == 4 * oracle.CHUNK_POINTS
+        info = phase_index_block.cache_info()
+        assert (info.misses, info.currsize) == (4, 1)
+        # The one kept is the last chunk's.
+        phase_index_block(7, 2, 3 * oracle.CHUNK_POINTS, 4 * oracle.CHUNK_POINTS)
+        assert phase_index_block.cache_info().hits == info.hits + 1
